@@ -11,7 +11,6 @@ together (`python -m fracdyn` or the `fracdyn` entry point).
 
 from .errors import (
     BranchWarning,
-    DegenerateData,
     DimensionError,
     DomainError,
     EigenFailure,
@@ -31,6 +30,8 @@ from .fraccore import (
     frac_difference,
     gl_weight_gamma,
     gl_weight_recursive,
+    history_sum,
+    memory_tail,
 )
 from .model import (
     AugmentedModel,

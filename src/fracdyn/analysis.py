@@ -215,13 +215,16 @@ def observability_matrices(
     B = _norm_B(model, B)
     q, m = C.shape[0], B.shape[1]
     G = transition_matrices(model, K)
-    obsv = np.vstack([C @ G[j] for j in range(K)])
+    CG = [C @ G[j] for j in range(K)]
+    obsv = np.vstack(CG)
     Wo = obsv.T @ obsv
     Wo = 0.5 * (Wo + Wo.T)
-    M = np.zeros((K * q, K * m))
-    for r in range(1, K):
-        for c in range(r):
-            M[r * q : (r + 1) * q, c * m : (c + 1) * m] = C @ G[r - 1 - c] @ B
+    # block (r, c) of M is C G_{r-1-c} B: one product per lag, placed on its diagonal
+    CGB = np.stack([cg @ B for cg in CG])
+    r, c = np.tril_indices(K, -1)
+    M = np.zeros((K, q, K, m))
+    M[r, :, c, :] = CGB[r - 1 - c]
+    M = M.reshape(K * q, K * m)
     rank, _, s = _numerical_rank(obsv, K, rank_rtol)
     return ObservabilityReport(
         K=K, obsv=obsv, gramian=Wo, feedthrough=M, rank=rank, singular_values=s
@@ -338,8 +341,14 @@ class FrequencyResponse:
 
     omega: np.ndarray
     response: np.ndarray
-    mag_db: np.ndarray
-    phase_deg: np.ndarray
+
+    @property
+    def mag_db(self) -> np.ndarray:
+        return 20.0 * np.log10(np.abs(self.response))
+
+    @property
+    def phase_deg(self) -> np.ndarray:
+        return np.degrees(np.angle(self.response))
 
 
 def fopid_response(kp, ki, kd, lam, mu, omegas) -> FrequencyResponse:
@@ -355,6 +364,4 @@ def fopid_response(kp, ki, kd, lam, mu, omegas) -> FrequencyResponse:
     for i, w in enumerate(omega):
         s = 1j * w
         resp[i] = kp + ki * _principal_power(s, -lam) + kd * _principal_power(s, mu)
-    mag_db = 20.0 * np.log10(np.abs(resp))
-    phase_deg = np.degrees(np.angle(resp))
-    return FrequencyResponse(omega=omega, response=resp, mag_db=mag_db, phase_deg=phase_deg)
+    return FrequencyResponse(omega=omega, response=resp)

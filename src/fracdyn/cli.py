@@ -26,21 +26,7 @@ from .analysis import (
     observability_matrices,
     tf_eval,
 )
-from .errors import (
-    DegenerateData,
-    DimensionError,
-    DomainError,
-    EigenFailure,
-    FracdynError,
-    InfeasibleStateConstraints,
-    InnovationSingular,
-    NonFiniteError,
-    NotControllable,
-    NotObservable,
-    NotSPD,
-    PoleError,
-    SingularError,
-)
+from .errors import DomainError, FracdynError
 from .estimate import EstimatorConfig, run_estimator
 from .fileio import (
     atomic_write,
@@ -61,28 +47,6 @@ from .sysid import identify
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (
-    SingularError,
-    NonFiniteError,
-    EigenFailure,
-    NotControllable,
-    NotObservable,
-    InnovationSingular,
-    InfeasibleStateConstraints,
-    PoleError,
-)
-_VALIDATION_ERRORS = (
-    DimensionError,
-    DomainError,
-    NotSPD,
-    DegenerateData,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
-
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
@@ -207,6 +171,8 @@ def cmd_analyze(args) -> int:
         points = int(config.get("omega_points", 200))
         if start <= 0 or stop <= start:
             raise DomainError("need 0 < omega_start < omega_stop")
+        if points < 1:
+            raise DomainError(f"omega_points must be >= 1, got {points}")
         omegas = np.logspace(np.log10(start), np.log10(stop), points)
         if config.get("fopid"):
             vals = (_parse_vector(config["fopid"]) if isinstance(config["fopid"], str)
@@ -217,11 +183,7 @@ def cmd_analyze(args) -> int:
         elif config.get("num") is not None and config.get("den") is not None:
             tf = FractionalTransferFunction.rational(
                 _parse_terms(config["num"]), _parse_terms(config["den"]))
-            h = np.array([tf_eval(tf, 1j * w) for w in omegas])
-            resp = FrequencyResponse(
-                omega=omegas, response=h, mag_db=20 * np.log10(np.abs(h)),
-                phase_deg=np.degrees(np.angle(h)),
-            )
+            resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
         else:
             raise DomainError("bode needs either --fopid or --num/--den terms")
         write_bode(out, resp)
@@ -488,13 +450,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"fracdyn {args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FracdynError as exc:
-        print(f"fracdyn {args.command}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _VALIDATION_ERRORS as exc:
+    except (FracdynError, ValueError, KeyError, OSError) as exc:
         print(f"fracdyn {args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all fracdyn modules."""
+"""Exception hierarchy shared by all fracdyn modules.
+
+Errors that also subclass ``ArithmeticError`` are numerical failures (CLI
+exit code 3); every other ``FracdynError`` is a validation failure (exit 2).
+"""
 
 
 class FracdynError(Exception):
@@ -29,11 +33,11 @@ class EigenFailure(FracdynError, ArithmeticError):
     """The eigensolver failed to converge."""
 
 
-class NotControllable(FracdynError):
+class NotControllable(FracdynError, ArithmeticError):
     """Controllability rank condition fails at the requested horizon."""
 
 
-class NotObservable(FracdynError):
+class NotObservable(FracdynError, ArithmeticError):
     """Observability rank condition fails at the requested horizon."""
 
 
@@ -45,12 +49,8 @@ class InnovationSingular(FracdynError, ArithmeticError):
     """The filter innovation covariance is numerically singular."""
 
 
-class InfeasibleStateConstraints(FracdynError):
+class InfeasibleStateConstraints(FracdynError, ArithmeticError):
     """Hard linear state constraints admit no input inside the box."""
-
-
-class DegenerateData(FracdynError, ValueError):
-    """Identification data carries no usable temporal structure."""
 
 
 class BranchWarning(UserWarning):

@@ -189,7 +189,14 @@ def read_trajectory(path: str) -> Trajectory:
             header = next(reader)
         except StopIteration:
             raise DimensionError(f"{path}: empty trajectory file") from None
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+        rows = []
+        for r in reader:
+            if not any(cell.strip() for cell in r):
+                continue
+            if len(r) < len(header):
+                raise DimensionError(f"{path}: line {reader.line_num} has {len(r)} fields, "
+                                     f"the header has {len(header)}")
+            rows.append(r)
     cols = {name: idx for idx, name in enumerate(header)}
     if "t" not in cols:
         raise DimensionError(f"{path}: trajectory header lacks the time column")

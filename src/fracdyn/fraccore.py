@@ -1,11 +1,15 @@
-"""Grunwald-Letnikov fractional-difference weights and the difference operator.
+"""Grunwald-Letnikov fractional-difference weights and the memory sums they weight.
 
 The weight of lag ``j`` at order ``alpha`` is ``c_j = (-1)^j * binom(alpha, j)``,
 equivalently ``Gamma(j - alpha) / (Gamma(-alpha) * Gamma(j + 1))``.  The product
 recurrence is the default evaluation path (pole-free, O(j*eps) error growth);
 the log-Gamma path exists as an independent cross-check oracle.
 
-All sequences are causal: samples at negative indices are zero.
+This module is the one place a GL memory sum is evaluated.  Implicit
+recursions, whose history is produced step by step, contract it with
+:func:`memory_tail`; sums over a series known in advance go through
+:func:`history_sum`.  All sequences are causal: samples at negative indices
+are zero.
 """
 
 from dataclasses import dataclass
@@ -20,6 +24,8 @@ __all__ = [
     "gl_weight_recursive",
     "gl_weight_gamma",
     "build_weight_table",
+    "memory_tail",
+    "history_sum",
     "frac_difference",
 ]
 
@@ -34,10 +40,7 @@ def gl_weight_recursive(alpha: float, j: int) -> float:
     """
     if j < 0:
         raise DomainError("lag index j must be non-negative")
-    c = 1.0
-    for i in range(1, j + 1):
-        c *= (i - 1.0 - alpha) / i
-    return c
+    return float(build_weight_table([alpha], j).weights[0, j])
 
 
 def _signed_lgamma(x: float) -> tuple[float, float]:
@@ -95,17 +98,56 @@ def build_weight_table(alphas, J: int) -> FracWeightTable:
     orders = np.atleast_1d(np.asarray(alphas, dtype=float))
     if orders.ndim != 1:
         raise DomainError("alphas must be a vector")
-    n = orders.shape[0]
-    w = np.empty((n, J + 1))
-    if n:
-        w[:, 0] = 1.0
-        for j in range(1, J + 1):
-            # same rounding order as gl_weight_recursive, so the paths agree bitwise
-            w[:, j] = w[:, j - 1] * ((j - 1.0 - orders) / j)
+    lags = np.arange(1.0, J + 1.0)
+    factors = np.ones((orders.shape[0], J + 1))
+    factors[:, 1:] = (lags - 1.0 - orders[:, None]) / lags
+    # cumprod multiplies left to right, so c_j = c_{j-1} * (j - 1 - a) / j in
+    # exactly the rounding order of the scalar recurrence
+    w = np.cumprod(factors, axis=1)
     w.setflags(write=False)
     orders = orders.copy()
     orders.setflags(write=False)
     return FracWeightTable(orders=orders, horizon=J, weights=w)
+
+
+def memory_tail(table: FracWeightTable, history: np.ndarray) -> np.ndarray:
+    """Memory term of the recursion x[k+1] = (A + diag(alpha)) x[k] - tail.
+
+    ``history`` holds the L states x[k-L..k-1] before the current one, oldest
+    first, with the channel on axis 1 and any further axes carried along
+    (a stack of state matrices steps like a state vector).  Lag j = k - t
+    pairs with c_{j+1}, so tail = sum_{j=1..L} diag(c_{j+1}) x[k-j].
+    """
+    w_cols = table.weights[:, 2 : history.shape[0] + 2][:, ::-1]
+    return np.einsum("nt,tn...->n...", w_cols, history)
+
+
+def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
+    """Weighted sums sum_{j=0..J} weights[j] * x[t-j] for t = start..stop-1.
+
+    ``x`` is a time-major series of shape (T,) or (T, n) with samples before
+    time 0 taken as zero; ``weights`` has shape (J+1,), or (n, J+1) with one
+    row per channel.  A sum that starts at lag s > 0 is the same sum at time
+    t - s over ``weights[s:]``.  Each channel is one direct convolution over
+    the rows' common history, so no rows-by-lags matrix is formed.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if not 0 <= start <= stop <= x.shape[0]:
+        raise IndexError(f"rows [{start}, {stop}) outside series of length {x.shape[0]}")
+    if w.shape[-1] == 0 or w.shape[:-1] != x.shape[1:]:
+        raise DomainError(f"weights of shape {w.shape} do not fit a series of shape {x.shape}")
+    first = start - (w.shape[-1] - 1)
+    seg = x[max(first, 0) : stop]
+    if first < 0:
+        seg = np.concatenate([np.zeros((-first,) + x.shape[1:]), seg])
+    rows = w.reshape(-1, w.shape[-1])
+    seg = seg.reshape(seg.shape[0], rows.shape[0])
+    out = np.empty((stop - start, rows.shape[0]))
+    if stop > start:  # np.convolve swaps its operands when the series is shorter
+        for i, w_i in enumerate(rows):
+            out[:, i] = np.convolve(seg[:, i], w_i, "valid")
+    return out.reshape((stop - start,) + x.shape[1:])
 
 
 def frac_difference(series, alphas, k: int, table: FracWeightTable | None = None):
@@ -130,7 +172,4 @@ def frac_difference(series, alphas, k: int, table: FracWeightTable | None = None
         table = build_weight_table(orders, k)
     elif table.horizon < k:
         raise DomainError("weight table horizon is shorter than requested step")
-    # weights[:, j] pairs with x[k-j]; reversing the history aligns lag 0..k.
-    w = table.weights[:, : k + 1]
-    hist = x[k::-1, :]
-    return np.einsum("nj,jn->n", w, hist)
+    return history_sum(x, table.weights[:, : k + 1], k, k + 1)[0]

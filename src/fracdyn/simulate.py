@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .fraccore import build_weight_table
+from .fraccore import build_weight_table, memory_tail
 from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
 
 __all__ = [
@@ -102,13 +102,14 @@ class FosSimulator:
 
     Precomputes the weight table once for ``max_steps`` and keeps the whole
     state history, so closed-loop drivers can interleave solving and stepping
-    without re-simulating from scratch.
+    without re-simulating from scratch.  ``x0`` is a state vector, or an
+    (n, r) matrix whose columns step as r free responses side by side.
     """
 
     def __init__(self, model: FosModel, x0, max_steps: int, memory_cap: int | None = None):
         self.model = model
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape != (model.n,):
+        if x0.ndim > 2 or x0.shape[0] != model.n:
             raise DimensionError(f"x0 must have length {model.n}")
         if memory_cap is not None and memory_cap < 1:
             raise DimensionError("memory_cap must be >= 1 when given")
@@ -121,7 +122,7 @@ class FosSimulator:
         self.memory_cap = memory_cap
         self._table = build_weight_table(model.alpha, max_steps + 1)
         self._A0 = model.A + np.diag(model.alpha)
-        self._states = np.zeros((max_steps + 1, model.n))
+        self._states = np.zeros((max_steps + 1,) + x0.shape)
         self._states[0] = x0
         self.k = 0
 
@@ -134,14 +135,12 @@ class FosSimulator:
         if k + 1 >= self._states.shape[0]:
             raise DimensionError("simulator stepped past its preallocated horizon")
         x = self._states
+        if x.ndim > 2 and (u is not None or w is not None):
+            raise DimensionError("inputs and noise drive a state vector, not free responses")
         # overflow is detected by the finiteness check below, not by numpy noise
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = self._A0 @ x[k]
             start = 0 if self.memory_cap is None else max(0, k - self.memory_cap)
-            if k > start:
-                # tail: sum_{j=1..k} c_{j+1} x[k-j] == sum_{t} w[:, k+1-t] * x[t]
-                w_cols = self._table.weights[:, 2 : k - start + 2][:, ::-1]
-                nxt = nxt - np.einsum("nt,tn->n", w_cols, x[start:k])
+            nxt = self._A0 @ x[k] - memory_tail(self._table, x[start:k])
             if u is not None:
                 nxt = nxt + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
             if w is not None:
@@ -184,24 +183,15 @@ def simulate_fos(
 def transition_matrices(model: FosModel, K: int) -> np.ndarray:
     """State-transition matrices G_0..G_K of the free response x[k] = G_k x[0].
 
-    G_0 = I and G_k = sum_{j=0..k-1} A_j G_{k-1-j}; the diagonal tail matrices
-    enter as row scalings of earlier G's.
+    G_0 = I and G_k = sum_{j=0..k-1} A_j G_{k-1-j}: the simulator's recursion
+    stepped from the identity with no input or noise.
     """
     if K < 0:
         raise DimensionError("horizon K must be non-negative")
-    n = model.n
-    table = build_weight_table(model.alpha, K + 1)
-    A0 = model.A + np.diag(model.alpha)
-    G = np.zeros((K + 1, n, n))
-    G[0] = np.eye(n)
-    for k in range(1, K + 1):
-        acc = A0 @ G[k - 1]
-        if k >= 2:
-            # A_j G_{k-1-j} = -c_{j+1} * G_{k-1-j} rowwise, j = 1..k-1
-            w_cols = table.weights[:, 2 : k + 1][:, ::-1]
-            acc = acc - np.einsum("nt,tnm->nm", w_cols, G[: k - 1])
-        G[k] = acc
-    return G
+    sim = FosSimulator(model, np.eye(model.n), K)
+    for _ in range(K):
+        sim.step()
+    return sim.states
 
 
 def simulate_network(
@@ -225,14 +215,11 @@ def simulate_network(
     X = np.zeros((K + 1, n))
     X[0] = x0
     for k in range(K):
-        acc = np.zeros(n)
-        for j in range(1, k + 2):
-            acc += series.A[j] @ X[k + 1 - j]
-        for j in range(k + 1):
-            if net.m:
-                acc += series.B[j] @ uu[k - j]
-            if net.p:
-                acc += series.G[j] @ ww[k - j]
+        acc = np.einsum("jab,jb->a", series.A[1 : k + 2], X[k::-1])
+        if net.m:
+            acc += np.einsum("jab,jb->a", series.B[: k + 1], uu[k::-1])
+        if net.p:
+            acc += np.einsum("jab,jb->a", series.G[: k + 1], ww[k::-1])
         if not np.all(np.isfinite(acc)):
             raise NonFiniteError(f"state became non-finite at step {k + 1}")
         X[k + 1] = acc

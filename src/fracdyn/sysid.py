@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularError
-from .fraccore import build_weight_table
+from .fraccore import build_weight_table, history_sum
 from .simulate import Trajectory
 
 __all__ = [
@@ -123,15 +123,6 @@ def _window_rows(traj: Trajectory, window) -> np.ndarray:
     return np.arange(offset, offset + length)
 
 
-def _gl_targets(x_col: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """z[k] = sum_{j=0..k+1} w[j] x[k+1-j] for each window row k."""
-    out = np.empty(ks.size)
-    for idx, k in enumerate(ks):
-        hist = x_col[k + 1 :: -1]
-        out[idx] = w[: k + 2] @ hist
-    return out
-
-
 def _ols_row(Xw: np.ndarray, z: np.ndarray, gram: np.ndarray, rank: int):
     """Least-squares row with ridge fallback on a rank-deficient Gram matrix."""
     n = Xw.shape[1]
@@ -142,16 +133,6 @@ def _ols_row(Xw: np.ndarray, z: np.ndarray, gram: np.ndarray, rank: int):
         raise SingularError("regressor Gram matrix is zero; no spatial information")
     ridge = RIDGE_SCALE * tr
     return np.linalg.solve(gram + ridge * np.eye(n), Xw.T @ z), True
-
-
-def _prediction_mse(x, i, a_row, w, ks, p):
-    """One-step prediction MSE for channel i at the candidate weights ``w``."""
-    xi = x[:, i]
-    pred = x[ks] @ a_row
-    for idx, k in enumerate(ks):
-        mlag = min(k + 1, p)
-        pred[idx] -= w[1 : mlag + 1] @ xi[k::-1][:mlag]
-    return float(np.mean((pred - xi[ks + 1]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -182,15 +163,14 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     rank = np.linalg.matrix_rank(Xw)
     kmax = int(ks[-1])
     table = build_weight_table(orders, kmax + 1)
+    # targets z[k] = D^alpha x[k+1], the full-memory difference at each row
+    Z = history_sum(x, table.weights, ks[0] + 1, kmax + 2)
     A_hat = np.empty((n, n))
-    Z = np.empty((ks.size, n))
     ridge = False
     for i in range(n):
-        z = _gl_targets(x[:, i], table.weights[i], ks)
-        row, used_ridge = _ols_row(Xw, z, gram, rank)
+        row, used_ridge = _ols_row(Xw, Z[:, i], gram, rank)
         ridge = ridge or used_ridge
         A_hat[i] = row
-        Z[:, i] = z
     residuals = Z - Xw @ A_hat.T
     normal_residual = float(np.linalg.norm(Xw.T @ residuals))
     return OlsResult(A_hat=A_hat, residuals=residuals, normal_residual=normal_residual, ridge=ridge)
@@ -247,9 +227,11 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
 
     def score(i: int, alpha: float):
         w = build_weight_table([alpha], kmax + 1).weights[0]
-        z = _gl_targets(x[:, i], w, ks)
+        z = history_sum(x[:, i], w, ks[0] + 1, kmax + 2)
         row, used_ridge = _ols_row(Xw, z, gram, rank)
-        return _prediction_mse(x, i, row, w, ks, p), row, used_ridge
+        # one-step prediction from the fitted row, memory truncated at depth p
+        pred = Xw @ row - history_sum(x[:, i], w[1 : p + 1], ks[0], kmax + 1)
+        return float(np.mean((pred - x[ks + 1, i]) ** 2)), row, used_ridge
 
     for i in range(n):
         chan_flags = []

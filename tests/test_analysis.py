@@ -158,6 +158,19 @@ def test_observability_examples():
     np.testing.assert_allclose(rep2.gramian, rep2.obsv.T @ rep2.obsv, atol=1e-10)
 
 
+@pytest.mark.parametrize("q,m,K", [(1, 2, 6), (2, 1, 9), (2, 0, 4), (1, 1, 1)])
+def test_feedthrough_matches_the_block_loop_bitwise(q, m, K):
+    rng = np.random.default_rng(q + 3 * m + 7 * K)
+    model = FosModel(alpha=[0.4, 0.9], A=-0.2 * np.eye(2) + 0.1 * rng.normal(size=(2, 2)))
+    C, B = rng.normal(size=(q, 2)), rng.normal(size=(2, m))
+    G = transition_matrices(model, K)
+    M = np.zeros((K * q, K * m))
+    for r in range(1, K):
+        for c in range(r):
+            M[r * q : (r + 1) * q, c * m : (c + 1) * m] = C @ G[r - 1 - c] @ B
+    assert np.array_equal(observability_matrices(model, C, K, B=B).feedthrough, M)
+
+
 def test_reconstruction_examples():
     m = n2_fixture()
     C = np.array([[1.0, 0.5]])

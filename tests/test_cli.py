@@ -310,3 +310,60 @@ def test_flags_win_over_config(tmp_path, scalar_model_file):
                    "--steps", "8", "--out", out) == 0
     traj = read_trajectory(out)
     assert traj.K == 8  # flag value, not the config's 5
+
+
+#: Exit code of every toolkit error, as the CLI has always mapped them.
+EXIT_CODES = {
+    "FracdynError": 2,
+    "DimensionError": 2,
+    "DomainError": 2,
+    "NotSPD": 2,
+    "PoleError": 3,
+    "SingularError": 3,
+    "NonFiniteError": 3,
+    "EigenFailure": 3,
+    "NotControllable": 3,
+    "NotObservable": 3,
+    "InnovationSingular": 3,
+    "InfeasibleStateConstraints": 3,
+}
+
+
+def _error_classes():
+    from fracdyn import errors
+
+    return sorted((obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, errors.FracdynError)),
+                  key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_toolkit_error_keeps_its_exit_code(tmp_path, monkeypatch, capsys, error):
+    import fracdyn.cli as cli
+
+    def fail(path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "read_model", fail)
+    code = run_cli("simulate", "--model", "m.json", "--out", str(tmp_path / "x.csv"))
+    assert code == EXIT_CODES[error.__name__]
+    err = capsys.readouterr().err
+    assert "boom" in err and "Traceback" not in err
+
+
+def test_ragged_trajectory_row_exits_2_naming_the_line(tmp_path, capsys):
+    traj_path = tmp_path / "ragged.csv"
+    traj_path.write_text("t,x1,x2\n0,1.0,2.0\n1,0.5\n2,0.25,0.5\n")
+    code = run_cli("identify", "--trajectory", str(traj_path),
+                   "--out-model", str(tmp_path / "m.json"),
+                   "--out-diag", str(tmp_path / "d.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "Traceback" not in err
+
+
+def test_bode_without_frequency_points_exits_2(tmp_path):
+    out = tmp_path / "bode.csv"
+    assert run_cli("analyze", "bode", "--fopid", "1,1,0,0.5,1",
+                   "--omega-points", "0", "--out", str(out)) == 2
+    assert not out.exists()

@@ -1,0 +1,296 @@
+"""The loops the memory sums were once written as, held against the library.
+
+Each oracle below is a per-lag or per-row Python loop that fracdyn used to
+evaluate a Grunwald-Letnikov memory sum with.  Paths that keep the rounding
+order of their loop must agree bitwise: the weight table, the single-term
+simulator and the transition matrices.  The convolutions sum in a different
+order, so the network recursion and the identification sums must agree to
+1e-12 relative to the running maximum magnitude of the series they sum.
+"""
+
+import numpy as np
+import pytest
+
+import fracdyn.sysid as sysid
+from fracdyn import (
+    FosModel,
+    MultiTermNetwork,
+    build_weight_table,
+    frac_difference,
+    gl_weight_recursive,
+    history_sum,
+    identify,
+    network_series,
+    ols_spatial,
+    simulate_fos,
+    simulate_network,
+    transition_matrices,
+)
+
+#: The 18 orders of acceptance criterion 01b, then the integer orders a
+#: FosModel accepts.
+ORDERS = [round(0.1 * k, 1) for k in range(1, 20) if k != 10] + [-1.0, 0.0, 1.0]
+
+RTOL = 1e-12
+
+
+def loop_weight_table(orders, J):
+    orders = np.asarray(orders, dtype=float)
+    w = np.empty((orders.shape[0], J + 1))
+    w[:, 0] = 1.0
+    for j in range(1, J + 1):
+        w[:, j] = w[:, j - 1] * ((j - 1.0 - orders) / j)
+    return w
+
+
+def loop_scalar_weight(alpha, j):
+    c = 1.0
+    for i in range(1, j + 1):
+        c *= (i - 1.0 - alpha) / i
+    return c
+
+
+def loop_simulate_fos(model, x0, u, w, K, memory_cap=None):
+    weights = loop_weight_table(model.alpha, K + 1)
+    A0 = model.A + np.diag(model.alpha)
+    x = np.zeros((K + 1, model.n))
+    x[0] = x0
+    for k in range(K):
+        nxt = A0 @ x[k]
+        start = 0 if memory_cap is None else max(0, k - memory_cap)
+        if k > start:
+            w_cols = weights[:, 2 : k - start + 2][:, ::-1]
+            nxt = nxt - np.einsum("nt,tn->n", w_cols, x[start:k])
+        nxt = nxt + model.B @ u[k]
+        nxt = nxt + model.Bw @ w[k]
+        x[k + 1] = nxt
+    return x
+
+
+def loop_transition_matrices(model, K):
+    n = model.n
+    weights = loop_weight_table(model.alpha, K + 1)
+    A0 = model.A + np.diag(model.alpha)
+    G = np.zeros((K + 1, n, n))
+    G[0] = np.eye(n)
+    for k in range(1, K + 1):
+        acc = A0 @ G[k - 1]
+        if k >= 2:
+            w_cols = weights[:, 2 : k + 1][:, ::-1]
+            acc = acc - np.einsum("nt,tnm->nm", w_cols, G[: k - 1])
+        G[k] = acc
+    return G
+
+
+def loop_simulate_network(net, x0, u, w, K):
+    series = network_series(net, K)
+    X = np.zeros((K + 1, net.n))
+    X[0] = x0
+    for k in range(K):
+        acc = np.zeros(net.n)
+        for j in range(1, k + 2):
+            acc += series.A[j] @ X[k + 1 - j]
+        for j in range(k + 1):
+            if net.m:
+                acc += series.B[j] @ u[k - j]
+            if net.p:
+                acc += series.G[j] @ w[k - j]
+        X[k + 1] = acc
+    return X
+
+
+def loop_gl_targets(x_col, w, ks):
+    out = np.empty(ks.size)
+    for idx, k in enumerate(ks):
+        out[idx] = w[: k + 2] @ x_col[k + 1 :: -1]
+    return out
+
+
+def loop_prediction_sums(x_col, w, ks, p):
+    out = np.empty(ks.size)
+    for idx, k in enumerate(ks):
+        mlag = min(k + 1, p)
+        out[idx] = w[1 : mlag + 1] @ x_col[k::-1][:mlag]
+    return out
+
+
+def loop_prediction_mse(x, i, a_row, w, ks, p):
+    pred = x[ks] @ a_row - loop_prediction_sums(x[:, i], w, ks, p)
+    return float(np.mean((pred - x[ks + 1, i]) ** 2))
+
+
+def loop_history_sum(x, weights, start, stop):
+    """Row-by-row, channel-by-channel sum_{j<=min(t, J)} w[j] x[t-j]."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    x2 = x.reshape(x.shape[0], -1)
+    w2 = w.reshape(-1, w.shape[-1])
+    out = np.empty((stop - start, x2.shape[1]))
+    for r, t in enumerate(range(start, stop)):
+        lags = min(t, w2.shape[1] - 1) + 1
+        for i in range(x2.shape[1]):
+            out[r, i] = w2[i, :lags] @ x2[t::-1, i][:lags]
+    return out.reshape((stop - start,) + x.shape[1:])
+
+
+def assert_close_to_running_max(actual, expected, series):
+    """|actual - expected| <= RTOL * max |series| over the rows up to each row."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    mags = np.abs(np.asarray(series)).reshape(len(series), -1).max(axis=1)
+    scale = np.maximum.accumulate(mags)[-len(actual):]
+    err = np.abs(actual - expected).reshape(len(actual), -1).max(axis=1)
+    assert np.all(err <= RTOL * scale), float(np.max(err / np.maximum(scale, 1e-300)))
+
+
+def random_fos(seed, orders):
+    """A small model that stays bounded over a few hundred steps."""
+    rng = np.random.default_rng(seed)
+    n = len(orders)
+    A = -0.2 * np.eye(n) + 0.05 * rng.normal(size=(n, n))
+    m = int(rng.integers(0, 3))
+    return FosModel(alpha=orders, A=A, B=rng.normal(size=(n, m)),
+                    Bw=0.1 * rng.normal(size=(n, n))), rng
+
+
+# ----------------------------------------------------------------------------
+# bitwise: the weight table, the simulator, the transition matrices
+
+
+def test_weight_table_matches_the_lag_loop_bitwise():
+    assert np.array_equal(build_weight_table(ORDERS, 3000).weights,
+                          loop_weight_table(ORDERS, 3000))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        orders = rng.uniform(-1.0, 2.0, size=int(rng.integers(1, 6)))
+        J = int(rng.integers(0, 3001))
+        assert np.array_equal(build_weight_table(orders, J).weights,
+                              loop_weight_table(orders, J))
+
+
+@pytest.mark.parametrize("alpha", ORDERS)
+def test_scalar_weight_matches_the_lag_loop_bitwise(alpha):
+    for j in (0, 1, 2, 7, 200, 1000):
+        assert gl_weight_recursive(alpha, j) == loop_scalar_weight(alpha, j)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("memory_cap", [None, 1, 17])
+def test_simulate_fos_matches_the_step_loop_bitwise(seed, memory_cap):
+    rng = np.random.default_rng(100 + seed)
+    orders = rng.choice(ORDERS, size=int(rng.integers(1, 5)))
+    model, rng = random_fos(seed, orders)
+    K = 300
+    x0 = rng.normal(size=model.n)
+    u = rng.normal(size=(K, model.m))
+    w = rng.normal(size=(K, model.p))
+    if memory_cap is None:
+        traj = simulate_fos(model, x0, u=u, w=w, K=K)
+    else:
+        with pytest.warns(UserWarning):
+            traj = simulate_fos(model, x0, u=u, w=w, K=K, memory_cap=memory_cap)
+    assert np.all(np.isfinite(traj.states))
+    assert np.array_equal(traj.states, loop_simulate_fos(model, x0, u, w, K, memory_cap))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transition_matrices_match_their_loop_bitwise(seed):
+    rng = np.random.default_rng(200 + seed)
+    orders = rng.choice(ORDERS, size=int(rng.integers(1, 5)))
+    model, _ = random_fos(seed, orders)
+    G = transition_matrices(model, 300)
+    assert np.all(np.isfinite(G))
+    assert np.array_equal(G, loop_transition_matrices(model, 300))
+
+
+# ----------------------------------------------------------------------------
+# 1e-12 relative: the network recursion and the identification sums
+
+
+def _network(seed, m, p, schedule):
+    rng = np.random.default_rng(seed)
+    n = 3
+    state = ((1.0, np.eye(n) + 0.1 * rng.normal(size=(n, n))),
+             (0.6, -0.3 * np.eye(n) + 0.05 * rng.normal(size=(n, n))))
+    inputs = ((0.4, rng.normal(size=(n, m))),) if m else ()
+    dist = ((0.8, 0.2 * rng.normal(size=(n, p))),) if p else ()
+    C = rng.normal(size=(7, 2, n)) if schedule else rng.normal(size=(2, n))
+    return MultiTermNetwork(state_terms=state, input_terms=inputs,
+                            disturbance_terms=dist, C=C), rng
+
+
+@pytest.mark.parametrize("m,p,schedule", [(2, 1, False), (0, 2, True), (1, 0, True), (0, 0, False)])
+def test_simulate_network_matches_the_double_loop(m, p, schedule):
+    net, rng = _network(m + 3 * p, m, p, schedule)
+    K = 150
+    x0 = rng.normal(size=net.n)
+    u = rng.normal(size=(K, m))
+    w = rng.normal(size=(K, p))
+    traj = simulate_network(net, x0, u=u if m else None, w=w if p else None, K=K)
+    X = loop_simulate_network(net, x0, u, w, K)
+    assert np.all(np.isfinite(X)) and np.abs(X).max() > 0
+    assert_close_to_running_max(traj.states, X, X)
+    Y = np.vstack([net.output_map(k) @ X[k] for k in range(K + 1)])
+    assert_close_to_running_max(traj.outputs, Y, Y)
+
+
+def _noisy_trajectory(orders, K, seed):
+    model, rng = random_fos(seed, orders)
+    return simulate_fos(model, rng.normal(size=model.n), w=seed, K=K, noise_sigma=0.1)
+
+
+@pytest.mark.parametrize("alpha", ORDERS)
+@pytest.mark.parametrize("window,p", [((0, 120), 160), ((40, 100), 7), ((0, 60), 1)])
+def test_identification_sums_match_the_row_loops(alpha, window, p):
+    traj = _noisy_trajectory([alpha], 160, 5)
+    x = traj.states[:, 0]
+    ks = np.arange(window[0], window[0] + window[1])
+    w = build_weight_table([alpha], int(ks[-1]) + 1).weights[0]
+    # a depth reaching past time 0 must stop at the first sample
+    targets = history_sum(x, w, ks[0] + 1, ks[-1] + 2)
+    assert_close_to_running_max(targets, loop_gl_targets(x, w, ks), x[: ks[-1] + 2])
+    sums = history_sum(x, w[1 : p + 1], ks[0], ks[-1] + 1)
+    assert_close_to_running_max(sums, loop_prediction_sums(x, w, ks, p), x[: ks[-1] + 1])
+
+
+def test_frac_difference_matches_the_row_loop():
+    traj = _noisy_trajectory(ORDERS[:4], 200, 3)
+    table = build_weight_table(ORDERS[:4], 200)
+    for k in (0, 1, 57, 200):
+        got = frac_difference(traj.states[: k + 1], ORDERS[:4], k, table)
+        want = loop_history_sum(traj.states, table.weights[:, : k + 1], k, k + 1)[0]
+        assert_close_to_running_max(got[None], want[None], traj.states[: k + 1])
+
+
+def test_history_sum_edge_rows():
+    x = np.arange(1.0, 6.0)
+    assert history_sum(x, [1.0, 2.0], 3, 3).shape == (0,)
+    assert history_sum(np.ones((5, 2)), np.ones((2, 4)), 2, 2).shape == (0, 2)
+    np.testing.assert_array_equal(history_sum(x, [1.0, 2.0, 4.0], 0, 5),
+                                  loop_history_sum(x, [1.0, 2.0, 4.0], 0, 5))
+    with pytest.raises(IndexError):
+        history_sum(x, [1.0], 2, 6)
+
+
+@pytest.mark.parametrize("orders,window,p", [
+    ([0.5], (0, 120), 160),
+    ([0.3, 1.4], (20, 120), 12),
+])
+def test_identification_matches_the_row_loops(monkeypatch, orders, window, p):
+    traj = _noisy_trajectory(orders, 160, 9)
+    x = traj.states
+    ks = np.arange(window[0], window[0] + window[1])
+    fast = identify(traj, p, 1e-3, window)
+    ols = ols_spatial(traj, fast.alpha_hat, window)
+    for i, alpha in enumerate(fast.alpha_hat):
+        w = build_weight_table([alpha], int(ks[-1]) + 1).weights[0]
+        row = np.linalg.lstsq(x[ks], loop_gl_targets(x[:, i], w, ks), rcond=None)[0]
+        np.testing.assert_allclose(fast.A_hat[i], row, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ols.A_hat[i], row, rtol=1e-9, atol=1e-12)
+        assert fast.mse[i] == pytest.approx(loop_prediction_mse(x, i, row, w, ks, p), rel=1e-9)
+    # the bisection takes the same path when every sum is a row loop
+    monkeypatch.setattr(sysid, "history_sum", loop_history_sum)
+    slow = identify(traj, p, 1e-3, window)
+    assert np.array_equal(fast.alpha_hat, slow.alpha_hat)
+    assert np.array_equal(fast.iterations, slow.iterations)
+    assert fast.flags == slow.flags

@@ -212,3 +212,18 @@ def test_stepper_refuses_past_horizon():
     sim.step()
     with pytest.raises(DimensionError):
         sim.step()
+
+
+def test_stepper_steps_a_matrix_of_free_responses():
+    m = FosModel(alpha=[0.4, 1.3], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+    X0 = np.array([[1.0, 0.5, 0.0], [-2.0, 0.0, 1.0]])
+    sim = FosSimulator(m, X0, max_steps=20)
+    for _ in range(20):
+        sim.step()
+    for col in range(3):
+        traj = simulate_fos(m, X0[:, col], K=20)
+        np.testing.assert_allclose(sim.states[:, :, col], traj.states, rtol=1e-13, atol=1e-15)
+    with pytest.raises(DimensionError):
+        FosSimulator(m, X0, max_steps=2).step(u=[1.0])
+    with pytest.raises(DimensionError):
+        FosSimulator(m, np.ones((3, 2)), max_steps=2)
