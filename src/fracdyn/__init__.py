@@ -88,8 +88,10 @@ from .estimate import (
 )
 from .mpc import (
     ClosedLoopResult,
+    CondensedProblem,
     MpcProblem,
     MpcSolution,
+    condense,
     run_closed_loop,
     solve_horizon,
     uncontrolled_baseline,

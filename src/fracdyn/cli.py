@@ -55,6 +55,23 @@ def _parse_vector(text: str) -> np.ndarray:
         raise DomainError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
+def _scalar(config: dict, key: str, default, kind=float):
+    """``config[key]`` (or the default) as one number; null, lists and objects exit 2."""
+    value = config.get(key, default)
+    if not isinstance(value, (int, float, str)):
+        raise DomainError(f"{key} must be a number, got {value!r}")
+    return kind(value)
+
+
+def _pair(value, name: str, kind=float) -> tuple:
+    """A comma-separated string or a two-element list as two numbers."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not (isinstance(parts, list) and len(parts) == 2
+            and all(isinstance(v, (int, float, str)) for v in parts)):
+        raise DomainError(f"{name} must be two numbers, got {value!r}")
+    return kind(parts[0]), kind(parts[1])
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -212,14 +229,9 @@ def cmd_identify(args) -> int:
         "window": args.window, "out_model": args.out_model, "out_diag": args.out_diag,
     })
     traj = read_trajectory(config["trajectory"])
-    p = int(config.get("depth", 50))
-    epsilon = float(config.get("epsilon", 1e-3))
-    window = config.get("window")
-    if isinstance(window, str):
-        vals = [int(v) for v in window.split(",")]
-        window = (vals[0], vals[1])
-    elif isinstance(window, (list, tuple)):
-        window = (int(window[0]), int(window[1]))
+    p = _scalar(config, "depth", 50, int)
+    epsilon = _scalar(config, "epsilon", 1e-3)
+    window = None if config.get("window") is None else _pair(config["window"], "window", int)
     result = identify(traj, p, epsilon, window)
     n = result.alpha_hat.shape[0]
     model = FosModel(alpha=np.clip(result.alpha_hat, -1.0, 1.0), A=result.A_hat,
@@ -318,35 +330,26 @@ def cmd_mpc(args) -> int:
     plant = read_model(config["model"])
     if isinstance(plant, MultiTermNetwork):
         raise DomainError("mpc expects a single-term model file")
-    bounds = config.get("bounds")
-    if isinstance(bounds, str):
-        vals = _parse_vector(bounds)
-        if vals.shape != (2,):
-            raise DomainError("bounds must be 'lo,hi'")
-        u_lo, u_hi = float(vals[0]), float(vals[1])
-    elif isinstance(bounds, (list, tuple)):
-        u_lo, u_hi = float(bounds[0]), float(bounds[1])
+    if config.get("bounds") is not None:
+        u_lo, u_hi = _pair(config["bounds"], "bounds")
     else:
-        u_lo = float(config.get("u_lo", -np.inf))
-        u_hi = float(config.get("u_hi", np.inf))
-    if u_lo > u_hi:
-        raise DomainError(f"bounds: u_lo={u_lo} exceeds u_hi={u_hi}")
+        u_lo, u_hi = _scalar(config, "u_lo", -np.inf), _scalar(config, "u_hi", np.inf)
     problem = MpcProblem(
-        p=int(config.get("p", 10)),
-        P=int(config.get("horizon", 10)),
-        M=int(config.get("control_horizon", config.get("horizon", 10))),
+        p=_scalar(config, "p", 10, int),
+        P=_scalar(config, "horizon", 10, int),
+        M=_scalar(config, "control_horizon", config.get("horizon", 10), int),
         Q=np.asarray(config.get("Q", 1.0), dtype=float),
         R=np.asarray(config.get("R", 1.0), dtype=float),
         c=np.asarray(config["c"], dtype=float) if config.get("c") is not None else None,
         u_lo=u_lo, u_hi=u_hi,
     )
-    K = int(config.get("K", 100))
-    seed = config.get("seed", 0)
-    sigma = float(config.get("sigma", 1.0))
+    K = _scalar(config, "K", 100, int)
+    seed = _scalar(config, "seed", 0, int)
+    sigma = _scalar(config, "sigma", 1.0)
     x0 = config.get("x0")
     x0 = np.asarray(x0, dtype=float) if x0 is not None else None
-    result = run_closed_loop(plant, problem, K, int(seed), x0=x0, noise_sigma=sigma)
-    baseline = uncontrolled_baseline(plant, K, int(seed), x0=x0, noise_sigma=sigma)
+    result = run_closed_loop(plant, problem, K, seed, x0=x0, noise_sigma=sigma)
+    baseline = uncontrolled_baseline(plant, K, seed, x0=x0, noise_sigma=sigma)
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -2,12 +2,13 @@
 
 Certainty equivalence is used throughout: the zero-mean noise is dropped from
 the predictions, which leaves the minimizing input stack unchanged for an
-expected quadratic cost.  Each solve condenses the depth-p lift so predicted
-states become affine in the stacked inputs, then minimizes the strictly
-convex quadratic over the box.  The box-constrained QP is reduced exactly,
-through a Cholesky factor of its Hessian, to a bounded-variable least-squares
-problem and solved by an active-set method; optional linear state constraints
-enter as a quadratic penalty (soft) or by penalty escalation (hard).
+expected quadratic cost.  The depth-p lift is condensed once per problem so
+predicted states become affine in the stacked inputs; each solve minimizes
+the strictly convex quadratic over the box.  The box-constrained QP is
+reduced exactly, through a Cholesky factor of its Hessian, to a
+bounded-variable least-squares problem and solved by an active-set method;
+optional linear state constraints enter as a quadratic penalty (soft) or by
+penalty escalation (hard).
 """
 
 from dataclasses import dataclass, field
@@ -17,13 +18,15 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NotSPD
-from .model import FosModel, AugmentedModel, augment_p
+from .model import FosModel, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
 __all__ = [
     "MpcProblem",
     "MpcSolution",
     "ClosedLoopResult",
+    "CondensedProblem",
+    "condense",
     "solve_horizon",
     "run_closed_loop",
     "uncontrolled_baseline",
@@ -31,9 +34,6 @@ __all__ = [
 
 #: Default quadratic penalty weight for soft linear state constraints.
 SOFT_PENALTY = 1e6
-
-#: Relative KKT stationarity tolerance of a returned solution.
-KKT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,31 +112,78 @@ class MpcSolution:
     penalty_cost: float = 0.0
 
 
-def _weight_seq(W, count: int, size: int) -> list[np.ndarray]:
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 3:
-        if W.shape[0] < count:
-            raise DimensionError(f"weight schedule shorter than horizon ({W.shape[0]} < {count})")
-        return [W[j] for j in range(count)]
-    if W.ndim == 0:
-        return [np.eye(size) * float(W)] * count
-    return [W] * count
+@dataclass(frozen=True)
+class CondensedProblem:
+    """What every solve of one (problem, model) pair shares: the history-free terms.
+
+    From the lifted history ``ztil``, predicted states are
+    ``(powers @ ztil)[:, :n] + S @ U``; ``rows @ x <= rows_h`` stacks the
+    state rows over the horizon (None without state rows).
+    """
+
+    powers: np.ndarray  # (P, d, d): A^1 .. A^P of the lift
+    S: np.ndarray  # (P*n, P*m)
+    Qbar: np.ndarray  # (P*n, P*n)
+    H: np.ndarray  # (P*m, P*m)
+    cvec: np.ndarray  # (P*n,)
+    lo: np.ndarray  # (P*m,)
+    hi: np.ndarray  # (P*m,)
+    rows: np.ndarray | None = None
+    rows_S: np.ndarray | None = None  # rows @ S
+    rows_h: np.ndarray | None = None
 
 
-def _condense(aug: AugmentedModel, ztil: np.ndarray, P: int):
-    """Free response f (P, n) and input map S (P*n, P*m) of the lift."""
-    n, m, d = aug.n, aug.m, aug.dim
-    powers = [np.eye(d)]
+def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
+    """Condense the depth-p lift of ``model`` over the horizon of ``problem``, once.
+
+    Raises DimensionError when the model has no inputs, or when a weight
+    block, the linear cost or the state rows do not match the model.
+    """
+    n, m, P = model.n, model.m, problem.P
+    if m == 0:
+        raise DimensionError("model has no input channels to control")
+    aug = augment_p(model, problem.p)
+    powers = [np.eye(aug.dim)]
     for _ in range(P):
         powers.append(aug.Atil @ powers[-1])
-    f = np.empty((P, n))
-    S = np.zeros((P * n, P * m))
-    EB = [(pw @ aug.Btil)[:n] for pw in powers]  # E A^j B, newest block
-    for j in range(1, P + 1):
-        f[j - 1] = (powers[j] @ ztil)[:n]
-        for i in range(j):
-            S[(j - 1) * n : j * n, i * m : (i + 1) * m] = EB[j - 1 - i]
-    return f, S
+    # block (r, c) of S is E A^(r-c) B: one product per lag, placed on its diagonal
+    EB = np.stack([(pw @ aug.Btil)[:n] for pw in powers[:P]])
+    r, c = np.tril_indices(P)
+    S = np.zeros((P, n, P, m))
+    S[r, :, c, :] = EB[r - c]
+    S = S.reshape(P * n, P * m)
+
+    bars = []
+    for name, W, size in (("Q", problem.Q, n), ("R", problem.R, m)):
+        if W.ndim == 0:
+            W = np.eye(size) * float(W)
+        blocks = list(W[:P]) if W.ndim == 3 else [W] * P
+        if len(blocks) < P or W.shape[-2:] != (size, size):
+            raise DimensionError(f"{name} needs {size}x{size} blocks for {P} horizon steps "
+                                 f"to match the model, got shape {W.shape}")
+        bars.append(scipy.linalg.block_diag(*blocks))
+    Qbar, Rbar = bars
+    cvec = np.zeros(P * n)
+    if problem.c is not None:
+        cvec = np.tile(problem.c, P) if problem.c.ndim == 1 else problem.c.reshape(-1)
+        if cvec.shape != (P * n,):
+            raise DimensionError("linear state cost has the wrong length")
+
+    rows = rows_S = rows_h = None
+    if problem.state_H is not None:
+        Hx = np.atleast_2d(np.asarray(problem.state_H, dtype=float))
+        hx = np.atleast_1d(np.asarray(problem.state_h, dtype=float))
+        if Hx.shape[1] != n or hx.shape != (Hx.shape[0],):
+            raise DimensionError("state constraint rows do not match the state dimension")
+        rows = scipy.linalg.block_diag(*([Hx] * P))
+        rows_S = rows @ S
+        rows_h = np.tile(hx, P)
+    return CondensedProblem(
+        powers=np.stack(powers[1:]), S=S, Qbar=Qbar, H=S.T @ Qbar @ S + Rbar, cvec=cvec,
+        lo=np.tile(np.broadcast_to(problem.u_lo, (m,)), P),
+        hi=np.tile(np.broadcast_to(problem.u_hi, (m,)), P),
+        rows=rows, rows_S=rows_S, rows_h=rows_h,
+    )
 
 
 def _history_lift(model: FosModel, history, p: int) -> np.ndarray:
@@ -145,77 +192,52 @@ def _history_lift(model: FosModel, history, p: int) -> np.ndarray:
     if hist.shape[1] != model.n:
         raise DimensionError(f"history rows must have length {model.n}")
     z = np.zeros(p * model.n)
-    take = min(p, hist.shape[0])
-    for j in range(take):
-        z[j * model.n : (j + 1) * model.n] = hist[hist.shape[0] - 1 - j]
+    recent = hist[::-1][:p].reshape(-1)
+    z[: recent.size] = recent
     return z
 
 
 def solve_horizon(
-    problem: MpcProblem, model: FosModel, history, aug: AugmentedModel | None = None
+    problem: MpcProblem, model: FosModel, history, condensed: CondensedProblem | None = None
 ) -> MpcSolution:
     """Solve one horizon from the given state history (rows, oldest first).
 
-    The dynamics equalities are always eliminated by condensing; the
-    remaining box QP is solved exactly (bounded-variable least squares on the
-    Cholesky-factored objective).  Soft state constraints add a smooth
-    one-sided quadratic penalty; in hard mode the penalty is escalated and
-    persistent violation raises InfeasibleStateConstraints.
+    ``condensed`` is ``condense(problem, model)``, built here when omitted;
+    pass it in to reuse it across solves.  The remaining box QP is solved
+    exactly (bounded-variable least squares on the Cholesky-factored
+    objective).  Soft state constraints add a smooth one-sided quadratic
+    penalty; in hard mode the penalty is escalated and persistent violation
+    raises InfeasibleStateConstraints.
     """
-    n, m = model.n, model.m
-    if m == 0:
-        raise DimensionError("model has no input channels to control")
-    if aug is None:
-        aug = augment_p(model, problem.p)
+    n, m, P = model.n, model.m, problem.P
+    cp = condense(problem, model) if condensed is None else condensed
+    S, Qbar, H, cvec, LO, HI = cp.S, cp.Qbar, cp.H, cp.cvec, cp.lo, cp.hi
     ztil = _history_lift(model, history, problem.p)
-    P = problem.P
-    f, S = _condense(aug, ztil, P)
-
-    Qs = _weight_seq(problem.Q, P, n)
-    Rs = _weight_seq(problem.R, P, m)
-    Qbar = scipy.linalg.block_diag(*Qs) if P else np.zeros((0, 0))
-    Rbar = scipy.linalg.block_diag(*Rs)
-    fvec = f.reshape(-1)
-    cvec = np.zeros(P * n)
-    if problem.c is not None:
-        carr = np.asarray(problem.c, dtype=float)
-        cvec = np.tile(carr, P) if carr.ndim == 1 else carr.reshape(-1)
-        if cvec.shape != (P * n,):
-            raise DimensionError("linear state cost has the wrong length")
+    # a contiguous copy: a strided view changes the last bit of the products below
+    fvec = (cp.powers @ ztil)[:, :n].flatten()
 
     # J(U) = U^T H U + b^T U + const with H PD (R is PD).
-    H = S.T @ Qbar @ S + Rbar
     b = 2.0 * S.T @ (Qbar @ fvec) + S.T @ cvec
     const = float(fvec @ Qbar @ fvec + cvec @ fvec)
-
-    lo = np.broadcast_to(np.asarray(problem.u_lo, dtype=float), (m,))
-    hi = np.broadcast_to(np.asarray(problem.u_hi, dtype=float), (m,))
-    LO = np.tile(lo, P)
-    HI = np.tile(hi, P)
-
-    if problem.state_H is None:
+    if cp.rows is None:
         U = _solve_box_qp(H, b, LO, HI)
         penalty, final_weight = 0.0, 0.0
     else:
-        U, penalty, final_weight = _solve_with_state_rows(problem, H, b, S, fvec, LO, HI)
+        U, penalty, final_weight = _solve_with_state_rows(problem, cp, b, fvec)
     U = np.clip(U, LO, HI)  # bounds hold exactly, not just to solver tolerance
 
-    grad = 2.0 * H @ U + b
-    if problem.state_H is not None:
-        grad = grad + _penalty_grad(problem, S, fvec, U, final_weight)
-    proj = grad.copy()
+    proj = 2.0 * H @ U + b  # the gradient, projected on the active bounds below
+    if cp.rows is not None:
+        proj = proj + _penalty_grad(cp, fvec, U, final_weight)
     finite = np.abs(np.concatenate([LO[np.isfinite(LO)], HI[np.isfinite(HI)]]))
     atol = 1e-9 * (1.0 + (finite.max() if finite.size else 0.0))
     on_lo = U <= LO + atol
     on_hi = U >= HI - atol
     proj[on_lo & (proj > 0)] = 0.0
     proj[on_hi & (proj < 0)] = 0.0
-    kkt = float(np.linalg.norm(proj))
-
-    cost = float(U @ H @ U + b @ U + const)
-    predicted = (fvec + S @ U).reshape(P, n)
     return MpcSolution(
-        u=U.reshape(P, m), predicted=predicted, cost=cost, kkt_residual=kkt,
+        u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
+        cost=float(U @ H @ U + b @ U + const), kkt_residual=float(np.linalg.norm(proj)),
         active_lower=on_lo.reshape(P, m), active_upper=on_hi.reshape(P, m),
         penalty_cost=penalty,
     )
@@ -246,53 +268,30 @@ def _solve_box_qp(H: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     return res.x
 
 
-def _penalty_value(problem: MpcProblem, S, fvec, U, weight: float) -> float:
-    viol = _violations(problem, S, fvec, U)
-    return float(weight * np.sum(viol**2))
+def _margin(cp: CondensedProblem, fvec, U) -> np.ndarray:
+    """Stacked state-row margins of the predicted states; positive entries violate."""
+    return cp.rows @ (fvec + cp.S @ U) - cp.rows_h
 
 
-def _penalty_grad(problem: MpcProblem, S, fvec, U, weight: float) -> np.ndarray:
-    viol, rows = _violations(problem, S, fvec, U, return_rows=True)
-    return 2.0 * weight * (rows.T @ viol)
+def _penalty_grad(cp: CondensedProblem, fvec, U, weight: float) -> np.ndarray:
+    """Gradient of the penalty; rows that hold contribute exact zeros, so none is masked."""
+    return 2.0 * weight * (cp.rows_S.T @ np.maximum(_margin(cp, fvec, U), 0.0))
 
 
-def _state_rows(problem: MpcProblem, n: int):
-    Hx = np.atleast_2d(np.asarray(problem.state_H, dtype=float))
-    hx = np.atleast_1d(np.asarray(problem.state_h, dtype=float))
-    if Hx.shape[1] != n or hx.shape != (Hx.shape[0],):
-        raise DimensionError("state constraint rows do not match the state dimension")
-    return Hx, hx
-
-
-def _violations(problem: MpcProblem, S, fvec, U, return_rows: bool = False):
-    n = S.shape[0] // problem.P
-    Hx, hx = _state_rows(problem, n)
-    big_H = scipy.linalg.block_diag(*([Hx] * problem.P))
-    big_h = np.tile(hx, problem.P)
-    margin = big_H @ (fvec + S @ U) - big_h
-    viol = np.maximum(margin, 0.0)
-    if return_rows:
-        rows = (big_H @ S) * (margin > 0)[:, None]
-        return viol, rows
-    return viol
-
-
-def _solve_with_state_rows(problem, H, b, S, fvec, lo, hi):
+def _solve_with_state_rows(problem: MpcProblem, cp: CondensedProblem, b, fvec):
     """Penalty treatment of linear state rows on top of the box QP."""
+    H, lo, hi = cp.H, cp.lo, cp.hi
 
     def solve_at(weight: float) -> np.ndarray:
         def fun(U):
-            base = U @ H @ U + b @ U
-            viol = _violations(problem, S, fvec, U)
-            return base + weight * float(viol @ viol)
+            viol = np.maximum(_margin(cp, fvec, U), 0.0)
+            return U @ H @ U + b @ U + weight * float(viol @ viol)
 
         def grad(U):
-            g = 2.0 * H @ U + b
-            return g + _penalty_grad(problem, S, fvec, U, weight)
+            return 2.0 * H @ U + b + _penalty_grad(cp, fvec, U, weight)
 
-        x0 = np.clip(np.zeros_like(b), lo, hi)
         res = scipy.optimize.minimize(
-            fun, x0, jac=grad, method="L-BFGS-B",
+            fun, np.clip(np.zeros_like(b), lo, hi), jac=grad, method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
             options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
         )
@@ -300,20 +299,18 @@ def _solve_with_state_rows(problem, H, b, S, fvec, lo, hi):
 
     weight = problem.soft_penalty
     U = solve_at(weight)
-    if not problem.hard_state:
-        return U, _penalty_value(problem, S, fvec, U, weight), weight
-    viol_tol = 1e-8
-    for _ in range(6):
-        if float(np.max(_violations(problem, S, fvec, U), initial=0.0)) <= viol_tol:
-            return U, _penalty_value(problem, S, fvec, U, weight), weight
+    for escalations in range(7 if problem.hard_state else 0):  # hard: up to six escalations
+        worst = float(np.max(_margin(cp, fvec, U), initial=0.0))
+        if worst <= 1e-8:
+            break
+        if escalations == 6:
+            raise InfeasibleStateConstraints(
+                f"state rows still violated by {worst:.3e} after penalty escalation"
+            )
         weight *= 10.0
         U = solve_at(weight)
-    worst = float(np.max(_violations(problem, S, fvec, U), initial=0.0))
-    if worst > viol_tol:
-        raise InfeasibleStateConstraints(
-            f"state rows still violated by {worst:.3e} after penalty escalation"
-        )
-    return U, _penalty_value(problem, S, fvec, U, weight), weight
+    penalty = float(weight * np.sum(np.maximum(_margin(cp, fvec, U), 0.0) ** 2))
+    return U, penalty, weight
 
 
 @dataclass
@@ -354,17 +351,14 @@ def run_closed_loop(
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
     x0 = np.zeros(plant.n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     sim = FosSimulator(plant, x0, K)
-    aug = augment_p(plant, problem.p)
+    condensed = condense(problem, plant)
     applied = np.zeros((K, plant.m))
-    costs = []
-    solutions = []
-    solve_steps = []
+    solutions, solve_steps = [], []
     k = 0
     while k < K:
-        sol = solve_horizon(problem, plant, sim.states, aug=aug)
+        sol = solve_horizon(problem, plant, sim.states, condensed=condensed)
         solutions.append(sol)
         solve_steps.append(k)
-        costs.append(sol.cost)
         take = min(problem.M, K - k)
         for i in range(take):
             applied[k + i] = sol.u[i]
@@ -372,7 +366,7 @@ def run_closed_loop(
         k += take
     traj = Trajectory(states=sim.states.copy(), inputs=applied, noises=w, dt=dt)
     return ClosedLoopResult(
-        trajectory=traj, applied=applied, cycle_costs=np.asarray(costs),
+        trajectory=traj, applied=applied, cycle_costs=np.asarray([s.cost for s in solutions]),
         solutions=solutions, solve_steps=solve_steps, noise=w,
     )
 

@@ -72,22 +72,20 @@ class OlsBound:
 
 
 def ols_error_bound(
-    Atil, K: int, k: int, delta: float, sigma: float = 1.0, *, C: float = 1.0, c: float = 1.0
+    Atil, K: int, k: int, delta: float, *, C: float = 1.0, c: float = 1.0
 ) -> OlsBound:
     """Operator-norm error bound for OLS on the lifted system, up to constants.
 
     Evaluates C / sqrt(K * lambda_min(W_k)) * sqrt(d log(d/delta)
     + log det(W_K W_k^{-1})).  The noise scale cancels in this form (the
-    excitation and the error both carry it), so ``sigma`` is accepted for
-    interface symmetry but does not enter the value.  The side condition
-    K/k >= c * (d log(d/delta) + log det(W_K W_k^{-1})) is reported, not
-    enforced.
+    excitation and the error both carry it), so it is not an argument.  The
+    side condition K/k >= c * (d log(d/delta) + log det(W_K W_k^{-1})) is
+    reported, not enforced.
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError("delta must lie in (0, 1]")
     if not 1 <= k <= K:
         raise DomainError("need 1 <= k <= K")
-    del sigma
     A = np.atleast_2d(np.asarray(Atil, dtype=float))
     d = A.shape[0]
     rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if d else 0.0

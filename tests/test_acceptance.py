@@ -328,13 +328,13 @@ def test_criterion_09_mpc_optimality_and_bookkeeping():
     lifted = fd.simulate_augmented(aug2, z0, u=sol2.u, K=6)
     assert np.abs(sol2.predicted - lifted.states[1:]).max() <= 1e-10
 
-    aug = fd.augment_p(m, 5)
     prob3 = fd.MpcProblem(p=5, P=8, M=4, Q=[[1.5]], R=[[0.3]], u_lo=-0.5, u_hi=0.5)
     zero = fd.MpcProblem(p=5, P=8, M=4, Q=[[1.5]], R=[[0.3]], u_lo=0.0, u_hi=0.0)
+    cond3, cond0 = fd.condense(prob3, m), fd.condense(zero, m)
     for _ in range(20):
         h = rng.normal(size=(5, 1))
-        s = fd.solve_horizon(prob3, m, h, aug=aug)
-        s0 = fd.solve_horizon(zero, m, h, aug=aug)
+        s = fd.solve_horizon(prob3, m, h, condensed=cond3)
+        s0 = fd.solve_horizon(zero, m, h, condensed=cond0)
         assert s.cost <= s0.cost + 1e-12
 
     res = fd.run_closed_loop(m, prob3, 10, noise=5, x0=[1.0], noise_sigma=0.1)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracdyn import FosModel, MultiTermNetwork, simulate_network, Trajectory
 from fracdyn.cli import main
@@ -367,3 +369,72 @@ def test_bode_without_frequency_points_exits_2(tmp_path):
     assert run_cli("analyze", "bode", "--fopid", "1,1,0,0.5,1",
                    "--omega-points", "0", "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.fixture
+def short_trajectory_file(tmp_path, scalar_model_file):
+    path = str(tmp_path / "traj.csv")
+    assert run_cli("simulate", "--model", scalar_model_file, "--x0", "1.0",
+                   "--steps", "30", "--out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("mpc", "bounds", [0.1]),
+    ("mpc", "seed", None),
+    ("mpc", "sigma", None),
+    ("mpc", "horizon", None),
+    ("identify", "window", [5]),
+    ("identify", "depth", None),
+    ("identify", "epsilon", None),
+])
+def test_null_or_short_config_value_exits_2(tmp_path, capsys, scalar_model_file,
+                                            short_trajectory_file, command, key, value):
+    if command == "mpc":
+        config = {"model": scalar_model_file, "p": 3, "horizon": 4, "control_horizon": 2,
+                  "K": 4, "seed": 1, "sigma": 0.1, "x0": [1.0], "out": str(tmp_path / "r.csv")}
+    else:
+        config = {"trajectory": short_trajectory_file, "depth": 10, "epsilon": 1e-2,
+                  "window": [0, 20]}
+    config[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if command == "mpc":
+        code = run_cli("mpc", str(path))
+    else:
+        code = run_cli("identify", "--trajectory", short_trajectory_file, "--config", str(path),
+                       "--out-model", str(tmp_path / "m.json"),
+                       "--out-diag", str(tmp_path / "d.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.sampled_from(["", "x", "1,2", "-1", "nan"]),
+    st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.lists(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), min_size=1, max_size=3),
+    st.integers(-2, 4),
+    st.floats(-2.0, 2.0),
+)
+#: Scenario keys the fuzz test overrides; "K" stays at most 5 so each run is short.
+_FUZZED = {key: _JUNK for key in ("p", "horizon", "control_horizon", "Q", "R", "c", "x0",
+                                  "u_lo", "u_hi", "bounds", "seed", "sigma")}
+_FUZZED["K"] = st.one_of(_JUNK.filter(lambda v: not isinstance(v, (int, float)) or v <= 5))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.fixed_dictionaries({}, optional=_FUZZED))
+def test_mpc_scenario_fuzz_keeps_the_exit_contract(tmp_path, capsys, overrides):
+    model = tmp_path / "plant.json"
+    write_model(str(model), FosModel(alpha=[0.5, 0.8], A=[[-0.2, 0.1], [0.0, -0.3]],
+                                     B=[[1.0], [0.5]], Bw=np.eye(2)))
+    scenario = {"model": str(model), "p": 3, "horizon": 3, "control_horizon": 1, "K": 3,
+                "seed": 1, "sigma": 0.1, "out": str(tmp_path / "run.csv")}
+    scenario.update(overrides)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("mpc", str(path)) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from fracdyn import (
+    DimensionError,
     DomainError,
     FosModel,
     InfeasibleStateConstraints,
     MpcProblem,
     NotSPD,
     augment_p,
+    condense,
     run_closed_loop,
     simulate_augmented,
     solve_horizon,
@@ -40,6 +42,20 @@ def test_model_without_inputs_is_rejected():
     with pytest.raises(DimensionError):
         solve_horizon(MpcProblem(p=3, P=4, M=2, Q=[[1.0]], R=[[1.0]]),
                       m, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("weights, message", [
+    (dict(Q=[1.0, 2.0], R=1.0), "Q needs 3x3 blocks"),
+    (dict(Q=np.ones((2, 3, 3)), R=1.0), "Q needs 3x3 blocks for 4 horizon steps"),
+    (dict(Q=1.0, R=np.eye(2)), "R needs 1x1 blocks"),
+])
+def test_weight_blocks_must_match_the_model(weights, message):
+    plant = FosModel(alpha=[0.5, 0.6, 0.7], A=-0.2 * np.eye(3), B=np.ones((3, 1)))
+    problem = MpcProblem(p=2, P=4, M=1, **weights)
+    with pytest.raises(DimensionError, match=message):
+        condense(problem, plant)
+    with pytest.raises(DimensionError, match=message):
+        solve_horizon(problem, plant, np.zeros((2, 3)))
 
 
 def test_zero_state_zero_cost():
@@ -89,14 +105,14 @@ def test_feasible_zero_dominance_and_kkt():
     rng = np.random.default_rng(23)
     m = scalar_model()
     prob = MpcProblem(p=5, P=8, M=4, Q=[[1.5]], R=[[0.3]], u_lo=-0.5, u_hi=0.5)
-    aug = augment_p(m, 5)
+    condensed = condense(prob, m)
     for _ in range(20):
         history = rng.normal(size=(5, 1))
-        sol = solve_horizon(prob, m, history, aug=aug)
+        sol = solve_horizon(prob, m, history, condensed=condensed)
         # cost of doing nothing, via the condensed objective with u = 0
         zero = solve_horizon(
             MpcProblem(p=5, P=8, M=4, Q=[[1.5]], R=[[0.3]], u_lo=0.0, u_hi=0.0),
-            m, history, aug=aug)
+            m, history)
         assert sol.cost <= zero.cost + 1e-12
         assert sol.kkt_residual <= 1e-8 * (1.0 + np.linalg.norm(2.0 * sol.u.ravel()) + 1e3)
 

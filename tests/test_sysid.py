@@ -70,12 +70,6 @@ def test_ols_error_bound_domain_checks():
         ols_error_bound(np.zeros((1, 1)), 10, 20, 0.1)  # k > K
 
 
-def test_ols_error_bound_sigma_cancels():
-    a = ols_error_bound(np.zeros((2, 2)), 50, 2, 0.2, sigma=1.0)
-    b = ols_error_bound(np.zeros((2, 2)), 50, 2, 0.2, sigma=17.0)
-    assert a.value == b.value
-
-
 def scalar_fixture():
     return FosModel(alpha=[0.5], A=[[0.2]], Bw=[[1.0]])
 
