@@ -7,12 +7,12 @@ No stochastic noise model is assumed.  Two routes are provided and kept
 independent: the recursive filter with gain/covariance-style updates, and a
 dense batch least-squares solve of the same objective used as its oracle.
 Measurements start at step 1; an output at step 0 is never consumed.
+scipy is imported where it is called, so ``import fracdyn`` does not load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InnovationSingular, NotSPD
 from .model import AugmentedModel, MultiTermNetwork, augment_v
@@ -136,6 +136,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     zero output map the step reduces to pure open-loop prediction.  ``C``
     overrides the lift's output row for this step (time-varying maps).
     """
+    import scipy.linalg
     aug, cfg = state.aug, state.config
     k = state.k
     u = np.zeros(aug.m) if u is None else np.atleast_1d(np.asarray(u, dtype=float))
@@ -175,6 +176,7 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     output map is the lift's constant one (time-varying maps are a filter
     feature only).
     """
+    import scipy.linalg
     d, n_r, q = aug.dim, aug.Gtil.shape[1], aug.q
     if config.P0.shape != (d, d):
         raise DimensionError(f"P0 must be {d}x{d} for this lift")

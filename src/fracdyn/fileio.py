@@ -124,29 +124,31 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
+    """Model from its JSON form; a ``null`` optional field counts as absent."""
+    if not isinstance(data, dict):
+        raise DimensionError("a model file must hold a JSON object")
     if "state_terms" in data:
-        def terms(items):
-            return tuple((item["exponent"], np.asarray(item["matrix"], dtype=float))
-                         for item in items)
+        def terms(key):
+            items = [] if data.get(key) is None else data[key]
+            if not (isinstance(items, list) and all(
+                    isinstance(item, dict) and {"exponent", "matrix"} <= item.keys()
+                    for item in items)):
+                raise DimensionError(
+                    f"{key} must be a list of objects with 'exponent' and 'matrix'")
+            return tuple((item["exponent"], item["matrix"]) for item in items)
 
         return MultiTermNetwork(
-            state_terms=terms(data["state_terms"]),
-            input_terms=terms(data.get("input_terms", ())),
-            disturbance_terms=terms(data.get("disturbance_terms", ())),
-            C=np.asarray(data["C"], dtype=float) if data.get("C") is not None else None,
+            state_terms=terms("state_terms"),
+            input_terms=terms("input_terms"),
+            disturbance_terms=terms("disturbance_terms"),
+            C=data.get("C"),
         )
     if "A" not in data or "alpha" not in data:
         raise DimensionError("model file lacks the required 'alpha' and 'A' fields")
-    model = FosModel(
-        alpha=np.asarray(data["alpha"], dtype=float),
-        A=np.asarray(data["A"], dtype=float),
-        B=np.asarray(data["B"], dtype=float) if data.get("B") is not None else None,
-        Bw=np.asarray(data["Bw"], dtype=float) if data.get("Bw") is not None else None,
-    )
-    if "n" in data and int(data["n"]) != model.n:
-        raise DimensionError(f"declared n={data['n']} but A is {model.A.shape}")
-    if "m" in data and int(data["m"]) != model.m:
-        raise DimensionError(f"declared m={data['m']} but B is {model.B.shape}")
+    model = FosModel(alpha=data["alpha"], A=data["A"], B=data.get("B"), Bw=data.get("Bw"))
+    for key, size in (("n", model.n), ("m", model.m)):
+        if key in data and data[key] != size:
+            raise DimensionError(f"declared {key}={data[key]!r} but the model has {key}={size}")
     return model
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SingularError
+from .errors import DimensionError, DomainError, SingularError
 from .fraccore import build_weight_table
 
 __all__ = [
@@ -34,8 +34,20 @@ __all__ = [
 RCOND_FLOOR = 1e-12
 
 
+def _as_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; values numpy cannot read as numbers raise DimensionError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"{name} is not a numeric array: {exc}") from None
+
+
 def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: str = "matrix"):
-    m = np.atleast_2d(np.asarray(value, dtype=float))
+    m = np.atleast_2d(_as_array(value, name))
+    if m.ndim != 2:
+        raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{name} entries must be finite")
     if rows is not None and m.shape[0] != rows:
         raise DimensionError(f"{name} must have {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
@@ -65,7 +77,7 @@ class FosModel:
     Bw: np.ndarray = None
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        alpha = np.atleast_1d(_as_array(self.alpha, "alpha"))
         A = _as_matrix(self.A, name="A")
         n = A.shape[0]
         if A.shape != (n, n):
@@ -118,20 +130,24 @@ class MultiTermNetwork:
     lead_condition: float = field(init=False, default=np.nan)
 
     def __post_init__(self):
-        if not self.state_terms:
-            raise DimensionError("at least one state term is required")
-
         def norm_terms(terms, rows, name):
+            try:
+                pairs = [(float(exponent), matrix) for exponent, matrix in terms]
+            except (TypeError, ValueError, OverflowError):
+                raise DimensionError(
+                    f"{name}s must be (exponent, matrix) pairs with numeric exponents") from None
             out = []
-            for exponent, matrix in terms:
-                if not exponent > 0:
-                    raise DimensionError(f"{name} exponents must be positive, got {exponent}")
-                out.append((float(exponent), _freeze(_as_matrix(matrix, rows=rows, name=name))))
+            for exponent, matrix in pairs:
+                if not 0 < exponent < np.inf:
+                    raise DimensionError(f"{name} exponents must be positive and finite, "
+                                         f"got {exponent}")
+                out.append((exponent, _freeze(_as_matrix(matrix, rows=rows, name=name))))
             return tuple(out)
 
-        first = _as_matrix(self.state_terms[0][1], name="state term")
-        n = first.shape[0]
-        state_terms = norm_terms(self.state_terms, n, "state term")
+        state_terms = norm_terms(self.state_terms, None, "state term")
+        if not state_terms:
+            raise DimensionError("at least one state term is required")
+        n = state_terms[0][1].shape[0]
         for _, mat in state_terms:
             if mat.shape != (n, n):
                 raise DimensionError("state-term matrices must be square and same size")
@@ -141,14 +157,13 @@ class MultiTermNetwork:
             widths = {mat.shape[1] for _, mat in terms}
             if len(widths) > 1:
                 raise DimensionError(f"{name}-term matrices must share a column count")
-        if self.C is None:
-            C = np.eye(n)
-        else:
-            C = np.asarray(self.C, dtype=float)
-            if C.ndim <= 2:
-                C = _as_matrix(C, cols=n, name="C")
-            elif C.ndim != 3 or C.shape[2] != n:
-                raise DimensionError(f"per-step C must have shape (T, q, {n})")
+        C = np.eye(n) if self.C is None else _as_array(self.C, "C")
+        if C.ndim <= 2:
+            C = _as_matrix(C, cols=n, name="C")
+        elif C.ndim != 3 or C.shape[2] != n:
+            raise DimensionError(f"per-step C must have shape (T, q, {n})")
+        elif not np.all(np.isfinite(C)):
+            raise DomainError("C entries must be finite")
 
         lead = sum(mat for _, mat in state_terms)
         cond = float(np.linalg.cond(lead))

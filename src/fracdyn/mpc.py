@@ -9,13 +9,12 @@ reduced exactly, through a Cholesky factor of its Hessian, to a
 bounded-variable least-squares problem and solved by an active-set method;
 optional linear state constraints enter as a quadratic penalty (soft) or by
 penalty escalation (hard).
+scipy is imported where it is called, so ``import fracdyn`` does not load it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NotSPD
 from .model import FosModel, augment_p
@@ -139,6 +138,7 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     Raises DimensionError when the model has no inputs, or when a weight
     block, the linear cost or the state rows do not match the model.
     """
+    import scipy.linalg
     n, m, P = model.n, model.m, problem.P
     if m == 0:
         raise DimensionError("model has no input channels to control")
@@ -250,6 +250,8 @@ def _solve_box_qp(H: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     min || L^T U + L^{-1} b / 2 ||^2, solved by the BVLS active-set method.
     Components pinned by lo == hi are eliminated first.
     """
+    import scipy.linalg
+    import scipy.optimize
     pinned = lo == hi
     if np.any(pinned):
         U = np.where(pinned, lo, 0.0)
@@ -280,6 +282,7 @@ def _penalty_grad(cp: CondensedProblem, fvec, U, weight: float) -> np.ndarray:
 
 def _solve_with_state_rows(problem: MpcProblem, cp: CondensedProblem, b, fvec):
     """Penalty treatment of linear state rows on top of the box QP."""
+    import scipy.optimize
     H, lo, hi = cp.H, cp.lo, cp.hi
 
     def solve_at(weight: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fracdyn import FosModel, MultiTermNetwork, simulate_network, Trajectory
 from fracdyn.cli import main
 from fracdyn.fileio import (
+    model_to_dict,
     read_model,
     read_trajectory,
     write_model,
@@ -437,4 +438,74 @@ def test_mpc_scenario_fuzz_keeps_the_exit_contract(tmp_path, capsys, overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert run_cli("mpc", str(path)) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"state_terms": None}, "state term"),
+    ({"state_terms": 5}, "state_terms"),
+    ({"state_terms": [5]}, "state_terms"),
+    ({"state_terms": [{"exponent": None, "matrix": [[0.1]]}]}, "state term"),
+    ({"state_terms": [{"exponent": 0.5, "matrix": None}]}, "state term entries must be finite"),
+    ({"state_terms": [{"exponent": 0.5, "matrix": [[1.0]]}], "C": [[float("nan")]]},
+     "C entries must be finite"),
+    ({"alpha": [0.5], "A": [[None]]}, "A entries must be finite"),
+    ({"alpha": [0.5], "A": [[0.2]], "B": [[None]]}, "B entries must be finite"),
+    ({"alpha": [0.5], "A": [[0.2]], "Bw": [[float("inf")]]}, "Bw entries must be finite"),
+    ({"alpha": [0.5], "A": [[0.2]], "n": None}, "declared n"),
+    ([1.0], "JSON object"),
+])
+def test_bad_model_file_exits_2_naming_the_field(tmp_path, capsys, model, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("simulate", "--model", str(path), "--steps", "5",
+                   "--out", str(tmp_path / "t.csv")) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+_NUMBER = st.one_of(st.floats(-2.0, 2.0),
+                  st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+_MODEL_JUNK = st.one_of(
+    st.none(),
+    st.sampled_from(["", "x", "0.5", [], [[]], {}, {"a": 1}]),
+    _NUMBER,
+    st.integers(-2, 3),
+    st.lists(st.one_of(_NUMBER, st.none()), max_size=3),
+    # square, ragged or 3-D nests with a null or string entry now and then
+    st.lists(st.lists(st.one_of(_NUMBER, st.none(), st.just("x")), max_size=3),
+             min_size=1, max_size=3),
+    st.lists(st.lists(st.lists(_NUMBER, min_size=1, max_size=2), min_size=1, max_size=2),
+             min_size=1, max_size=2),
+)
+_TERM = st.one_of(_MODEL_JUNK, st.fixed_dictionaries(
+    {"exponent": st.one_of(_MODEL_JUNK, st.floats(0.1, 1.5)),
+     "matrix": st.one_of(_MODEL_JUNK, st.just([[1.0, 0.0], [0.0, 1.0]]))}))
+#: Field overrides of a valid two-state FosModel file and of a valid network file.
+_FOS_FIELDS = {key: _MODEL_JUNK for key in ("alpha", "A", "B", "Bw", "n", "m")}
+_NET_FIELDS = {key: st.one_of(_MODEL_JUNK, st.lists(_TERM, max_size=2))
+               for key in ("state_terms", "input_terms", "disturbance_terms")}
+_NET_FIELDS["C"] = _MODEL_JUNK
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(network=st.booleans(),
+       fos=st.fixed_dictionaries({}, optional=_FOS_FIELDS),
+       net=st.fixed_dictionaries({}, optional=_NET_FIELDS))
+def test_model_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, network, fos, net):
+    if network:
+        model = model_to_dict(MultiTermNetwork(
+            state_terms=((0.6, np.eye(2)),), input_terms=((0.5, [[1.0], [1.0]]),),
+            disturbance_terms=((0.7, np.eye(2)),), C=np.eye(2)))
+        model.update(net)
+    else:
+        model = model_to_dict(FosModel(alpha=[0.5, 0.8], A=[[-0.2, 0.1], [0.0, -0.3]],
+                                       B=[[1.0], [0.5]], Bw=np.eye(2)))
+        model.update(fos)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("simulate", "--model", str(path), "--steps", "5", "--seed", "1",
+                   "--sigma", "0.1", "--out", str(tmp_path / "t.csv")) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

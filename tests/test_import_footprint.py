@@ -1,0 +1,97 @@
+"""Import footprint: scipy loads only where ``estimate`` and ``mpc`` first use it.
+
+Every CLI call is a fresh process, so a module-level scipy import is paid by
+every subcommand.  A fresh interpreter imports fracdyn, runs the scipy-free
+subcommands through ``fracdyn.cli.main``, then ``estimate``, and records the
+scipy modules loaded after each stage.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fracdyn
+
+SCRIPT = r"""
+import json, os, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+work = sys.argv[1]
+stages = {}
+import fracdyn
+stages["import fracdyn"] = scipy_modules()
+import fracdyn.cli
+from fracdyn.cli import main
+stages["import fracdyn.cli"] = scipy_modules()
+
+def path(name):
+    return os.path.join(work, name)
+
+def run(*argv):
+    code = main(list(argv))
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+
+with open(path("fos.json"), "w") as fh:
+    json.dump({"alpha": [0.5, 0.7], "A": [[-0.2, 0.1], [0.0, -0.3]],
+               "B": [[1.0], [0.5]]}, fh)
+with open(path("net.json"), "w") as fh:
+    json.dump({"state_terms": [{"exponent": 0.6, "matrix": [[1.0, 0.0], [0.0, 1.0]]}],
+               "input_terms": [{"exponent": 0.5, "matrix": [[1.0], [1.0]]}],
+               "disturbance_terms": [{"exponent": 0.7, "matrix": [[1.0, 0.0], [0.0, 1.0]]}],
+               "C": [[1.0, 0.0], [0.0, 1.0]]}, fh)
+with open(path("est.json"), "w") as fh:
+    json.dump({"Q": 1.0, "R": 0.05, "P0": 1.0, "xhat0": [1.0, -0.5]}, fh)
+
+run("simulate", "--model", path("fos.json"), "--x0", "1.0,-0.5", "--steps", "40",
+    "--seed", "3", "--sigma", "0.01", "--out", path("traj.csv"))
+stages["simulate"] = scipy_modules()
+run("identify", "--trajectory", path("traj.csv"), "--depth", "20", "--epsilon", "1e-2",
+    "--window", "0,30", "--out-model", path("ident.json"), "--out-diag", path("diag.csv"))
+stages["identify"] = scipy_modules()
+run("analyze", "stability", "--model", path("fos.json"), "--out", path("stab.json"))
+run("analyze", "gramians", "--model", path("fos.json"), "--horizon", "3",
+    "--out", path("gram.json"))
+run("analyze", "bode", "--fopid", "1,1,0,0.5,1", "--omega-start", "1", "--omega-stop", "10",
+    "--omega-points", "3", "--out", path("bode.csv"))
+stages["analyze"] = scipy_modules()
+run("simulate", "--model", path("net.json"), "--x0", "1.0,-0.5", "--steps", "20",
+    "--seed", "2", "--sigma", "0.01", "--out", path("net.csv"))
+stages["network simulate"] = scipy_modules()
+run("estimate", "--model", path("net.json"), "--trajectory", path("net.csv"), "--v", "3",
+    "--config", path("est.json"), "--out", path("est.csv"))
+stages["estimate"] = scipy_modules()
+
+with open(path("stages.json"), "w") as fh:
+    json.dump(stages, fh)
+"""
+
+
+@pytest.fixture(scope="module")
+def stages(tmp_path_factory):
+    work = tmp_path_factory.mktemp("footprint")
+    src = str(Path(fracdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(work)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads((work / "stages.json").read_text())
+
+
+@pytest.mark.parametrize("stage", ["import fracdyn", "import fracdyn.cli", "simulate",
+                                   "identify", "analyze", "network simulate"])
+def test_scipy_free_stage_loads_no_scipy(stages, stage):
+    assert stages[stage] == []
+
+
+def test_estimate_loads_scipy_linalg_but_not_optimize(stages):
+    loaded = stages["estimate"]
+    assert "scipy.linalg" in loaded
+    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)

@@ -3,6 +3,7 @@ import pytest
 
 from fracdyn import (
     DimensionError,
+    DomainError,
     FosModel,
     MultiTermNetwork,
     SingularError,
@@ -93,6 +94,40 @@ def test_augment_p_scalar_derived_matrix():
     m = FosModel(alpha=[0.5], A=[[0.2]])
     aug = augment_p(m, 2)
     np.testing.assert_allclose(aug.Atil, [[0.7, 0.125], [1.0, 0.0]], atol=0.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda bad: FosModel(alpha=[0.5], A=bad), "A"),
+    (lambda bad: FosModel(alpha=[0.5], A=[[0.2]], B=bad), "B"),
+    (lambda bad: FosModel(alpha=[0.5], A=[[0.2]], Bw=bad), "Bw"),
+    (lambda bad: MultiTermNetwork(state_terms=((0.5, bad),)), "state term"),
+    (lambda bad: MultiTermNetwork(state_terms=((0.5, [[1.0]]),), input_terms=((0.5, bad),)),
+     "input term"),
+    (lambda bad: MultiTermNetwork(state_terms=((0.5, [[1.0]]),),
+                                  disturbance_terms=((0.5, bad),)), "disturbance term"),
+    (lambda bad: MultiTermNetwork(state_terms=((0.5, [[1.0]]),), C=bad), "C"),
+    (lambda bad: MultiTermNetwork(state_terms=((0.5, [[1.0]]),), C=[bad, [[1.0]]]), "C"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_entries_are_domain_errors(build, field, value):
+    with pytest.raises(DomainError, match=f"^{field} entries must be finite"):
+        build([[value]])
+
+
+@pytest.mark.parametrize("terms", [None, 5, [5], [(None, [[1.0]])], [("x", [[1.0]])],
+                                   [(0.5,)], [(np.inf, [[1.0]])], [(np.nan, [[1.0]])]])
+def test_malformed_state_terms_are_dimension_errors(terms):
+    with pytest.raises(DimensionError, match="state term"):
+        MultiTermNetwork(state_terms=terms)
+
+
+def test_non_numeric_or_nested_fields_are_dimension_errors():
+    with pytest.raises(DimensionError, match="alpha is not a numeric array"):
+        FosModel(alpha={}, A=[[0.2]])
+    with pytest.raises(DimensionError, match="A is not a numeric array"):
+        FosModel(alpha=[0.5, 0.5], A=[[0.2], [0.1, 0.3]])
+    with pytest.raises(DimensionError, match="B must be a matrix"):
+        FosModel(alpha=[0.5], A=[[0.2]], B=[[[1.0]]])
 
 
 def test_augment_p_rejects_bad_depth():
