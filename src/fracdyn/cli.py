@@ -112,6 +112,9 @@ def cmd_simulate(args) -> int:
             raise DomainError("input trajectory file carries no input columns")
     seed = config.get("seed")
     sigma = float(config.get("sigma", 1.0))
+    for name, value in (("x0", x0), ("sigma", sigma)):
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite")
     dt = float(config.get("dt", 1.0))
     if isinstance(model, MultiTermNetwork):
         w = gaussian_noise(int(seed), K, model.p, sigma) if seed is not None else None

@@ -4,12 +4,11 @@ Certainty equivalence is used throughout: the zero-mean noise is dropped from
 the predictions, which leaves the minimizing input stack unchanged for an
 expected quadratic cost.  The depth-p lift is condensed once per problem so
 predicted states become affine in the stacked inputs; each solve minimizes
-the strictly convex quadratic over the box.  The box-constrained QP is
-reduced exactly, through a Cholesky factor of its Hessian, to a
-bounded-variable least-squares problem and solved by an active-set method;
-optional linear state constraints enter as a quadratic penalty (soft) or by
-penalty escalation (hard).
-scipy is imported where it is called, so ``import fracdyn`` does not load it.
+the strictly convex quadratic over the box.  One exact dual active-set QP
+solver (Goldfarb and Idnani) handles the box and the optional linear state
+rows alike: soft rows become slack variables carrying the quadratic penalty,
+hard rows are exact constraints whose infeasibility the solver proves.  The
+module uses numpy only; it imports no scipy.
 """
 
 from dataclasses import dataclass, field
@@ -116,8 +115,9 @@ class CondensedProblem:
     """What every solve of one (problem, model) pair shares: the history-free terms.
 
     From the lifted history ``ztil``, predicted states are
-    ``(powers @ ztil)[:, :n] + S @ U``; ``rows @ x <= rows_h`` stacks the
-    state rows over the horizon (None without state rows).
+    ``(powers @ ztil)[:, :n] + S @ U``; ``rows`` stacks the state rows over the
+    horizon (none without state constraints).  A solve minimises
+    ``1/2 z^T (2 H_z) z + b_z^T z`` subject to ``G z <= g - [0; rows @ fvec]``.
     """
 
     powers: np.ndarray  # (P, d, d): A^1 .. A^P of the lift
@@ -127,9 +127,19 @@ class CondensedProblem:
     cvec: np.ndarray  # (P*n,)
     lo: np.ndarray  # (P*m,)
     hi: np.ndarray  # (P*m,)
-    rows: np.ndarray | None = None
-    rows_S: np.ndarray | None = None  # rows @ S
-    rows_h: np.ndarray | None = None
+    rows: np.ndarray  # (P*r, P*n)
+    rows_S: np.ndarray  # rows @ S
+    J: np.ndarray  # L^-T for L L^T = 2 H_z, H_z = diag(H, soft_penalty * I) with soft rows
+    G: np.ndarray  # pinned inputs (equalities), other finite upper, lower bounds, state rows
+    g: np.ndarray  # the right-hand side of G without the free response
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of a (P, r, c) stack of blocks."""
+    P, r, c = blocks.shape
+    out = np.zeros((P, r, P, c))
+    out[np.arange(P), :, np.arange(P), :] = blocks
+    return out.reshape(P * r, P * c)
 
 
 def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
@@ -138,7 +148,6 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     Raises DimensionError when the model has no inputs, or when a weight
     block, the linear cost or the state rows do not match the model.
     """
-    import scipy.linalg
     n, m, P = model.n, model.m, problem.P
     if m == 0:
         raise DimensionError("model has no input channels to control")
@@ -157,11 +166,11 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     for name, W, size in (("Q", problem.Q, n), ("R", problem.R, m)):
         if W.ndim == 0:
             W = np.eye(size) * float(W)
-        blocks = list(W[:P]) if W.ndim == 3 else [W] * P
+        blocks = W[:P] if W.ndim == 3 else np.broadcast_to(W, (P,) + W.shape)
         if len(blocks) < P or W.shape[-2:] != (size, size):
             raise DimensionError(f"{name} needs {size}x{size} blocks for {P} horizon steps "
                                  f"to match the model, got shape {W.shape}")
-        bars.append(scipy.linalg.block_diag(*blocks))
+        bars.append(_block_diag(blocks))
     Qbar, Rbar = bars
     cvec = np.zeros(P * n)
     if problem.c is not None:
@@ -169,20 +178,30 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
         if cvec.shape != (P * n,):
             raise DimensionError("linear state cost has the wrong length")
 
-    rows = rows_S = rows_h = None
+    Hx, hx = np.zeros((0, n)), np.zeros(0)
     if problem.state_H is not None:
         Hx = np.atleast_2d(np.asarray(problem.state_H, dtype=float))
         hx = np.atleast_1d(np.asarray(problem.state_h, dtype=float))
         if Hx.shape[1] != n or hx.shape != (Hx.shape[0],):
             raise DimensionError("state constraint rows do not match the state dimension")
-        rows = scipy.linalg.block_diag(*([Hx] * P))
-        rows_S = rows @ S
-        rows_h = np.tile(hx, P)
+    rows = _block_diag(np.broadcast_to(Hx, (P,) + Hx.shape))
+    rows_S = rows @ S
+    H = S.T @ Qbar @ S + Rbar
+    lo = np.tile(np.broadcast_to(problem.u_lo, (m,)), P)
+    hi = np.tile(np.broadcast_to(problem.u_hi, (m,)), P)
+    # the QP over z = [U; a slack per soft row]: equality rows for the pinned inputs, the other
+    # finite upper and lower bounds, then rows_S U - slack <= rows_h - rows @ fvec
+    nU, k = P * m, 0 if problem.hard_state else rows.shape[0]
+    eye, pin = np.eye(nU), lo == hi
+    on_hi, on_lo = np.isfinite(hi) & ~pin, np.isfinite(lo) & ~pin
+    G = np.vstack([eye[pin], eye[on_hi], -eye[on_lo], rows_S])
+    G = np.hstack([G, np.vstack([np.zeros((G.shape[0] - k, k)), -np.eye(k)])])
+    Hz = np.diag(np.concatenate([np.zeros(nU), np.full(k, problem.soft_penalty)]))
+    Hz[:nU, :nU] = H
     return CondensedProblem(
-        powers=np.stack(powers[1:]), S=S, Qbar=Qbar, H=S.T @ Qbar @ S + Rbar, cvec=cvec,
-        lo=np.tile(np.broadcast_to(problem.u_lo, (m,)), P),
-        hi=np.tile(np.broadcast_to(problem.u_hi, (m,)), P),
-        rows=rows, rows_S=rows_S, rows_h=rows_h,
+        powers=np.stack(powers[1:]), S=S, Qbar=Qbar, H=H, cvec=cvec, lo=lo, hi=hi, rows=rows,
+        rows_S=rows_S, J=np.linalg.inv(np.linalg.cholesky(2.0 * Hz)).T, G=G,
+        g=np.concatenate([lo[pin], hi[on_hi], -lo[on_lo], np.tile(hx, P)]),
     )
 
 
@@ -203,11 +222,10 @@ def solve_horizon(
     """Solve one horizon from the given state history (rows, oldest first).
 
     ``condensed`` is ``condense(problem, model)``, built here when omitted;
-    pass it in to reuse it across solves.  The remaining box QP is solved
-    exactly (bounded-variable least squares on the Cholesky-factored
-    objective).  Soft state constraints add a smooth one-sided quadratic
-    penalty; in hard mode the penalty is escalated and persistent violation
-    raises InfeasibleStateConstraints.
+    pass it in to reuse it across solves.  The QP over the box and the state
+    rows is solved exactly.  Soft rows cost ``soft_penalty`` times their
+    squared violation; hard rows hold exactly, or, when no input in the box
+    satisfies them, raise InfeasibleStateConstraints.
     """
     n, m, P = model.n, model.m, problem.P
     cp = condense(problem, model) if condensed is None else condensed
@@ -219,16 +237,15 @@ def solve_horizon(
     # J(U) = U^T H U + b^T U + const with H PD (R is PD).
     b = 2.0 * S.T @ (Qbar @ fvec) + S.T @ cvec
     const = float(fvec @ Qbar @ fvec + cvec @ fvec)
-    if cp.rows is None:
-        U = _solve_box_qp(H, b, LO, HI)
-        penalty, final_weight = 0.0, 0.0
-    else:
-        U, penalty, final_weight = _solve_with_state_rows(problem, cp, b, fvec)
-    U = np.clip(U, LO, HI)  # bounds hold exactly, not just to solver tolerance
+    k = cp.rows.shape[0]
+    g = cp.g.copy()
+    g[g.size - k :] -= cp.rows @ fvec
+    z, lam = _solve_qp(cp.J, np.concatenate([b, np.zeros(cp.J.shape[0] - b.size)]), cp.G, g,
+                       int(np.sum(LO == HI)))
+    U = np.clip(z[: b.size], LO, HI)  # bounds hold exactly, not just to solver tolerance
 
-    proj = 2.0 * H @ U + b  # the gradient, projected on the active bounds below
-    if cp.rows is not None:
-        proj = proj + _penalty_grad(cp, fvec, U, final_weight)
+    # the gradient of the Lagrangian of the state rows, projected on the active bounds below
+    proj = 2.0 * H @ U + b + cp.rows_S.T @ lam[lam.size - k :]
     finite = np.abs(np.concatenate([LO[np.isfinite(LO)], HI[np.isfinite(HI)]]))
     atol = 1e-9 * (1.0 + (finite.max() if finite.size else 0.0))
     on_lo = U <= LO + atol
@@ -239,81 +256,56 @@ def solve_horizon(
         u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
         cost=float(U @ H @ U + b @ U + const), kkt_residual=float(np.linalg.norm(proj)),
         active_lower=on_lo.reshape(P, m), active_upper=on_hi.reshape(P, m),
-        penalty_cost=penalty,
+        penalty_cost=float(problem.soft_penalty * (z[b.size :] @ z[b.size :])),
     )
 
 
-def _solve_box_qp(H: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact box QP: min U^T H U + b^T U s.t. lo <= U <= hi, H PD.
+def _solve_qp(J: np.ndarray, b: np.ndarray, G: np.ndarray, g: np.ndarray, neq: int):
+    """Dual active-set QP of Goldfarb and Idnani (Math. Program. 27, 1983).
 
-    With H = L L^T the problem is the bounded least-squares
-    min || L^T U + L^{-1} b / 2 ||^2, solved by the BVLS active-set method.
-    Components pinned by lo == hi are eliminated first.
+    Minimises ``1/2 z^T D z + b^T z`` subject to ``G z <= g``, the first
+    ``neq`` rows as equalities, where ``J = L^-T`` and ``L L^T = D``.  From
+    the minimiser on the equalities it takes the most violated row ``p`` and
+    raises its multiplier until the row holds, first dropping any active
+    inequality whose multiplier would turn negative.  Each step factors
+    ``J^T N`` of the active normals ``N`` by QR and solves afresh for z and
+    the active multipliers, ``p`` weighted by its multiplier so far, so
+    rounding does not build up.  Returns z and the multipliers of all rows;
+    a violated row no dual step can reach proves the rows infeasible.
     """
-    import scipy.linalg
-    import scipy.optimize
-    pinned = lo == hi
-    if np.any(pinned):
-        U = np.where(pinned, lo, 0.0)
-        free = ~pinned
-        if np.any(free):
-            Hff = H[np.ix_(free, free)]
-            bf = b[free] + 2.0 * H[np.ix_(free, pinned)] @ lo[pinned]
-            U[free] = _solve_box_qp(Hff, bf, lo[free], hi[free])
-        return U
-    if not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi))):
-        return np.linalg.solve(2.0 * H, -b)
-    L = np.linalg.cholesky(2.0 * H)
-    # 0.5 * ||L^T U + L^{-1} b||^2 = U^T H U + b^T U + const
-    rhs = scipy.linalg.solve_triangular(L, b, lower=True)
-    res = scipy.optimize.lsq_linear(L.T, -rhs, bounds=(lo, hi), method="bvls", tol=1e-14)
-    return res.x
-
-
-def _margin(cp: CondensedProblem, fvec, U) -> np.ndarray:
-    """Stacked state-row margins of the predicted states; positive entries violate."""
-    return cp.rows @ (fvec + cp.S @ U) - cp.rows_h
-
-
-def _penalty_grad(cp: CondensedProblem, fvec, U, weight: float) -> np.ndarray:
-    """Gradient of the penalty; rows that hold contribute exact zeros, so none is masked."""
-    return 2.0 * weight * (cp.rows_S.T @ np.maximum(_margin(cp, fvec, U), 0.0))
-
-
-def _solve_with_state_rows(problem: MpcProblem, cp: CondensedProblem, b, fvec):
-    """Penalty treatment of linear state rows on top of the box QP."""
-    import scipy.optimize
-    H, lo, hi = cp.H, cp.lo, cp.hi
-
-    def solve_at(weight: float) -> np.ndarray:
-        def fun(U):
-            viol = np.maximum(_margin(cp, fvec, U), 0.0)
-            return U @ H @ U + b @ U + weight * float(viol @ viol)
-
-        def grad(U):
-            return 2.0 * H @ U + b + _penalty_grad(cp, fvec, U, weight)
-
-        res = scipy.optimize.minimize(
-            fun, np.clip(np.zeros_like(b), lo, hi), jac=grad, method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        return res.x
-
-    weight = problem.soft_penalty
-    U = solve_at(weight)
-    for escalations in range(7 if problem.hard_state else 0):  # hard: up to six escalations
-        worst = float(np.max(_margin(cp, fvec, U), initial=0.0))
-        if worst <= 1e-8:
-            break
-        if escalations == 6:
+    active, p, lam_p = list(range(neq)), None, 0.0
+    tol = 1e-13 * (1.0 + np.abs(g))
+    while True:
+        q = len(active)
+        Q, R = np.linalg.qr(J.T @ G[active].T, mode="complete")
+        c = Q.T @ (J.T @ (b if p is None else b + lam_p * G[p]))
+        w = np.linalg.solve(R[:q].T, g[active])
+        z = J @ (Q[:, :q] @ w - Q[:, q:] @ c[q:])
+        lam = -np.linalg.solve(R[:q], c[:q] + w)
+        if p is None:
+            viol = G @ z - g - tol
+            viol[active] = 0.0
+            if not viol.size or viol.max() <= 0.0:
+                lam_all = np.zeros(g.size)
+                lam_all[active] = lam
+                return z, lam_all
+            p, lam_p = int(np.argmax(viol)), 0.0
+        d = Q.T @ (J.T @ G[p])
+        r = np.linalg.solve(R[:q], d[:q])  # per unit of lam_p the active multipliers fall by r
+        dd = d[q:] @ d[q:]  # and G[p] @ z by dd
+        t2 = (G[p] @ z - g[p]) / dd if dd > 1e-20 * (d @ d) else np.inf
+        pos = neq + np.flatnonzero(r[neq:] > 0)
+        ratios = np.maximum(lam[pos], 0.0) / r[pos]
+        t1 = ratios.min(initial=np.inf)
+        if t1 == t2 == np.inf:
             raise InfeasibleStateConstraints(
-                f"state rows still violated by {worst:.3e} after penalty escalation"
-            )
-        weight *= 10.0
-        U = solve_at(weight)
-    penalty = float(weight * np.sum(np.maximum(_margin(cp, fvec, U), 0.0) ** 2))
-    return U, penalty, weight
+                f"hard state rows admit no input inside the box (row {p} of G)")
+        lam_p += min(t1, t2)
+        if t2 <= t1:
+            active.append(p)
+            p = None
+        else:
+            del active[pos[np.argmin(ratios)]]
 
 
 @dataclass

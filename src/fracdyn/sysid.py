@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularError
+from .errors import DomainError, NonFiniteError, SingularError
 from .fraccore import build_weight_table, history_sum
 from .simulate import Trajectory
 
@@ -189,6 +189,7 @@ class IdentificationResult:
         return ";".join(self.flags[i]) if self.flags[i] else "ok"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite score raises instead
 def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> IdentificationResult:
     """Per-channel bisection on the order plus OLS for the spatial rows.
 
@@ -200,7 +201,8 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
     ceil(log2(2/epsilon)).  Constant channels carry no temporal information
     and are flagged "degenerate" with the order fixed at 0 by convention; a
     flat MSE basin at termination raises "low_confidence", and a midpoint
-    scoring worse than both endpoints raises "nonunimodal".
+    scoring worse than both endpoints raises "nonunimodal".  A prediction
+    error that is not finite raises NonFiniteError naming the channel.
     """
     if not 0.0 < epsilon < 2.0:
         raise DomainError("epsilon must lie in (0, 2)")
@@ -229,7 +231,10 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
         row, used_ridge = _ols_row(Xw, z, gram, rank)
         # one-step prediction from the fitted row, memory truncated at depth p
         pred = Xw @ row - history_sum(x[:, i], w[1 : p + 1], ks[0], kmax + 1)
-        return float(np.mean((pred - x[ks + 1, i]) ** 2)), row, used_ridge
+        mse = float(np.mean((pred - x[ks + 1, i]) ** 2))
+        if not math.isfinite(mse):
+            raise NonFiniteError(f"channel {i + 1}: prediction error is not finite")
+        return mse, row, used_ridge
 
     for i in range(n):
         chan_flags = []

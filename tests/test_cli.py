@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,36 @@ def test_bode_without_frequency_points_exits_2(tmp_path):
     assert run_cli("analyze", "bode", "--fopid", "1,1,0,0.5,1",
                    "--omega-points", "0", "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, option", [
+    (("--x0", "nan"), "x0"),
+    (("--x0", "1", "--sigma", "nan", "--seed", "1"), "sigma"),
+])
+def test_simulate_non_finite_option_exits_2_naming_it(tmp_path, capsys, scalar_model_file,
+                                                       extra, option):
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--model", scalar_model_file, *extra, "--steps", "5",
+                   "--out", str(out)) == 2
+    assert f"{option} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_identify_overflowing_trajectory_exits_3_naming_the_channel(tmp_path, capsys):
+    states = 0.1 * np.random.default_rng(5).standard_normal(61)
+    states[30] = 1e300
+    traj_path = tmp_path / "big.csv"
+    traj_path.write_text("t,x1\n" + "".join(f"{k},{x!r}\n" for k, x in enumerate(states.tolist())))
+    model_out, diag_out = tmp_path / "m.json", tmp_path / "d.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("identify", "--trajectory", str(traj_path), "--depth", "20",
+                       "--window", "0,50", "--out-model", str(model_out),
+                       "--out-diag", str(diag_out))
+    assert code == 3
+    assert "channel 1" in capsys.readouterr().err
+    assert not caught
+    assert not model_out.exists() and not diag_out.exists()
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
-"""Import footprint: scipy loads only where ``estimate`` and ``mpc`` first use it.
+"""Import footprint: scipy loads only where ``estimate`` first uses it.
 
 Every CLI call is a fresh process, so a module-level scipy import is paid by
 every subcommand.  A fresh interpreter imports fracdyn, runs the scipy-free
-subcommands through ``fracdyn.cli.main``, then ``estimate``, and records the
-scipy modules loaded after each stage.
+subcommands through ``fracdyn.cli.main``, then closed loops with soft and hard
+state rows, then ``estimate``, and records the scipy modules loaded after
+each stage.
 """
 
 import json
@@ -64,6 +65,18 @@ stages["analyze"] = scipy_modules()
 run("simulate", "--model", path("net.json"), "--x0", "1.0,-0.5", "--steps", "20",
     "--seed", "2", "--sigma", "0.01", "--out", path("net.csv"))
 stages["network simulate"] = scipy_modules()
+with open(path("scenario.json"), "w") as fh:
+    json.dump({"model": path("fos.json"), "p": 4, "horizon": 5, "control_horizon": 2,
+               "Q": 1.0, "R": 0.1, "u_lo": -0.2, "u_hi": 0.2, "K": 8, "seed": 4,
+               "sigma": 0.1, "x0": [1.0, -0.5]}, fh)
+run("mpc", path("scenario.json"), "--out", path("run.csv"))
+from fracdyn import FosModel, MpcProblem, run_closed_loop
+plant = FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+for hard in (False, True):
+    problem = MpcProblem(p=4, P=5, M=2, Q=1.0, R=0.1, u_lo=-1.0, u_hi=1.0,
+                         state_H=[[1.0, 0.0]], state_h=[0.8], hard_state=hard)
+    run_closed_loop(plant, problem, 8, 4, x0=[1.0, -0.5], noise_sigma=0.1)
+stages["mpc"] = scipy_modules()
 run("estimate", "--model", path("net.json"), "--trajectory", path("net.csv"), "--v", "3",
     "--config", path("est.json"), "--out", path("est.csv"))
 stages["estimate"] = scipy_modules()
@@ -86,7 +99,7 @@ def stages(tmp_path_factory):
 
 
 @pytest.mark.parametrize("stage", ["import fracdyn", "import fracdyn.cli", "simulate",
-                                   "identify", "analyze", "network simulate"])
+                                   "identify", "analyze", "network simulate", "mpc"])
 def test_scipy_free_stage_loads_no_scipy(stages, stage):
     assert stages[stage] == []
 

@@ -187,3 +187,36 @@ def test_closed_loop_suppresses_energy_on_seizure_surrogate():
     base = uncontrolled_baseline(plant, 120, noise=42, x0=[1.0])
     assert res.energy < float(np.sum(base.states**2))
     assert np.abs(res.applied).max() <= 5.0 + 1e-12
+
+
+@pytest.mark.parametrize("hard", [False, True])
+def test_binding_state_rows_solve_exactly(hard):
+    plant = FosModel(alpha=[0.61, 0.87, 0.39],
+                     A=[[-0.37, 0.05, 0.02], [-0.03, -0.27, 0.02], [0.01, 0.0, -0.27]],
+                     B=[[-0.84, 0.51], [-0.55, -0.74], [0.05, 0.43]], Bw=np.eye(3))
+    h = 0.3
+    prob = MpcProblem(p=20, P=20, M=1, Q=1.0, R=0.1, u_lo=-0.1, u_hi=0.1,
+                      state_H=[[1.0, 0.0, 0.0]], state_h=[h], hard_state=hard)
+    condensed = condense(prob, plant)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        history = 0.3 * rng.standard_normal((20, 3)) + [0.5, 0.0, 0.0]
+        sol = solve_horizon(prob, plant, history, condensed=condensed)
+        assert sol.kkt_residual <= 1e-10 * (1.0 + abs(sol.cost))
+        if hard:
+            assert sol.predicted[:, 0].max() - h <= 1e-12 * (1.0 + h)
+
+
+def test_pinned_input_under_far_violated_soft_rows():
+    # soft rows always admit a solution; with row multipliers near 1e5 the two bounds of a
+    # pinned input must not read as contradictory rows
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        plant = FosModel(alpha=rng.uniform(0.3, 1.3, 3),
+                         A=-0.3 * np.eye(3) + 0.2 * rng.standard_normal((3, 3)),
+                         B=rng.standard_normal((3, 2)), Bw=np.eye(3))
+        prob = MpcProblem(p=2, P=7, M=1, Q=0.0, R=1e-4, u_lo=[-1.0, 0.2], u_hi=[0.1, 0.2],
+                          state_H=rng.standard_normal((2, 3)), state_h=[0.2, 0.2])
+        sol = solve_horizon(prob, plant, 5.0 * rng.standard_normal((3, 3)))
+        assert np.all(sol.u[:, 1] == 0.2)
+        assert sol.kkt_residual <= 1e-8 * (1.0 + abs(sol.cost) + sol.penalty_cost)

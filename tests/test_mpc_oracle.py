@@ -1,10 +1,18 @@
-"""The once-per-run condensation against per-solve condensation, bitwise.
+"""The once-per-run condensation against per-solve condensation, and the QP solver
+against the solvers it replaced.
 
 ``reference_solve_horizon`` condenses the lift on every solve, builds the
-weight blocks with ``scipy.linalg.block_diag`` on every solve and the stacked
-state rows on every penalty evaluation, exactly as the controller did before
-``condense`` cached them.  The cached path evaluates the same expressions in
-the same order, so every output must agree to the last bit.
+weight blocks with ``scipy.linalg.block_diag`` on every solve and the QP's
+constraint rows and right-hand side on every solve, exactly as the controller
+did before ``condense`` cached them, and calls the same QP solver.  The cached
+path evaluates the same expressions in the same order, so every output must
+agree to the last bit.
+
+``oracle_solve_horizon`` solves the same per-solve condensation with the
+solvers the controller used before its one active-set QP: scipy's
+bounded-variable least squares on the Cholesky factor for box-only problems
+(pinned inputs eliminated, no finite bound solved directly), and an L-BFGS-B
+penalty loop for state rows, escalated tenfold up to six times in hard mode.
 """
 
 import numpy as np
@@ -14,7 +22,7 @@ import scipy.optimize
 
 from fracdyn import FosModel, InfeasibleStateConstraints, MpcProblem, mpc
 from fracdyn.model import augment_p
-from fracdyn.mpc import _solve_box_qp
+from fracdyn.mpc import _solve_qp
 from fracdyn.simulate import FosSimulator, Trajectory, _resolve_noise
 
 
@@ -54,59 +62,17 @@ def _condense(aug, ztil, P):
     return f, S
 
 
-def _violations(problem, S, fvec, U, return_rows=False):
+def _state_rows(problem, n):
+    """Stacked state rows over the horizon and their right-hand side (empty without rows)."""
+    if problem.state_H is None:
+        return np.zeros((0, problem.P * n)), np.zeros(0)
     Hx = np.atleast_2d(np.asarray(problem.state_H, dtype=float))
     hx = np.atleast_1d(np.asarray(problem.state_h, dtype=float))
-    big_H = scipy.linalg.block_diag(*([Hx] * problem.P))
-    big_h = np.tile(hx, problem.P)
-    margin = big_H @ (fvec + S @ U) - big_h
-    viol = np.maximum(margin, 0.0)
-    if return_rows:
-        return viol, (big_H @ S) * (margin > 0)[:, None]
-    return viol
+    return scipy.linalg.block_diag(*([Hx] * problem.P)), np.tile(hx, problem.P)
 
 
-def _penalty_value(problem, S, fvec, U, weight):
-    return float(weight * np.sum(_violations(problem, S, fvec, U) ** 2))
-
-
-def _penalty_grad(problem, S, fvec, U, weight):
-    viol, rows = _violations(problem, S, fvec, U, return_rows=True)
-    return 2.0 * weight * (rows.T @ viol)
-
-
-def _solve_with_state_rows(problem, H, b, S, fvec, lo, hi):
-    def solve_at(weight):
-        def fun(U):
-            viol = _violations(problem, S, fvec, U)
-            return U @ H @ U + b @ U + weight * float(viol @ viol)
-
-        def grad(U):
-            return 2.0 * H @ U + b + _penalty_grad(problem, S, fvec, U, weight)
-
-        res = scipy.optimize.minimize(
-            fun, np.clip(np.zeros_like(b), lo, hi), jac=grad, method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        return res.x
-
-    weight = problem.soft_penalty
-    U = solve_at(weight)
-    if not problem.hard_state:
-        return U, _penalty_value(problem, S, fvec, U, weight), weight
-    for _ in range(6):
-        if float(np.max(_violations(problem, S, fvec, U), initial=0.0)) <= 1e-8:
-            return U, _penalty_value(problem, S, fvec, U, weight), weight
-        weight *= 10.0
-        U = solve_at(weight)
-    worst = float(np.max(_violations(problem, S, fvec, U), initial=0.0))
-    if worst > 1e-8:
-        raise InfeasibleStateConstraints(f"still violated by {worst:.3e}")
-    return U, _penalty_value(problem, S, fvec, U, weight), weight
-
-
-def reference_solve_horizon(problem, model, history):
+def _per_solve(problem, model, history):
+    """The condensed objective J(U) = U^T H U + b^T U + const of one solve."""
     n, m, P = model.n, model.m, problem.P
     aug = augment_p(model, problem.p)
     f, S = _condense(aug, _history_lift(model, history, problem.p), P)
@@ -122,28 +88,110 @@ def reference_solve_horizon(problem, model, history):
     const = float(fvec @ Qbar @ fvec + cvec @ fvec)
     LO = np.tile(np.broadcast_to(np.asarray(problem.u_lo, dtype=float), (m,)), P)
     HI = np.tile(np.broadcast_to(np.asarray(problem.u_hi, dtype=float), (m,)), P)
-    if problem.state_H is None:
-        U = _solve_box_qp(H, b, LO, HI)
-        penalty, final_weight = 0.0, 0.0
-    else:
-        U, penalty, final_weight = _solve_with_state_rows(problem, H, b, S, fvec, LO, HI)
-    U = np.clip(U, LO, HI)
-    grad = 2.0 * H @ U + b
-    if problem.state_H is not None:
-        grad = grad + _penalty_grad(problem, S, fvec, U, final_weight)
-    proj = grad.copy()
+    return H, b, const, S, fvec, LO, HI
+
+
+def reference_solve_horizon(problem, model, history):
+    n, m, P = model.n, model.m, problem.P
+    H, b, const, S, fvec, LO, HI = _per_solve(problem, model, history)
+    rows, rows_h = _state_rows(problem, n)
+    rows_S = rows @ S
+    k = 0 if problem.hard_state else rows.shape[0]
+    # z = [U; one slack per soft row]; rows: pinned inputs (equalities), the other finite
+    # upper bounds, the other finite lower bounds, state rows
+    eye, pin = np.eye(P * m), LO == HI
+    upper, lower = np.isfinite(HI) & ~pin, np.isfinite(LO) & ~pin
+    G = np.vstack([eye[pin], eye[upper], -eye[lower], rows_S])
+    G = np.hstack([G, np.vstack([np.zeros((G.shape[0] - k, k)), -np.eye(k)])])
+    g = np.concatenate([LO[pin], HI[upper], -LO[lower], rows_h - rows @ fvec])
+    Hz = scipy.linalg.block_diag(H, problem.soft_penalty * np.eye(k))
+    J = np.linalg.inv(np.linalg.cholesky(2.0 * Hz)).T
+    z, lam = _solve_qp(J, np.concatenate([b, np.zeros(k)]), G, g, int(pin.sum()))
+    U = np.clip(z[: P * m], LO, HI)
+    proj = 2.0 * H @ U + b + rows_S.T @ lam[lam.size - rows.shape[0] :]
     finite = np.abs(np.concatenate([LO[np.isfinite(LO)], HI[np.isfinite(HI)]]))
     atol = 1e-9 * (1.0 + (finite.max() if finite.size else 0.0))
     on_lo = U <= LO + atol
     on_hi = U >= HI - atol
     proj[on_lo & (proj > 0)] = 0.0
     proj[on_hi & (proj < 0)] = 0.0
+    slack = z[P * m :]
     return mpc.MpcSolution(
         u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
         cost=float(U @ H @ U + b @ U + const), kkt_residual=float(np.linalg.norm(proj)),
         active_lower=on_lo.reshape(P, m), active_upper=on_hi.reshape(P, m),
-        penalty_cost=penalty,
+        penalty_cost=float(problem.soft_penalty * (slack @ slack)),
     )
+
+
+# ----------------------------------------------------------------------------
+# Oracle: the solvers the active-set QP replaced
+
+
+def _bvls_box_qp(H, b, lo, hi):
+    """min U^T H U + b^T U s.t. lo <= U <= hi as bounded least squares on H = L L^T."""
+    pinned = lo == hi
+    if np.any(pinned):
+        U = np.where(pinned, lo, 0.0)
+        free = ~pinned
+        if np.any(free):
+            Hff = H[np.ix_(free, free)]
+            bf = b[free] + 2.0 * H[np.ix_(free, pinned)] @ lo[pinned]
+            U[free] = _bvls_box_qp(Hff, bf, lo[free], hi[free])
+        return U
+    if not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi))):
+        return np.linalg.solve(2.0 * H, -b)
+    L = np.linalg.cholesky(2.0 * H)
+    # 0.5 * ||L^T U + L^{-1} b||^2 = U^T H U + b^T U + const
+    rhs = scipy.linalg.solve_triangular(L, b, lower=True)
+    res = scipy.optimize.lsq_linear(L.T, -rhs, bounds=(lo, hi), method="bvls", tol=1e-14)
+    return res.x
+
+
+def _penalty_solve(problem, H, b, rows_S, rhs, lo, hi):
+    """L-BFGS-B on the one-sided quadratic penalty; hard mode escalates the weight."""
+
+    def violation(U):
+        return np.maximum(rows_S @ U - rhs, 0.0)
+
+    def solve_at(weight):
+        def fun(U):
+            viol = violation(U)
+            return U @ H @ U + b @ U + weight * float(viol @ viol)
+
+        def grad(U):
+            return 2.0 * H @ U + b + 2.0 * weight * (rows_S.T @ violation(U))
+
+        res = scipy.optimize.minimize(
+            fun, np.clip(np.zeros_like(b), lo, hi), jac=grad, method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        return res.x
+
+    weight = problem.soft_penalty
+    U = solve_at(weight)
+    for escalations in range(7 if problem.hard_state else 0):
+        worst = float(np.max(rows_S @ U - rhs, initial=0.0))
+        if worst <= 1e-8:
+            break
+        if escalations == 6:
+            raise InfeasibleStateConstraints(f"still violated by {worst:.3e}")
+        weight *= 10.0
+        U = solve_at(weight)
+    return U, float(weight * np.sum(violation(U) ** 2))
+
+
+def oracle_solve_horizon(problem, model, history):
+    """Cost and penalty cost of the replaced solvers on the per-solve condensation."""
+    H, b, const, S, fvec, LO, HI = _per_solve(problem, model, history)
+    if problem.state_H is None:
+        U, penalty = _bvls_box_qp(H, b, LO, HI), 0.0
+    else:
+        rows, rows_h = _state_rows(problem, model.n)
+        U, penalty = _penalty_solve(problem, H, b, rows @ S, rows_h - rows @ fvec, LO, HI)
+    U = np.clip(U, LO, HI)
+    return float(U @ H @ U + b @ U + const), penalty
 
 
 def reference_run_closed_loop(plant, problem, K, noise, x0, noise_sigma):
@@ -245,6 +293,30 @@ def test_hard_rows_raise_like_per_solve_condensation():
         reference_solve_horizon(impossible, plant, history)
     with pytest.raises(InfeasibleStateConstraints):
         mpc.solve_horizon(impossible, plant, history, mpc.condense(impossible, plant))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", CASES)
+def test_active_set_qp_matches_the_replaced_solvers(name, seed):
+    plant, problem, history = _case(name, seed)
+    sol = mpc.solve_horizon(problem, plant, history)
+    cost_ref, penalty_ref = oracle_solve_horizon(problem, plant, history)
+    if problem.state_H is None:
+        assert abs(sol.cost - cost_ref) <= 1e-12 * (1.0 + abs(cost_ref))
+    elif not problem.hard_state:
+        ref = cost_ref + penalty_ref
+        assert sol.cost + sol.penalty_cost <= ref + 1e-12 * (1.0 + abs(ref))
+    else:
+        hx = np.atleast_1d(np.asarray(problem.state_h, dtype=float))
+        margins = sol.predicted @ np.atleast_2d(problem.state_H).T - hx
+        assert margins.max() <= 1e-12 * (1.0 + np.abs(hx).max())
+        assert sol.penalty_cost == 0.0
+        # the penalty loop stops once the rows hold to 1e-8, slightly outside them
+        assert sol.cost <= cost_ref + 1e-7 * (1.0 + abs(cost_ref))
+    assert sol.kkt_residual <= 1e-10 * (1.0 + abs(sol.cost))
+    lo = np.broadcast_to(problem.u_lo, (plant.m,))
+    hi = np.broadcast_to(problem.u_hi, (plant.m,))
+    assert np.all((lo <= sol.u) & (sol.u <= hi))
 
 
 @pytest.mark.parametrize("name", ("pinned", "schedules", "soft", "hard", "horizons", "one-state"))
