@@ -143,9 +143,13 @@ def controllability_gramian(
     controllable at horizon K iff the rank equals n.  A rank-deficient G_K is
     an error, not silently replaced by the unconjugated sum.
     """
+    return _controllability(model, _norm_B(model, B), K, rank_rtol)[0]
+
+
+def _controllability(model: FosModel, B: np.ndarray, K: int, rank_rtol: float) -> tuple:
+    """The Gramian report at horizon K and the transition matrices G_0..G_K behind it."""
     if K < 1:
         raise DomainError("horizon K must be >= 1")
-    B = _norm_B(model, B)
     G = transition_matrices(model, K)
     S = np.zeros((model.n, model.n))
     for j in range(K):
@@ -161,7 +165,7 @@ def controllability_gramian(
     return GramianReport(
         kind="controllability", K=K, matrix=W, rank=rank,
         smallest_retained=smallest, singular_values=s,
-    )
+    ), G
 
 
 def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
@@ -171,10 +175,9 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     controllability at horizon K.
     """
     B = _norm_B(model, B)
-    rep = controllability_gramian(model, B, K)
+    rep, G = _controllability(model, B, K, RANK_RTOL)
     if not rep.full_rank:
         raise NotControllable(f"rank {rep.rank} < n = {model.n} at horizon K={K}")
-    G = transition_matrices(model, K)
     z = np.linalg.solve(G[K].T, np.linalg.solve(rep.matrix, np.atleast_1d(np.asarray(x0, dtype=float))))
     u = np.empty((K, B.shape[1]))
     for j in range(K):

@@ -1,15 +1,15 @@
 """Batch command-line front end.
 
 One subcommand per pipeline stage: ``simulate``, ``analyze``, ``identify``,
-``estimate``, ``mpc``.  All numeric options can also come from a JSON config
-file; flags always win over config values.  Outputs are written atomically
-and every invocation writes a manifest next to its primary output.  Exit
-codes: 0 success, 2 parse/validation failure, 3 numerical failure.
+``estimate``, ``mpc``.  Every option can also come from a JSON config file;
+flags always win over config values.  An absent key takes its default; a
+present one must be a number, or numbers of the right length, and ``null``
+exits 2.  Outputs are written atomically and every invocation writes a
+manifest next to its primary output.  Exit codes: 0 success, 2
+parse/validation failure, 3 numerical failure.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -31,12 +31,12 @@ from .estimate import EstimatorConfig, run_estimator
 from .fileio import (
     atomic_write,
     canonical_json,
-    fmt_float,
     read_model,
     read_trajectory,
     write_bode,
     write_manifest,
     write_model,
+    write_table,
     write_trajectory,
 )
 from .model import FosModel, MultiTermNetwork, augment_v
@@ -48,103 +48,109 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-def _parse_vector(text: str) -> np.ndarray:
+#: Parser entries that are not options of the run.
+_NOT_OPTIONS = frozenset({"func", "command", "config", "scenario"})
+
+
+def _options(args, path: str | None) -> dict:
+    """The JSON object at ``path``, overlaid with every flag that was given."""
+    config = {}
+    if path:
+        with open(path, "r") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise DomainError("config file must hold a JSON object")
+    config.update((key, value) for key, value in vars(args).items()
+                  if value is not None and key not in _NOT_OPTIONS)
+    return config
+
+
+def _path(config: dict, key: str) -> str:
+    """``config[key]`` as a file name; absent, null or non-string values exit 2."""
+    value = config.get(key)
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{key} must name a file, got {value!r}")
+    return value
+
+
+def _array(key: str, value, finite: bool = True) -> np.ndarray:
+    """``value`` as a float array; a comma-separated string reads as a vector.
+
+    Null, non-numbers, ragged nests and NaN exit 2 naming ``key``, and so does
+    +-inf unless ``finite`` is false.
+    """
+    if value is None:
+        raise DomainError(f"{key} must not be null")
+    items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
-    except ValueError as exc:
-        raise DomainError(f"cannot parse vector {text!r}: {exc}") from exc
+        arr = np.asarray(items, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{key} must be numbers, got {value!r}") from None
+    if np.isnan(arr).any() or (finite and np.isinf(arr).any()):
+        raise DomainError(f"{key} must be {'finite' if finite else 'numbers'}, got {value!r}")
+    return arr
 
 
-def _scalar(config: dict, key: str, default, kind=float):
-    """``config[key]`` (or the default) as one number; null, lists and objects exit 2."""
-    value = config.get(key, default)
-    if not isinstance(value, (int, float, str)):
-        raise DomainError(f"{key} must be a number, got {value!r}")
-    return kind(value)
+def _number(config: dict, key: str, default, kind=float, finite: bool = True):
+    """``config[key]`` as one ``kind`` number, or ``default`` when the key is absent."""
+    if key not in config:
+        return default
+    value = config[key]
+    if isinstance(value, list) or _array(key, value, finite).size != 1:
+        raise DomainError(f"{key} must be one number, got {value!r}")
+    try:
+        return kind(value)
+    except ValueError:
+        raise DomainError(f"{key} must be one {kind.__name__}, got {value!r}") from None
 
 
-def _pair(value, name: str, kind=float) -> tuple:
-    """A comma-separated string or a two-element list as two numbers."""
-    parts = value.split(",") if isinstance(value, str) else value
-    if not (isinstance(parts, list) and len(parts) == 2
-            and all(isinstance(v, (int, float, str)) for v in parts)):
-        raise DomainError(f"{name} must be two numbers, got {value!r}")
-    return kind(parts[0]), kind(parts[1])
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise DomainError("config file must hold a JSON object")
-    return data
-
-
-def _effective(config: dict, args_map: dict) -> dict:
-    """Flags win over config-file values; None flags defer to the file."""
-    merged = dict(config)
-    for key, val in args_map.items():
-        if val is not None:
-            merged[key] = val
-    return merged
+def _vector(config: dict, key: str, default, length: int, finite: bool = True):
+    """``config[key]`` as ``length`` numbers, or ``default`` when the key is absent."""
+    if key not in config:
+        return default
+    vec = np.atleast_1d(_array(key, config[key], finite))
+    if vec.shape != (length,):
+        raise DomainError(f"{key} must have length {length}, got {config[key]!r}")
+    return vec
 
 
 def cmd_simulate(args) -> int:
-    config = _effective(_load_config(args.config), {
-        "model": args.model, "x0": args.x0, "steps": args.steps, "seed": args.seed,
-        "sigma": args.sigma, "dt": args.dt, "input": args.input, "out": args.out,
-    })
-    model = read_model(config["model"])
-    K = int(config.get("steps", 0))
+    config = _options(args, args.config)
+    model = read_model(_path(config, "model"))
+    K = _number(config, "steps", 0, int)
     if K < 0:
         raise DomainError("steps must be non-negative")
-    x0_text = config.get("x0")
-    n = model.n
-    x0 = _parse_vector(x0_text) if isinstance(x0_text, str) else np.asarray(
-        x0_text if x0_text is not None else np.zeros(n), dtype=float)
+    x0 = _vector(config, "x0", np.zeros(model.n), model.n)
     u = None
-    if config.get("input"):
-        u_traj = read_trajectory(config["input"])
-        u = u_traj.inputs
+    if "input" in config:
+        u = read_trajectory(_path(config, "input")).inputs
         if u is None:
             raise DomainError("input trajectory file carries no input columns")
-    seed = config.get("seed")
-    sigma = float(config.get("sigma", 1.0))
-    for name, value in (("x0", x0), ("sigma", sigma)):
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"{name} must be finite")
-    dt = float(config.get("dt", 1.0))
+    seed = _number(config, "seed", None, int)
+    sigma = _number(config, "sigma", 1.0)
+    dt = _number(config, "dt", 1.0)
+    out = _path(config, "out")
     if isinstance(model, MultiTermNetwork):
-        w = gaussian_noise(int(seed), K, model.p, sigma) if seed is not None else None
+        w = gaussian_noise(seed, K, model.p, sigma) if seed is not None else None
         traj = simulate_network(model, x0, u=u, w=w, K=K, dt=dt)
     else:
-        traj = simulate_fos(model, x0, u=u, w=int(seed) if seed is not None else None,
-                            K=K, dt=dt, noise_sigma=sigma)
-    write_trajectory(config["out"], traj)
-    write_manifest(config["out"], "simulate", {"model": config["model"]},
-                   {"trajectory": config["out"]}, seed, config, __version__)
+        traj = simulate_fos(model, x0, u=u, w=seed, K=K, dt=dt, noise_sigma=sigma)
+    write_trajectory(out, traj)
+    write_manifest(out, "simulate", {"model": config["model"]}, {"trajectory": out},
+                   seed, config, __version__)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    config = _effective(_load_config(args.config), {
-        "model": args.model, "what": args.what, "horizon": args.horizon,
-        "alpha": args.alpha, "fopid": args.fopid, "num": args.num, "den": args.den,
-        "omega_start": args.omega_start, "omega_stop": args.omega_stop,
-        "omega_points": args.omega_points, "out": args.out,
-    })
-    what = config.get("what", "stability")
-    out = config["out"]
+    config = _options(args, args.config)
+    what, out = args.what, _path(config, "out")
     inputs = {}
     if what == "stability":
-        model = read_model(config["model"])
+        model = read_model(_path(config, "model"))
         inputs["model"] = config["model"]
-        alpha = config.get("alpha")
-        report = {}
+        alpha = _number(config, "alpha", None)
         if alpha is not None or model.is_commensurate():
-            a = float(alpha) if alpha is not None else float(model.alpha[0])
+            a = alpha if alpha is not None else float(model.alpha[0])
             rep = commensurate_stability(model.A, a)
             report = {
                 "test": "commensurate-sector",
@@ -154,7 +160,7 @@ def cmd_analyze(args) -> int:
                 "verdict": rep.verdict,
             }
         else:
-            p = int(config.get("horizon", 10))
+            p = _number(config, "horizon", 10, int)
             rho = augmented_spectral_radius(model, p)
             report = {
                 "test": "heuristic-lift-spectral-radius",
@@ -165,9 +171,9 @@ def cmd_analyze(args) -> int:
             }
         atomic_write(out, canonical_json(report) + "\n")
     elif what == "gramians":
-        model = read_model(config["model"])
+        model = read_model(_path(config, "model"))
         inputs["model"] = config["model"]
-        K = int(config.get("horizon", max(1, model.n)))
+        K = _number(config, "horizon", max(1, model.n), int)
         ctrb = controllability_gramian(model, None, K)
         obsv = observability_matrices(model, None, K)
         report = {
@@ -185,91 +191,73 @@ def cmd_analyze(args) -> int:
             },
         }
         atomic_write(out, canonical_json(report) + "\n")
-    elif what == "bode":
-        start = float(config.get("omega_start", 1e-2))
-        stop = float(config.get("omega_stop", 1e2))
-        points = int(config.get("omega_points", 200))
+    else:
+        start = _number(config, "omega_start", 1e-2)
+        stop = _number(config, "omega_stop", 1e2)
+        points = _number(config, "omega_points", 200, int)
         if start <= 0 or stop <= start:
             raise DomainError("need 0 < omega_start < omega_stop")
         if points < 1:
             raise DomainError(f"omega_points must be >= 1, got {points}")
         omegas = np.logspace(np.log10(start), np.log10(stop), points)
-        if config.get("fopid"):
-            vals = (_parse_vector(config["fopid"]) if isinstance(config["fopid"], str)
-                    else np.asarray(config["fopid"], dtype=float))
-            if vals.shape != (5,):
-                raise DomainError("fopid needs kp,ki,kd,lambda,mu")
-            resp = fopid_response(*vals, omegas)
-        elif config.get("num") is not None and config.get("den") is not None:
-            tf = FractionalTransferFunction.rational(
-                _parse_terms(config["num"]), _parse_terms(config["den"]))
+        if "fopid" in config:
+            resp = fopid_response(*_vector(config, "fopid", None, 5), omegas)
+        elif "num" in config and "den" in config:
+            tf = FractionalTransferFunction.rational(_terms(config, "num"), _terms(config, "den"))
             resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
         else:
             raise DomainError("bode needs either --fopid or --num/--den terms")
         write_bode(out, resp)
         print("note: fractional powers of j*omega evaluated on the principal branch")
-    else:
-        raise DomainError(f"unknown analyze target {what!r}")
     write_manifest(out, "analyze", inputs, {"report": out},
                    config.get("seed"), config, __version__)
     return EXIT_OK
 
 
-def _parse_terms(spec) -> list:
-    """Terms as 'coef:exp,coef:exp' or a list of [coef, exp] pairs."""
+def _terms(config: dict, key: str) -> list:
+    """Terms as 'coef:exp,coef:exp' (a bare coef has exponent 0) or [coef, exp] pairs."""
+    spec = config[key]
     if isinstance(spec, str):
-        terms = []
-        for part in spec.split(","):
-            coef, _, exp = part.partition(":")
-            terms.append((float(coef), float(exp) if exp else 0.0))
-        return terms
-    return [(float(c), float(e)) for c, e in spec]
+        spec = [[coef, exp or 0.0] for coef, _, exp in (p.partition(":") for p in spec.split(","))]
+    terms = _array(key, spec)
+    if terms.ndim != 2 or terms.shape[1] != 2:
+        raise DomainError(f"{key} must be [coef, exp] pairs, got {config[key]!r}")
+    return [tuple(term) for term in terms.tolist()]
 
 
 def cmd_identify(args) -> int:
-    config = _effective(_load_config(args.config), {
-        "trajectory": args.trajectory, "depth": args.depth, "epsilon": args.epsilon,
-        "window": args.window, "out_model": args.out_model, "out_diag": args.out_diag,
-    })
-    traj = read_trajectory(config["trajectory"])
-    p = _scalar(config, "depth", 50, int)
-    epsilon = _scalar(config, "epsilon", 1e-3)
-    window = None if config.get("window") is None else _pair(config["window"], "window", int)
-    result = identify(traj, p, epsilon, window)
+    config = _options(args, args.config)
+    traj = read_trajectory(_path(config, "trajectory"))
+    p = _number(config, "depth", 50, int)
+    epsilon = _number(config, "epsilon", 1e-3)
+    window = _vector(config, "window", None, 2)
+    out_model, out_diag = _path(config, "out_model"), _path(config, "out_diag")
+    result = identify(traj, p, epsilon, None if window is None else tuple(map(int, window)))
     n = result.alpha_hat.shape[0]
     model = FosModel(alpha=np.clip(result.alpha_hat, -1.0, 1.0), A=result.A_hat,
                      B=np.zeros((n, 0)), Bw=np.eye(n))
-    write_model(config["out_model"], model)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["channel", "alpha_hat", "iterations", "mse", "flag"])
-    for i in range(n):
-        writer.writerow([i + 1, fmt_float(result.alpha_hat[i]),
-                         int(result.iterations[i]), fmt_float(result.mse[i]),
-                         result.flag_string(i)])
-    atomic_write(config["out_diag"], out.getvalue())
-    write_manifest(config["out_model"], "identify", {"trajectory": config["trajectory"]},
-                   {"model": config["out_model"], "diagnostics": config["out_diag"]},
+    write_model(out_model, model)
+    write_table(out_diag, ["channel", "alpha_hat", "iterations", "mse", "flag"],
+                ([i + 1, result.alpha_hat[i], int(result.iterations[i]), result.mse[i],
+                  result.flag_string(i)] for i in range(n)))
+    write_manifest(out_model, "identify", {"trajectory": config["trajectory"]},
+                   {"model": out_model, "diagnostics": out_diag},
                    config.get("seed"), config, __version__)
     return EXIT_OK
 
 
-def _estimator_config_from(aug, raw: dict) -> EstimatorConfig:
-    def weight(value, size, name):
-        arr = np.asarray(value, dtype=float)
+def _estimator_config_from(aug, config: dict) -> EstimatorConfig:
+    def weight(key, size):
+        arr = _array(key, config.get(key, 1.0))
         if arr.ndim == 0:
             return float(arr) * np.eye(size)
         if arr.ndim == 1:
             if arr.shape[0] != size:
-                raise DomainError(f"{name} diagonal must have length {size}")
+                raise DomainError(f"{key} diagonal must have length {size}")
             return np.diag(arr)
         return arr
 
-    q = weight(raw.get("Q", 1.0), aug.Gtil.shape[1], "Q")
-    r = weight(raw.get("R", 1.0), aug.q, "R")
-    p0 = weight(raw.get("P0", 1.0), aug.dim, "P0")
-    xh = raw.get("xhat0", 0.0)
-    xh = np.asarray(xh, dtype=float)
+    xh = _array("xhat0", config.get("xhat0", 0.0))
     if xh.ndim == 0:
         xhat0 = np.full(aug.dim, float(xh))
     elif xh.shape == (aug.n,):
@@ -279,95 +267,74 @@ def _estimator_config_from(aug, raw: dict) -> EstimatorConfig:
         xhat0 = xh
     else:
         raise DomainError(f"xhat0 must be scalar, length {aug.n}, or length {aug.dim}")
-    return EstimatorConfig(Q=q, R=r, P0=p0, xhat0=xhat0)
+    return EstimatorConfig(Q=weight("Q", aug.Gtil.shape[1]), R=weight("R", aug.q),
+                           P0=weight("P0", aug.dim), xhat0=xhat0)
 
 
 def cmd_estimate(args) -> int:
-    config = _effective(_load_config(args.config), {
-        "model": args.model, "trajectory": args.trajectory, "v": args.v, "out": args.out,
-    })
-    net = read_model(config["model"])
+    config = _options(args, args.config)
+    net = read_model(_path(config, "model"))
     if not isinstance(net, MultiTermNetwork):
         raise DomainError("estimate expects a multi-term network model file")
-    traj = read_trajectory(config["trajectory"])
-    v = int(config.get("v", 2))
+    traj = read_trajectory(_path(config, "trajectory"))
+    v = _number(config, "v", 2, int)
+    out = _path(config, "out")
     aug = augment_v(net, v)
-    est_config = _estimator_config_from(aug, config)
-    run = run_estimator(net, v, est_config, traj)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    n = aug.n
-    writer.writerow(["t"] + [f"xhat{i + 1}" for i in range(n)] + ["err_norm"])
+    run = run_estimator(net, v, _estimator_config_from(aug, config), traj)
     N = run.base_estimates.shape[0] - 1
-    for k in range(N + 1):
-        row = [fmt_float(k * traj.dt)]
-        row += [fmt_float(vv) for vv in run.base_estimates[k]]
-        row.append(fmt_float(run.err_norms[k]) if run.err_norms is not None else "")
-        writer.writerow(row)
-    atomic_write(config["out"], out.getvalue())
+    err = run.err_norms if run.err_norms is not None else [""] * (N + 1)
+    write_table(out, ["t"] + [f"xhat{i + 1}" for i in range(aug.n)] + ["err_norm"],
+                ([k * traj.dt, *run.base_estimates[k], err[k]] for k in range(N + 1)))
     summary = {
         "v": v,
         "steps": N,
         "terminal_error": run.terminal_error,
         "sup_error": run.sup_error,
     }
-    summary_path = config["out"] + ".summary.json"
+    summary_path = out + ".summary.json"
     atomic_write(summary_path, canonical_json(summary) + "\n")
-    write_manifest(config["out"], "estimate",
+    write_manifest(out, "estimate",
                    {"model": config["model"], "trajectory": config["trajectory"]},
-                   {"estimates": config["out"], "summary": summary_path},
+                   {"estimates": out, "summary": summary_path},
                    config.get("seed"), config, __version__)
     return EXIT_OK
 
 
 def cmd_mpc(args) -> int:
-    config = _effective(_load_config(args.scenario), {
-        "K": args.steps, "seed": args.seed, "out": args.out,
-        "horizon": args.horizon, "control_horizon": args.control_horizon,
-        "bounds": args.bounds,
-    })
-    if "model" not in config:
-        raise DomainError("scenario must name a model file")
-    if "out" not in config or not config["out"]:
-        raise DomainError("no output path given (scenario 'out' or --out)")
-    plant = read_model(config["model"])
+    config = _options(args, args.scenario)
+    plant = read_model(_path(config, "model"))
+    out = _path(config, "out")
     if isinstance(plant, MultiTermNetwork):
         raise DomainError("mpc expects a single-term model file")
-    if config.get("bounds") is not None:
-        u_lo, u_hi = _pair(config["bounds"], "bounds")
-    else:
-        u_lo, u_hi = _scalar(config, "u_lo", -np.inf), _scalar(config, "u_hi", np.inf)
+    bounds = _vector(config, "bounds", None, 2, finite=False)
+    if bounds is None:
+        bounds = (_number(config, "u_lo", -np.inf, finite=False),
+                  _number(config, "u_hi", np.inf, finite=False))
+    P = _number(config, "horizon", 10, int)
     problem = MpcProblem(
-        p=_scalar(config, "p", 10, int),
-        P=_scalar(config, "horizon", 10, int),
-        M=_scalar(config, "control_horizon", config.get("horizon", 10), int),
-        Q=np.asarray(config.get("Q", 1.0), dtype=float),
-        R=np.asarray(config.get("R", 1.0), dtype=float),
-        c=np.asarray(config["c"], dtype=float) if config.get("c") is not None else None,
-        u_lo=u_lo, u_hi=u_hi,
+        p=_number(config, "p", 10, int),
+        P=P,
+        M=_number(config, "control_horizon", P, int),
+        Q=_array("Q", config.get("Q", 1.0)),
+        R=_array("R", config.get("R", 1.0)),
+        c=_array("c", config["c"]) if "c" in config else None,
+        u_lo=float(bounds[0]), u_hi=float(bounds[1]),
     )
-    K = _scalar(config, "K", 100, int)
-    seed = _scalar(config, "seed", 0, int)
-    sigma = _scalar(config, "sigma", 1.0)
-    x0 = config.get("x0")
-    x0 = np.asarray(x0, dtype=float) if x0 is not None else None
+    K = _number(config, "K", 100, int)
+    seed = _number(config, "seed", 0, int)
+    sigma = _number(config, "sigma", 1.0)
+    x0 = _vector(config, "x0", None, plant.n)
     result = run_closed_loop(plant, problem, K, seed, x0=x0, noise_sigma=sigma)
     baseline = uncontrolled_baseline(plant, K, seed, x0=x0, noise_sigma=sigma)
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     n, m = plant.n, plant.m
-    writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)]
-                    + [f"u{i + 1}" for i in range(m)] + ["cost_cycle"])
     cost_at = dict(zip(result.solve_steps, result.cycle_costs))
     traj = result.trajectory
-    for k in range(K + 1):
-        row = [fmt_float(k * traj.dt)]
-        row += [fmt_float(v) for v in traj.states[k]]
-        row += [fmt_float(v) for v in result.applied[k]] if k < K else [""] * m
-        row.append(fmt_float(cost_at[k]) if k in cost_at else "")
-        writer.writerow(row)
-    atomic_write(config["out"], out.getvalue())
+    blank = [""] * m
+    write_table(out, ["t"] + [f"x{i + 1}" for i in range(n)]
+                + [f"u{i + 1}" for i in range(m)] + ["cost_cycle"],
+                ([k * traj.dt, *traj.states[k], *(result.applied[k] if k < K else blank),
+                  cost_at.get(k, "")] for k in range(K + 1)))
     energy_controlled = float(np.sum(traj.states**2))
     energy_baseline = float(np.sum(baseline.states**2))
     summary = {
@@ -377,10 +344,10 @@ def cmd_mpc(args) -> int:
         "energy_baseline": energy_baseline,
         "suppression_ratio": energy_controlled / energy_baseline if energy_baseline else None,
     }
-    summary_path = config["out"] + ".summary.json"
+    summary_path = out + ".summary.json"
     atomic_write(summary_path, canonical_json(summary) + "\n")
-    write_manifest(config["out"], "mpc", {"model": config["model"]},
-                   {"run": config["out"], "summary": summary_path},
+    write_manifest(out, "mpc", {"model": config["model"]},
+                   {"run": out, "summary": summary_path},
                    seed, config, __version__)
     return EXIT_OK
 
@@ -440,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mpc = sub.add_parser("mpc", help="closed-loop receding-horizon run from a scenario")
     mpc.add_argument("scenario", help="scenario JSON")
-    mpc.add_argument("--steps", type=int)
+    mpc.add_argument("--steps", dest="K", type=int)
     mpc.add_argument("--seed", type=int)
     mpc.add_argument("--horizon", type=int)
     mpc.add_argument("--control-horizon", dest="control_horizon", type=int)

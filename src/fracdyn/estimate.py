@@ -40,10 +40,14 @@ def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _weight_at(W, k: int) -> np.ndarray:
+def _weight_at(W, k: int, name: str) -> np.ndarray:
     """Constant matrices broadcast across time; 3-D arrays are schedules."""
     W = np.asarray(W, dtype=float)
-    return W[k] if W.ndim == 3 else W
+    if W.ndim < 3:
+        return W
+    if k >= W.shape[0]:
+        raise DimensionError(f"{name} must cover step {k}; its schedule has {W.shape[0]} steps")
+    return W[k]
 
 
 @dataclass(frozen=True)
@@ -115,10 +119,10 @@ def me_filter_init(aug: AugmentedModel, config: EstimatorConfig) -> EstimatorSta
     d = aug.dim
     if config.P0.shape != (d, d):
         raise DimensionError(f"P0 must be {d}x{d} for this lift, got {config.P0.shape}")
-    Q0 = _weight_at(config.Q, 0)
+    Q0 = _weight_at(config.Q, 0, "Q")
     if Q0.shape != (aug.Gtil.shape[1],) * 2:
         raise DimensionError(f"Q must be {aug.Gtil.shape[1]}x{aug.Gtil.shape[1]}")
-    R0 = _weight_at(config.R, 0)
+    R0 = _weight_at(config.R, 0, "R")
     if R0.shape != (aug.q, aug.q):
         raise DimensionError(f"R must be {aug.q}x{aug.q}")
     return EstimatorState(
@@ -149,8 +153,8 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape != aug.Ctil.shape:
         raise DimensionError(f"output map must have shape {aug.Ctil.shape}")
-    Qk = _weight_at(cfg.Q, k)
-    Rk1 = _weight_at(cfg.R, k + 1)
+    Qk = _weight_at(cfg.Q, k, "Q")
+    Rk1 = _weight_at(cfg.R, k + 1, "R")
     xpred = A @ state.xhat + aug.Btil @ u
     M = A @ state.P @ A.T + G @ Qk @ G.T
     S = C @ M @ C.T + Rk1
@@ -211,13 +215,13 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     rows.append(scipy.linalg.solve_triangular(Lp, blk, lower=True))
     rhs.append(scipy.linalg.solve_triangular(Lp, config.xhat0, lower=True))
     for k in range(N):
-        Lq = np.linalg.cholesky(_weight_at(config.Q, k))
+        Lq = np.linalg.cholesky(_weight_at(config.Q, k, "Q"))
         blk = np.zeros((n_r, nvar))
         blk[:, d + k * n_r : d + (k + 1) * n_r] = np.eye(n_r)
         rows.append(scipy.linalg.solve_triangular(Lq, blk, lower=True))
         rhs.append(np.zeros(n_r))
     for j in range(1, N + 1):
-        Lr = np.linalg.cholesky(_weight_at(config.R, j))
+        Lr = np.linalg.cholesky(_weight_at(config.R, j, "R"))
         rows.append(scipy.linalg.solve_triangular(Lr, C @ Phi[j], lower=True))
         rhs.append(scipy.linalg.solve_triangular(Lr, y[j - 1] - C @ off[j], lower=True))
 

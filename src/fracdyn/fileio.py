@@ -28,6 +28,7 @@ __all__ = [
     "atomic_write",
     "write_model",
     "read_model",
+    "write_table",
     "write_trajectory",
     "read_trajectory",
     "write_bode",
@@ -161,26 +162,31 @@ def read_model(path: str):
         return model_from_dict(json.load(fh))
 
 
-def write_trajectory(path: str, traj: Trajectory) -> None:
-    """CSV with header t,x1..xn[,u1..um][,y1..yq]; the last input row is blank."""
-    n = traj.n
-    header = ["t"] + [f"x{i + 1}" for i in range(n)]
-    m = traj.inputs.shape[1] if traj.inputs is not None else 0
-    q = traj.outputs.shape[1] if traj.outputs is not None else 0
-    header += [f"u{i + 1}" for i in range(m)]
-    header += [f"y{i + 1}" for i in range(q)]
+def write_table(path: str, header: list, rows) -> None:
+    """CSV of a header and rows; str and int cells as they are, others via ``fmt_float``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for k in range(traj.K + 1):
-        row = [fmt_float(k * traj.dt)]
-        row += [fmt_float(v) for v in traj.states[k]]
-        if m:
-            row += [fmt_float(v) for v in traj.inputs[k]] if k < traj.K else [""] * m
-        if q:
-            row += [fmt_float(v) for v in traj.outputs[k]]
-        writer.writerow(row)
+    writer.writerows([cell if isinstance(cell, (str, int)) else fmt_float(cell) for cell in row]
+                     for row in rows)
     atomic_write(path, out.getvalue())
+
+
+def write_trajectory(path: str, traj: Trajectory) -> None:
+    """CSV with header t,x1..xn[,u1..um][,y1..yq]; the last input row is blank."""
+    n = traj.n
+    m = traj.inputs.shape[1] if traj.inputs is not None else 0
+    q = traj.outputs.shape[1] if traj.outputs is not None else 0
+    header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
+              + [f"y{i + 1}" for i in range(q)])
+    blocks = [np.arange(traj.K + 1)[:, None] * traj.dt, traj.states]
+    if m:
+        blocks.append(np.vstack([traj.inputs, np.zeros((1, m))]))
+    if q:
+        blocks.append(traj.outputs)
+    rows = np.hstack(blocks).tolist()
+    rows[-1][1 + n: 1 + n + m] = [""] * m
+    write_table(path, header, rows)
 
 
 def read_trajectory(path: str) -> Trajectory:
@@ -225,16 +231,9 @@ def read_trajectory(path: str) -> Trajectory:
 
 def write_bode(path: str, freq_response) -> None:
     """CSV columns omega,re,im,mag_db,phase_deg."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["omega", "re", "im", "mag_db", "phase_deg"])
-    for w, h, mag, ph in zip(
-        freq_response.omega, freq_response.response,
-        freq_response.mag_db, freq_response.phase_deg,
-    ):
-        writer.writerow([fmt_float(w), fmt_float(h.real), fmt_float(h.imag),
-                         fmt_float(mag), fmt_float(ph)])
-    atomic_write(path, out.getvalue())
+    r = freq_response
+    write_table(path, ["omega", "re", "im", "mag_db", "phase_deg"], np.column_stack(
+        [r.omega, r.response.real, r.response.imag, r.mag_db, r.phase_deg]).tolist())
 
 
 #: Config keys that only name result files; excluded from the digest so the

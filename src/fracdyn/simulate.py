@@ -2,12 +2,10 @@
 
 Single-term systems are stepped with the full-memory recursion
 x[k+1] = (A + diag(alpha)) x[k] - sum_{j>=1} c_{j+1} * x[k-j] + B u + Bw w,
-which costs O(K^2 n) over K steps; an optional ``memory_cap`` trades the
-power-law tail for speed.  Everything is deterministic given (model, x0,
-inputs, noise-or-seed).
+which costs O(K^2 n) over K steps.  Everything is deterministic given
+(model, x0, inputs, noise-or-seed).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,20 +104,11 @@ class FosSimulator:
     (n, r) matrix whose columns step as r free responses side by side.
     """
 
-    def __init__(self, model: FosModel, x0, max_steps: int, memory_cap: int | None = None):
+    def __init__(self, model: FosModel, x0, max_steps: int):
         self.model = model
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.ndim > 2 or x0.shape[0] != model.n:
             raise DimensionError(f"x0 must have length {model.n}")
-        if memory_cap is not None and memory_cap < 1:
-            raise DimensionError("memory_cap must be >= 1 when given")
-        if memory_cap is not None:
-            warnings.warn(
-                f"simulation history truncated to the last {memory_cap} steps; "
-                "the power-law tail is dropped",
-                stacklevel=2,
-            )
-        self.memory_cap = memory_cap
         self._table = build_weight_table(model.alpha, max_steps + 1)
         self._A0 = model.A + np.diag(model.alpha)
         self._states = np.zeros((max_steps + 1,) + x0.shape)
@@ -139,8 +128,7 @@ class FosSimulator:
             raise DimensionError("inputs and noise drive a state vector, not free responses")
         # overflow is detected by the finiteness check below, not by numpy noise
         with np.errstate(over="ignore", invalid="ignore"):
-            start = 0 if self.memory_cap is None else max(0, k - self.memory_cap)
-            nxt = self._A0 @ x[k] - memory_tail(self._table, x[start:k])
+            nxt = self._A0 @ x[k] - memory_tail(self._table, x[:k])
             if u is not None:
                 nxt = nxt + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
             if w is not None:
@@ -161,7 +149,6 @@ def simulate_fos(
     *,
     dt: float = 1.0,
     noise_sigma: float = 1.0,
-    memory_cap: int | None = None,
 ) -> Trajectory:
     """Simulate a single-term model for K steps.
 
@@ -174,7 +161,7 @@ def simulate_fos(
         raise DimensionError("step count K must be non-negative")
     uu = _resolve_inputs(u, K, model.m)
     ww = _resolve_noise(w, K, model.p, noise_sigma)
-    sim = FosSimulator(model, x0, K, memory_cap=memory_cap)
+    sim = FosSimulator(model, x0, K)
     for k in range(K):
         sim.step(uu[k], ww[k])
     return Trajectory(states=sim.states.copy(), inputs=uu, noises=ww, dt=dt)

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -411,6 +413,23 @@ def short_trajectory_file(tmp_path, scalar_model_file):
     return path
 
 
+def _write_network_files(directory, K: int) -> tuple:
+    """A two-node network file and a K-step trajectory of it with inputs and outputs."""
+    net = MultiTermNetwork(
+        state_terms=((0.6, np.eye(2)), (0.3, [[0.0, 0.1], [0.1, 0.0]])),
+        input_terms=((0.5, [[1.0], [1.0]]),),
+        disturbance_terms=((0.7, np.eye(2)),),
+        C=np.eye(2),
+    )
+    net_path, traj_path = str(directory / "net.json"), str(directory / "meas.csv")
+    write_model(net_path, net)
+    rng = np.random.default_rng(3)
+    u = 0.2 * rng.normal(size=(K, 1))
+    truth = simulate_network(net, [1.0, -0.5], u=u, w=0.01 * rng.normal(size=(K, 2)), K=K)
+    write_trajectory(traj_path, Trajectory(states=truth.states, inputs=u, outputs=truth.outputs))
+    return net_path, traj_path
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("mpc", "bounds", [0.1]),
     ("mpc", "seed", None),
@@ -419,27 +438,52 @@ def short_trajectory_file(tmp_path, scalar_model_file):
     ("identify", "window", [5]),
     ("identify", "depth", None),
     ("identify", "epsilon", None),
+    ("simulate", "steps", None),
+    ("simulate", "dt", None),
+    ("simulate", "seed", None),
+    ("simulate", "sigma", [1]),
+    ("analyze gramians", "horizon", None),
+    ("analyze stability", "alpha", [0.5]),
+    ("analyze bode", "omega_points", None),
+    ("estimate", "v", None),
+    ("estimate", "Q", None),
+    ("estimate", "xhat0", None),
+    # a 3-step schedule for a 30-step run
+    ("estimate", "Q", [np.eye(2).tolist()] * 3),
+    ("simulate", "model", None),
 ])
 def test_null_or_short_config_value_exits_2(tmp_path, capsys, scalar_model_file,
                                             short_trajectory_file, command, key, value):
+    path, out = tmp_path / "config.json", tmp_path / "out.csv"
     if command == "mpc":
         config = {"model": scalar_model_file, "p": 3, "horizon": 4, "control_horizon": 2,
-                  "K": 4, "seed": 1, "sigma": 0.1, "x0": [1.0], "out": str(tmp_path / "r.csv")}
-    else:
+                  "K": 4, "seed": 1, "sigma": 0.1, "x0": [1.0], "out": str(out)}
+        argv = ["mpc", str(path)]
+    elif command == "identify":
         config = {"trajectory": short_trajectory_file, "depth": 10, "epsilon": 1e-2,
                   "window": [0, 20]}
-    config[key] = value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    if command == "mpc":
-        code = run_cli("mpc", str(path))
+        out = tmp_path / "m.json"
+        argv = ["identify", "--trajectory", short_trajectory_file, "--config", str(path),
+                "--out-model", str(out), "--out-diag", str(tmp_path / "d.csv")]
+    elif command == "simulate":
+        config = {"model": scalar_model_file, "steps": 5, "seed": 1, "sigma": 0.1, "dt": 0.5,
+                  "x0": [1.0]}
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+    elif command == "estimate":
+        config = {"v": 2, "Q": 1.0, "R": 0.05, "P0": 1.0, "xhat0": [1.0, -0.5]}
+        net_path, traj_path = _write_network_files(tmp_path, 30)
+        argv = ["estimate", "--model", net_path, "--trajectory", traj_path,
+                "--config", str(path), "--out", str(out)]
     else:
-        code = run_cli("identify", "--trajectory", short_trajectory_file, "--config", str(path),
-                       "--out-model", str(tmp_path / "m.json"),
-                       "--out-diag", str(tmp_path / "d.csv"))
-    assert code == 2
+        config = {"model": scalar_model_file, "horizon": 4, "alpha": 0.5,
+                  "fopid": [1.0, 1.0, 0.0, 0.5, 1.0], "omega_points": 3}
+        argv = command.split() + ["--config", str(path), "--out", str(out)]
+    config[key] = value
+    path.write_text(json.dumps(config))
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err
+    assert f"{key} must" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 _JUNK = st.one_of(
@@ -469,6 +513,81 @@ def test_mpc_scenario_fuzz_keeps_the_exit_contract(tmp_path, capsys, overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert run_cli("mpc", str(path)) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_SIM_FUZZED = {key: _JUNK for key in ("x0", "seed", "sigma", "dt")}
+_SIM_FUZZED["steps"] = _FUZZED["K"]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.fixed_dictionaries({}, optional=_SIM_FUZZED))
+def test_simulate_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, scalar_model_file,
+                                                      overrides):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict({"model": scalar_model_file, "steps": 3}, **overrides)))
+    code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_TERMS = st.one_of(_JUNK, st.sampled_from(["1:0", "1:0.5,2:1", "1:x", ":", "0"]))
+_ANA_FUZZED = {key: _JUNK for key in ("alpha", "horizon", "fopid", "omega_start",
+                                      "omega_stop", "omega_points")}
+_ANA_FUZZED.update(num=_TERMS, den=_TERMS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(what=st.sampled_from(["stability", "gramians", "bode"]),
+       overrides=st.fixed_dictionaries({}, optional=_ANA_FUZZED))
+def test_analyze_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, what, overrides):
+    model = tmp_path / "m.json"
+    write_model(str(model), FosModel(alpha=[0.5, 0.8], A=[[-0.2, 0.1], [0.0, -0.3]],
+                                     B=[[1.0], [0.5]]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict({"model": str(model)}, **overrides)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_cli("analyze", what, "--config", str(path), "--out", str(tmp_path / "r"))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_EST_FUZZED = {key: _JUNK for key in ("v", "Q", "R", "P0", "xhat0")}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.fixed_dictionaries({}, optional=_EST_FUZZED))
+def test_estimate_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, overrides):
+    net_path, traj_path = _write_network_files(tmp_path, 8)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(overrides))
+    assert run_cli("estimate", "--model", net_path, "--trajectory", traj_path,
+                   "--config", str(path), "--out", str(tmp_path / "e.csv")) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_CELL = st.one_of(st.sampled_from(["", " ", "x", "nan", "inf", "1e400", "-0"]),
+                  st.floats(-2.0, 2.0).map(repr), st.integers(-3, 3).map(str))
+_HEADER = st.lists(st.sampled_from(["t", "x1", "x2", "u1", "y1", "y2", "z", ""]),
+                   min_size=0, max_size=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=_HEADER, rows=st.lists(st.lists(_CELL, max_size=7), max_size=6))
+def test_trajectory_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, header, rows):
+    net_path, _ = _write_network_files(tmp_path, 1)
+    traj_path = tmp_path / "fuzz.csv"
+    traj_path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_cli("estimate", "--model", net_path, "--trajectory", str(traj_path),
+                       "--v", "2", "--out", str(tmp_path / "e.csv"))
+    assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -540,3 +659,76 @@ def test_model_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, network, fo
     assert run_cli("simulate", "--model", str(path), "--steps", "5", "--seed", "1",
                    "--sigma", "0.1", "--out", str(tmp_path / "t.csv")) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _pinned_inputs() -> None:
+    """Model, network and trajectory files, by relative name, in the working directory."""
+    write_model("model.json", FosModel(alpha=[0.5, 0.8], A=[[-0.2, 0.1], [0.0, -0.3]],
+                                       B=[[1.0], [0.5]], Bw=np.eye(2)))
+    _write_network_files(pathlib.Path(), 40)
+
+
+#: subcommand -> (config file, flags, primary outputs).  The flags override some
+#: of the file's keys, so each run goes through the config-plus-flags merge.  The
+#: manifest sits beside the first output.
+_PINNED_RUNS = {
+    "simulate": ({"model": "model.json", "steps": 5, "seed": 3, "sigma": 0.2,
+                  "x0": [1.0, -1.0], "dt": 0.5},
+                 ("simulate", "--steps", "12", "--sigma", "0.1", "--out", "sim.csv"),
+                 ("sim.csv",)),
+    "analyze": ({"fopid": [1.0, 1.0, 0.0, 0.5, 1.0], "omega_start": 0.1, "omega_stop": 10.0,
+                 "omega_points": 50},
+                ("analyze", "bode", "--omega-points", "7", "--out", "bode.csv"), ("bode.csv",)),
+    "identify": ({"depth": 10, "epsilon": 1e-2, "window": [0, 35]},
+                 ("identify", "--trajectory", "meas.csv", "--depth", "5",
+                  "--out-model", "id.json", "--out-diag", "diag.csv"), ("id.json", "diag.csv")),
+    "estimate": ({"v": 2, "Q": 1.0, "R": 0.05, "P0": 1.0, "xhat0": [1.0, -0.5]},
+                 ("estimate", "--model", "net.json", "--trajectory", "meas.csv", "--v", "3",
+                  "--out", "est.csv"), ("est.csv", "est.csv.summary.json")),
+    "mpc": ({"model": "model.json", "p": 3, "horizon": 4, "control_horizon": 2, "Q": 1.0,
+             "R": 0.1, "u_lo": -0.5, "u_hi": 0.5, "K": 10, "seed": 2, "sigma": 0.1,
+             "x0": [1.0, 0.0], "out": "cfg.csv"},
+            ("mpc", "--steps", "12", "--bounds=-0.3,0.3", "--out", "mpc.csv"),
+            ("mpc.csv", "mpc.csv.summary.json")),
+}
+
+
+def _pinned_run(command: str) -> tuple:
+    """(manifest config_digest, sha256 of the primary outputs) of one pinned run."""
+    config, argv, outs = _PINNED_RUNS[command]
+    _pinned_inputs()
+    with open("config.json", "w") as fh:
+        json.dump(config, fh)
+    if command == "mpc":
+        argv = argv[:1] + ("config.json",) + argv[1:]
+    else:
+        argv = argv + ("--config", "config.json")
+    assert run_cli(*argv) == 0
+    with open(outs[0] + ".manifest.json") as fh:
+        digest = json.load(fh)["config_digest"]
+    sha = hashlib.sha256()
+    for out in outs:
+        with open(out, "rb") as fh:
+            sha.update(fh.read())
+    return digest, sha.hexdigest()
+
+
+#: Taken from the code before the options merge was derived from the parser.
+_PINNED = {
+    "analyze": ("631c6b13ceca67fa2770a53bb3d193937483d3213897ad898420d06df1ddd5ad",
+                "1788bd9d154fcf11fea8231262c8053feaa76c88388632c106ce1335d854e0a3"),
+    "estimate": ("3d1c28e0f219406832aebbe2c94a2538e467ae724b7854b5e5dc48e544464d66",
+                 "9b20bedd766bbad93620bff328443fd0d283b1a4c5e4763d18a0233a5f2d0953"),
+    "identify": ("03cfc1f3ee326c49407dd4296e4906e000de0c16822c075889a572675d769224",
+                 "b71c7022b8a94c9ee03c7b836362cc560ee74160e885fc3ae8c362071bdfaf6a"),
+    "mpc": ("93a480ada58b8aadd51ea37fa45227258f80e5890481c1e6fbe0742aa0f2c42b",
+            "612783ddde16743910fef5de28d1be71d52e505823b39796a73d56c2d451cffb"),
+    "simulate": ("4782e1c04d281c127d5918a446854865f8899f774c682a2a6d01b63f0e646891",
+                 "cf8f8a7d838af46d2c468e682c637c7590a927ea8a938bd91086f36f118932c5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_RUNS))
+def test_config_digest_and_output_bytes_are_pinned(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert _pinned_run(command) == _PINNED[command]

@@ -50,17 +50,16 @@ def loop_scalar_weight(alpha, j):
     return c
 
 
-def loop_simulate_fos(model, x0, u, w, K, memory_cap=None):
+def loop_simulate_fos(model, x0, u, w, K):
     weights = loop_weight_table(model.alpha, K + 1)
     A0 = model.A + np.diag(model.alpha)
     x = np.zeros((K + 1, model.n))
     x[0] = x0
     for k in range(K):
         nxt = A0 @ x[k]
-        start = 0 if memory_cap is None else max(0, k - memory_cap)
-        if k > start:
-            w_cols = weights[:, 2 : k - start + 2][:, ::-1]
-            nxt = nxt - np.einsum("nt,tn->n", w_cols, x[start:k])
+        if k > 0:
+            w_cols = weights[:, 2 : k + 2][:, ::-1]
+            nxt = nxt - np.einsum("nt,tn->n", w_cols, x[:k])
         nxt = nxt + model.B @ u[k]
         nxt = nxt + model.Bw @ w[k]
         x[k + 1] = nxt
@@ -175,8 +174,7 @@ def test_scalar_weight_matches_the_lag_loop_bitwise(alpha):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("memory_cap", [None, 1, 17])
-def test_simulate_fos_matches_the_step_loop_bitwise(seed, memory_cap):
+def test_simulate_fos_matches_the_step_loop_bitwise(seed):
     rng = np.random.default_rng(100 + seed)
     orders = rng.choice(ORDERS, size=int(rng.integers(1, 5)))
     model, rng = random_fos(seed, orders)
@@ -184,13 +182,9 @@ def test_simulate_fos_matches_the_step_loop_bitwise(seed, memory_cap):
     x0 = rng.normal(size=model.n)
     u = rng.normal(size=(K, model.m))
     w = rng.normal(size=(K, model.p))
-    if memory_cap is None:
-        traj = simulate_fos(model, x0, u=u, w=w, K=K)
-    else:
-        with pytest.warns(UserWarning):
-            traj = simulate_fos(model, x0, u=u, w=w, K=K, memory_cap=memory_cap)
+    traj = simulate_fos(model, x0, u=u, w=w, K=K)
     assert np.all(np.isfinite(traj.states))
-    assert np.array_equal(traj.states, loop_simulate_fos(model, x0, u, w, K, memory_cap))
+    assert np.array_equal(traj.states, loop_simulate_fos(model, x0, u, w, K))
 
 
 @pytest.mark.parametrize("seed", range(6))

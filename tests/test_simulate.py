@@ -183,14 +183,6 @@ def test_dimension_errors():
         simulate_fos(m, [1.0], K=-1)
 
 
-def test_memory_cap_warns_and_truncates():
-    m = scalar_fixture()
-    with pytest.warns(UserWarning, match="truncated"):
-        capped = simulate_fos(m, [1.0], K=10, memory_cap=1)
-    full = simulate_fos(m, [1.0], K=10)
-    assert np.abs(capped.states - full.states).max() > 0.0
-
-
 def test_simulator_seed_dispatch_is_deterministic():
     m = FosModel(alpha=[0.5], A=[[0.2]], Bw=[[1.0]])
     t1 = simulate_fos(m, [1.0], w=42, K=20, noise_sigma=0.3)
