@@ -28,7 +28,6 @@ from .fraccore import (
     FracWeightTable,
     build_weight_table,
     frac_difference,
-    gl_weight_gamma,
     gl_weight_recursive,
     history_sum,
     memory_tail,

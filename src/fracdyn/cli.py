@@ -91,26 +91,44 @@ def _array(key: str, value, finite: bool = True) -> np.ndarray:
     return arr
 
 
+def _whole(key: str, arr: np.ndarray, value) -> None:
+    """Exit 2 naming ``key`` unless every entry of ``arr`` is a whole number."""
+    if not np.all(arr == np.trunc(arr)):
+        raise DomainError(f"{key} must be integral, got {value!r}")
+
+
 def _number(config: dict, key: str, default, kind=float, finite: bool = True):
-    """``config[key]`` as one ``kind`` number, or ``default`` when the key is absent."""
+    """``config[key]`` as one ``kind`` number, or ``default`` when the key is absent.
+
+    An int option rejects a value that ``int()`` would change: 4.0 reads as 4,
+    3.9 exits 2.
+    """
     if key not in config:
         return default
     value = config[key]
-    if isinstance(value, list) or _array(key, value, finite).size != 1:
+    arr = _array(key, value, finite)
+    if isinstance(value, list) or arr.size != 1:
         raise DomainError(f"{key} must be one number, got {value!r}")
+    if kind is int:
+        _whole(key, arr, value)
     try:
         return kind(value)
     except ValueError:
         raise DomainError(f"{key} must be one {kind.__name__}, got {value!r}") from None
 
 
-def _vector(config: dict, key: str, default, length: int, finite: bool = True):
-    """``config[key]`` as ``length`` numbers, or ``default`` when the key is absent."""
+def _vector(config: dict, key: str, default, length: int, finite: bool = True, kind=float):
+    """``config[key]`` as ``length`` numbers, or ``default`` when the key is absent.
+
+    With ``kind=int`` every entry must be a whole number.
+    """
     if key not in config:
         return default
     vec = np.atleast_1d(_array(key, config[key], finite))
     if vec.shape != (length,):
         raise DomainError(f"{key} must have length {length}, got {config[key]!r}")
+    if kind is int:
+        _whole(key, vec, config[key])
     return vec
 
 
@@ -230,7 +248,7 @@ def cmd_identify(args) -> int:
     traj = read_trajectory(_path(config, "trajectory"))
     p = _number(config, "depth", 50, int)
     epsilon = _number(config, "epsilon", 1e-3)
-    window = _vector(config, "window", None, 2)
+    window = _vector(config, "window", None, 2, kind=int)
     out_model, out_diag = _path(config, "out_model"), _path(config, "out_diag")
     result = identify(traj, p, epsilon, None if window is None else tuple(map(int, window)))
     n = result.alpha_hat.shape[0]

@@ -139,6 +139,12 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     matrix is solved through its SPD factorization, never inverted.  With a
     zero output map the step reduces to pure open-loop prediction.  ``C``
     overrides the lift's output row for this step (time-varying maps).
+
+    M is assembled from the lift's rows (:attr:`AugmentedModel.rows`): runs
+    of copy rows of A move blocks of P, only the dense rows are multiplied,
+    and Q enters the nonzero rows of G.  The update P = M - K (C M) reads
+    only the nonzero columns of C.  A step costs O(r d^2) for r dense and
+    output rows on a lift of dimension d, not the O(d^3) of dense products.
     """
     import scipy.linalg
     aug, cfg = state.aug, state.config
@@ -149,22 +155,36 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (aug.q,):
         raise DimensionError(f"measurement must have length {aug.q}")
-    A, G = aug.Atil, aug.Gtil
+    A, rows = aug.Atil, aug.rows
     C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape != aug.Ctil.shape:
         raise DimensionError(f"output map must have shape {aug.Ctil.shape}")
     Qk = _weight_at(cfg.Q, k, "Q")
     Rk1 = _weight_at(cfg.R, k + 1, "R")
     xpred = A @ state.xhat + aug.Btil @ u
-    M = A @ state.P @ A.T + G @ Qk @ G.T
-    S = C @ M @ C.T + Rk1
+    P = state.P
+    A_dense = A[rows.dense]
+    AP = A_dense @ P
+    M = np.zeros_like(P)
+    M[np.ix_(rows.dense, rows.dense)] = AP @ A_dense.T
+    for row, src, size in rows.copies:
+        M[rows.dense, row : row + size] = AP[:, src : src + size]
+        M[row : row + size, rows.dense] = AP[:, src : src + size].T
+        for row2, src2, size2 in rows.copies:
+            M[row : row + size, row2 : row2 + size2] = P[src : src + size, src2 : src2 + size2]
+    G = aug.Gtil[rows.noise]
+    M[np.ix_(rows.noise, rows.noise)] += G @ Qk @ G.T
+    cols = np.flatnonzero(C.any(axis=0))
+    C = C[:, cols]
+    CM = C @ M[cols]
+    S = CM[:, cols] @ C.T + Rk1
     try:
         factor = scipy.linalg.cho_factor(0.5 * (S + S.T))
-        K = scipy.linalg.cho_solve(factor, C @ M.T).T
+        K = scipy.linalg.cho_solve(factor, CM).T
     except np.linalg.LinAlgError as exc:  # cannot occur with SPD R
         raise InnovationSingular(str(exc)) from exc
-    xhat = xpred + K @ (y - C @ xpred)
-    P = (np.eye(aug.dim) - K @ C) @ M
+    xhat = xpred + K @ (y - C @ xpred[cols])
+    P = M - K @ CM
     P = 0.5 * (P + P.T)
     return EstimatorState(k=k + 1, xhat=xhat, P=P, gain=K, M=M, aug=aug, config=cfg)
 

@@ -1,33 +1,37 @@
 """Grunwald-Letnikov fractional-difference weights and the memory sums they weight.
 
 The weight of lag ``j`` at order ``alpha`` is ``c_j = (-1)^j * binom(alpha, j)``,
-equivalently ``Gamma(j - alpha) / (Gamma(-alpha) * Gamma(j + 1))``.  The product
-recurrence is the default evaluation path (pole-free, O(j*eps) error growth);
-the log-Gamma path exists as an independent cross-check oracle.
+evaluated by the product recurrence c_j = c_{j-1} * (j - 1 - alpha) / j, which
+is pole-free and grows its error as O(j*eps).
 
 This module is the one place a GL memory sum is evaluated.  Implicit
-recursions, whose history is produced step by step, contract it with
-:func:`memory_tail`; sums over a series known in advance go through
-:func:`history_sum`.  All sequences are causal: samples at negative indices
-are zero.
+recursions, whose history is produced step by step, read it from a
+:class:`MemoryTail`, which sums the lags of the current block of
+``NEAR_BLOCK`` steps directly with :func:`memory_tail` and the older history
+by FFT convolutions of doubling blocks, O(n K log^2 K) over K steps.  Sums
+over a series known in advance go through :func:`history_sum`.  All
+sequences are causal: samples at negative indices are zero.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 __all__ = [
     "FracWeightTable",
     "gl_weight_recursive",
-    "gl_weight_gamma",
     "build_weight_table",
     "memory_tail",
+    "MemoryTail",
     "history_sum",
     "frac_difference",
 ]
+
+#: Steps per near-field block of :class:`MemoryTail`; far-field blocks are this
+#: size times a power of two.
+NEAR_BLOCK = 64
 
 
 def gl_weight_recursive(alpha: float, j: int) -> float:
@@ -41,31 +45,6 @@ def gl_weight_recursive(alpha: float, j: int) -> float:
     if j < 0:
         raise DomainError("lag index j must be non-negative")
     return float(build_weight_table([alpha], j).weights[0, j])
-
-
-def _signed_lgamma(x: float) -> tuple[float, float]:
-    """log|Gamma(x)| and sign(Gamma(x)); x must not be a non-positive integer."""
-    if x > 0:
-        return math.lgamma(x), 1.0
-    # Gamma alternates sign between consecutive negative integers.
-    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
-    return math.lgamma(x), sign
-
-
-def gl_weight_gamma(alpha: float, j: int) -> float:
-    """Weight c_j at order alpha via log-Gamma: Gamma(j-a)/(Gamma(-a)Gamma(j+1)).
-
-    Raises PoleError when -alpha is a non-positive integer (Gamma pole);
-    callers fall back to :func:`gl_weight_recursive` there.  Agrees with the
-    recursive path to 1e-12 relative for alpha in (0,2)\\{1}, j <= 200.
-    """
-    if j < 0:
-        raise DomainError("lag index j must be non-negative")
-    if float(alpha).is_integer() and alpha >= 0:
-        raise PoleError(f"Gamma(-alpha) has a pole at alpha = {alpha!r}")
-    lg_num, s_num = _signed_lgamma(j - alpha)
-    lg_den, s_den = _signed_lgamma(-alpha)
-    return s_num * s_den * math.exp(lg_num - lg_den - math.lgamma(j + 1))
 
 
 @dataclass(frozen=True)
@@ -120,6 +99,60 @@ def memory_tail(table: FracWeightTable, history: np.ndarray) -> np.ndarray:
     """
     w_cols = table.weights[:, 2 : history.shape[0] + 2][:, ::-1]
     return np.einsum("nt,tn...->n...", w_cols, history)
+
+
+class MemoryTail:
+    """Online :func:`memory_tail` over a state history filled step by step.
+
+    ``states`` is the caller's (K+1, n, ...) buffer.  ``self(k)`` returns
+    ``memory_tail(table, states[:k])`` once ``states[:k+1]`` are filled, for
+    k = 0, 1, 2, ... in that order (a repeated k is allowed).
+
+    - Near field: the lags inside the current aligned block of
+      ``NEAR_BLOCK`` steps, summed directly with :func:`memory_tail`.
+    - Far field, by relaxed blocked convolution (Hairer, Lubich and
+      Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each step s that is
+      a multiple of ``NEAR_BLOCK``, with b the lowest set bit of s, the block
+      ``states[s-b:s]`` is convolved once by FFT with the kernel's lags
+      1..2b-1 and added to the far-field sums of steps [s, s+b).
+
+    Every pair of a step and an earlier block falls in exactly one such
+    product, so K steps cost O(n K log^2 K) instead of O(n K^2).  The first
+    ``NEAR_BLOCK`` steps are :func:`memory_tail` bitwise; later ones agree
+    with it to rounding of the FFT.  The kernel's lag-0 slot is zero, so a
+    channel whose tail weights are all zero (orders 0 and 1) gets an exactly
+    zero far field.
+    """
+
+    def __init__(self, table: FracWeightTable, states: np.ndarray):
+        if table.horizon < states.shape[0]:
+            raise DomainError("weight table horizon is shorter than the state history")
+        self._table = table
+        self._states = states
+        self._far = np.zeros_like(states)
+        self._spectra = {}
+        self._next_block = NEAR_BLOCK
+
+    def _spectrum(self, b: int) -> np.ndarray:
+        """rfft of the kernel h[l] = c_{l+1}, l = 1..2b-1, shaped to broadcast over a block."""
+        if b not in self._spectra:
+            lags = min(2 * b, self._table.horizon)
+            h = np.zeros((2 * b, self._table.channels))
+            h[1:lags] = self._table.weights[:, 2 : lags + 1].T
+            spectrum = np.fft.rfft(h, axis=0)
+            self._spectra[b] = spectrum.reshape(spectrum.shape + (1,) * (self._states.ndim - 2))
+        return self._spectra[b]
+
+    def __call__(self, k: int) -> np.ndarray:
+        if k == self._next_block:
+            b = k & -k
+            block = np.fft.rfft(self._states[k - b : k], n=2 * b, axis=0)
+            far = np.fft.irfft(block * self._spectrum(b), n=2 * b, axis=0)[b:]
+            stop = min(k + b, self._far.shape[0])
+            self._far[k:stop] += far[: stop - k]
+            self._next_block = k + NEAR_BLOCK
+        start = k - k % NEAR_BLOCK
+        return memory_tail(self._table, self._states[start:k]) + self._far[k]
 
 
 def history_sum(x, weights, start: int, stop: int) -> np.ndarray:

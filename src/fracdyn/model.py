@@ -13,6 +13,8 @@ states and inputs and routes the truncated tail through a disturbance column.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,6 +202,20 @@ class MultiTermNetwork:
         return self.C
 
 
+class LiftRows(NamedTuple):
+    """Rows of a lift grouped by what they do to the lifted state.
+
+    ``copies`` holds runs ``(row, source, length)`` of rows that copy one
+    lifted coordinate each: ``Atil[row + i] = I[source + i]`` for i < length.
+    ``dense`` are the other nonzero rows of ``Atil``, and every row in neither
+    is a zero row.  ``noise`` are the nonzero rows of ``Gtil``.
+    """
+
+    copies: tuple
+    dense: np.ndarray
+    noise: np.ndarray
+
+
 @dataclass(frozen=True)
 class AugmentedModel:
     """Finite-memory LTI lift of a fractional system.
@@ -222,6 +238,23 @@ class AugmentedModel:
     @property
     def dim(self) -> int:
         return self.Atil.shape[0]
+
+    @cached_property
+    def rows(self) -> LiftRows:
+        """Copy runs, dense rows and noise rows, derived once from ``Atil`` and ``Gtil``."""
+        nonzero = self.Atil != 0
+        count = nonzero.sum(axis=1)
+        first = nonzero.argmax(axis=1)
+        unit = (count == 1) & (self.Atil[np.arange(self.dim), first] == 1.0)
+        copy = np.flatnonzero(unit)
+        source = first[copy]
+        copies = ()
+        if copy.size:
+            heads = np.flatnonzero(np.r_[True, (np.diff(copy) != 1) | (np.diff(source) != 1)])
+            lengths = np.diff(np.r_[heads, copy.size])
+            copies = tuple(zip(copy[heads].tolist(), source[heads].tolist(), lengths.tolist()))
+        return LiftRows(copies=copies, dense=np.flatnonzero(~unit & (count > 0)),
+                        noise=np.flatnonzero(self.Gtil.any(axis=1)))
 
     def lift(self, x0) -> np.ndarray:
         """Embed a base-dimension initial state into the lift (history = 0)."""

@@ -2,7 +2,8 @@
 
 Single-term systems are stepped with the full-memory recursion
 x[k+1] = (A + diag(alpha)) x[k] - sum_{j>=1} c_{j+1} * x[k-j] + B u + Bw w,
-which costs O(K^2 n) over K steps.  Everything is deterministic given
+whose memory sum :class:`~fracdyn.fraccore.MemoryTail` evaluates in
+O(n K log^2 K) over K steps.  Everything is deterministic given
 (model, x0, inputs, noise-or-seed).
 """
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .fraccore import build_weight_table, memory_tail
+from .fraccore import MemoryTail, build_weight_table
 from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
 
 __all__ = [
@@ -109,10 +110,10 @@ class FosSimulator:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.ndim > 2 or x0.shape[0] != model.n:
             raise DimensionError(f"x0 must have length {model.n}")
-        self._table = build_weight_table(model.alpha, max_steps + 1)
         self._A0 = model.A + np.diag(model.alpha)
         self._states = np.zeros((max_steps + 1,) + x0.shape)
         self._states[0] = x0
+        self._tail = MemoryTail(build_weight_table(model.alpha, max_steps + 1), self._states)
         self.k = 0
 
     @property
@@ -128,7 +129,7 @@ class FosSimulator:
             raise DimensionError("inputs and noise drive a state vector, not free responses")
         # overflow is detected by the finiteness check below, not by numpy noise
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = self._A0 @ x[k] - memory_tail(self._table, x[:k])
+            nxt = self._A0 @ x[k] - self._tail(k)
             if u is not None:
                 nxt = nxt + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
             if w is not None:

@@ -5,9 +5,9 @@ from fracdyn import (
     PoleError,
     build_weight_table,
     frac_difference,
-    gl_weight_gamma,
     gl_weight_recursive,
 )
+from gl_oracle import gl_weight_gamma
 
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 20) if k != 10]
 

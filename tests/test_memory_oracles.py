@@ -2,10 +2,11 @@
 
 Each oracle below is a per-lag or per-row Python loop that fracdyn used to
 evaluate a Grunwald-Letnikov memory sum with.  Paths that keep the rounding
-order of their loop must agree bitwise: the weight table, the single-term
-simulator and the transition matrices.  The convolutions sum in a different
-order, so the network recursion and the identification sums must agree to
-1e-12 relative to the running maximum magnitude of the series they sum.
+order of their loop must agree bitwise: the weight table, and the first
+``NEAR_BLOCK`` steps of the single-term simulator and the transition matrices.
+The convolutions sum in a different order, so later steps of the stepper, the
+network recursion and the identification sums must agree to 1e-12 relative to
+the running maximum magnitude of the series they sum.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import fracdyn.sysid as sysid
 from fracdyn import (
     FosModel,
+    MpcProblem,
     MultiTermNetwork,
     build_weight_table,
     frac_difference,
@@ -22,10 +24,12 @@ from fracdyn import (
     identify,
     network_series,
     ols_spatial,
+    run_closed_loop,
     simulate_fos,
     simulate_network,
     transition_matrices,
 )
+from fracdyn.fraccore import NEAR_BLOCK
 
 #: The 18 orders of acceptance criterion 01b, then the integer orders a
 #: FosModel accepts.
@@ -153,7 +157,15 @@ def random_fos(seed, orders):
 
 
 # ----------------------------------------------------------------------------
-# bitwise: the weight table, the simulator, the transition matrices
+# the weight table bitwise; the stepper bitwise over its first NEAR_BLOCK
+# steps, then to 1e-12 of the running maximum once the far field joins
+
+
+def assert_stepper_matches(actual, expected):
+    """Bitwise up to state NEAR_BLOCK, then within RTOL of the running maximum."""
+    assert np.all(np.isfinite(actual))
+    assert np.array_equal(actual[: NEAR_BLOCK + 1], expected[: NEAR_BLOCK + 1])
+    assert_close_to_running_max(actual, expected, expected)
 
 
 def test_weight_table_matches_the_lag_loop_bitwise():
@@ -183,8 +195,7 @@ def test_simulate_fos_matches_the_step_loop_bitwise(seed):
     u = rng.normal(size=(K, model.m))
     w = rng.normal(size=(K, model.p))
     traj = simulate_fos(model, x0, u=u, w=w, K=K)
-    assert np.all(np.isfinite(traj.states))
-    assert np.array_equal(traj.states, loop_simulate_fos(model, x0, u, w, K))
+    assert_stepper_matches(traj.states, loop_simulate_fos(model, x0, u, w, K))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -192,9 +203,59 @@ def test_transition_matrices_match_their_loop_bitwise(seed):
     rng = np.random.default_rng(200 + seed)
     orders = rng.choice(ORDERS, size=int(rng.integers(1, 5)))
     model, _ = random_fos(seed, orders)
-    G = transition_matrices(model, 300)
-    assert np.all(np.isfinite(G))
-    assert np.array_equal(G, loop_transition_matrices(model, 300))
+    assert_stepper_matches(transition_matrices(model, 300),
+                           loop_transition_matrices(model, 300))
+
+
+def test_simulate_fos_matches_the_step_loop_across_far_field_levels():
+    # K = 4100 is no power of two: far-field blocks of 64 to 2048 steps all
+    # occur, and the last ones are cut at the horizon
+    orders = [0.3, 1.7, 0.9, 0.55]
+    model, rng = random_fos(7, orders)
+    model = FosModel(alpha=orders, A=model.A, B=rng.normal(size=(4, 2)), Bw=model.Bw)
+    K = 4100
+    x0 = rng.normal(size=4)
+    u = 0.1 * rng.normal(size=(K, 2))
+    w = rng.normal(size=(K, 4))
+    traj = simulate_fos(model, x0, u=u, w=w, K=K)
+    assert_stepper_matches(traj.states, loop_simulate_fos(model, x0, u, w, K))
+
+
+def test_transition_matrices_match_their_loop_across_far_field_levels():
+    model, _ = random_fos(8, [0.4, 1.2, 0.8])
+    K = 1100
+    assert_stepper_matches(transition_matrices(model, K), loop_transition_matrices(model, K))
+
+
+def test_closed_loop_plant_matches_the_step_loop():
+    orders = [0.6, 0.8]
+    model, rng = random_fos(9, orders)
+    plant = FosModel(alpha=orders, A=model.A, B=np.array([[1.0], [0.5]]), Bw=model.Bw)
+    problem = MpcProblem(p=4, P=6, M=3, Q=np.eye(2), R=[[0.1]], u_lo=-0.5, u_hi=0.5)
+    K = 3 * NEAR_BLOCK + 10
+    x0 = rng.normal(size=2)
+    result = run_closed_loop(plant, problem, K, 4, x0=x0, noise_sigma=0.1)
+    # the plant must be the full-memory recursion driven by what was applied
+    expected = loop_simulate_fos(plant, x0, result.applied, result.noise, K)
+    assert_stepper_matches(result.trajectory.states, expected)
+
+
+def test_integer_order_channels_follow_the_integer_recursion_exactly():
+    # orders 0 and 1 have no memory tail: with the fractional channels beside
+    # them, their rows must still be A0 x[k] + B u[k] + Bw w[k] bit for bit
+    orders = [0.0, 0.45, 1.0, 1.6]
+    model, rng = random_fos(10, orders)
+    K = 4 * NEAR_BLOCK + 37
+    x0 = rng.normal(size=4)
+    u = rng.normal(size=(K, model.m))
+    w = rng.normal(size=(K, 4))
+    X = simulate_fos(model, x0, u=u, w=w, K=K).states
+    A0 = model.A + np.diag(model.alpha)
+    integer = [0, 2]
+    for k in range(K):
+        want = A0 @ X[k] + model.B @ u[k] + model.Bw @ w[k]
+        assert np.array_equal(X[k + 1, integer], want[integer]), k
+    assert_stepper_matches(X, loop_simulate_fos(model, x0, u, w, K))
 
 
 # ----------------------------------------------------------------------------
