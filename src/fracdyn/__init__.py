@@ -6,7 +6,7 @@ model containers and finite-memory lifts (model), forward simulation
 (analysis), bilevel bisection + least-squares identification (sysid),
 minimum-energy state estimation (estimate), and receding-horizon predictive
 control with box input constraints (mpc).  A batch CLI wires the pieces
-together (`python -m fracdyn` or the `fracdyn` entry point).
+together (`python -m fracdyn` or `fracdyn`).  fracdyn imports numpy only.
 """
 
 from .errors import (

@@ -39,7 +39,7 @@ from .fileio import (
     write_table,
     write_trajectory,
 )
-from .model import FosModel, MultiTermNetwork, augment_v
+from .model import FosModel, MultiTermNetwork, _holds_bool, augment_v
 from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
 from .simulate import gaussian_noise, simulate_fos, simulate_network
 from .sysid import identify
@@ -76,11 +76,13 @@ def _path(config: dict, key: str) -> str:
 def _array(key: str, value, finite: bool = True) -> np.ndarray:
     """``value`` as a float array; a comma-separated string reads as a vector.
 
-    Null, non-numbers, ragged nests and NaN exit 2 naming ``key``, and so does
-    +-inf unless ``finite`` is false.
+    Null, true/false at any depth, non-numbers, ragged nests and NaN exit 2 naming
+    ``key``, and so does +-inf unless ``finite`` is false.
     """
     if value is None:
         raise DomainError(f"{key} must not be null")
+    if _holds_bool(value):
+        raise DomainError(f"{key} must be numbers, not true or false, got {value!r}")
     items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
     try:
         arr = np.asarray(items, dtype=float)

@@ -7,7 +7,6 @@ No stochastic noise model is assumed.  Two routes are provided and kept
 independent: the recursive filter with gain/covariance-style updates, and a
 dense batch least-squares solve of the same objective used as its oracle.
 Measurements start at step 1; an output at step 0 is never consumed.
-scipy is imported where it is called, so ``import fracdyn`` does not load it.
 """
 
 from dataclasses import dataclass
@@ -146,7 +145,6 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     only the nonzero columns of C.  A step costs O(r d^2) for r dense and
     output rows on a lift of dimension d, not the O(d^3) of dense products.
     """
-    import scipy.linalg
     aug, cfg = state.aug, state.config
     k = state.k
     u = np.zeros(aug.m) if u is None else np.atleast_1d(np.asarray(u, dtype=float))
@@ -179,10 +177,10 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     CM = C @ M[cols]
     S = CM[:, cols] @ C.T + Rk1
     try:
-        factor = scipy.linalg.cho_factor(0.5 * (S + S.T))
-        K = scipy.linalg.cho_solve(factor, CM).T
+        L = np.linalg.cholesky(0.5 * (S + S.T))
     except np.linalg.LinAlgError as exc:  # cannot occur with SPD R
         raise InnovationSingular(str(exc)) from exc
+    K = np.linalg.solve(L.T, np.linalg.solve(L, CM)).T
     xhat = xpred + K @ (y - C @ xpred[cols])
     P = M - K @ CM
     P = 0.5 * (P + P.T)
@@ -200,7 +198,6 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     output map is the lift's constant one (time-varying maps are a filter
     feature only).
     """
-    import scipy.linalg
     d, n_r, q = aug.dim, aug.Gtil.shape[1], aug.q
     if config.P0.shape != (d, d):
         raise DimensionError(f"P0 must be {d}x{d} for this lift")
@@ -232,18 +229,18 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     Lp = np.linalg.cholesky(config.P0)
     blk = np.zeros((d, nvar))
     blk[:, :d] = np.eye(d)
-    rows.append(scipy.linalg.solve_triangular(Lp, blk, lower=True))
-    rhs.append(scipy.linalg.solve_triangular(Lp, config.xhat0, lower=True))
+    rows.append(np.linalg.solve(Lp, blk))
+    rhs.append(np.linalg.solve(Lp, config.xhat0))
     for k in range(N):
         Lq = np.linalg.cholesky(_weight_at(config.Q, k, "Q"))
         blk = np.zeros((n_r, nvar))
         blk[:, d + k * n_r : d + (k + 1) * n_r] = np.eye(n_r)
-        rows.append(scipy.linalg.solve_triangular(Lq, blk, lower=True))
+        rows.append(np.linalg.solve(Lq, blk))
         rhs.append(np.zeros(n_r))
     for j in range(1, N + 1):
         Lr = np.linalg.cholesky(_weight_at(config.R, j, "R"))
-        rows.append(scipy.linalg.solve_triangular(Lr, C @ Phi[j], lower=True))
-        rhs.append(scipy.linalg.solve_triangular(Lr, y[j - 1] - C @ off[j], lower=True))
+        rows.append(np.linalg.solve(Lr, C @ Phi[j]))
+        rhs.append(np.linalg.solve(Lr, y[j - 1] - C @ off[j]))
 
     design = np.vstack(rows)
     target = np.concatenate(rhs)

@@ -133,9 +133,9 @@ def model_from_dict(data: dict):
             items = [] if data.get(key) is None else data[key]
             if not (isinstance(items, list) and all(
                     isinstance(item, dict) and {"exponent", "matrix"} <= item.keys()
-                    for item in items)):
+                    and not isinstance(item["exponent"], bool) for item in items)):
                 raise DimensionError(
-                    f"{key} must be a list of objects with 'exponent' and 'matrix'")
+                    f"{key} must be a list of objects with a numeric 'exponent' and a 'matrix'")
             return tuple((item["exponent"], item["matrix"]) for item in items)
 
         return MultiTermNetwork(
@@ -148,7 +148,7 @@ def model_from_dict(data: dict):
         raise DimensionError("model file lacks the required 'alpha' and 'A' fields")
     model = FosModel(alpha=data["alpha"], A=data["A"], B=data.get("B"), Bw=data.get("Bw"))
     for key, size in (("n", model.n), ("m", model.m)):
-        if key in data and data[key] != size:
+        if key in data and (isinstance(data[key], bool) or data[key] != size):
             raise DimensionError(f"declared {key}={data[key]!r} but the model has {key}={size}")
     return model
 

@@ -32,12 +32,16 @@ __all__ = [
     "augment_v",
 ]
 
-#: Reciprocal-condition floor below which lead matrices are treated as singular.
-RCOND_FLOOR = 1e-12
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a bool or a list/tuple nest holding one (JSON true/false)."""
+    return isinstance(value, bool) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_bool, value)))
 
 
 def _as_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; values numpy cannot read as numbers raise DimensionError."""
+    """``value`` as a float array; true/false and non-numbers raise DimensionError."""
+    if _holds_bool(value):
+        raise DimensionError(f"{name} is not numeric: it holds true or false")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -348,10 +352,7 @@ def network_series(net: MultiTermNetwork, J: int) -> NetworkSeries:
     Bhat = hat_stack(net.input_terms, m)
     Ghat = hat_stack(net.disturbance_terms, p)
 
-    lead = Ahat[0]
-    s = np.linalg.svd(lead, compute_uv=False)
-    if s[0] == 0 or s[-1] / s[0] < RCOND_FLOOR:
-        raise SingularError("lead matrix of the network series is singular to tolerance")
+    lead = Ahat[0]  # the sum of the state-term matrices, checked at construction
 
     def lead_solve(stack: np.ndarray, cols: int) -> np.ndarray:
         # lead^{-1} @ stack[j] for every lag, via one solve on [stack[0]|stack[1]|..]

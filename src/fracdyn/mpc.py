@@ -7,8 +7,7 @@ predicted states become affine in the stacked inputs; each solve minimizes
 the strictly convex quadratic over the box.  One exact dual active-set QP
 solver (Goldfarb and Idnani) handles the box and the optional linear state
 rows alike: soft rows become slack variables carrying the quadratic penalty,
-hard rows are exact constraints whose infeasibility the solver proves.  The
-module uses numpy only; it imports no scipy.
+hard rows are exact constraints whose infeasibility the solver proves.
 """
 
 from dataclasses import dataclass, field

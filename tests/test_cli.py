@@ -451,6 +451,15 @@ def _write_network_files(directory, K: int) -> tuple:
     # a 3-step schedule for a 30-step run
     ("estimate", "Q", [np.eye(2).tolist()] * 3),
     ("simulate", "model", None),
+    # JSON true/false are not numbers
+    ("simulate", "steps", True),
+    ("simulate", "sigma", False),
+    ("simulate", "seed", True),
+    ("mpc", "x0", [True]),
+    ("analyze stability", "alpha", True),
+    ("identify", "window", [0, True]),
+    ("estimate", "xhat0", [True, False]),
+    ("estimate", "Q", [[1.0, False], [0.0, 1.0]]),
 ])
 def test_null_or_short_config_value_exits_2(tmp_path, capsys, scalar_model_file,
                                             short_trajectory_file, command, key, value):
@@ -646,6 +655,14 @@ def test_trajectory_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, header
     ({"alpha": [0.5], "A": [[0.2]], "Bw": [[float("inf")]]}, "Bw entries must be finite"),
     ({"alpha": [0.5], "A": [[0.2]], "n": None}, "declared n"),
     ([1.0], "JSON object"),
+    # JSON true/false are not numbers
+    ({"alpha": [True, 0.7], "A": [[-0.2, 0.0], [0.0, -0.3]]}, "alpha is not numeric"),
+    ({"alpha": [0.5, 0.7], "A": [[-0.2, False], [0.0, -0.3]]}, "A is not numeric"),
+    ({"alpha": [0.5], "A": [[0.2]], "n": True}, "declared n"),
+    ({"alpha": [0.5], "A": [[0.2]], "B": [[1.0]], "m": True}, "declared m"),
+    ({"alpha": [0.5], "A": [[0.2]], "Bw": [[True]]}, "Bw is not numeric"),
+    ({"state_terms": [{"exponent": True, "matrix": [[1.0]]}]}, "state_terms"),
+    ({"state_terms": [{"exponent": 0.5, "matrix": [[1.0]]}], "C": [[True]]}, "C is not numeric"),
 ])
 def test_bad_model_file_exits_2_naming_the_field(tmp_path, capsys, model, field):
     path = tmp_path / "m.json"

@@ -1,10 +1,9 @@
-"""Import footprint: scipy loads only where ``estimate`` first uses it.
+"""Import footprint: fracdyn imports numpy only, so no stage loads scipy.
 
-Every CLI call is a fresh process, so a module-level scipy import is paid by
-every subcommand.  A fresh interpreter imports fracdyn, runs the scipy-free
-subcommands through ``fracdyn.cli.main``, then closed loops with soft and hard
-state rows, then ``estimate``, and records the scipy modules loaded after
-each stage.
+Every CLI call is a fresh process, so any scipy import would be paid by the
+subcommand that makes it.  A fresh interpreter imports fracdyn, runs every
+subcommand through ``fracdyn.cli.main`` and closed loops with soft and hard
+state rows, and records the scipy modules loaded after each stage.
 """
 
 import json
@@ -99,12 +98,7 @@ def stages(tmp_path_factory):
 
 
 @pytest.mark.parametrize("stage", ["import fracdyn", "import fracdyn.cli", "simulate",
-                                   "identify", "analyze", "network simulate", "mpc"])
+                                   "identify", "analyze", "network simulate", "mpc",
+                                   "estimate"])
 def test_scipy_free_stage_loads_no_scipy(stages, stage):
     assert stages[stage] == []
-
-
-def test_estimate_loads_scipy_linalg_but_not_optimize(stages):
-    loaded = stages["estimate"]
-    assert "scipy.linalg" in loaded
-    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
