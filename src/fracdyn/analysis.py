@@ -58,12 +58,12 @@ class StabilityReport:
     verdict: str  # "stable" | "unstable" | "marginal"
 
 
-def commensurate_stability(A, alpha: float, *, tol: float = MARGINAL_TOL) -> StabilityReport:
+def commensurate_stability(A, alpha: float) -> StabilityReport:
     """Sector stability test for a commensurate system of order ``alpha``.
 
     Stable iff |arg(lambda_i)| > alpha*pi/2 for every eigenvalue; at alpha = 1
-    this is the open-left-half-plane test.  Margins within ``tol`` of zero
-    yield the verdict "marginal" rather than a binary answer, since
+    this is the open-left-half-plane test.  Margins within ``MARGINAL_TOL`` of
+    zero yield the verdict "marginal" rather than a binary answer, since
     eigensolver noise at the sector boundary is not decidable.
     """
     if not 0.0 < alpha < 2.0:
@@ -74,9 +74,9 @@ def commensurate_stability(A, alpha: float, *, tol: float = MARGINAL_TOL) -> Sta
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     margins = np.abs(np.angle(eig)) - alpha * np.pi / 2.0
-    if np.any(np.abs(margins) <= tol):
+    if np.any(np.abs(margins) <= MARGINAL_TOL):
         verdict = "marginal"
-    elif np.all(margins > tol):
+    elif np.all(margins > MARGINAL_TOL):
         verdict = "stable"
     else:
         verdict = "unstable"
@@ -114,11 +114,11 @@ class GramianReport:
         return self.rank == self.matrix.shape[0]
 
 
-def _numerical_rank(M: np.ndarray, K: int, rtol: float):
+def _numerical_rank(M: np.ndarray, K: int):
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0:
         return 0, 0.0, s
-    thresh = max(M.shape[0], K) * s[0] * rtol
+    thresh = max(M.shape[0], K) * s[0] * RANK_RTOL
     kept = s[s > thresh]
     return int(kept.size), float(kept[-1]) if kept.size else 0.0, s
 
@@ -134,19 +134,17 @@ def _norm_B(model: FosModel, B) -> np.ndarray:
     return B
 
 
-def controllability_gramian(
-    model: FosModel, B=None, K: int = 1, *, rank_rtol: float = RANK_RTOL
-) -> GramianReport:
+def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianReport:
     """Finite-horizon controllability Gramian W_c(0, K) with rank report.
 
     W_c = G_K^{-1} (sum_{j<K} G_j B B^T G_j^T) G_K^{-T}; the system is
     controllable at horizon K iff the rank equals n.  A rank-deficient G_K is
     an error, not silently replaced by the unconjugated sum.
     """
-    return _controllability(model, _norm_B(model, B), K, rank_rtol)[0]
+    return _controllability(model, _norm_B(model, B), K)[0]
 
 
-def _controllability(model: FosModel, B: np.ndarray, K: int, rank_rtol: float) -> tuple:
+def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
     """The Gramian report at horizon K and the transition matrices G_0..G_K behind it."""
     if K < 1:
         raise DomainError("horizon K must be >= 1")
@@ -161,7 +159,7 @@ def _controllability(model: FosModel, B: np.ndarray, K: int, rank_rtol: float) -
         raise SingularError(f"G_K is rank-deficient at K={K}; Gramian undefined")
     W = np.linalg.solve(GK, np.linalg.solve(GK, S.T).T)
     W = 0.5 * (W + W.T)
-    rank, smallest, s = _numerical_rank(W, K, rank_rtol)
+    rank, smallest, s = _numerical_rank(W, K)
     return GramianReport(
         kind="controllability", K=K, matrix=W, rank=rank,
         smallest_retained=smallest, singular_values=s,
@@ -175,7 +173,7 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     controllability at horizon K.
     """
     B = _norm_B(model, B)
-    rep, G = _controllability(model, B, K, RANK_RTOL)
+    rep, G = _controllability(model, B, K)
     if not rep.full_rank:
         raise NotControllable(f"rank {rep.rank} < n = {model.n} at horizon K={K}")
     z = np.linalg.solve(G[K].T, np.linalg.solve(rep.matrix, np.atleast_1d(np.asarray(x0, dtype=float))))
@@ -201,9 +199,7 @@ class ObservabilityReport:
         return self.rank == self.gramian.shape[0]
 
 
-def observability_matrices(
-    model: FosModel, C=None, K: int = 1, B=None, *, rank_rtol: float = RANK_RTOL
-) -> ObservabilityReport:
+def observability_matrices(model: FosModel, C=None, K: int = 1, B=None) -> ObservabilityReport:
     """Observability stack O_K, Gramian W_o = O_K^T O_K, and Toeplitz block M_K.
 
     Row block k of M_K maps stacked inputs into y[k]: y[k] = C G_k x0 +
@@ -228,7 +224,7 @@ def observability_matrices(
     M = np.zeros((K, q, K, m))
     M[r, :, c, :] = CGB[r - 1 - c]
     M = M.reshape(K * q, K * m)
-    rank, _, s = _numerical_rank(obsv, K, rank_rtol)
+    rank, _, s = _numerical_rank(obsv, K)
     return ObservabilityReport(
         K=K, obsv=obsv, gramian=Wo, feedthrough=M, rank=rank, singular_values=s
     )

@@ -39,7 +39,7 @@ from .fileio import (
     write_table,
     write_trajectory,
 )
-from .model import FosModel, MultiTermNetwork, _holds_bool, augment_v
+from .model import FosModel, MultiTermNetwork, _holds_bool
 from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
 from .simulate import gaussian_noise, simulate_fos, simulate_network
 from .sysid import identify
@@ -266,31 +266,6 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _estimator_config_from(aug, config: dict) -> EstimatorConfig:
-    def weight(key, size):
-        arr = _array(key, config.get(key, 1.0))
-        if arr.ndim == 0:
-            return float(arr) * np.eye(size)
-        if arr.ndim == 1:
-            if arr.shape[0] != size:
-                raise DomainError(f"{key} diagonal must have length {size}")
-            return np.diag(arr)
-        return arr
-
-    xh = _array("xhat0", config.get("xhat0", 0.0))
-    if xh.ndim == 0:
-        xhat0 = np.full(aug.dim, float(xh))
-    elif xh.shape == (aug.n,):
-        xhat0 = np.zeros(aug.dim)
-        xhat0[: aug.n] = xh
-    elif xh.shape == (aug.dim,):
-        xhat0 = xh
-    else:
-        raise DomainError(f"xhat0 must be scalar, length {aug.n}, or length {aug.dim}")
-    return EstimatorConfig(Q=weight("Q", aug.Gtil.shape[1]), R=weight("R", aug.q),
-                           P0=weight("P0", aug.dim), xhat0=xhat0)
-
-
 def cmd_estimate(args) -> int:
     config = _options(args, args.config)
     net = read_model(_path(config, "model"))
@@ -299,11 +274,14 @@ def cmd_estimate(args) -> int:
     traj = read_trajectory(_path(config, "trajectory"))
     v = _number(config, "v", 2, int)
     out = _path(config, "out")
-    aug = augment_v(net, v)
-    run = run_estimator(net, v, _estimator_config_from(aug, config), traj)
+    weights = EstimatorConfig(
+        Q=_array("Q", config.get("Q", 1.0)), R=_array("R", config.get("R", 1.0)),
+        P0=_array("P0", config.get("P0", 1.0)), xhat0=_array("xhat0", config.get("xhat0", 0.0)),
+    )
+    run = run_estimator(net, v, weights, traj)
     N = run.base_estimates.shape[0] - 1
     err = run.err_norms if run.err_norms is not None else [""] * (N + 1)
-    write_table(out, ["t"] + [f"xhat{i + 1}" for i in range(aug.n)] + ["err_norm"],
+    write_table(out, ["t"] + [f"xhat{i + 1}" for i in range(net.n)] + ["err_norm"],
                 ([k * traj.dt, *run.base_estimates[k], err[k]] for k in range(N + 1)))
     summary = {
         "v": v,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InnovationSingular, NotSPD
-from .model import AugmentedModel, MultiTermNetwork, augment_v
+from .errors import DimensionError, InnovationSingular
+from .model import (
+    AugmentedModel, MultiTermNetwork, _as_array, _as_weight, _weight_block, augment_v)
 from .simulate import Trajectory
 
 __all__ = [
@@ -28,33 +29,14 @@ __all__ = [
 ]
 
 
-def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise NotSPD(f"{name} must be square, got {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-9 * (1.0 + np.abs(M).max())):
-        raise NotSPD(f"{name} is not symmetric")
-    if M.size and float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T)))) <= 0.0:
-        raise NotSPD(f"{name} is not positive definite")
-    return 0.5 * (M + M.T)
-
-
-def _weight_at(W, k: int, name: str) -> np.ndarray:
-    """Constant matrices broadcast across time; 3-D arrays are schedules."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim < 3:
-        return W
-    if k >= W.shape[0]:
-        raise DimensionError(f"{name} must cover step {k}; its schedule has {W.shape[0]} steps")
-    return W[k]
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Weights of the energy objective: process Q, measurement R, prior (P0, xhat0).
 
-    ``Q`` and ``R`` may be constant SPD matrices or per-step schedules (3-D
-    arrays indexed by the step they weight).  Dimensions are validated against
+    Each weight is a number (that multiple of I), a diagonal, an SPD matrix or
+    a per-step schedule (a 3-D array indexed by the step it weights; P0
+    weights step 0).  ``xhat0`` is a number (every lifted coordinate), the
+    base state (history zero) or the lifted state.  Sizes are checked against
     the lift when the filter is initialized.
     """
 
@@ -64,24 +46,9 @@ class EstimatorConfig:
     xhat0: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        if Q.ndim <= 2:
-            Q = _check_spd(Q, "Q")
-        else:
-            Q = np.stack([_check_spd(Qk, f"Q[{k}]") for k, Qk in enumerate(Q)])
-        if R.ndim <= 2:
-            R = _check_spd(R, "R")
-        else:
-            R = np.stack([_check_spd(Rk, f"R[{k}]") for k, Rk in enumerate(R)])
-        P0 = _check_spd(self.P0, "P0")
-        xhat0 = np.atleast_1d(np.asarray(self.xhat0, dtype=float))
-        if xhat0.shape != (P0.shape[0],):
-            raise DimensionError("xhat0 length must match P0")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "P0", P0)
-        object.__setattr__(self, "xhat0", xhat0)
+        for name in ("Q", "R", "P0"):
+            object.__setattr__(self, name, _as_weight(getattr(self, name), name))
+        object.__setattr__(self, "xhat0", _as_array(self.xhat0, "xhat0"))
 
     @classmethod
     def from_scalars(cls, aug: AugmentedModel, q: float, r: float, p0: float, xhat0_base=None):
@@ -114,19 +81,23 @@ class EstimatorState:
 
 
 def me_filter_init(aug: AugmentedModel, config: EstimatorConfig) -> EstimatorState:
-    """Filter state at step 0: the a-priori estimate with prior weight P0."""
-    d = aug.dim
-    if config.P0.shape != (d, d):
-        raise DimensionError(f"P0 must be {d}x{d} for this lift, got {config.P0.shape}")
-    Q0 = _weight_at(config.Q, 0, "Q")
-    if Q0.shape != (aug.Gtil.shape[1],) * 2:
-        raise DimensionError(f"Q must be {aug.Gtil.shape[1]}x{aug.Gtil.shape[1]}")
-    R0 = _weight_at(config.R, 0, "R")
-    if R0.shape != (aug.q, aug.q):
-        raise DimensionError(f"R must be {aug.q}x{aug.q}")
+    """Filter state at step 0: the a-priori estimate with prior weight P0.
+
+    Resolves ``xhat0`` and P0 against the lift and checks the sizes of Q and R.
+    """
+    d, xhat0 = aug.dim, config.xhat0
+    P0 = np.array(_weight_block(config.P0, 0, d, "P0"))
+    _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q")
+    _weight_block(config.R, 0, aug.q, "R")
+    if xhat0.ndim == 0:
+        xhat0 = np.full(d, float(xhat0))
+    elif xhat0.shape in ((aug.n,), (d,)):
+        xhat0 = aug.lift(xhat0)
+    else:
+        raise DimensionError(f"xhat0 must be a number or have length {aug.n} or {d}, "
+                             f"got shape {xhat0.shape}")
     return EstimatorState(
-        k=0, xhat=config.xhat0.copy(), P=config.P0.copy(), gain=None, M=None,
-        aug=aug, config=config,
+        k=0, xhat=xhat0, P=P0, gain=None, M=None, aug=aug, config=config,
     )
 
 
@@ -157,8 +128,8 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape != aug.Ctil.shape:
         raise DimensionError(f"output map must have shape {aug.Ctil.shape}")
-    Qk = _weight_at(cfg.Q, k, "Q")
-    Rk1 = _weight_at(cfg.R, k + 1, "R")
+    Qk = _weight_block(cfg.Q, k, aug.Gtil.shape[1], "Q")
+    Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
     xpred = A @ state.xhat + aug.Btil @ u
     P = state.P
     A_dense = A[rows.dense]
@@ -199,8 +170,7 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     feature only).
     """
     d, n_r, q = aug.dim, aug.Gtil.shape[1], aug.q
-    if config.P0.shape != (d, d):
-        raise DimensionError(f"P0 must be {d}x{d} for this lift")
+    prior = me_filter_init(aug, config)
     y = np.atleast_2d(np.asarray(y, dtype=float))
     N = y.shape[0]
     if N < 1:
@@ -226,19 +196,19 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
 
     rows = []
     rhs = []
-    Lp = np.linalg.cholesky(config.P0)
+    Lp = np.linalg.cholesky(prior.P)
     blk = np.zeros((d, nvar))
     blk[:, :d] = np.eye(d)
     rows.append(np.linalg.solve(Lp, blk))
-    rhs.append(np.linalg.solve(Lp, config.xhat0))
+    rhs.append(np.linalg.solve(Lp, prior.xhat))
     for k in range(N):
-        Lq = np.linalg.cholesky(_weight_at(config.Q, k, "Q"))
+        Lq = np.linalg.cholesky(_weight_block(config.Q, k, n_r, "Q"))
         blk = np.zeros((n_r, nvar))
         blk[:, d + k * n_r : d + (k + 1) * n_r] = np.eye(n_r)
         rows.append(np.linalg.solve(Lq, blk))
         rhs.append(np.zeros(n_r))
     for j in range(1, N + 1):
-        Lr = np.linalg.cholesky(_weight_at(config.R, j, "R"))
+        Lr = np.linalg.cholesky(_weight_block(config.R, j, q, "R"))
         rows.append(np.linalg.solve(Lr, C @ Phi[j]))
         rhs.append(np.linalg.solve(Lr, y[j - 1] - C @ off[j]))
 

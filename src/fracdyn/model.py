@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularError
+from .errors import DimensionError, DomainError, NotSPD, SingularError
 from .fraccore import build_weight_table
 
 __all__ = [
@@ -59,6 +59,55 @@ def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: st
     if cols is not None and m.shape[1] != cols:
         raise DimensionError(f"{name} must have {cols} columns, got {m.shape[1]}")
     return m
+
+
+def _as_weight(value, name: str, semidefinite: bool = False) -> np.ndarray:
+    """A quadratic weight with its blocks symmetrised.
+
+    A number is that multiple of I, a vector is the diagonal, then a matrix,
+    or a (T, s, s) schedule whose block k weights step k.  Every block must be
+    square, symmetric to 1e-9 (1 + its largest magnitude) and positive
+    definite (semidefinite with ``semidefinite``); NotSPD names ``name``
+    otherwise.
+    """
+    W = _as_array(value, name)
+    if W.ndim > 3 or W.ndim >= 2 and W.shape[-1] != W.shape[-2]:
+        raise NotSPD(f"{name} must be a number, a diagonal, a square matrix or a (T, s, s) "
+                     f"schedule, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise NotSPD(f"{name} entries must be finite")
+    # every form as a stack of blocks; a number and a diagonal make one diagonal block
+    blocks = W if W.ndim >= 2 else np.diag(np.atleast_1d(W))
+    blocks = blocks if blocks.ndim == 3 else blocks[None]
+    scale = np.abs(blocks).max(axis=(1, 2), initial=0.0)
+    if np.any(np.abs(blocks - blocks.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+              > 1e-9 * (1.0 + scale)):
+        raise NotSPD(f"{name} must be symmetric")
+    blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
+    low = np.linalg.eigvalsh(blocks).min(axis=1, initial=np.inf)
+    if semidefinite and np.any(low < -1e-12 * np.maximum(1.0, scale)):
+        raise NotSPD(f"{name} must be positive semidefinite")
+    if not semidefinite and np.any(low <= 0.0):
+        raise NotSPD(f"{name} must be positive definite")
+    return blocks.reshape(W.shape) if W.ndim >= 2 else W.copy()
+
+
+def _weight_block(W: np.ndarray, k: int, size: int, name: str) -> np.ndarray:
+    """Block ``k`` of a weight from ``_as_weight`` as a size-by-size matrix.
+
+    A number, a diagonal or a matrix weights every step alike; a schedule must
+    cover step k.  DimensionError names ``name`` otherwise.
+    """
+    block = W
+    if W.ndim == 3:
+        if k >= W.shape[0]:
+            raise DimensionError(f"{name} must cover step {k}; its schedule has {W.shape[0]} steps")
+        block = W[k]
+    if block.ndim == 0:
+        return float(block) * np.eye(size)
+    if block.shape[0] != size:
+        raise DimensionError(f"{name} must have {size}x{size} blocks, got shape {W.shape}")
+    return np.diag(block) if block.ndim == 1 else block
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

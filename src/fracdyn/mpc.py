@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NotSPD
-from .model import FosModel, augment_p
+from .errors import DimensionError, DomainError, InfeasibleStateConstraints
+from .model import FosModel, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "uncontrolled_baseline",
 ]
 
-#: Default quadratic penalty weight for soft linear state constraints.
+#: Quadratic penalty weight of soft linear state constraints.
 SOFT_PENALTY = 1e6
 
 
@@ -39,10 +39,10 @@ class MpcProblem:
 
     ``P`` is the prediction horizon, ``M`` the control horizon (the prefix of
     inputs actually applied before re-solving), ``p`` the memory depth of the
-    predictive lift.  ``Q`` (PSD) and ``R`` (PD, enforced) may be constant or
-    per-offset schedules; ``c`` is the linear state cost (zero when omitted).
-    ``state_H @ x <= state_h`` rows, when given, apply to every predicted
-    state.
+    predictive lift.  ``Q`` (PSD) and ``R`` (PD) are each a number (that
+    multiple of I), a diagonal, a matrix or a per-offset schedule; ``c`` is
+    the linear state cost (zero when omitted).  ``state_H @ x <= state_h``
+    rows, when given, apply to every predicted state.
     """
 
     p: int
@@ -55,7 +55,6 @@ class MpcProblem:
     u_hi: np.ndarray | float = np.inf
     state_H: np.ndarray | None = None
     state_h: np.ndarray | None = None
-    soft_penalty: float = SOFT_PENALTY
     hard_state: bool = False
 
     def __post_init__(self):
@@ -65,25 +64,8 @@ class MpcProblem:
             raise DomainError("prediction horizon P must be >= 1")
         if not 1 <= self.M <= self.P:
             raise DomainError("control horizon M must satisfy 1 <= M <= P")
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        if Q.ndim == 1:
-            Q = np.diag(Q)
-        if R.ndim == 1:
-            R = np.diag(R)
-        for name, W in (("Q", Q), ("R", R)):
-            stack = W if W.ndim == 3 else W[None] if W.ndim == 2 else W.reshape(1, 1, 1)
-            for Wk in stack:
-                sym = 0.5 * (Wk + Wk.T)
-                if not np.allclose(Wk, Wk.T, rtol=0.0, atol=1e-9 * (1.0 + np.abs(Wk).max())):
-                    raise NotSPD(f"{name} must be symmetric")
-                lam = np.min(np.linalg.eigvalsh(sym))
-                if name == "R" and lam <= 0.0:
-                    raise NotSPD("R must be positive definite")
-                if name == "Q" and lam < -1e-12 * max(1.0, np.abs(Wk).max()):
-                    raise NotSPD("Q must be positive semidefinite")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Q", _as_weight(self.Q, "Q", semidefinite=True))
+        object.__setattr__(self, "R", _as_weight(self.R, "R"))
         if self.c is not None:
             object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         lo = np.asarray(self.u_lo, dtype=float)
@@ -128,7 +110,7 @@ class CondensedProblem:
     hi: np.ndarray  # (P*m,)
     rows: np.ndarray  # (P*r, P*n)
     rows_S: np.ndarray  # rows @ S
-    J: np.ndarray  # L^-T for L L^T = 2 H_z, H_z = diag(H, soft_penalty * I) with soft rows
+    J: np.ndarray  # L^-T for L L^T = 2 H_z, H_z = diag(H, SOFT_PENALTY * I) with soft rows
     G: np.ndarray  # pinned inputs (equalities), other finite upper, lower bounds, state rows
     g: np.ndarray  # the right-hand side of G without the free response
 
@@ -161,16 +143,8 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     S[r, :, c, :] = EB[r - c]
     S = S.reshape(P * n, P * m)
 
-    bars = []
-    for name, W, size in (("Q", problem.Q, n), ("R", problem.R, m)):
-        if W.ndim == 0:
-            W = np.eye(size) * float(W)
-        blocks = W[:P] if W.ndim == 3 else np.broadcast_to(W, (P,) + W.shape)
-        if len(blocks) < P or W.shape[-2:] != (size, size):
-            raise DimensionError(f"{name} needs {size}x{size} blocks for {P} horizon steps "
-                                 f"to match the model, got shape {W.shape}")
-        bars.append(_block_diag(blocks))
-    Qbar, Rbar = bars
+    Qbar = _block_diag(np.stack([_weight_block(problem.Q, k, n, "Q") for k in range(P)]))
+    Rbar = _block_diag(np.stack([_weight_block(problem.R, k, m, "R") for k in range(P)]))
     cvec = np.zeros(P * n)
     if problem.c is not None:
         cvec = np.tile(problem.c, P) if problem.c.ndim == 1 else problem.c.reshape(-1)
@@ -195,7 +169,7 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     on_hi, on_lo = np.isfinite(hi) & ~pin, np.isfinite(lo) & ~pin
     G = np.vstack([eye[pin], eye[on_hi], -eye[on_lo], rows_S])
     G = np.hstack([G, np.vstack([np.zeros((G.shape[0] - k, k)), -np.eye(k)])])
-    Hz = np.diag(np.concatenate([np.zeros(nU), np.full(k, problem.soft_penalty)]))
+    Hz = np.diag(np.concatenate([np.zeros(nU), np.full(k, SOFT_PENALTY)]))
     Hz[:nU, :nU] = H
     return CondensedProblem(
         powers=np.stack(powers[1:]), S=S, Qbar=Qbar, H=H, cvec=cvec, lo=lo, hi=hi, rows=rows,
@@ -222,7 +196,7 @@ def solve_horizon(
 
     ``condensed`` is ``condense(problem, model)``, built here when omitted;
     pass it in to reuse it across solves.  The QP over the box and the state
-    rows is solved exactly.  Soft rows cost ``soft_penalty`` times their
+    rows is solved exactly.  Soft rows cost ``SOFT_PENALTY`` times their
     squared violation; hard rows hold exactly, or, when no input in the box
     satisfies them, raise InfeasibleStateConstraints.
     """
@@ -255,7 +229,7 @@ def solve_horizon(
         u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
         cost=float(U @ H @ U + b @ U + const), kkt_residual=float(np.linalg.norm(proj)),
         active_lower=on_lo.reshape(P, m), active_upper=on_hi.reshape(P, m),
-        penalty_cost=float(problem.soft_penalty * (z[b.size :] @ z[b.size :])),
+        penalty_cost=float(SOFT_PENALTY * (z[b.size :] @ z[b.size :])),
     )
 
 
@@ -331,7 +305,6 @@ def run_closed_loop(
     *,
     x0=None,
     noise_sigma: float = 1.0,
-    dt: float = 1.0,
 ) -> ClosedLoopResult:
     """Drive the plant for K steps, re-solving every M steps.
 
@@ -358,7 +331,7 @@ def run_closed_loop(
             applied[k + i] = sol.u[i]
             sim.step(sol.u[i], w[k + i])
         k += take
-    traj = Trajectory(states=sim.states.copy(), inputs=applied, noises=w, dt=dt)
+    traj = Trajectory(states=sim.states.copy(), inputs=applied, noises=w)
     return ClosedLoopResult(
         trajectory=traj, applied=applied, cycle_costs=np.asarray([s.cost for s in solutions]),
         solutions=solutions, solve_steps=solve_steps, noise=w,
@@ -366,11 +339,11 @@ def run_closed_loop(
 
 
 def uncontrolled_baseline(
-    plant: FosModel, K: int, noise=None, *, x0=None, noise_sigma: float = 1.0, dt: float = 1.0
+    plant: FosModel, K: int, noise=None, *, x0=None, noise_sigma: float = 1.0
 ) -> Trajectory:
     """Zero-input run on the identical noise sequence, for paired comparison."""
     if K < 1:
         raise DomainError("step count K must be >= 1")
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
     x0 = np.zeros(plant.n) if x0 is None else x0
-    return simulate_fos(plant, x0, u=None, w=w, K=K, dt=dt)
+    return simulate_fos(plant, x0, u=None, w=w, K=K)

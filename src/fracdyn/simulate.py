@@ -31,8 +31,8 @@ class Trajectory:
     """Time-indexed record of a simulated or measured run.
 
     ``states`` has K+1 rows; ``inputs`` and ``noises`` have K rows (the sample
-    applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt`` and
-    ``labels`` are metadata only: row k corresponds to time k*dt.
+    applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt`` is
+    metadata only: row k corresponds to time k*dt.
     """
 
     states: np.ndarray
@@ -40,7 +40,6 @@ class Trajectory:
     outputs: np.ndarray | None = None
     noises: np.ndarray | None = None
     dt: float = 1.0
-    labels: tuple | None = None
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -185,11 +184,11 @@ def transition_matrices(model: FosModel, K: int) -> np.ndarray:
 def simulate_network(
     net: MultiTermNetwork, x0, u=None, w=None, K: int = 0, *, dt: float = 1.0
 ) -> Trajectory:
-    """Full-memory simulation of a multi-term network (reference oracle).
+    """Full-memory simulation of a multi-term network, as ``fracdyn simulate`` runs it.
 
     Uses the reduced convolution series at every lag up to K; cost is
     O(K^2 n^2).  Outputs are C x[k] with no measurement noise; callers add
-    their own.
+    their own.  Its oracle is the double loop in ``tests/test_memory_oracles.py``.
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
@@ -215,9 +214,7 @@ def simulate_network(
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
 
 
-def simulate_augmented(
-    aug: AugmentedModel, x0, u=None, w=None, K: int = 0, *, dt: float = 1.0
-) -> Trajectory:
+def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> Trajectory:
     """Simulate a finite-memory lift; returned states are the base block.
 
     ``x0`` may be base-dimension (history zero-padded) or a full lift vector.
@@ -235,7 +232,7 @@ def simulate_augmented(
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"lifted state became non-finite at step {k + 1}")
         X[k + 1] = z[: aug.n]
-    return Trajectory(states=X, inputs=uu, noises=ww, dt=dt)
+    return Trajectory(states=X, inputs=uu, noises=ww)
 
 
 def gaussian_noise(seed: int, steps: int, dim: int, sigma: float) -> np.ndarray:

@@ -430,6 +430,44 @@ def _write_network_files(directory, K: int) -> tuple:
     return net_path, traj_path
 
 
+@pytest.mark.parametrize("key", ["Q", "R"])
+def test_estimate_diagonal_weight_writes_the_bytes_of_its_number(tmp_path, key):
+    net_path, traj_path = _write_network_files(tmp_path, 30)
+    written = []
+    for i, config in enumerate(({key: 0.5}, {key: [0.5, 0.5]}, {})):
+        path, out = tmp_path / "config.json", tmp_path / f"est{i}.csv"
+        path.write_text(json.dumps(dict(config, v=2)))
+        assert run_cli("estimate", "--model", net_path, "--trajectory", traj_path,
+                       "--config", str(path), "--out", str(out)) == 0
+        written.append(out.read_bytes() + pathlib.Path(f"{out}.summary.json").read_bytes())
+    number, diagonal, default = written
+    assert diagonal == number != default
+
+
+@pytest.mark.parametrize("key, weight", [
+    ("Q", [1.0, 2.0, 3.0]),
+    ("R", [[1.0, 0.5], [-0.5, 1.0]]),
+    ("R", [[1.0, 2.0], [2.0, 1.0]]),
+])
+def test_estimate_and_mpc_reject_a_bad_weight_with_one_message(tmp_path, capsys, key, weight):
+    net_path, traj_path = _write_network_files(tmp_path, 10)
+    plant = tmp_path / "plant.json"
+    write_model(str(plant), FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]],
+                                     B=np.eye(2)))
+    config, scenario = tmp_path / "config.json", tmp_path / "scenario.json"
+    config.write_text(json.dumps({key: weight}))
+    scenario.write_text(json.dumps({"model": str(plant), "p": 2, "horizon": 3, "K": 3,
+                                    "out": str(tmp_path / "run.csv"), key: weight}))
+    messages = []
+    for argv in (("estimate", "--model", net_path, "--trajectory", traj_path,
+                  "--config", str(config), "--out", str(tmp_path / "est.csv")),
+                 ("mpc", str(scenario))):
+        assert run_cli(*argv) == 2
+        messages.append(capsys.readouterr().err.split(": ", 1)[1])
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{key} must")
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("mpc", "bounds", [0.1]),
     ("mpc", "seed", None),

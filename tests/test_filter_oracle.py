@@ -24,6 +24,7 @@ from fracdyn import (
     run_estimator,
     simulate_network,
 )
+from fracdyn.model import _weight_block
 
 RTOL = 1e-12
 
@@ -35,8 +36,8 @@ def dense_filter_step(state, u, y, C=None):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     A, G = aug.Atil, aug.Gtil
     C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
-    Qk = estimate._weight_at(cfg.Q, k, "Q")
-    Rk1 = estimate._weight_at(cfg.R, k + 1, "R")
+    Qk = _weight_block(cfg.Q, k, G.shape[1], "Q")
+    Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
     xpred = A @ state.xhat + aug.Btil @ u
     M = A @ state.P @ A.T + G @ Qk @ G.T
     S = C @ M @ C.T + Rk1

@@ -45,9 +45,9 @@ def test_model_without_inputs_is_rejected():
 
 
 @pytest.mark.parametrize("weights, message", [
-    (dict(Q=[1.0, 2.0], R=1.0), "Q needs 3x3 blocks"),
-    (dict(Q=np.ones((2, 3, 3)), R=1.0), "Q needs 3x3 blocks for 4 horizon steps"),
-    (dict(Q=1.0, R=np.eye(2)), "R needs 1x1 blocks"),
+    (dict(Q=[1.0, 2.0], R=1.0), "Q must have 3x3 blocks"),
+    (dict(Q=np.ones((2, 3, 3)), R=1.0), "Q must cover step 2"),
+    (dict(Q=1.0, R=np.eye(2)), "R must have 1x1 blocks"),
 ])
 def test_weight_blocks_must_match_the_model(weights, message):
     plant = FosModel(alpha=[0.5, 0.6, 0.7], A=-0.2 * np.eye(3), B=np.ones((3, 1)))

@@ -104,7 +104,7 @@ def reference_solve_horizon(problem, model, history):
     G = np.vstack([eye[pin], eye[upper], -eye[lower], rows_S])
     G = np.hstack([G, np.vstack([np.zeros((G.shape[0] - k, k)), -np.eye(k)])])
     g = np.concatenate([LO[pin], HI[upper], -LO[lower], rows_h - rows @ fvec])
-    Hz = scipy.linalg.block_diag(H, problem.soft_penalty * np.eye(k))
+    Hz = scipy.linalg.block_diag(H, mpc.SOFT_PENALTY * np.eye(k))
     J = np.linalg.inv(np.linalg.cholesky(2.0 * Hz)).T
     z, lam = _solve_qp(J, np.concatenate([b, np.zeros(k)]), G, g, int(pin.sum()))
     U = np.clip(z[: P * m], LO, HI)
@@ -120,7 +120,7 @@ def reference_solve_horizon(problem, model, history):
         u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
         cost=float(U @ H @ U + b @ U + const), kkt_residual=float(np.linalg.norm(proj)),
         active_lower=on_lo.reshape(P, m), active_upper=on_hi.reshape(P, m),
-        penalty_cost=float(problem.soft_penalty * (slack @ slack)),
+        penalty_cost=float(mpc.SOFT_PENALTY * (slack @ slack)),
     )
 
 
@@ -169,7 +169,7 @@ def _penalty_solve(problem, H, b, rows_S, rhs, lo, hi):
         )
         return res.x
 
-    weight = problem.soft_penalty
+    weight = mpc.SOFT_PENALTY
     U = solve_at(weight)
     for escalations in range(7 if problem.hard_state else 0):
         worst = float(np.max(rows_S @ U - rhs, initial=0.0))
