@@ -30,7 +30,6 @@ from .fraccore import (
     frac_difference,
     gl_weight_recursive,
     history_sum,
-    memory_tail,
 )
 from .model import (
     AugmentedModel,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, InnovationSingular
 from .model import (
-    AugmentedModel, MultiTermNetwork, _as_array, _as_weight, _weight_block, augment_v)
+    AugmentedModel, MultiTermNetwork, _as_array, _as_prior, _as_weight, _weight_block, augment_v)
 from .simulate import Trajectory
 
 __all__ = [
@@ -35,9 +35,9 @@ class EstimatorConfig:
 
     Each weight is a number (that multiple of I), a diagonal, an SPD matrix or
     a per-step schedule (a 3-D array indexed by the step it weights; P0
-    weights step 0).  ``xhat0`` is a number (every lifted coordinate), the
-    base state (history zero) or the lifted state.  Sizes are checked against
-    the lift when the filter is initialized.
+    weights step 0).  ``xhat0`` is a number (every base state), the base
+    state, both with the history zero, or the lifted state.  Sizes are
+    checked against the lift when the filter is initialized.
     """
 
     Q: np.ndarray
@@ -51,15 +51,10 @@ class EstimatorConfig:
         object.__setattr__(self, "xhat0", _as_array(self.xhat0, "xhat0"))
 
     @classmethod
-    def from_scalars(cls, aug: AugmentedModel, q: float, r: float, p0: float, xhat0_base=None):
-        """Scaled-identity weights sized for a given lift; xhat0 history is zero."""
-        d = aug.dim
-        x0 = np.zeros(d)
-        if xhat0_base is not None:
-            x0[: aug.n] = np.atleast_1d(np.asarray(xhat0_base, dtype=float))
-        return cls(
-            Q=q * np.eye(aug.Gtil.shape[1]), R=r * np.eye(aug.q), P0=p0 * np.eye(d), xhat0=x0
-        )
+    def from_scalars(cls, aug: AugmentedModel, q: float, r: float, p0: float, xhat0_base=0.0):
+        """Scaled-identity weights sized for a given lift; ``xhat0_base`` as for ``xhat0``."""
+        return cls(Q=q * np.eye(aug.Gtil.shape[1]), R=r * np.eye(aug.q), P0=p0 * np.eye(aug.dim),
+                   xhat0=_as_prior(xhat0_base, aug.n, aug.dim, "xhat0"))
 
 
 @dataclass(frozen=True)
@@ -85,20 +80,11 @@ def me_filter_init(aug: AugmentedModel, config: EstimatorConfig) -> EstimatorSta
 
     Resolves ``xhat0`` and P0 against the lift and checks the sizes of Q and R.
     """
-    d, xhat0 = aug.dim, config.xhat0
-    P0 = np.array(_weight_block(config.P0, 0, d, "P0"))
+    P0 = np.array(_weight_block(config.P0, 0, aug.dim, "P0"))
     _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q")
     _weight_block(config.R, 0, aug.q, "R")
-    if xhat0.ndim == 0:
-        xhat0 = np.full(d, float(xhat0))
-    elif xhat0.shape in ((aug.n,), (d,)):
-        xhat0 = aug.lift(xhat0)
-    else:
-        raise DimensionError(f"xhat0 must be a number or have length {aug.n} or {d}, "
-                             f"got shape {xhat0.shape}")
-    return EstimatorState(
-        k=0, xhat=xhat0, P=P0, gain=None, M=None, aug=aug, config=config,
-    )
+    xhat0 = _as_prior(config.xhat0, aug.n, aug.dim, "xhat0")
+    return EstimatorState(k=0, xhat=xhat0, P=P0, gain=None, M=None, aug=aug, config=config)
 
 
 def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:

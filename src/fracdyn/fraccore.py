@@ -4,13 +4,13 @@ The weight of lag ``j`` at order ``alpha`` is ``c_j = (-1)^j * binom(alpha, j)``
 evaluated by the product recurrence c_j = c_{j-1} * (j - 1 - alpha) / j, which
 is pole-free and grows its error as O(j*eps).
 
-This module is the one place a GL memory sum is evaluated.  Implicit
+This module is the one place a memory sum is evaluated.  Implicit
 recursions, whose history is produced step by step, read it from a
-:class:`MemoryTail`, which sums the lags of the current block of
-``NEAR_BLOCK`` steps directly with :func:`memory_tail` and the older history
-by FFT convolutions of doubling blocks, O(n K log^2 K) over K steps.  Sums
-over a series known in advance go through :func:`history_sum`.  All
-sequences are causal: samples at negative indices are zero.
+:class:`MemoryTail`, which convolves a diagonal kernel (a single-term model's
+GL tail) or a matrix kernel (a network's series) with the history in
+O(K log^2 K) over K steps.  Sums over a series known in advance go through
+:func:`history_sum`.  All sequences are causal: samples at negative indices
+are zero.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ __all__ = [
     "FracWeightTable",
     "gl_weight_recursive",
     "build_weight_table",
-    "memory_tail",
     "MemoryTail",
     "history_sum",
     "frac_difference",
@@ -89,27 +88,18 @@ def build_weight_table(alphas, J: int) -> FracWeightTable:
     return FracWeightTable(orders=orders, horizon=J, weights=w)
 
 
-def memory_tail(table: FracWeightTable, history: np.ndarray) -> np.ndarray:
-    """Memory term of the recursion x[k+1] = (A + diag(alpha)) x[k] - tail.
-
-    ``history`` holds the L states x[k-L..k-1] before the current one, oldest
-    first, with the channel on axis 1 and any further axes carried along
-    (a stack of state matrices steps like a state vector).  Lag j = k - t
-    pairs with c_{j+1}, so tail = sum_{j=1..L} diag(c_{j+1}) x[k-j].
-    """
-    w_cols = table.weights[:, 2 : history.shape[0] + 2][:, ::-1]
-    return np.einsum("nt,tn...->n...", w_cols, history)
-
-
 class MemoryTail:
-    """Online :func:`memory_tail` over a state history filled step by step.
+    """Online causal convolution y[k] = sum_{j=0..k} kernel[j] . states[k-j].
 
-    ``states`` is the caller's (K+1, n, ...) buffer.  ``self(k)`` returns
-    ``memory_tail(table, states[:k])`` once ``states[:k+1]`` are filled, for
-    k = 0, 1, 2, ... in that order (a repeated k is allowed).
+    ``states`` is the caller's (T, c, ...) buffer, channel on axis 1 and any
+    further axes carried along (a stack of state matrices steps like a state
+    vector).  ``kernel`` covers at least T lags: (L, c) is diagonal, scaling
+    each channel, and (L, n, c) is a matrix stack.  ``self(k)`` returns y[k]
+    once ``states[:k+1]`` are filled, for k = 0, 1, 2, ... in that order (a
+    repeated k is allowed).
 
     - Near field: the lags inside the current aligned block of
-      ``NEAR_BLOCK`` steps, summed directly with :func:`memory_tail`.
+      ``NEAR_BLOCK`` steps, summed directly.
     - Far field, by relaxed blocked convolution (Hairer, Lubich and
       Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each step s that is
       a multiple of ``NEAR_BLOCK``, with b the lowest set bit of s, the block
@@ -117,42 +107,54 @@ class MemoryTail:
       1..2b-1 and added to the far-field sums of steps [s, s+b).
 
     Every pair of a step and an earlier block falls in exactly one such
-    product, so K steps cost O(n K log^2 K) instead of O(n K^2).  The first
-    ``NEAR_BLOCK`` steps are :func:`memory_tail` bitwise; later ones agree
-    with it to rounding of the FFT.  The kernel's lag-0 slot is zero, so a
-    channel whose tail weights are all zero (orders 0 and 1) gets an exactly
-    zero far field.
+    product, so T steps cost O(n c T log^2 T) instead of O(n c T^2).  The
+    first ``NEAR_BLOCK`` steps are the direct sum bitwise; later ones agree
+    with it to rounding of the FFT.  A kernel whose lags 1.. are all zero
+    (orders 0 and 1) gets an exactly zero far field.
     """
 
-    def __init__(self, table: FracWeightTable, states: np.ndarray):
-        if table.horizon < states.shape[0]:
-            raise DomainError("weight table horizon is shorter than the state history")
-        self._table = table
+    def __init__(self, kernel: np.ndarray, states: np.ndarray):
+        if kernel.shape[0] < states.shape[0]:
+            raise DomainError("memory kernel is shorter than the state history")
+        self._kernel = kernel
         self._states = states
-        self._far = np.zeros_like(states)
+        self._far = np.zeros((states.shape[0], kernel.shape[1]) + states.shape[2:])
         self._spectra = {}
         self._next_block = NEAR_BLOCK
 
     def _spectrum(self, b: int) -> np.ndarray:
-        """rfft of the kernel h[l] = c_{l+1}, l = 1..2b-1, shaped to broadcast over a block."""
+        """rfft of the kernel's lags 1..2b-1 (lag 0 zero), shaped to meet a block."""
         if b not in self._spectra:
-            lags = min(2 * b, self._table.horizon)
-            h = np.zeros((2 * b, self._table.channels))
-            h[1:lags] = self._table.weights[:, 2 : lags + 1].T
+            lags = min(2 * b, self._kernel.shape[0])
+            h = np.zeros((2 * b,) + self._kernel.shape[1:])
+            h[1:lags] = self._kernel[1:lags]
             spectrum = np.fft.rfft(h, axis=0)
-            self._spectra[b] = spectrum.reshape(spectrum.shape + (1,) * (self._states.ndim - 2))
+            if self._kernel.ndim == 2:
+                spectrum = spectrum.reshape(spectrum.shape + (1,) * (self._states.ndim - 2))
+            self._spectra[b] = spectrum
         return self._spectra[b]
 
     def __call__(self, k: int) -> np.ndarray:
         if k == self._next_block:
             b = k & -k
             block = np.fft.rfft(self._states[k - b : k], n=2 * b, axis=0)
-            far = np.fft.irfft(block * self._spectrum(b), n=2 * b, axis=0)[b:]
-            stop = min(k + b, self._far.shape[0])
-            self._far[k:stop] += far[: stop - k]
+            if self._kernel.ndim == 2:
+                block = block * self._spectrum(b)
+            else:  # one n-by-c product per frequency
+                block = np.einsum("fab,fb...->fa...", self._spectrum(b), block)
+            far = np.fft.irfft(block, n=2 * b, axis=0)[b:]
+            self._far[k : k + b] += far[: self._far.shape[0] - k]
             self._next_block = k + NEAR_BLOCK
         start = k - k % NEAR_BLOCK
-        return memory_tail(self._table, self._states[start:k]) + self._far[k]
+        # the summation order of each kernel type's former direct sum, which
+        # the first NEAR_BLOCK steps reproduce bitwise
+        if self._kernel.ndim == 2:
+            near = np.einsum("jn,jn...->n...", self._kernel[k - start :: -1],
+                             self._states[start : k + 1])
+        else:
+            near = np.einsum("jab,jb...->a...", self._kernel[: k - start + 1],
+                             self._states[start : k + 1][::-1])
+        return near + self._far[k]
 
 
 def history_sum(x, weights, start: int, stop: int) -> np.ndarray:

@@ -6,10 +6,12 @@ Two model classes are provided.  :class:`FosModel` is the single-term system
 
 with one fractional order per state channel.  :class:`MultiTermNetwork` is the
 multi-term network with separate fractional terms on state, input, and
-disturbance, plus an output map.  Both admit finite-memory LTI lifts
-(:class:`AugmentedModel`): the depth-p block-companion lift of the single-term
-system, and the depth-v truncation of a network that stacks the last ``v``
-states and inputs and routes the truncated tail through a disturbance column.
+disturbance, plus an output map.  Both follow the recursion
+x[k+1] = sum_j M_j x[k-j] + sum_j B_j u[k-j] + sum_j G_j w[k-j], and both admit
+finite-memory LTI lifts (:class:`AugmentedModel`) from one block-companion
+builder: the depth-p lift of the single-term system over its last ``p``
+states, and the depth-v truncation of a network that also stacks the last
+``v`` inputs and routes the truncated tail through a disturbance column.
 """
 
 from dataclasses import dataclass, field
@@ -108,6 +110,26 @@ def _weight_block(W: np.ndarray, k: int, size: int, name: str) -> np.ndarray:
     if block.shape[0] != size:
         raise DimensionError(f"{name} must have {size}x{size} blocks, got shape {W.shape}")
     return np.diag(block) if block.ndim == 1 else block
+
+
+def _as_prior(value, n: int, dim: int, name: str) -> np.ndarray:
+    """An initial state of a lift of dimension ``dim`` over ``n`` base states.
+
+    A number sets every base state and a length-n vector is the base state,
+    both with the history zero; a length-``dim`` vector is the lifted state.
+    DimensionError (another shape) or DomainError (non-finite) names ``name``.
+    """
+    x = _as_array(value, name)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} entries must be finite")
+    if x.shape == (dim,):
+        return x.copy()
+    if x.shape not in ((), (n,)):
+        raise DimensionError(f"{name} must be a number or have length {n} or {dim}, "
+                             f"got shape {x.shape}")
+    z = np.zeros(dim)
+    z[:n] = x
+    return z
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -310,15 +332,8 @@ class AugmentedModel:
                         noise=np.flatnonzero(self.Gtil.any(axis=1)))
 
     def lift(self, x0) -> np.ndarray:
-        """Embed a base-dimension initial state into the lift (history = 0)."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape == (self.dim,):
-            return x0.copy()
-        if x0.shape != (self.n,):
-            raise DimensionError(f"initial state must have length {self.n} or {self.dim}")
-        z = np.zeros(self.dim)
-        z[: self.n] = x0
-        return z
+        """Embed an initial state into the lift by the rule of :func:`_as_prior`."""
+        return _as_prior(x0, self.n, self.dim, "initial state")
 
 
 def aj_series(model: FosModel, J: int) -> list[np.ndarray]:
@@ -330,12 +345,39 @@ def aj_series(model: FosModel, J: int) -> list[np.ndarray]:
     """
     if J < 0:
         raise DimensionError("series length J must be non-negative")
-    n = model.n
-    table = build_weight_table(model.alpha, J + 1)
-    out = [model.A + np.diag(model.alpha)]
-    for j in range(1, J + 1):
-        out.append(np.diag(-table.weights[:, j + 1]) if n else np.zeros((0, 0)))
-    return out
+    w = build_weight_table(model.alpha, J + 1).weights
+    return [model.A + np.diag(model.alpha)] + [np.diag(-w[:, j + 1]) for j in range(1, J + 1)]
+
+
+def _companion(kind: str, lags: np.ndarray, lanes, B0: np.ndarray, noise: np.ndarray,
+               C: np.ndarray) -> AugmentedModel:
+    """Lift of x[k+1] = sum_j lags[j] x[k-j] + sum_j lanes[j] u[k-1-j] + B0 u[k] + noise w[k].
+
+    The lifted state stacks the last p = len(lags) states, then, when
+    ``lanes`` is given, the last p inputs.  Identity blocks shift both
+    histories down; the newest state block carries the rest, and ``C`` reads it.
+    """
+    p, n = lags.shape[:2]
+    m = B0.shape[1]
+    lane_dim = 0 if lanes is None else p * m
+    d = p * n + lane_dim
+    Atil = np.zeros((d, d))
+    Atil[:n, : p * n] = lags.transpose(1, 0, 2).reshape(n, p * n)
+    Atil[n : p * n, : (p - 1) * n] = np.eye((p - 1) * n)
+    Btil = np.zeros((d, m))
+    Btil[:n] = B0
+    if lane_dim:
+        Atil[:n, p * n :] = lanes.transpose(1, 0, 2).reshape(n, lane_dim)
+        Atil[p * n + m :, p * n : d - m] = np.eye(lane_dim - m)
+        Btil[p * n : p * n + m] = np.eye(m)
+    Gtil = np.zeros((d, noise.shape[1]))
+    Gtil[:n] = noise
+    Ctil = np.zeros((C.shape[0], d))
+    Ctil[:, :n] = C
+    return AugmentedModel(
+        kind=kind, depth=p, Atil=_freeze(Atil), Btil=_freeze(Btil),
+        Gtil=_freeze(Gtil), Ctil=_freeze(Ctil), n=n, m=m, q=C.shape[0],
+    )
 
 
 def augment_p(model: FosModel, p: int) -> AugmentedModel:
@@ -346,23 +388,8 @@ def augment_p(model: FosModel, p: int) -> AugmentedModel:
     """
     if p < 1:
         raise DimensionError("augmentation depth p must be >= 1")
-    n, m = model.n, model.m
-    blocks = aj_series(model, p - 1)
-    Atil = np.zeros((p * n, p * n))
-    for j, Aj in enumerate(blocks):
-        Atil[:n, j * n : (j + 1) * n] = Aj
-    for i in range(1, p):
-        Atil[i * n : (i + 1) * n, (i - 1) * n : i * n] = np.eye(n)
-    Btil = np.zeros((p * n, m))
-    Btil[:n, :] = model.B
-    Gtil = np.zeros((p * n, model.p))
-    Gtil[:n, :] = model.Bw
-    Ctil = np.zeros((n, p * n))
-    Ctil[:, :n] = np.eye(n)
-    return AugmentedModel(
-        kind="p-augment", depth=p, Atil=_freeze(Atil), Btil=_freeze(Btil),
-        Gtil=_freeze(Gtil), Ctil=_freeze(Ctil), n=n, m=m, q=n,
-    )
+    lags = np.array(aj_series(model, p - 1))
+    return _companion("p-augment", lags, None, model.B, model.Bw, np.eye(model.n))
 
 
 @dataclass(frozen=True)
@@ -429,28 +456,6 @@ def augment_v(net: MultiTermNetwork, v: int) -> AugmentedModel:
     """
     if v < 1:
         raise DimensionError("truncation depth v must be >= 1")
-    n, m, q = net.n, net.m, net.q
     series = network_series(net, v)
-    d = v * (n + m)
-    Atil = np.zeros((d, d))
-    for j in range(1, v + 1):
-        Atil[:n, (j - 1) * n : j * n] = series.A[j]
-        if m:
-            Atil[:n, v * n + (j - 1) * m : v * n + j * m] = series.B[j]
-    for i in range(1, v):
-        Atil[i * n : (i + 1) * n, (i - 1) * n : i * n] = np.eye(n)
-        if m:
-            r = v * n + i * m
-            Atil[r : r + m, r - m : r] = np.eye(m)
-    Btil = np.zeros((d, m))
-    if m:
-        Btil[:n, :] = series.B[0]
-        Btil[v * n : v * n + m, :] = np.eye(m)
-    Gtil = np.zeros((d, n))
-    Gtil[:n, :] = np.eye(n)
-    Ctil = np.zeros((q, d))
-    Ctil[:, :n] = net.output_map(0)
-    return AugmentedModel(
-        kind="v-approx", depth=v, Atil=_freeze(Atil), Btil=_freeze(Btil),
-        Gtil=_freeze(Gtil), Ctil=_freeze(Ctil), n=n, m=m, q=q,
-    )
+    return _companion("v-approx", series.A[1:], series.B[1:], series.B[0], np.eye(net.n),
+                      net.output_map(0))

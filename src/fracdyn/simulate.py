@@ -1,10 +1,10 @@
 """Forward simulation of fractional systems and their finite-memory lifts.
 
-Single-term systems are stepped with the full-memory recursion
-x[k+1] = (A + diag(alpha)) x[k] - sum_{j>=1} c_{j+1} * x[k-j] + B u + Bw w,
-whose memory sum :class:`~fracdyn.fraccore.MemoryTail` evaluates in
-O(n K log^2 K) over K steps.  Everything is deterministic given
-(model, x0, inputs, noise-or-seed).
+Both model types step x[k+1] = sum_j M_j x[k-j] + sum_j B_j u[k-j] + sum_j G_j w[k-j]
+with :class:`~fracdyn.fraccore.MemoryTail`: a single-term system has a diagonal
+tail M_j = -diag(c_{j+1}) beside M_0 = A + diag(alpha), O(n K log^2 K) over K
+steps; a network has matrix stacks, O(n^2 K log^2 K).  Everything is
+deterministic given (model, x0, inputs, noise-or-seed).
 """
 
 from dataclasses import dataclass
@@ -112,7 +112,10 @@ class FosSimulator:
         self._A0 = model.A + np.diag(model.alpha)
         self._states = np.zeros((max_steps + 1,) + x0.shape)
         self._states[0] = x0
-        self._tail = MemoryTail(build_weight_table(model.alpha, max_steps + 1), self._states)
+        # x[k+1] = A0 x[k] + sum_{j>=1} -c_{j+1} x[k-j]: the tail kernel, negated
+        kernel = -build_weight_table(model.alpha, max_steps + 1).weights[:, 1:].T
+        kernel[0] = 0.0
+        self._tail = MemoryTail(kernel, self._states)
         self.k = 0
 
     @property
@@ -128,7 +131,7 @@ class FosSimulator:
             raise DimensionError("inputs and noise drive a state vector, not free responses")
         # overflow is detected by the finiteness check below, not by numpy noise
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = self._A0 @ x[k] - self._tail(k)
+            nxt = self._A0 @ x[k] + self._tail(k)
             if u is not None:
                 nxt = nxt + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
             if w is not None:
@@ -186,9 +189,11 @@ def simulate_network(
 ) -> Trajectory:
     """Full-memory simulation of a multi-term network, as ``fracdyn simulate`` runs it.
 
-    Uses the reduced convolution series at every lag up to K; cost is
-    O(K^2 n^2).  Outputs are C x[k] with no measurement noise; callers add
-    their own.  Its oracle is the double loop in ``tests/test_memory_oracles.py``.
+    Steps the reduced convolution series at every lag up to K, with one
+    :class:`~fracdyn.fraccore.MemoryTail` each over the states, inputs and
+    disturbances, O(n^2 K log^2 K).  Outputs are C x[k] with no measurement
+    noise; callers add their own.  Its oracles are the double loop and the
+    direct sums in ``tests/test_memory_oracles.py``.
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
@@ -201,16 +206,18 @@ def simulate_network(
     series = network_series(net, K)
     X = np.zeros((K + 1, n))
     X[0] = x0
+    # x[K] enters no step; an input or disturbance stack of width zero adds nothing
+    tails = [MemoryTail(kernel, history) for kernel, history in
+             ((series.A[1:], X[:K]), (series.B, uu), (series.G, ww)) if history.shape[1]]
     for k in range(K):
-        acc = np.einsum("jab,jb->a", series.A[1 : k + 2], X[k::-1])
-        if net.m:
-            acc += np.einsum("jab,jb->a", series.B[: k + 1], uu[k::-1])
-        if net.p:
-            acc += np.einsum("jab,jb->a", series.G[: k + 1], ww[k::-1])
-        if not np.all(np.isfinite(acc)):
+        # overflow is detected by the finiteness check below, not by numpy noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = sum(tail(k) for tail in tails)
+        if not np.all(np.isfinite(nxt)):
             raise NonFiniteError(f"state became non-finite at step {k + 1}")
-        X[k + 1] = acc
-    outputs = np.vstack([net.output_map(k) @ X[k] for k in range(K + 1)])
+        X[k + 1] = nxt
+    C = net.C if net.C.ndim == 3 else net.C[None]
+    outputs = (C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] @ X[:, :, None])[:, :, 0]
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
 
 

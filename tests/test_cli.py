@@ -405,6 +405,24 @@ def test_identify_overflowing_trajectory_exits_3_naming_the_channel(tmp_path, ca
     assert not model_out.exists() and not diag_out.exists()
 
 
+def test_diverging_network_exits_3_naming_the_step(tmp_path, capsys):
+    # the states overflow at step 385, long after the far field has joined; an
+    # unguarded far field warns of overflow in its inverse FFT on the way
+    net = MultiTermNetwork(state_terms=((1.0, np.eye(2)), (0.5, [[-0.905, 0.01], [-0.02, -0.93]])),
+                           disturbance_terms=((0.7, np.eye(2)),))
+    path, out = str(tmp_path / "net.json"), tmp_path / "x.csv"
+    write_model(path, net)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", "--model", path, "--x0", "1.0,-0.5", "--steps", "600",
+                       "--seed", "1", "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "state became non-finite at step 385" in err and "Traceback" not in err
+    assert not caught
+    assert not out.exists()
+
+
 @pytest.fixture
 def short_trajectory_file(tmp_path, scalar_model_file):
     path = str(tmp_path / "traj.csv")

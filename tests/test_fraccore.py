@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from fracdyn import (
+    DomainError,
     PoleError,
     build_weight_table,
     frac_difference,
     gl_weight_recursive,
 )
+from fracdyn.fraccore import MemoryTail
 from gl_oracle import gl_weight_gamma
 
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 20) if k != 10]
@@ -111,3 +113,43 @@ def test_frac_difference_precomputed_table_horizon_check():
 
     with pytest.raises(DomainError):
         frac_difference(np.ones(10), [0.5], 5, table)
+
+
+def direct_convolution(kernel, states, k):
+    """sum_{j=0..k} kernel[j] . states[k-j], one lag at a time."""
+    out = 0.0
+    for j in range(k + 1):
+        if kernel.ndim == 2:
+            out = out + kernel[j].reshape((-1,) + (1,) * (states.ndim - 2)) * states[k - j]
+        else:
+            out = out + np.tensordot(kernel[j], states[k - j], axes=1)
+    return out
+
+
+@pytest.mark.parametrize("kernel_shape", [(2,), (2, 3)], ids=["diagonal", "matrix"])
+@pytest.mark.parametrize("extra", [(), (4,)], ids=["vector states", "matrix states"])
+def test_memory_tail_is_the_causal_convolution(kernel_shape, extra):
+    # 300 steps reach far-field blocks of 64 and 128 steps; the states are
+    # written one step ahead of the sum, as a stepper writes them
+    rng = np.random.default_rng(4)
+    T = 300
+    decay = 1.0 / (1.0 + np.arange(T + 5))
+    kernel = rng.normal(size=(T + 5,) + kernel_shape)
+    kernel *= decay.reshape((-1,) + (1,) * len(kernel_shape))
+    source = rng.normal(size=(T, kernel_shape[-1]) + extra)
+    states = np.zeros_like(source)
+    tail = MemoryTail(kernel, states)
+    scale = 0.0
+    for k in range(T):
+        states[k] = source[k]
+        got, want = tail(k), direct_convolution(kernel, states, k)
+        assert got.shape == (kernel_shape[0],) + extra
+        scale = max(scale, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-12 * scale, k
+
+
+def test_memory_tail_rejects_a_kernel_shorter_than_the_history():
+    with pytest.raises(DomainError, match="shorter than the state history"):
+        MemoryTail(np.ones((9, 2, 2)), np.zeros((10, 2)))
+    with pytest.raises(DomainError, match="shorter than the state history"):
+        MemoryTail(np.ones((9, 2)), np.zeros((10, 2)))

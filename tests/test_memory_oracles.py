@@ -3,10 +3,12 @@
 Each oracle below is a per-lag or per-row Python loop that fracdyn used to
 evaluate a Grunwald-Letnikov memory sum with.  Paths that keep the rounding
 order of their loop must agree bitwise: the weight table, and the first
-``NEAR_BLOCK`` steps of the single-term simulator and the transition matrices.
-The convolutions sum in a different order, so later steps of the stepper, the
-network recursion and the identification sums must agree to 1e-12 relative to
-the running maximum magnitude of the series they sum.
+``NEAR_BLOCK`` steps of the single-term simulator, the transition matrices and
+the network stepper.  The convolutions sum in a different order, so later
+steps of the steppers and the identification sums must agree to 1e-12
+relative to the running maximum magnitude of the series they sum.  On
+networks that grow by many orders of magnitude the float64 direct sum is
+itself that far off, so there the reference is a long double sum.
 """
 
 import numpy as np
@@ -17,8 +19,10 @@ from fracdyn import (
     FosModel,
     MpcProblem,
     MultiTermNetwork,
+    NonFiniteError,
     build_weight_table,
     frac_difference,
+    gaussian_noise,
     gl_weight_recursive,
     history_sum,
     identify,
@@ -98,6 +102,26 @@ def loop_simulate_network(net, x0, u, w, K):
                 acc += series.B[j] @ u[k - j]
             if net.p:
                 acc += series.G[j] @ w[k - j]
+        X[k + 1] = acc
+    return X
+
+
+def direct_simulate_network(net, x0, u, w, K, dtype=float):
+    """The double loop with its lag loop as one whole-history sum per step, in ``dtype``.
+
+    In float64 this is the network stepper as it was before the far field.
+    """
+    series = network_series(net, K)
+    A, B, G = (np.asarray(s, dtype=dtype) for s in (series.A, series.B, series.G))
+    u, w = np.asarray(u, dtype=dtype), np.asarray(w, dtype=dtype)
+    X = np.zeros((K + 1, net.n), dtype=dtype)
+    X[0] = x0
+    for k in range(K):
+        acc = np.einsum("jab,jb->a", A[1 : k + 2], X[k::-1])
+        if net.m:
+            acc += np.einsum("jab,jb->a", B[: k + 1], u[k::-1])
+        if net.p:
+            acc += np.einsum("jab,jb->a", G[: k + 1], w[k::-1])
         X[k + 1] = acc
     return X
 
@@ -287,6 +311,56 @@ def test_simulate_network_matches_the_double_loop(m, p, schedule):
     assert_close_to_running_max(traj.states, X, X)
     Y = np.vstack([net.output_map(k) @ X[k] for k in range(K + 1)])
     assert_close_to_running_max(traj.outputs, Y, Y)
+
+
+def test_simulate_network_matches_the_direct_sum_across_far_field_levels():
+    # shaped like the benchmark's network and bounded; K = 4100 reaches
+    # far-field blocks of 64 to 2048 steps, the last ones cut at the horizon
+    rng = np.random.default_rng(12)
+    n = 3
+    net = MultiTermNetwork(
+        state_terms=((0.6, np.eye(n)), (0.3, 0.1 * rng.standard_normal((n, n)))),
+        input_terms=((0.5, np.eye(n)[:, :1]),), disturbance_terms=((0.7, np.eye(n)),),
+        C=np.eye(n)[:2])
+    K = 4100
+    x0 = rng.standard_normal(n)
+    u = rng.standard_normal((K, 1))
+    w = 0.1 * rng.standard_normal((K, n))
+    traj = simulate_network(net, x0, u=u, w=w, K=K)
+    X = direct_simulate_network(net, x0, u, w, K)
+    assert np.all(np.isfinite(X)) and np.abs(X).max() < 1e3
+    assert_stepper_matches(traj.states, X)
+    assert_close_to_running_max(traj.outputs, X @ net.C.T, X)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than float64 here, so it is no reference")
+@pytest.mark.parametrize("m,p,schedule", [(2, 1, False), (0, 2, True), (1, 0, True), (0, 0, False)])
+def test_growing_network_matches_a_long_double_sum_across_far_field_levels(m, p, schedule):
+    # these networks grow by 1e17 to 1e105 over K steps; summed in float64,
+    # the direct sum itself is 1e-12 to 4e-12 of the running maximum off
+    net, rng = _network(m + 3 * p, m, p, schedule)
+    K = 2100
+    x0 = rng.normal(size=net.n)
+    u = rng.normal(size=(K, m))
+    w = rng.normal(size=(K, p))
+    traj = simulate_network(net, x0, u=u if m else None, w=w if p else None, K=K)
+    X = direct_simulate_network(net, x0, u, w, K, np.longdouble)
+    assert_close_to_running_max(traj.states, X, X)
+
+
+def test_diverging_network_names_the_first_non_finite_step():
+    # it overflows long after the far field has joined
+    net = MultiTermNetwork(state_terms=((1.0, np.eye(2)), (0.5, [[-0.905, 0.01], [-0.02, -0.93]])),
+                           disturbance_terms=((0.7, np.eye(2)),))
+    K = 600
+    w = gaussian_noise(1, K, 2, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = direct_simulate_network(net, [1.0, -0.5], np.zeros((K, 0)), w, K)
+    first = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+    assert 4 * NEAR_BLOCK < first < K
+    with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first}$"):
+        simulate_network(net, [1.0, -0.5], w=w, K=K)
 
 
 def _noisy_trajectory(orders, K, seed):

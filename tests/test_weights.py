@@ -6,21 +6,29 @@ matrix, or a per-step schedule.  So each form means the same blocks in both,
 and a bad weight fails the same way in both, naming the weight.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import fracdyn.estimate as estimate
 from fracdyn import (
     DimensionError,
+    DomainError,
     EstimatorConfig,
     FosModel,
     MpcProblem,
     MultiTermNetwork,
     NotSPD,
+    Trajectory,
     augment_v,
     condense,
     me_filter_init,
     me_filter_step,
+    simulate_network,
 )
+from fracdyn.cli import main
+from fracdyn.fileio import write_model, write_trajectory
 
 #: Filter steps and horizon length; a schedule of STEPS + 1 blocks serves both.
 STEPS = 4
@@ -102,11 +110,44 @@ def test_the_prior_resolves_against_the_lift():
     base = [1.0, -0.5]
     lifted = np.zeros(d)
     lifted[:2] = base
-    for xhat0, want in ((0.3, np.full(d, 0.3)), (base, lifted), (lifted, lifted)):
+    number = np.zeros(d)
+    number[:2] = 0.3
+    for xhat0, want in ((0.3, number), (base, lifted), (lifted, lifted)):
         state = me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=2.0, xhat0=xhat0))
         assert np.array_equal(state.xhat, want)
         assert np.array_equal(state.P, 2.0 * np.eye(d))
     with pytest.raises(DimensionError, match="^xhat0 must"):
         me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=2.0, xhat0=[1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError, match="^xhat0 entries must be finite"):
+        me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=2.0, xhat0=[1.0, np.nan]))
+    with pytest.raises(DomainError, match="^xhat0 entries must be finite"):
+        EstimatorConfig.from_scalars(aug, 1.0, 1.0, 1.0, None)
     with pytest.raises(DimensionError, match=f"^P0 must have {d}x{d} blocks"):
         me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=[1.0, 2.0], xhat0=0.0))
+
+
+def test_a_number_prior_starts_the_filter_alike_from_every_entry_point(tmp_path, monkeypatch):
+    # a number sets every base state and leaves the history at zero, whether
+    # it reaches the filter through the config, from_scalars or the CLI
+    aug = augment_v(NET, 2)
+    want = np.zeros(aug.dim)
+    want[: aug.n] = 0.5
+    starts = [me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=1.0, xhat0=0.5)).xhat,
+              me_filter_init(aug, EstimatorConfig.from_scalars(aug, 1.0, 1.0, 1.0, 0.5)).xhat]
+
+    def recording_init(aug, config):
+        state = me_filter_init(aug, config)
+        starts.append(state.xhat)
+        return state
+
+    monkeypatch.setattr(estimate, "me_filter_init", recording_init)
+    net_path, traj_path, config = tmp_path / "net.json", tmp_path / "meas.csv", tmp_path / "c.json"
+    write_model(str(net_path), NET)
+    truth = simulate_network(NET, [1.0, -0.5], w=0.01 * np.ones((STEPS, 2)), K=STEPS)
+    write_trajectory(str(traj_path), Trajectory(states=truth.states, outputs=truth.outputs))
+    config.write_text(json.dumps({"v": 2, "xhat0": 0.5}))
+    assert main(["estimate", "--model", str(net_path), "--trajectory", str(traj_path),
+                 "--config", str(config), "--out", str(tmp_path / "est.csv")]) == 0
+    assert len(starts) == 3
+    for start in starts:
+        assert np.array_equal(start, want)
