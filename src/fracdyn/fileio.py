@@ -173,7 +173,10 @@ def write_table(path: str, header: list, rows) -> None:
 
 
 def write_trajectory(path: str, traj: Trajectory) -> None:
-    """CSV with header t,x1..xn[,u1..um][,y1..yq]; the last input row is blank."""
+    """CSV with header t,x1..xn[,u1..um][,y1..yq]; the last input row is blank.
+
+    Cells are ``fmt_float``'s text: one ``%.17g`` format per row writes it.
+    """
     n = traj.n
     m = traj.inputs.shape[1] if traj.inputs is not None else 0
     q = traj.outputs.shape[1] if traj.outputs is not None else 0
@@ -185,26 +188,37 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
     if q:
         blocks.append(traj.outputs)
     rows = np.hstack(blocks).tolist()
-    rows[-1][1 + n: 1 + n + m] = [""] * m
-    write_table(path, header, rows)
+    cells = ["%.17g"] * len(header)
+    row = ",".join(cells)
+    lines = [",".join(header)] + [row % tuple(r) for r in rows[:-1]]
+    cells[1 + n : 1 + n + m] = [""] * m
+    del rows[-1][1 + n : 1 + n + m]
+    lines.append(",".join(cells) % tuple(rows[-1]))
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _cell_or_zero(cell: str) -> float:
+    return float(cell) if cell.strip() else 0.0
 
 
 def read_trajectory(path: str) -> Trajectory:
-    """Parse a trajectory CSV; missing u/y blocks and blank cells are tolerated."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DimensionError(f"{path}: empty trajectory file") from None
-        rows = []
-        for r in reader:
-            if not any(cell.strip() for cell in r):
-                continue
-            if len(r) < len(header):
-                raise DimensionError(f"{path}: line {reader.line_num} has {len(r)} fields, "
-                                     f"the header has {len(header)}")
-            rows.append(r)
+    """Parse a trajectory CSV; missing u/y blocks and blank input cells are tolerated.
+
+    Rows of blank cells are skipped, and a blank input cell reads 0.
+    """
+    with open(path, "r") as fh:
+        lines = fh.read().split("\n")
+    if lines == [""]:
+        raise DimensionError(f"{path}: empty trajectory file")
+    header = next(csv.reader(lines[:1]))
+    body = []
+    for num, line in enumerate(lines[1:], 2):
+        if not line.replace(",", "").strip():
+            continue
+        if line.count(",") + 1 < len(header):
+            raise DimensionError(f"{path}: line {num} has {line.count(',') + 1} fields, "
+                                 f"the header has {len(header)}")
+        body.append(line)
     cols = {name: idx for idx, name in enumerate(header)}
     if "t" not in cols:
         raise DimensionError(f"{path}: trajectory header lacks the time column")
@@ -213,18 +227,19 @@ def read_trajectory(path: str) -> Trajectory:
     y_idx = [cols[h] for h in header if h.startswith("y")]
     if not x_idx:
         raise DimensionError(f"{path}: trajectory header lacks state columns")
-    T = len(rows)
-    states = np.array([[float(r[i]) for i in x_idx] for r in rows])
-    outputs = np.array([[float(r[i]) for i in y_idx] for r in rows]) if y_idx else None
-    inputs = None
-    if u_idx:
-        vals = []
-        for r in rows[: T - 1]:
-            vals.append([float(r[i]) if r[i].strip() else 0.0 for i in u_idx])
-        inputs = np.array(vals) if vals else None
+    T = len(body)
+    used = sorted({*x_idx, *u_idx, *y_idx})
+    table = np.zeros((T, len(header)))
+    if T:
+        table[:, used] = np.loadtxt(body, delimiter=",", usecols=used, ndmin=2, comments=None,
+                                    quotechar='"', converters=dict.fromkeys(u_idx, _cell_or_zero))
+    # take, not fancy indexing, which would return column-major blocks
+    states = table.take(x_idx, axis=1)
+    outputs = table.take(y_idx, axis=1) if y_idx else None
+    inputs = table[: T - 1].take(u_idx, axis=1) if u_idx and T > 1 else None
     dt = 1.0
     if T >= 2:
-        t0, t1 = float(rows[0][cols["t"]]), float(rows[1][cols["t"]])
+        t0, t1 = (float(row[cols["t"]]) for row in csv.reader(body[:2]))
         dt = t1 - t0 if t1 > t0 else 1.0
     return Trajectory(states=states, inputs=inputs, outputs=outputs, dt=dt)
 

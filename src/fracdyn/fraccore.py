@@ -96,7 +96,9 @@ class MemoryTail:
     vector).  ``kernel`` covers at least T lags: (L, c) is diagonal, scaling
     each channel, and (L, n, c) is a matrix stack.  ``self(k)`` returns y[k]
     once ``states[:k+1]`` are filled, for k = 0, 1, 2, ... in that order (a
-    repeated k is allowed).
+    repeated k is allowed).  A caller that solves a whole block at once reads
+    ``self.far(s)`` at each block start s instead, and may then go on with
+    ``self(k)`` for k in that block.
 
     - Near field: the lags inside the current aligned block of
       ``NEAR_BLOCK`` steps, summed directly.
@@ -134,18 +136,28 @@ class MemoryTail:
             self._spectra[b] = spectrum
         return self._spectra[b]
 
-    def __call__(self, k: int) -> np.ndarray:
-        if k == self._next_block:
-            b = k & -k
-            block = np.fft.rfft(self._states[k - b : k], n=2 * b, axis=0)
+    def far(self, s: int) -> np.ndarray:
+        """Far field of the block of steps from ``s``, a multiple of ``NEAR_BLOCK``.
+
+        Needs ``states[:s]`` filled.  Runs the update due at ``s`` (once), after
+        which the rows ``[s, s + NEAR_BLOCK)`` hold the whole sum over
+        ``states[:s]``: no later update reaches them.
+        """
+        if s == self._next_block:
+            b = s & -s
+            block = np.fft.rfft(self._states[s - b : s], n=2 * b, axis=0)
             if self._kernel.ndim == 2:
                 block = block * self._spectrum(b)
             else:  # one n-by-c product per frequency
                 block = np.einsum("fab,fb...->fa...", self._spectrum(b), block)
             far = np.fft.irfft(block, n=2 * b, axis=0)[b:]
-            self._far[k : k + b] += far[: self._far.shape[0] - k]
-            self._next_block = k + NEAR_BLOCK
+            self._far[s : s + b] += far[: self._far.shape[0] - s]
+            self._next_block = s + NEAR_BLOCK
+        return self._far[s : s + NEAR_BLOCK]
+
+    def __call__(self, k: int) -> np.ndarray:
         start = k - k % NEAR_BLOCK
+        far = self.far(start)[k - start]
         # the summation order of each kernel type's former direct sum, which
         # the first NEAR_BLOCK steps reproduce bitwise
         if self._kernel.ndim == 2:
@@ -154,7 +166,7 @@ class MemoryTail:
         else:
             near = np.einsum("jab,jb...->a...", self._kernel[: k - start + 1],
                              self._states[start : k + 1][::-1])
-        return near + self._far[k]
+        return near + far
 
 
 def history_sum(x, weights, start: int, stop: int) -> np.ndarray:

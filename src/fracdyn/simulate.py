@@ -3,8 +3,11 @@
 Both model types step x[k+1] = sum_j M_j x[k-j] + sum_j B_j u[k-j] + sum_j G_j w[k-j]
 with :class:`~fracdyn.fraccore.MemoryTail`: a single-term system has a diagonal
 tail M_j = -diag(c_{j+1}) beside M_0 = A + diag(alpha), O(n K log^2 K) over K
-steps; a network has matrix stacks, O(n^2 K log^2 K).  Everything is
-deterministic given (model, x0, inputs, noise-or-seed).
+steps; a network has matrix stacks, O(n^2 K log^2 K).  Open-loop runs step
+their first ``NEAR_BLOCK`` steps and then solve one aligned block of
+``NEAR_BLOCK`` steps at a time from the model's transition matrices
+(:func:`_advance`); :class:`FosSimulator` steps one at a time, for closed
+loops.  Everything is deterministic given (model, x0, inputs, noise-or-seed).
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .fraccore import MemoryTail, build_weight_table
+from .fraccore import NEAR_BLOCK, MemoryTail, build_weight_table
 from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
 
 __all__ = [
@@ -159,29 +162,65 @@ def simulate_fos(
     (K, p), an integer seed (standard-normal draws scaled by ``noise_sigma``),
     or None.  With alpha = 1 the run equals the ordinary LTI recursion
     x[k+1] = (A + I) x[k] + B u + Bw w exactly.
+
+    The first ``NEAR_BLOCK`` steps are :meth:`FosSimulator.step` calls; later
+    blocks of ``NEAR_BLOCK`` steps are each solved at once, to rounding of the
+    step loop.  A model with a channel of integer order is stepped throughout.
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
     uu = _resolve_inputs(u, K, model.m)
     ww = _resolve_noise(w, K, model.p, noise_sigma)
-    sim = FosSimulator(model, x0, K)
-    for k in range(K):
-        sim.step(uu[k], ww[k])
-    return Trajectory(states=sim.states.copy(), inputs=uu, noises=ww, dt=dt)
+    states = _run_fos(model, x0, K, uu, ww)
+    return Trajectory(states=states.copy(), inputs=uu, noises=ww, dt=dt)
 
 
 def transition_matrices(model: FosModel, K: int) -> np.ndarray:
     """State-transition matrices G_0..G_K of the free response x[k] = G_k x[0].
 
     G_0 = I and G_k = sum_{j=0..k-1} A_j G_{k-1-j}: the simulator's recursion
-    stepped from the identity with no input or noise.
+    run from the identity with no input or noise, block by block as in
+    :func:`simulate_fos`.
     """
     if K < 0:
         raise DimensionError("horizon K must be non-negative")
-    sim = FosSimulator(model, np.eye(model.n), K)
-    for _ in range(K):
-        sim.step()
-    return sim.states
+    return _run_fos(model, np.eye(model.n), K)
+
+
+def _run_fos(model: FosModel, x0, K: int, uu=None, ww=None) -> np.ndarray:
+    """States of a K-step open-loop run; free responses when ``uu`` is None."""
+    sim = FosSimulator(model, x0, K)
+
+    def step(k):
+        sim.k = k  # solved blocks fill the states without advancing sim.k
+        if uu is None:
+            sim.step()
+        else:
+            sim.step(uu[k], ww[k])
+
+    def forcing(s, b):
+        h = sim._tail.far(s)[:b]
+        if uu is None:
+            return h
+        return h + uu[s : s + b] @ model.B.T + ww[s : s + b] @ model.Bw.T
+
+    _advance(sim._states, step, _transitions(model, K), forcing)
+    return sim._states
+
+
+def _transitions(model: FosModel, K: int):
+    """G_0..G_NEAR_BLOCK for the block solve of a K-step run, or None to keep the loop.
+
+    A channel of integer order keeps the loop, so that its rows are the
+    integer recursion exactly.  G can overflow where a run does not (from
+    x0 = 0, say); the loop then decides.
+    """
+    if K <= NEAR_BLOCK or np.any(model.alpha == np.round(model.alpha)):
+        return None
+    try:
+        return transition_matrices(model, NEAR_BLOCK)
+    except NonFiniteError:
+        return None
 
 
 def simulate_network(
@@ -189,11 +228,15 @@ def simulate_network(
 ) -> Trajectory:
     """Full-memory simulation of a multi-term network, as ``fracdyn simulate`` runs it.
 
-    Steps the reduced convolution series at every lag up to K, with one
+    Sums the reduced convolution series at every lag up to K, with one
     :class:`~fracdyn.fraccore.MemoryTail` each over the states, inputs and
-    disturbances, O(n^2 K log^2 K).  Outputs are C x[k] with no measurement
-    noise; callers add their own.  Its oracles are the double loop and the
-    direct sums in ``tests/test_memory_oracles.py``.
+    disturbances, O(n^2 K log^2 K).  The first ``NEAR_BLOCK`` steps are
+    stepped; each later block of ``NEAR_BLOCK`` steps is solved at once from
+    the series' transition matrices, with the input and disturbance sums of
+    the block as their far field at its start plus one in-block convolution.
+    Outputs are C x[k] with no measurement noise; callers add their own.  Its
+    oracles are the double loop and the direct sums in
+    ``tests/test_memory_oracles.py``.
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
@@ -207,18 +250,76 @@ def simulate_network(
     X = np.zeros((K + 1, n))
     X[0] = x0
     # x[K] enters no step; an input or disturbance stack of width zero adds nothing
-    tails = [MemoryTail(kernel, history) for kernel, history in
-             ((series.A[1:], X[:K]), (series.B, uu), (series.G, ww)) if history.shape[1]]
-    for k in range(K):
+    state = MemoryTail(series.A[1:], X[:K])
+    drives = [(MemoryTail(kernel, history), _block_spectrum(kernel), history)
+              for kernel, history in ((series.B, uu), (series.G, ww)) if history.shape[1]]
+    tails = [state] + [tail for tail, _, _ in drives]
+
+    def step(k):
         # overflow is detected by the finiteness check below, not by numpy noise
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = sum(tail(k) for tail in tails)
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteError(f"state became non-finite at step {k + 1}")
         X[k + 1] = nxt
+
+    def forcing(s, b):
+        h = state.far(s)[:b]
+        for tail, spectrum, history in drives:
+            h = h + tail.far(s)[:b] + _in_block(spectrum, history[s : s + b])
+        return h
+
+    G = None
+    if K > NEAR_BLOCK:  # G_k = sum_{j<k} A_{j+1} G_{k-1-j} from G_0 = I
+        G = np.zeros((NEAR_BLOCK + 1, n, n))
+        G[0] = np.eye(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(NEAR_BLOCK):
+                G[k + 1] = np.einsum("jab,jbc->ac", series.A[1 : k + 2], G[k::-1])
+        if not np.all(np.isfinite(G)):
+            G = None
+    _advance(X, step, G, forcing)
     C = net.C if net.C.ndim == 3 else net.C[None]
     outputs = (C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] @ X[:, :, None])[:, :, 0]
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
+
+
+def _block_spectrum(g: np.ndarray) -> np.ndarray:
+    """rfft of g_0..g_{NEAR_BLOCK-1} over 2 NEAR_BLOCK points, for :func:`_in_block`."""
+    return np.fft.rfft(g[:NEAR_BLOCK], n=2 * NEAR_BLOCK, axis=0)
+
+
+def _in_block(spectrum: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows i of sum_{l<=i} g_{i-l} h_l for up to NEAR_BLOCK rows h, g given by its spectrum."""
+    H = np.fft.rfft(h.reshape(h.shape[0], h.shape[1], -1), n=2 * NEAR_BLOCK, axis=0)
+    # one matrix product per frequency, as a batched matmul (einsum is far slower)
+    y = np.fft.irfft(spectrum @ H, n=2 * NEAR_BLOCK, axis=0)[: h.shape[0]]
+    return y.reshape((h.shape[0], spectrum.shape[1]) + h.shape[2:])
+
+
+def _advance(states, step, G, forcing) -> None:
+    """Fill ``states[1:]`` of a recursion x[k+1] = sum_{j<=k} M_j x[k-j] + f[k].
+
+    ``step(k)`` fills ``states[k+1]`` by the loop.  It runs the first block,
+    every block when ``G`` is None, and a block whose solve is not finite, so
+    that a NonFiniteError names the exact step.  Any other aligned block of
+    steps s..s+b-1 is solved at once from G_0..G_NEAR_BLOCK, the transition
+    matrices of M.  With h = ``forcing(s, b)``, the far field at s plus f over
+    the block, x[s+1+i] = G_{i+1} x[s] + sum_{l<=i} G_{i-l} h_l, the sum by FFT.
+    """
+    K = states.shape[0] - 1
+    spectrum = None if G is None else _block_spectrum(G)
+    for s in range(0, K, NEAR_BLOCK):
+        b = min(NEAR_BLOCK, K - s)
+        if s and G is not None:
+            # overflow is detected by the finiteness check below, not by numpy noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = G[1 : b + 1] @ states[s] + _in_block(spectrum, forcing(s, b))
+            if np.all(np.isfinite(y)):
+                states[s + 1 : s + b + 1] = y
+                continue
+        for k in range(s, s + b):
+            step(k)
 
 
 def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> Trajectory:

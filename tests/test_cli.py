@@ -9,7 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracdyn import FosModel, MultiTermNetwork, simulate_network, Trajectory
+from fracdyn import (
+    FosModel,
+    MultiTermNetwork,
+    NonFiniteError,
+    Trajectory,
+    simulate_fos,
+    simulate_network,
+)
 from fracdyn.cli import main
 from fracdyn.fileio import (
     model_to_dict,
@@ -420,6 +427,27 @@ def test_diverging_network_exits_3_naming_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "state became non-finite at step 385" in err and "Traceback" not in err
     assert not caught
+    assert not out.exists()
+
+
+def test_diverging_single_term_model_exits_3_naming_the_step(tmp_path, capsys):
+    # the run overflows in the middle of a block that the block solve reaches
+    # first; the loop re-steps that block to name the step, with no warning
+    model = FosModel(alpha=[0.45, 0.7], A=[[10.5, 0.1], [-0.05, 10.5]], Bw=np.eye(2))
+    path, out = str(tmp_path / "fos.json"), tmp_path / "x.csv"
+    write_model(path, model)
+    with pytest.raises(NonFiniteError) as lib:
+        simulate_fos(model, [1.0, -0.5], w=5, K=600)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", "--model", path, "--x0", "1.0,-0.5", "--steps", "600",
+                       "--seed", "5", "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    step = int(str(lib.value).rsplit(" ", 1)[1])
+    assert 4 * 64 < step < 600 and step % 64 not in (0, 1)
+    assert f"state became non-finite at step {step}\n" in err and "Traceback" not in err
+    assert "RuntimeWarning" not in err and not caught
     assert not out.exists()
 
 

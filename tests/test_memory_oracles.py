@@ -32,6 +32,7 @@ from fracdyn import (
     simulate_fos,
     simulate_network,
     transition_matrices,
+    uncontrolled_baseline,
 )
 from fracdyn.fraccore import NEAR_BLOCK
 
@@ -280,6 +281,100 @@ def test_integer_order_channels_follow_the_integer_recursion_exactly():
         want = A0 @ X[k] + model.B @ u[k] + model.Bw @ w[k]
         assert np.array_equal(X[k + 1, integer], want[integer]), k
     assert_stepper_matches(X, loop_simulate_fos(model, x0, u, w, K))
+
+
+# ----------------------------------------------------------------------------
+# the block solve: open-loop runs past their first NEAR_BLOCK steps advance a
+# block at a time, and must stay within RTOL of the step loop
+
+
+@pytest.mark.parametrize("K", [64, 65, 128, 129, 4100])
+def test_block_solve_matches_the_step_loop_at_block_edges(K):
+    # K = 65 and 129 end on a one-step block; orders above 1 beside ones below
+    orders = [0.35, 1.4881, 0.8, 1.6]
+    model, rng = random_fos(13, orders)
+    model = FosModel(alpha=orders, A=model.A, B=rng.normal(size=(4, 2)), Bw=model.Bw)
+    x0 = rng.normal(size=4)
+    u = rng.normal(size=(K, 2))
+    w = rng.normal(size=(K, 4))
+    traj = simulate_fos(model, x0, u=u, w=w, K=K)
+    assert_stepper_matches(traj.states, loop_simulate_fos(model, x0, u, w, K))
+
+
+def test_block_solve_matches_the_step_loop_on_a_growing_model():
+    model = FosModel(alpha=[0.55, 1.6], A=[[0.1, 0.02], [0.01, -0.1]], B=[[1.0], [0.5]],
+                     Bw=0.1 * np.eye(2))
+    rng = np.random.default_rng(16)
+    K = 2000
+    x0 = rng.normal(size=2)
+    u = rng.normal(size=(K, 1))
+    w = rng.normal(size=(K, 2))
+    X = loop_simulate_fos(model, x0, u, w, K)
+    assert np.abs(X).max() >= 1e10
+    assert_stepper_matches(simulate_fos(model, x0, u=u, w=w, K=K).states, X)
+    G = loop_transition_matrices(model, K)
+    assert np.abs(G).max() >= 1e10
+    assert_stepper_matches(transition_matrices(model, K), G)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_block_solve_matches_the_step_loop_on_wide_models(n):
+    rng = np.random.default_rng(n)
+    model = FosModel(alpha=rng.uniform(0.1, 0.95, n),
+                     A=-0.2 * np.eye(n) + 0.05 / np.sqrt(n) * rng.normal(size=(n, n)),
+                     B=rng.normal(size=(n, 2)), Bw=0.1 * rng.normal(size=(n, n)))
+    K = 700
+    x0 = rng.normal(size=n)
+    u = rng.normal(size=(K, 2))
+    w = rng.normal(size=(K, n))
+    traj = simulate_fos(model, x0, u=u, w=w, K=K)
+    assert_stepper_matches(traj.states, loop_simulate_fos(model, x0, u, w, K))
+
+
+def test_transition_matrices_match_their_loop_over_4100_steps():
+    model, _ = random_fos(15, [0.4, 1.2, 0.8])
+    K = 4100
+    assert_stepper_matches(transition_matrices(model, K), loop_transition_matrices(model, K))
+
+
+def diverging_fos():
+    """A model whose runs overflow in the middle of the block after step 4 NEAR_BLOCK."""
+    return FosModel(alpha=[0.45, 0.7], A=[[10.5, 0.1], [-0.05, 10.5]], Bw=np.eye(2))
+
+
+def first_non_finite_row(X):
+    return int(np.flatnonzero(~np.isfinite(X.reshape(len(X), -1)).all(axis=1))[0])
+
+
+def test_a_diverging_run_names_the_step_of_the_loop():
+    model = diverging_fos()
+    K = 600
+    x0 = np.array([1.0, -0.5])
+    w = gaussian_noise(3, K, 2, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = first_non_finite_row(loop_simulate_fos(model, x0, np.zeros((K, 0)), w, K))
+        first_G = first_non_finite_row(loop_transition_matrices(model, K))
+    for step in (first, first_G):
+        assert 4 * NEAR_BLOCK < step < K and step % NEAR_BLOCK not in (0, 1)
+    with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first}$"):
+        simulate_fos(model, x0, w=w, K=K)
+    with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first_G}$"):
+        transition_matrices(model, K)
+
+
+def test_the_zero_input_baseline_is_the_closed_loop_plant_at_zero_input():
+    # uncontrolled_baseline runs the block solve, run_closed_loop the step loop
+    orders = [0.6, 0.8]
+    model, rng = random_fos(17, orders)
+    plant = FosModel(alpha=orders, A=model.A, B=np.array([[1.0], [0.5]]), Bw=model.Bw)
+    problem = MpcProblem(p=4, P=6, M=3, Q=np.eye(2), R=[[0.1]], u_lo=0.0, u_hi=0.0)
+    K = 300
+    x0 = rng.normal(size=2)
+    result = run_closed_loop(plant, problem, K, 4, x0=x0, noise_sigma=0.1)
+    assert np.all(result.applied == 0.0)
+    baseline = uncontrolled_baseline(plant, K, 4, x0=x0, noise_sigma=0.1)
+    assert np.array_equal(baseline.noises, result.noise)
+    assert_stepper_matches(baseline.states, result.trajectory.states)
 
 
 # ----------------------------------------------------------------------------
