@@ -204,21 +204,26 @@ def _cell_or_zero(cell: str) -> float:
 def read_trajectory(path: str) -> Trajectory:
     """Parse a trajectory CSV; missing u/y blocks and blank input cells are tolerated.
 
-    Rows of blank cells are skipped, and a blank input cell reads 0.
+    Rows of blank cells are skipped, and a blank input cell reads 0.  The csv
+    module splits the rows and numpy converts the numbers, so a quoted cell
+    may hold a comma but not a line break.
     """
     with open(path, "r") as fh:
         lines = fh.read().split("\n")
     if lines == [""]:
         raise DimensionError(f"{path}: empty trajectory file")
-    header = next(csv.reader(lines[:1]))
-    body = []
-    for num, line in enumerate(lines[1:], 2):
-        if not line.replace(",", "").strip():
+    reader = csv.reader(lines)
+    header = next(reader)
+    body, first = [], []
+    for row in reader:
+        if not "".join(row).strip():
             continue
-        if line.count(",") + 1 < len(header):
-            raise DimensionError(f"{path}: line {num} has {line.count(',') + 1} fields, "
+        if len(row) < len(header):
+            raise DimensionError(f"{path}: line {reader.line_num} has {len(row)} fields, "
                                  f"the header has {len(header)}")
-        body.append(line)
+        body.append(lines[reader.line_num - 1])
+        if len(first) < 2:
+            first.append(row)
     cols = {name: idx for idx, name in enumerate(header)}
     if "t" not in cols:
         raise DimensionError(f"{path}: trajectory header lacks the time column")
@@ -239,7 +244,7 @@ def read_trajectory(path: str) -> Trajectory:
     inputs = table[: T - 1].take(u_idx, axis=1) if u_idx and T > 1 else None
     dt = 1.0
     if T >= 2:
-        t0, t1 = (float(row[cols["t"]]) for row in csv.reader(body[:2]))
+        t0, t1 = (float(row[cols["t"]]) for row in first)
         dt = t1 - t0 if t1 > t0 else 1.0
     return Trajectory(states=states, inputs=inputs, outputs=outputs, dt=dt)
 

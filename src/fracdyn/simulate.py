@@ -28,6 +28,10 @@ __all__ = [
     "gaussian_noise",
 ]
 
+#: Largest entry of the transition matrices G_1..G_NEAR_BLOCK that an open-loop
+#: run solves a block with (G_0 = I); a faster-growing model keeps the loop.
+_MAX_GROWTH = 1e3
+
 
 @dataclass
 class Trajectory:
@@ -118,6 +122,7 @@ class FosSimulator:
         # x[k+1] = A0 x[k] + sum_{j>=1} -c_{j+1} x[k-j]: the tail kernel, negated
         kernel = -build_weight_table(model.alpha, max_steps + 1).weights[:, 1:].T
         kernel[0] = 0.0
+        self._kernel = kernel
         self._tail = MemoryTail(kernel, self._states)
         self.k = 0
 
@@ -145,6 +150,38 @@ class FosSimulator:
         self.k = k + 1
         return nxt
 
+    def _run(self, uu=None, ww=None) -> np.ndarray:
+        """Step a fresh simulator to its horizon; free responses when ``uu`` is None.
+
+        Blocks past the first are solved at once (:func:`_advance`), unless a
+        channel has integer order: the loop keeps its rows the integer
+        recursion exactly.
+        """
+        model = self.model
+        K = self._states.shape[0] - 1
+        transitions = None
+        if K > NEAR_BLOCK and not np.any(model.alpha == np.round(model.alpha)):
+            transitions = _transitions(self._kernel, self._A0)
+
+        def step(k):
+            if uu is None:
+                self.step()
+            else:
+                self.step(uu[k], ww[k])
+
+        def block(s, b):
+            h = self._tail.far(s)[:b]
+            if uu is not None:
+                h = h + uu[s : s + b] @ model.B.T + ww[s : s + b] @ model.Bw.T
+            return self._states[s], h
+
+        def store(s, y):
+            self._states[s + 1 : s + 1 + len(y)] = y
+            self.k = s + len(y)
+
+        _advance(K, step, store, transitions, block)
+        return self._states
+
 
 def simulate_fos(
     model: FosModel,
@@ -165,13 +202,15 @@ def simulate_fos(
 
     The first ``NEAR_BLOCK`` steps are :meth:`FosSimulator.step` calls; later
     blocks of ``NEAR_BLOCK`` steps are each solved at once, to rounding of the
-    step loop.  A model with a channel of integer order is stepped throughout.
+    step loop.  A model with a channel of integer order is stepped throughout,
+    and so is one whose transition matrices G_1..G_NEAR_BLOCK have an entry
+    above 1e3: the block solve's rounding grows with them, the loop's does not.
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
     uu = _resolve_inputs(u, K, model.m)
     ww = _resolve_noise(w, K, model.p, noise_sigma)
-    states = _run_fos(model, x0, K, uu, ww)
+    states = FosSimulator(model, x0, K)._run(uu, ww)
     return Trajectory(states=states.copy(), inputs=uu, noises=ww, dt=dt)
 
 
@@ -184,43 +223,7 @@ def transition_matrices(model: FosModel, K: int) -> np.ndarray:
     """
     if K < 0:
         raise DimensionError("horizon K must be non-negative")
-    return _run_fos(model, np.eye(model.n), K)
-
-
-def _run_fos(model: FosModel, x0, K: int, uu=None, ww=None) -> np.ndarray:
-    """States of a K-step open-loop run; free responses when ``uu`` is None."""
-    sim = FosSimulator(model, x0, K)
-
-    def step(k):
-        sim.k = k  # solved blocks fill the states without advancing sim.k
-        if uu is None:
-            sim.step()
-        else:
-            sim.step(uu[k], ww[k])
-
-    def forcing(s, b):
-        h = sim._tail.far(s)[:b]
-        if uu is None:
-            return h
-        return h + uu[s : s + b] @ model.B.T + ww[s : s + b] @ model.Bw.T
-
-    _advance(sim._states, step, _transitions(model, K), forcing)
-    return sim._states
-
-
-def _transitions(model: FosModel, K: int):
-    """G_0..G_NEAR_BLOCK for the block solve of a K-step run, or None to keep the loop.
-
-    A channel of integer order keeps the loop, so that its rows are the
-    integer recursion exactly.  G can overflow where a run does not (from
-    x0 = 0, say); the loop then decides.
-    """
-    if K <= NEAR_BLOCK or np.any(model.alpha == np.round(model.alpha)):
-        return None
-    try:
-        return transition_matrices(model, NEAR_BLOCK)
-    except NonFiniteError:
-        return None
+    return FosSimulator(model, np.eye(model.n), K)._run()
 
 
 def simulate_network(
@@ -233,8 +236,9 @@ def simulate_network(
     disturbances, O(n^2 K log^2 K).  The first ``NEAR_BLOCK`` steps are
     stepped; each later block of ``NEAR_BLOCK`` steps is solved at once from
     the series' transition matrices, with the input and disturbance sums of
-    the block as their far field at its start plus one in-block convolution.
-    Outputs are C x[k] with no measurement noise; callers add their own.  Its
+    the block as their far field at its start plus one in-block convolution;
+    transition matrices with an entry above 1e3 keep the loop, as in
+    :func:`simulate_fos`.  Outputs are C x[k] with no measurement noise; callers add their own.  Its
     oracles are the double loop and the direct sums in
     ``tests/test_memory_oracles.py``.
     """
@@ -251,9 +255,16 @@ def simulate_network(
     X[0] = x0
     # x[K] enters no step; an input or disturbance stack of width zero adds nothing
     state = MemoryTail(series.A[1:], X[:K])
-    drives = [(MemoryTail(kernel, history), _block_spectrum(kernel), history)
-              for kernel, history in ((series.B, uu), (series.G, ww)) if history.shape[1]]
+    # a drive's in-block sum rounds no worse than the far field the loop adds,
+    # which spans its kernel's lags up to 2 NEAR_BLOCK - 1; a finite kernel
+    # can still overflow its transform, and the loop then decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        drives = [(MemoryTail(kernel, history), _block_spectrum(kernel), history)
+                  for kernel, history in ((series.B, uu), (series.G, ww)) if history.shape[1]]
     tails = [state] + [tail for tail, _, _ in drives]
+    transitions = None
+    if K > NEAR_BLOCK and all(np.all(np.isfinite(spectrum)) for _, spectrum, _ in drives):
+        transitions = _transitions(series.A[1:])
 
     def step(k):
         # overflow is detected by the finiteness check below, not by numpy noise
@@ -263,22 +274,16 @@ def simulate_network(
             raise NonFiniteError(f"state became non-finite at step {k + 1}")
         X[k + 1] = nxt
 
-    def forcing(s, b):
+    def block(s, b):
         h = state.far(s)[:b]
         for tail, spectrum, history in drives:
             h = h + tail.far(s)[:b] + _in_block(spectrum, history[s : s + b])
-        return h
+        return X[s], h
 
-    G = None
-    if K > NEAR_BLOCK:  # G_k = sum_{j<k} A_{j+1} G_{k-1-j} from G_0 = I
-        G = np.zeros((NEAR_BLOCK + 1, n, n))
-        G[0] = np.eye(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(NEAR_BLOCK):
-                G[k + 1] = np.einsum("jab,jbc->ac", series.A[1 : k + 2], G[k::-1])
-        if not np.all(np.isfinite(G)):
-            G = None
-    _advance(X, step, G, forcing)
+    def store(s, y):
+        X[s + 1 : s + 1 + len(y)] = y
+
+    _advance(K, step, store, transitions, block)
     C = net.C if net.C.ndim == 3 else net.C[None]
     outputs = (C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] @ X[:, :, None])[:, :, 0]
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
@@ -297,26 +302,50 @@ def _in_block(spectrum: np.ndarray, h: np.ndarray) -> np.ndarray:
     return y.reshape((h.shape[0], spectrum.shape[1]) + h.shape[2:])
 
 
-def _advance(states, step, G, forcing) -> None:
-    """Fill ``states[1:]`` of a recursion x[k+1] = sum_{j<=k} M_j x[k-j] + f[k].
+def _transitions(kernel: np.ndarray, A0=None):
+    """Transition matrices G_0..G_NEAR_BLOCK and their block spectrum, or None.
 
-    ``step(k)`` fills ``states[k+1]`` by the loop.  It runs the first block,
-    every block when ``G`` is None, and a block whose solve is not finite, so
-    that a NonFiniteError names the exact step.  Any other aligned block of
-    steps s..s+b-1 is solved at once from G_0..G_NEAR_BLOCK, the transition
-    matrices of M.  With h = ``forcing(s, b)``, the far field at s plus f over
-    the block, x[s+1+i] = G_{i+1} x[s] + sum_{l<=i} G_{i-l} h_l, the sum by FFT.
+    G is the free response of x[k+1] = A0 x[k] + sum_{j<=k} kernel[j] . x[k-j]
+    from x[0] = I, with :class:`~fracdyn.fraccore.MemoryTail`'s kernel forms
+    (no A0 term when ``A0`` is None).  None keeps the step loop.  The block
+    solve's FFT rounds each row to about eps times the block's largest term,
+    not the row's own, and that is up to max |G_i| times larger; so a G with
+    an entry above ``_MAX_GROWTH``, or one that is not finite, is not used.
     """
-    K = states.shape[0] - 1
-    spectrum = None if G is None else _block_spectrum(G)
+    n = kernel.shape[1]
+    G = np.zeros((NEAR_BLOCK + 1, n, n))
+    G[0] = np.eye(n)
+    tail = MemoryTail(kernel, G[:NEAR_BLOCK])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(NEAR_BLOCK):
+            G[k + 1] = tail(k) if A0 is None else A0 @ G[k] + tail(k)
+    if not np.abs(G).max() <= _MAX_GROWTH:
+        return None
+    return G, _block_spectrum(G)
+
+
+def _advance(K, step, store, transitions, block) -> None:
+    """Run K steps of x[k+1] = sum_{j<=k} M_j x[k-j] + f[k] a block at a time.
+
+    ``step(k)`` fills x[k+1] by the loop.  It runs the first block, every
+    block when ``transitions`` is None, and a block whose solve is not finite,
+    so that a NonFiniteError names the exact step.  Any other aligned block of
+    steps s..s+b-1 is solved at once from ``transitions``, G_0..G_NEAR_BLOCK
+    of M and their spectrum (:func:`_transitions`).  ``block(s, b)`` returns
+    x[s] and h, the far field at s plus f over the block; then
+    x[s+1+i] = G_{i+1} x[s] + sum_{l<=i} G_{i-l} h_l, the sum by FFT, and
+    ``store(s, y)`` records those rows.
+    """
     for s in range(0, K, NEAR_BLOCK):
         b = min(NEAR_BLOCK, K - s)
-        if s and G is not None:
+        if s and transitions is not None:
+            G, spectrum = transitions
             # overflow is detected by the finiteness check below, not by numpy noise
             with np.errstate(over="ignore", invalid="ignore"):
-                y = G[1 : b + 1] @ states[s] + _in_block(spectrum, forcing(s, b))
+                x, h = block(s, b)
+                y = G[1 : b + 1] @ x + _in_block(spectrum, h)
             if np.all(np.isfinite(y)):
-                states[s + 1 : s + b + 1] = y
+                store(s, y)
                 continue
         for k in range(s, s + b):
             step(k)

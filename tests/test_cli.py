@@ -430,17 +430,23 @@ def test_diverging_network_exits_3_naming_the_step(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_diverging_single_term_model_exits_3_naming_the_step(tmp_path, capsys):
-    # the run overflows in the middle of a block that the block solve reaches
-    # first; the loop re-steps that block to name the step, with no warning
-    model = FosModel(alpha=[0.45, 0.7], A=[[10.5, 0.1], [-0.05, 10.5]], Bw=np.eye(2))
+@pytest.mark.parametrize("alpha,A,x0", [
+    # G grows past the block solve's bound, so every block is stepped
+    ([0.45, 0.7], [[10.5, 0.1], [-0.05, 10.5]], "1.0,-0.5"),
+    # G_64 ~ 670: the overflowing block is solved first, then re-stepped
+    ([0.55, 0.8], [[0.235, 0.05], [-0.02, 0.185]], "1e287,-5e286"),
+])
+def test_diverging_single_term_model_exits_3_naming_the_step(tmp_path, capsys, alpha, A, x0):
+    # the run overflows in the middle of a block after the first four; the
+    # loop names the step, with no warning
+    model = FosModel(alpha=alpha, A=A, Bw=np.eye(2))
     path, out = str(tmp_path / "fos.json"), tmp_path / "x.csv"
     write_model(path, model)
     with pytest.raises(NonFiniteError) as lib:
-        simulate_fos(model, [1.0, -0.5], w=5, K=600)
+        simulate_fos(model, [float(v) for v in x0.split(",")], w=5, K=600)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run_cli("simulate", "--model", path, "--x0", "1.0,-0.5", "--steps", "600",
+        code = run_cli("simulate", "--model", path, "--x0", x0, "--steps", "600",
                        "--seed", "5", "--out", str(out))
     assert code == 3
     err = capsys.readouterr().err

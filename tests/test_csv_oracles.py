@@ -117,6 +117,8 @@ def test_trajectory_csv_matches_the_cell_loops(tmp_path, K, m, q, dt):
     "t,x1,x2,y1\n0,1,2,3\n,,,\n\n1,4,5,6,7\n  \n2,7,8,9\n",
     # only states, whitespace around cells, CRLF line ends, a text column
     "t,x1,note\r\n0, 1.25 ,a\r\n0.5,-2e-3,b\r\n",
+    # a quoted text cell that holds a comma
+    't,x1,note,y1\n0,1,"a,b",2\n1,3,c,4\n',
     # a single row, and a header with no rows
     "t,x1,u1,y1\n0,1,,2\n",
     "t,x1\n",
@@ -130,6 +132,8 @@ def test_reader_contracts_match_the_cell_loop(tmp_path, text):
 @pytest.mark.parametrize("text", [
     "t,x1,x2\n0,1.0,2.0\n1,0.5\n2,0.25,0.5\n",
     "t,x1,u1\n0,1,2\n\n,,\n3\n",
+    # three commas, but two fields
+    't,x1,x2\n0,1,2\n1,"2,3"\n',
     "",
     "x1\n1\n",
     "t,u1\n0,1\n",

@@ -11,6 +11,8 @@ networks that grow by many orders of magnitude the float64 direct sum is
 itself that far off, so there the reference is a long double sum.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,29 @@ def test_transition_matrices_match_their_loop_over_4100_steps():
     assert_stepper_matches(transition_matrices(model, K), loop_transition_matrices(model, K))
 
 
+def growing_fos(a):
+    """A model whose G_64 is about 840 at a = 0.24, where it grows 1.11x a step."""
+    return FosModel(alpha=[0.55, 0.8], A=[[a, 0.05], [-0.02, a - 0.05]], B=[[1.0], [0.5]],
+                    Bw=np.eye(2))
+
+
+@pytest.mark.parametrize("a", [0.24, 0.45])
+def test_block_solve_matches_the_step_loop_on_fast_growing_models(a):
+    # a block's FFT rounds each row to eps of the block's largest term, up to
+    # max |G_i| times the row's own scale; the block solve takes G_64 ~ 840
+    # (a = 0.24) and leaves G_64 ~ 1.2e7 (a = 0.45, 1.3x a step) to the loop
+    model = growing_fos(a)
+    rng = np.random.default_rng(18)
+    K = 700
+    x0 = rng.normal(size=2)
+    u = rng.normal(size=(K, 1))
+    w = 0.1 * rng.normal(size=(K, 2))
+    X = loop_simulate_fos(model, x0, u, w, K)
+    assert np.abs(X).max() >= 1e30
+    assert_stepper_matches(simulate_fos(model, x0, u=u, w=w, K=K).states, X)
+    assert_stepper_matches(transition_matrices(model, K), loop_transition_matrices(model, K))
+
+
 def diverging_fos():
     """A model whose runs overflow in the middle of the block after step 4 NEAR_BLOCK."""
     return FosModel(alpha=[0.45, 0.7], A=[[10.5, 0.1], [-0.05, 10.5]], Bw=np.eye(2))
@@ -346,20 +371,29 @@ def first_non_finite_row(X):
     return int(np.flatnonzero(~np.isfinite(X.reshape(len(X), -1)).all(axis=1))[0])
 
 
-def test_a_diverging_run_names_the_step_of_the_loop():
-    model = diverging_fos()
-    K = 600
-    x0 = np.array([1.0, -0.5])
+@pytest.mark.parametrize("model,scale,K,K_G", [
+    # G grows about 11x a step, past the block solve's bound: every block loops
+    (diverging_fos(), 1.0, 600, 600),
+    # G_64 ~ 670: the block that overflows is solved, found not finite, re-stepped
+    (growing_fos(0.235), 1e287, 700, 7000),
+])
+def test_a_diverging_run_names_the_step_of_the_loop(model, scale, K, K_G):
+    x0 = scale * np.array([1.0, -0.5])
     w = gaussian_noise(3, K, 2, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = first_non_finite_row(loop_simulate_fos(model, x0, np.zeros((K, 0)), w, K))
-        first_G = first_non_finite_row(loop_transition_matrices(model, K))
-    for step in (first, first_G):
-        assert 4 * NEAR_BLOCK < step < K and step % NEAR_BLOCK not in (0, 1)
+        X = loop_simulate_fos(model, x0, np.zeros((K, model.m)), w, K)
+        G = loop_transition_matrices(model, K_G)
+    first, first_G = first_non_finite_row(X), first_non_finite_row(G)
+    assert 4 * NEAR_BLOCK < first < K and first % NEAR_BLOCK not in (0, 1)
+    assert 4 * NEAR_BLOCK < first_G < K_G and first_G % NEAR_BLOCK not in (0, 1)
     with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first}$"):
         simulate_fos(model, x0, w=w, K=K)
     with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first_G}$"):
-        transition_matrices(model, K)
+        transition_matrices(model, K_G)
+    # up to the overflow the states are the loop's
+    before = simulate_fos(model, x0, w=w[: first - 1], K=first - 1)
+    assert_stepper_matches(before.states, X[:first])
+    assert_stepper_matches(transition_matrices(model, first_G - 1), G[:first_G])
 
 
 def test_the_zero_input_baseline_is_the_closed_loop_plant_at_zero_input():
@@ -456,6 +490,34 @@ def test_diverging_network_names_the_first_non_finite_step():
     assert 4 * NEAR_BLOCK < first < K
     with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first}$"):
         simulate_network(net, [1.0, -0.5], w=w, K=K)
+
+
+def test_a_network_block_that_overflows_is_re_stepped_by_the_loop():
+    # this network's G_64 is about 620, so its blocks are solved until one
+    # overflows; the loop then re-steps that block and names the direct sum's step
+    net, rng = _network(5, 2, 1, False)
+    K = 800
+    x0 = 1e288 * rng.normal(size=net.n)
+    u = rng.normal(size=(K, 2))
+    w = rng.normal(size=(K, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = first_non_finite_row(direct_simulate_network(net, x0, u, w, K))
+    assert 4 * NEAR_BLOCK < first < K and first % NEAR_BLOCK not in (0, 1)
+    with pytest.raises(NonFiniteError, match=f"^state became non-finite at step {first}$"):
+        simulate_network(net, x0, u=u, w=w, K=K)
+
+
+def test_a_drive_kernel_whose_transform_overflows_warns_nothing():
+    # the input series' lags are finite, their 2 NEAR_BLOCK-point transform is not
+    net = MultiTermNetwork(state_terms=((1.0, np.eye(2)), (0.5, -0.5 * np.eye(2))),
+                           input_terms=((0.4, [[8e307], [0.0]]),))
+    K = NEAR_BLOCK
+    u = np.zeros((K, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate_network(net, [1.0, -0.5], u=u, K=K)
+    assert_stepper_matches(traj.states, direct_simulate_network(net, [1.0, -0.5], u,
+                                                                np.zeros((K, 0)), K))
 
 
 def _noisy_trajectory(orders, K, seed):
