@@ -22,6 +22,7 @@ from .errors import (
     NotObservable,
     SingularError,
 )
+from .fraccore import lower_block_toeplitz
 from .model import FosModel, augment_p
 from .simulate import transition_matrices
 
@@ -149,10 +150,9 @@ def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
     if K < 1:
         raise DomainError("horizon K must be >= 1")
     G = transition_matrices(model, K)
-    S = np.zeros((model.n, model.n))
-    for j in range(K):
-        GB = G[j] @ B
-        S += GB @ GB.T
+    # sum_{j<K} (G_j B)(G_j B)^T as one product of the blocks side by side
+    GB = np.concatenate(G[:K] @ B, axis=1)
+    S = GB @ GB.T
     GK = G[K]
     sv = np.linalg.svd(GK, compute_uv=False)
     if sv.size and (sv[0] == 0 or sv[-1] / sv[0] < 1e-12):
@@ -177,10 +177,7 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     if not rep.full_rank:
         raise NotControllable(f"rank {rep.rank} < n = {model.n} at horizon K={K}")
     z = np.linalg.solve(G[K].T, np.linalg.solve(rep.matrix, np.atleast_1d(np.asarray(x0, dtype=float))))
-    u = np.empty((K, B.shape[1]))
-    for j in range(K):
-        u[j] = -(B.T @ G[K - 1 - j].T) @ z
-    return u
+    return -(z @ G[K - 1 :: -1]) @ B
 
 
 @dataclass(frozen=True)
@@ -214,16 +211,12 @@ def observability_matrices(model: FosModel, C=None, K: int = 1, B=None) -> Obser
     B = _norm_B(model, B)
     q, m = C.shape[0], B.shape[1]
     G = transition_matrices(model, K)
-    CG = [C @ G[j] for j in range(K)]
-    obsv = np.vstack(CG)
+    CG = C @ G[:K]
+    obsv = CG.reshape(K * q, n)
     Wo = obsv.T @ obsv
     Wo = 0.5 * (Wo + Wo.T)
-    # block (r, c) of M is C G_{r-1-c} B: one product per lag, placed on its diagonal
-    CGB = np.stack([cg @ B for cg in CG])
-    r, c = np.tril_indices(K, -1)
-    M = np.zeros((K, q, K, m))
-    M[r, :, c, :] = CGB[r - 1 - c]
-    M = M.reshape(K * q, K * m)
+    # block (r, c) of M is C G_{r-1-c} B, and zero on the diagonal
+    M = lower_block_toeplitz(np.concatenate([np.zeros((1, q, m)), CG[: K - 1] @ B]))
     rank, _, s = _numerical_rank(obsv, K)
     return ObservabilityReport(
         K=K, obsv=obsv, gramian=Wo, feedthrough=M, rank=rank, singular_values=s

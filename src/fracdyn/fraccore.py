@@ -8,9 +8,10 @@ This module is the one place a memory sum is evaluated.  Implicit
 recursions, whose history is produced step by step, read it from a
 :class:`MemoryTail`, which convolves a diagonal kernel (a single-term model's
 GL tail) or a matrix kernel (a network's series) with the history in
-O(K log^2 K) over K steps.  Sums over a series known in advance go through
-:func:`history_sum`.  All sequences are causal: samples at negative indices
-are zero.
+O(K log^2 K) over K steps.  Each FFT convolution, in the tail and in the
+simulators' block solves, is one :func:`block_convolve`.  The identification
+sums go through :func:`history_sum`.  All sequences are causal: samples at
+negative indices are zero.
 """
 
 from dataclasses import dataclass
@@ -23,8 +24,11 @@ __all__ = [
     "FracWeightTable",
     "gl_weight_recursive",
     "build_weight_table",
+    "kernel_spectrum",
+    "block_convolve",
     "MemoryTail",
     "history_sum",
+    "lower_block_toeplitz",
     "frac_difference",
 ]
 
@@ -88,6 +92,28 @@ def build_weight_table(alphas, J: int) -> FracWeightTable:
     return FracWeightTable(orders=orders, horizon=J, weights=w)
 
 
+def kernel_spectrum(kernel: np.ndarray, first: int, stop: int, size: int) -> np.ndarray:
+    """rfft over ``size`` points of a (diagonal or matrix) kernel's lags [first, stop)."""
+    h = np.zeros((size,) + kernel.shape[1:])
+    h[first : min(stop, kernel.shape[0])] = kernel[first:stop]
+    return np.fft.rfft(h, axis=0)
+
+
+def block_convolve(spectrum: np.ndarray, block: np.ndarray, size: int) -> np.ndarray:
+    """Rows i of sum_l kernel[i - l] . block[l], lags modulo ``size``, by FFT.
+
+    ``spectrum`` is the kernel's :func:`kernel_spectrum`; ``block`` is (b, c, ...),
+    as :class:`MemoryTail`'s states.
+    """
+    shape = block.shape
+    if spectrum.ndim == 2:  # a diagonal kernel scales each channel
+        x = np.fft.rfft(block, n=size, axis=0)
+        x = x * spectrum.reshape(spectrum.shape + (1,) * (block.ndim - 2))
+    else:  # one matrix product per frequency, as a batched matmul (einsum is far slower)
+        x = spectrum @ np.fft.rfft(block.reshape(shape[0], shape[1], -1), n=size, axis=0)
+    return np.fft.irfft(x, n=size, axis=0).reshape((size, spectrum.shape[1]) + shape[2:])
+
+
 class MemoryTail:
     """Online causal convolution y[k] = sum_{j=0..k} kernel[j] . states[k-j].
 
@@ -98,7 +124,8 @@ class MemoryTail:
     once ``states[:k+1]`` are filled, for k = 0, 1, 2, ... in that order (a
     repeated k is allowed).  A caller that solves a whole block at once reads
     ``self.far(s)`` at each block start s instead, and may then go on with
-    ``self(k)`` for k in that block.
+    ``self(k)`` for k in that block, or reads ``self.block(s, b)`` if the
+    states are known in advance.
 
     - Near field: the lags inside the current aligned block of
       ``NEAR_BLOCK`` steps, summed directly.
@@ -124,17 +151,11 @@ class MemoryTail:
         self._spectra = {}
         self._next_block = NEAR_BLOCK
 
-    def _spectrum(self, b: int) -> np.ndarray:
-        """rfft of the kernel's lags 1..2b-1 (lag 0 zero), shaped to meet a block."""
-        if b not in self._spectra:
-            lags = min(2 * b, self._kernel.shape[0])
-            h = np.zeros((2 * b,) + self._kernel.shape[1:])
-            h[1:lags] = self._kernel[1:lags]
-            spectrum = np.fft.rfft(h, axis=0)
-            if self._kernel.ndim == 2:
-                spectrum = spectrum.reshape(spectrum.shape + (1,) * (self._states.ndim - 2))
-            self._spectra[b] = spectrum
-        return self._spectra[b]
+    def _convolve(self, block: np.ndarray, first: int, stop: int, size: int) -> np.ndarray:
+        key = (first, stop, size)
+        if key not in self._spectra:
+            self._spectra[key] = kernel_spectrum(self._kernel, first, stop, size)
+        return block_convolve(self._spectra[key], block, size)
 
     def far(self, s: int) -> np.ndarray:
         """Far field of the block of steps from ``s``, a multiple of ``NEAR_BLOCK``.
@@ -145,15 +166,21 @@ class MemoryTail:
         """
         if s == self._next_block:
             b = s & -s
-            block = np.fft.rfft(self._states[s - b : s], n=2 * b, axis=0)
-            if self._kernel.ndim == 2:
-                block = block * self._spectrum(b)
-            else:  # one n-by-c product per frequency
-                block = np.einsum("fab,fb...->fa...", self._spectrum(b), block)
-            far = np.fft.irfft(block, n=2 * b, axis=0)[b:]
+            block = self._states[s - b : s]
+            far = self._convolve(block, 1, 2 * b, 2 * b)[b:]
+            if not np.isfinite(far).all() and np.isfinite(block).all():
+                # the transform sums the whole block, so it can overflow before the
+                # states do: redo it on the block scaled by a power of two, exactly
+                e = np.frexp(np.abs(block).max())[1]
+                far = np.ldexp(self._convolve(np.ldexp(block, -e), 1, 2 * b, 2 * b)[b:], e)
             self._far[s : s + b] += far[: self._far.shape[0] - s]
             self._next_block = s + NEAR_BLOCK
         return self._far[s : s + NEAR_BLOCK]
+
+    def block(self, s: int, b: int) -> np.ndarray:
+        """y[s:s+b] from states filled in advance; s a multiple of, b at most, ``NEAR_BLOCK``."""
+        inner = self._convolve(self._states[s : s + b], 0, NEAR_BLOCK, 2 * NEAR_BLOCK)
+        return self.far(s)[:b] + inner[:b]
 
     def __call__(self, k: int) -> np.ndarray:
         start = k - k % NEAR_BLOCK
@@ -195,6 +222,15 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
         for i, w_i in enumerate(rows):
             out[:, i] = np.convolve(seg[:, i], w_i, "valid")
     return out.reshape((stop - start,) + x.shape[1:])
+
+
+def lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """Matrix of a causal block convolution: block (i, j) is ``blocks[i - j]``, zero for i < j."""
+    P, r, c = blocks.shape
+    i, j = np.tril_indices(P)
+    out = np.zeros((P, r, P, c))
+    out[i, :, j, :] = blocks[i - j]
+    return out.reshape(P * r, P * c)
 
 
 def frac_difference(series, alphas, k: int, table: FracWeightTable | None = None):

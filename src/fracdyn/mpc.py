@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints
+from .fraccore import lower_block_toeplitz
 from .model import FosModel, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
@@ -136,12 +137,8 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     powers = [np.eye(aug.dim)]
     for _ in range(P):
         powers.append(aug.Atil @ powers[-1])
-    # block (r, c) of S is E A^(r-c) B: one product per lag, placed on its diagonal
-    EB = np.stack([(pw @ aug.Btil)[:n] for pw in powers[:P]])
-    r, c = np.tril_indices(P)
-    S = np.zeros((P, n, P, m))
-    S[r, :, c, :] = EB[r - c]
-    S = S.reshape(P * n, P * m)
+    # block (r, c) of S is E A^(r-c) B
+    S = lower_block_toeplitz(np.stack([(pw @ aug.Btil)[:n] for pw in powers[:P]]))
 
     Qbar = _block_diag(np.stack([_weight_block(problem.Q, k, n, "Q") for k in range(P)]))
     Rbar = _block_diag(np.stack([_weight_block(problem.R, k, m, "R") for k in range(P)]))

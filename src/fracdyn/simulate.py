@@ -5,17 +5,19 @@ with :class:`~fracdyn.fraccore.MemoryTail`: a single-term system has a diagonal
 tail M_j = -diag(c_{j+1}) beside M_0 = A + diag(alpha), O(n K log^2 K) over K
 steps; a network has matrix stacks, O(n^2 K log^2 K).  Open-loop runs step
 their first ``NEAR_BLOCK`` steps and then solve one aligned block of
-``NEAR_BLOCK`` steps at a time from the model's transition matrices
-(:func:`_advance`); :class:`FosSimulator` steps one at a time, for closed
-loops.  Everything is deterministic given (model, x0, inputs, noise-or-seed).
+``NEAR_BLOCK`` steps at a time from the model's transition matrices, the
+in-block sum by :func:`~fracdyn.fraccore.block_convolve` (:func:`_advance`);
+:class:`FosSimulator` steps one at a time, for closed loops.  Everything is
+deterministic given (model, x0, inputs, noise-or-seed).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .fraccore import NEAR_BLOCK, MemoryTail, build_weight_table
+from .fraccore import NEAR_BLOCK, MemoryTail, block_convolve, build_weight_table, kernel_spectrum
 from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
 
 __all__ = [
@@ -158,28 +160,24 @@ class FosSimulator:
         recursion exactly.
         """
         model = self.model
-        K = self._states.shape[0] - 1
-        transitions = None
-        if K > NEAR_BLOCK and not np.any(model.alpha == np.round(model.alpha)):
-            transitions = _transitions(self._kernel, self._A0)
+        integer = np.any(model.alpha == np.round(model.alpha))
+        transitions = None if integer else partial(_transitions, self._kernel, self._A0)
 
         def step(k):
+            self.k = k  # a solved block moves the run on without the stepper
             if uu is None:
                 self.step()
             else:
                 self.step(uu[k], ww[k])
 
-        def block(s, b):
+        def forcing(s, b):
             h = self._tail.far(s)[:b]
             if uu is not None:
                 h = h + uu[s : s + b] @ model.B.T + ww[s : s + b] @ model.Bw.T
-            return self._states[s], h
+            return h
 
-        def store(s, y):
-            self._states[s + 1 : s + 1 + len(y)] = y
-            self.k = s + len(y)
-
-        _advance(K, step, store, transitions, block)
+        _advance(self._states, step, forcing, transitions)
+        self.k = self._states.shape[0] - 1
         return self._states
 
 
@@ -235,10 +233,9 @@ def simulate_network(
     :class:`~fracdyn.fraccore.MemoryTail` each over the states, inputs and
     disturbances, O(n^2 K log^2 K).  The first ``NEAR_BLOCK`` steps are
     stepped; each later block of ``NEAR_BLOCK`` steps is solved at once from
-    the series' transition matrices, with the input and disturbance sums of
-    the block as their far field at its start plus one in-block convolution;
-    transition matrices with an entry above 1e3 keep the loop, as in
-    :func:`simulate_fos`.  Outputs are C x[k] with no measurement noise; callers add their own.  Its
+    the series' transition matrices and its tails' whole-block sums; those
+    with an entry above 1e3 keep the loop, as in :func:`simulate_fos`.
+    Outputs are C x[k] with no measurement noise; callers add their own.  Its
     oracles are the double loop and the direct sums in
     ``tests/test_memory_oracles.py``.
     """
@@ -255,62 +252,34 @@ def simulate_network(
     X[0] = x0
     # x[K] enters no step; an input or disturbance stack of width zero adds nothing
     state = MemoryTail(series.A[1:], X[:K])
-    # a drive's in-block sum rounds no worse than the far field the loop adds,
-    # which spans its kernel's lags up to 2 NEAR_BLOCK - 1; a finite kernel
-    # can still overflow its transform, and the loop then decides
-    with np.errstate(over="ignore", invalid="ignore"):
-        drives = [(MemoryTail(kernel, history), _block_spectrum(kernel), history)
-                  for kernel, history in ((series.B, uu), (series.G, ww)) if history.shape[1]]
-    tails = [state] + [tail for tail, _, _ in drives]
-    transitions = None
-    if K > NEAR_BLOCK and all(np.all(np.isfinite(spectrum)) for _, spectrum, _ in drives):
-        transitions = _transitions(series.A[1:])
+    drives = [MemoryTail(kernel, history)
+              for kernel, history in ((series.B, uu), (series.G, ww)) if history.shape[1]]
 
     def step(k):
         # overflow is detected by the finiteness check below, not by numpy noise
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = sum(tail(k) for tail in tails)
+            nxt = sum(tail(k) for tail in [state] + drives)
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteError(f"state became non-finite at step {k + 1}")
         X[k + 1] = nxt
 
-    def block(s, b):
-        h = state.far(s)[:b]
-        for tail, spectrum, history in drives:
-            h = h + tail.far(s)[:b] + _in_block(spectrum, history[s : s + b])
-        return X[s], h
+    def forcing(s, b):
+        return sum((tail.block(s, b) for tail in drives), state.far(s)[:b])
 
-    def store(s, y):
-        X[s + 1 : s + 1 + len(y)] = y
-
-    _advance(K, step, store, transitions, block)
+    _advance(X, step, forcing, partial(_transitions, series.A[1:]))
     C = net.C if net.C.ndim == 3 else net.C[None]
     outputs = (C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] @ X[:, :, None])[:, :, 0]
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
-
-
-def _block_spectrum(g: np.ndarray) -> np.ndarray:
-    """rfft of g_0..g_{NEAR_BLOCK-1} over 2 NEAR_BLOCK points, for :func:`_in_block`."""
-    return np.fft.rfft(g[:NEAR_BLOCK], n=2 * NEAR_BLOCK, axis=0)
-
-
-def _in_block(spectrum: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rows i of sum_{l<=i} g_{i-l} h_l for up to NEAR_BLOCK rows h, g given by its spectrum."""
-    H = np.fft.rfft(h.reshape(h.shape[0], h.shape[1], -1), n=2 * NEAR_BLOCK, axis=0)
-    # one matrix product per frequency, as a batched matmul (einsum is far slower)
-    y = np.fft.irfft(spectrum @ H, n=2 * NEAR_BLOCK, axis=0)[: h.shape[0]]
-    return y.reshape((h.shape[0], spectrum.shape[1]) + h.shape[2:])
 
 
 def _transitions(kernel: np.ndarray, A0=None):
     """Transition matrices G_0..G_NEAR_BLOCK and their block spectrum, or None.
 
     G is the free response of x[k+1] = A0 x[k] + sum_{j<=k} kernel[j] . x[k-j]
-    from x[0] = I, with :class:`~fracdyn.fraccore.MemoryTail`'s kernel forms
-    (no A0 term when ``A0`` is None).  None keeps the step loop.  The block
-    solve's FFT rounds each row to about eps times the block's largest term,
-    not the row's own, and that is up to max |G_i| times larger; so a G with
-    an entry above ``_MAX_GROWTH``, or one that is not finite, is not used.
+    from x[0] = I (no A0 term when ``A0`` is None).  None keeps the step loop:
+    the block solve's FFT rounds each row to about eps times the block's
+    largest term, up to max |G_i| times the row's own, so a G with an entry
+    above ``_MAX_GROWTH``, or one that is not finite, is not used.
     """
     n = kernel.shape[1]
     G = np.zeros((NEAR_BLOCK + 1, n, n))
@@ -321,31 +290,31 @@ def _transitions(kernel: np.ndarray, A0=None):
             G[k + 1] = tail(k) if A0 is None else A0 @ G[k] + tail(k)
     if not np.abs(G).max() <= _MAX_GROWTH:
         return None
-    return G, _block_spectrum(G)
+    return G, kernel_spectrum(G, 0, NEAR_BLOCK, 2 * NEAR_BLOCK)
 
 
-def _advance(K, step, store, transitions, block) -> None:
-    """Run K steps of x[k+1] = sum_{j<=k} M_j x[k-j] + f[k] a block at a time.
+def _advance(X, step, forcing, transitions) -> None:
+    """Fill X[1:] by x[k+1] = sum_{j<=k} M_j x[k-j] + f[k], a block at a time.
 
-    ``step(k)`` fills x[k+1] by the loop.  It runs the first block, every
-    block when ``transitions`` is None, and a block whose solve is not finite,
-    so that a NonFiniteError names the exact step.  Any other aligned block of
-    steps s..s+b-1 is solved at once from ``transitions``, G_0..G_NEAR_BLOCK
-    of M and their spectrum (:func:`_transitions`).  ``block(s, b)`` returns
-    x[s] and h, the far field at s plus f over the block; then
-    x[s+1+i] = G_{i+1} x[s] + sum_{l<=i} G_{i-l} h_l, the sum by FFT, and
-    ``store(s, y)`` records those rows.
+    ``step(k)`` fills X[k+1] by the loop: the first block, every block if
+    ``transitions`` or what it builds at the second block (:func:`_transitions`)
+    is None, and a block whose solve is not finite, so that a NonFiniteError
+    names the exact step.  Otherwise the aligned block of steps s..s+b-1 is
+    solved at once: with h = ``forcing(s, b)``, the far field at s plus f,
+    X[s+1+i] = G_{i+1} X[s] + sum_{l<=i} G_{i-l} h_l.
     """
+    K, solve = X.shape[0] - 1, None
     for s in range(0, K, NEAR_BLOCK):
         b = min(NEAR_BLOCK, K - s)
-        if s and transitions is not None:
-            G, spectrum = transitions
+        if s == NEAR_BLOCK and transitions is not None:
+            solve = transitions()
+        if solve is not None:
+            G, spectrum = solve
             # overflow is detected by the finiteness check below, not by numpy noise
             with np.errstate(over="ignore", invalid="ignore"):
-                x, h = block(s, b)
-                y = G[1 : b + 1] @ x + _in_block(spectrum, h)
+                y = G[1 : b + 1] @ X[s] + block_convolve(spectrum, forcing(s, b), 2 * NEAR_BLOCK)[:b]
             if np.all(np.isfinite(y)):
-                store(s, y)
+                X[s + 1 : s + 1 + b] = y
                 continue
         for k in range(s, s + b):
             step(k)

@@ -23,12 +23,15 @@ from fracdyn import (
     MultiTermNetwork,
     NonFiniteError,
     build_weight_table,
+    controllability_gramian,
+    deadbeat_input,
     frac_difference,
     gaussian_noise,
     gl_weight_recursive,
     history_sum,
     identify,
     network_series,
+    observability_matrices,
     ols_spatial,
     run_closed_loop,
     simulate_fos,
@@ -36,7 +39,7 @@ from fracdyn import (
     transition_matrices,
     uncontrolled_baseline,
 )
-from fracdyn.fraccore import NEAR_BLOCK
+from fracdyn.fraccore import NEAR_BLOCK, MemoryTail
 
 #: The 18 orders of acceptance criterion 01b, then the integer orders a
 #: FosModel accepts.
@@ -396,6 +399,21 @@ def test_a_diverging_run_names_the_step_of_the_loop(model, scale, K, K_G):
     assert_stepper_matches(transition_matrices(model, first_G - 1), G[:first_G])
 
 
+def test_a_far_field_that_overflows_before_its_states_names_the_step_of_the_loop():
+    # from 1e290 the far field's transform, which sums up to 4096 states,
+    # passes the float64 maximum before the states do; it is redone scaled
+    model = growing_fos(0.24)
+    K = 700
+    x0 = 1e290 * np.array([1.0, -0.5])
+    w = gaussian_noise(3, K, 2, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = loop_simulate_fos(model, x0, np.zeros((K, 1)), w, K)
+    assert first_non_finite_row(X) == 401
+    with pytest.raises(NonFiniteError, match="^state became non-finite at step 401$"):
+        simulate_fos(model, x0, w=w, K=K)
+    assert_stepper_matches(simulate_fos(model, x0, w=w[:400], K=400).states, X[:401])
+
+
 def test_the_zero_input_baseline_is_the_closed_loop_plant_at_zero_input():
     # uncontrolled_baseline runs the block solve, run_closed_loop the step loop
     orders = [0.6, 0.8]
@@ -409,6 +427,34 @@ def test_the_zero_input_baseline_is_the_closed_loop_plant_at_zero_input():
     baseline = uncontrolled_baseline(plant, K, 4, x0=x0, noise_sigma=0.1)
     assert np.array_equal(baseline.noises, result.noise)
     assert_stepper_matches(baseline.states, result.trajectory.states)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gramian_deadbeat_and_observability_stacks_match_their_lag_loops(seed):
+    # the per-lag loops these were written as; G_K is conditioned below 2e2
+    model, rng = random_fos(seed, [0.4, 1.2, 0.8])
+    B, C = rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
+    model = FosModel(alpha=model.alpha, A=model.A, B=B, Bw=model.Bw)
+    K = 150
+    G = loop_transition_matrices(model, K)
+    S = np.zeros((3, 3))
+    for j in range(K):
+        S += (G[j] @ B) @ (G[j] @ B).T
+    W = np.linalg.solve(G[K], np.linalg.solve(G[K], S.T).T)
+    gram = controllability_gramian(model, K=K).matrix
+    assert np.abs(gram - 0.5 * (W + W.T)).max() <= RTOL * np.abs(W).max()
+    x0 = rng.normal(size=3)
+    z = np.linalg.solve(G[K].T, np.linalg.solve(gram, x0))
+    u = np.array([-(B.T @ G[K - 1 - j].T) @ z for j in range(K)])
+    got = deadbeat_input(model, B, x0, K)
+    assert np.abs(got - u).max() <= RTOL * np.abs(u).max()
+    rep = observability_matrices(model, C, K, B=B)
+    assert_close_to_running_max(rep.obsv, np.vstack([C @ G[j] for j in range(K)]), rep.obsv)
+    M = np.zeros((2 * K, 2 * K))
+    for r in range(K):
+        for c in range(r):
+            M[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = C @ G[r - 1 - c] @ B
+    assert np.abs(rep.feedthrough - M).max() <= RTOL * np.abs(M).max()
 
 
 # ----------------------------------------------------------------------------
@@ -507,6 +553,18 @@ def test_a_network_block_that_overflows_is_re_stepped_by_the_loop():
         simulate_network(net, x0, u=u, w=w, K=K)
 
 
+def test_a_network_far_field_that_overflows_before_its_states_names_the_step():
+    net, rng = _network(6, 0, 2, True)
+    K = 800
+    x0 = 1e304 * rng.normal(size=net.n)
+    w = rng.normal(size=(K, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = first_non_finite_row(direct_simulate_network(net, x0, np.zeros((K, 0)), w, K))
+    assert first == 484
+    with pytest.raises(NonFiniteError, match="^state became non-finite at step 484$"):
+        simulate_network(net, x0, w=w, K=K)
+
+
 def test_a_drive_kernel_whose_transform_overflows_warns_nothing():
     # the input series' lags are finite, their 2 NEAR_BLOCK-point transform is not
     net = MultiTermNetwork(state_terms=((1.0, np.eye(2)), (0.5, -0.5 * np.eye(2))),
@@ -518,6 +576,36 @@ def test_a_drive_kernel_whose_transform_overflows_warns_nothing():
         traj = simulate_network(net, [1.0, -0.5], u=u, K=K)
     assert_stepper_matches(traj.states, direct_simulate_network(net, [1.0, -0.5], u,
                                                                 np.zeros((K, 0)), K))
+
+
+def direct_causal_sum(kernel, states):
+    """y[k] = sum_{j<=k} kernel[j] . states[k-j], one direct np.convolve per kernel entry."""
+    if kernel.ndim == 2:  # a diagonal kernel as its matrix stack
+        kernel = kernel[:, :, None] * np.eye(kernel.shape[1])
+    T = states.shape[0]
+    flat = states.reshape(T, states.shape[1], -1)
+    y = np.zeros((T, kernel.shape[1], flat.shape[2]))
+    for a, b, r in np.ndindex(kernel.shape[1], kernel.shape[2], flat.shape[2]):
+        y[:, a, r] += np.convolve(kernel[:, a, b], flat[:, b, r])[:T]
+    return y.reshape((T, kernel.shape[1]) + states.shape[2:])
+
+
+@pytest.mark.parametrize("shape,matrix", [((3,), False), ((3, 2), False), ((3,), True)])
+def test_memory_tail_blocks_match_the_direct_sum(shape, matrix):
+    # K = 4100 reaches far-field blocks of 64 to 2048 steps, the last one cut
+    rng = np.random.default_rng(19)
+    K = 4100
+    decay = np.arange(1.0, K + 1.0) ** -1.3
+    if matrix:
+        kernel = rng.normal(size=(K, 4, shape[0])) * decay[:, None, None]
+    else:
+        kernel = -build_weight_table([0.3, 0.75, 1.4], K - 1).weights.T
+    states = rng.normal(size=(K,) + shape)
+    tail = MemoryTail(kernel, states)
+    got = np.concatenate([tail.block(s, min(NEAR_BLOCK, K - s))
+                          for s in range(0, K, NEAR_BLOCK)])
+    want = direct_causal_sum(kernel, states)
+    assert_close_to_running_max(got, want, want)
 
 
 def _noisy_trajectory(orders, K, seed):

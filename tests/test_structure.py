@@ -1,0 +1,52 @@
+"""Structure checks on the package source.
+
+Every memory sum is evaluated in ``fraccore``: the FFT convolutions of the
+memory tail, the block solves and the drives all go through its
+``block_convolve``.  A module that calls ``numpy.fft`` itself has grown a
+second convolution beside it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fracdyn
+
+PACKAGE = Path(fracdyn.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def fft_uses(path: Path) -> list:
+    """Line numbers where a module imports or reads ``numpy.fft``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names |= {a.asname for a in node.names if a.name == "numpy" and a.asname}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "numpy.fft" or a.name.startswith("numpy.fft.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.fft") or (
+                module == "numpy" and any(a.name == "fft" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in numpy_names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_the_ffts_of_fraccore():
+    assert fft_uses(PACKAGE / "fraccore.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fraccore.py"],
+                         ids=lambda p: p.name)
+def test_only_fraccore_calls_numpy_fft(path):
+    assert fft_uses(path) == [], f"{path.name} uses numpy.fft; convolve through fraccore"
