@@ -8,10 +8,11 @@ This module is the one place a memory sum is evaluated.  Implicit
 recursions, whose history is produced step by step, read it from a
 :class:`MemoryTail`, which convolves a diagonal kernel (a single-term model's
 GL tail) or a matrix kernel (a network's series) with the history in
-O(K log^2 K) over K steps.  Each FFT convolution, in the tail and in the
-simulators' block solves, is one :func:`block_convolve`.  The identification
-sums go through :func:`history_sum`.  All sequences are causal: samples at
-negative indices are zero.
+O(K log^2 K) over K steps.  The identification sums, over series known in
+advance, go through :func:`history_sum`, directly when they are short.  Each
+FFT convolution, in the tail, in the simulators' block solves and in a long
+:func:`history_sum`, is one :func:`block_convolve`.  All sequences are
+causal: samples at negative indices are zero.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,10 @@ __all__ = [
 #: Steps per near-field block of :class:`MemoryTail`; far-field blocks are this
 #: size times a power of two.
 NEAR_BLOCK = 64
+
+#: :func:`history_sum` convolves by FFT once rows x lags exceeds this many
+#: times size x log2(size) of the transform; below, ``np.convolve`` is faster.
+FFT_SUM_RATIO = 20
 
 
 def gl_weight_recursive(alpha: float, j: int) -> float:
@@ -202,8 +207,13 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
     ``x`` is a time-major series of shape (T,) or (T, n) with samples before
     time 0 taken as zero; ``weights`` has shape (J+1,), or (n, J+1) with one
     row per channel.  A sum that starts at lag s > 0 is the same sum at time
-    t - s over ``weights[s:]``.  Each channel is one direct convolution over
-    the rows' common history, so no rows-by-lags matrix is formed.
+    t - s over ``weights[s:]``.  No rows-by-lags matrix is formed: the rows'
+    common history is convolved with each channel's weights, by ``np.convolve``
+    per channel, or by one :func:`block_convolve` once rows x lags exceeds
+    ``FFT_SUM_RATIO`` times size x log2(size) of the transform.  The transform
+    rounds relative to the largest sum of the rows, not to each row's own
+    scale; one that comes out non-finite (a series near the float64 maximum)
+    is redone directly, so overflow shows as it does in the direct sum.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -211,17 +221,27 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
         raise IndexError(f"rows [{start}, {stop}) outside series of length {x.shape[0]}")
     if w.shape[-1] == 0 or w.shape[:-1] != x.shape[1:]:
         raise DomainError(f"weights of shape {w.shape} do not fit a series of shape {x.shape}")
-    first = start - (w.shape[-1] - 1)
+    lags = w.shape[-1]
+    first = start - (lags - 1)
     seg = x[max(first, 0) : stop]
     if first < 0:
         seg = np.concatenate([np.zeros((-first,) + x.shape[1:]), seg])
-    rows = w.reshape(-1, w.shape[-1])
+    rows = w.reshape(-1, lags)
     seg = seg.reshape(seg.shape[0], rows.shape[0])
+    shape = (stop - start,) + x.shape[1:]
+    size = 1 << (seg.shape[0] - 1).bit_length()
+    if (stop - start) * lags > FFT_SUM_RATIO * size * (size.bit_length() - 1):
+        # the circular wrap lands on the lags-1 leading rows only, which are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = block_convolve(kernel_spectrum(rows.T, 0, lags, size), seg, size)
+        out = out[lags - 1 : seg.shape[0]]
+        if np.isfinite(out).all():
+            return out.reshape(shape)
     out = np.empty((stop - start, rows.shape[0]))
     if stop > start:  # np.convolve swaps its operands when the series is shorter
         for i, w_i in enumerate(rows):
             out[:, i] = np.convolve(seg[:, i], w_i, "valid")
-    return out.reshape((stop - start,) + x.shape[1:])
+    return out.reshape(shape)
 
 
 def lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:

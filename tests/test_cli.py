@@ -14,6 +14,7 @@ from fracdyn import (
     MultiTermNetwork,
     NonFiniteError,
     Trajectory,
+    identify,
     simulate_fos,
     simulate_network,
 )
@@ -405,6 +406,26 @@ def test_identify_overflowing_trajectory_exits_3_naming_the_channel(tmp_path, ca
         warnings.simplefilter("always")
         code = run_cli("identify", "--trajectory", str(traj_path), "--depth", "20",
                        "--window", "0,50", "--out-model", str(model_out),
+                       "--out-diag", str(diag_out))
+    assert code == 3
+    assert "channel 1" in capsys.readouterr().err
+    assert not caught
+    assert not model_out.exists() and not diag_out.exists()
+
+
+def test_identify_overflowing_long_trajectory_exits_3_naming_the_channel(tmp_path, capsys):
+    # long enough that the full-memory targets are summed by FFT
+    states = 0.1 * np.random.default_rng(5).standard_normal(10001)
+    states[9000] = 1e300
+    traj_path = tmp_path / "big.csv"
+    write_trajectory(str(traj_path), Trajectory(states=states[:, None]))
+    model_out, diag_out = tmp_path / "m.json", tmp_path / "d.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError, match="^channel 1: prediction error is not finite$"):
+            identify(Trajectory(states=states[:, None]), 200, 1e-3, (8000, 2000))
+        code = run_cli("identify", "--trajectory", str(traj_path), "--depth", "200",
+                       "--window", "8000,2000", "--out-model", str(model_out),
                        "--out-diag", str(diag_out))
     assert code == 3
     assert "channel 1" in capsys.readouterr().err

@@ -8,7 +8,9 @@ the network stepper.  The convolutions sum in a different order, so later
 steps of the steppers and the identification sums must agree to 1e-12
 relative to the running maximum magnitude of the series they sum.  On
 networks that grow by many orders of magnitude the float64 direct sum is
-itself that far off, so there the reference is a long double sum.
+itself that far off, so there the reference is a long double sum.  A long
+identification sum by FFT rounds relative to its largest sum, which is the
+bound it is held to on a series that grows a millionfold.
 """
 
 import warnings
@@ -39,7 +41,8 @@ from fracdyn import (
     transition_matrices,
     uncontrolled_baseline,
 )
-from fracdyn.fraccore import NEAR_BLOCK, MemoryTail
+import fracdyn.fraccore as fraccore
+from fracdyn.fraccore import FFT_SUM_RATIO, NEAR_BLOCK, MemoryTail
 
 #: The 18 orders of acceptance criterion 01b, then the integer orders a
 #: FosModel accepts.
@@ -646,6 +649,80 @@ def test_history_sum_edge_rows():
         history_sum(x, [1.0], 2, 6)
 
 
+#: (start, stop, lags, by FFT): sums past the crossover from time 0, with a
+#: zero-padded head, and from mid-series, and one well below it
+HISTORY_CASES = [(0, 2000, 2001, True), (2000, 3001, 1000, True), (1500, 3001, 1501, True),
+                 (2700, 2900, 200, False)]
+SUM_ORDERS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.4]
+
+
+def _counting_block_convolve(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return block_convolve(*args)
+
+    block_convolve = fraccore.block_convolve
+    monkeypatch.setattr(fraccore, "block_convolve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("start,stop,lags,by_fft", HISTORY_CASES)
+def test_history_sum_by_fft_matches_the_row_loop(monkeypatch, start, stop, lags, by_fft):
+    x = _noisy_trajectory(SUM_ORDERS, 3000, 11).states
+    w = build_weight_table(SUM_ORDERS, lags - 1).weights
+    calls = _counting_block_convolve(monkeypatch)
+    got = history_sum(x, w, start, stop)
+    assert len(calls) == by_fft
+    assert_close_to_running_max(got, loop_history_sum(x, w, start, stop), got)
+    for i in range(len(SUM_ORDERS)):
+        got_i = history_sum(x[:, i], w[i], start, stop)
+        assert_close_to_running_max(got_i, loop_history_sum(x[:, i], w[i], start, stop), got_i)
+    assert len(calls) == by_fft * (1 + len(SUM_ORDERS))
+
+
+def test_history_sum_stays_direct_and_bitwise_just_below_the_crossover(monkeypatch):
+    # the most rows of 1000 lags that a 2048-point transform would sum directly
+    lags, size = 1000, 2048
+    rows = FFT_SUM_RATIO * size * (size.bit_length() - 1) // lags
+    x = _noisy_trajectory(SUM_ORDERS[:2], 3000, 12).states
+    w = build_weight_table(SUM_ORDERS[:2], lags - 1).weights
+    calls = _counting_block_convolve(monkeypatch)
+    got = history_sum(x, w, 2000, 2000 + rows)
+    assert not calls
+    for i in range(2):
+        want = np.convolve(x[2000 - lags + 1 : 2000 + rows, i], w[i], "valid")
+        assert np.array_equal(got[:, i], want)
+    history_sum(x, w, 2000, 2001 + rows)
+    assert len(calls) == 1
+
+
+def test_history_sum_whose_transform_overflows_is_summed_directly(monkeypatch):
+    # order -1 sums every lag with weight 1, so the transform's zero frequency
+    # holds 2000 times the 1e306 state and overflows; the direct sums stay finite
+    x = 0.1 * np.random.default_rng(4).normal(size=3000)
+    x[2500] = 1e306
+    w = build_weight_table([-1.0], 1999).weights[0]
+    calls = _counting_block_convolve(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = history_sum(x, w, 1000, 3000)
+    assert calls
+    assert np.array_equal(got, np.convolve(np.concatenate([np.zeros(999), x]), w, "valid"))
+
+
+def test_history_sum_by_fft_rounds_relative_to_the_whole_segment():
+    # the transform spreads the rounding of the largest sums over every row:
+    # on a series growing a millionfold the first rows are off by 1.3e-12 of
+    # their own running maximum, but by 3e-15 of the largest sum
+    x = np.exp(np.linspace(0.0, np.log(1e6), 3000)) * np.random.default_rng(3).normal(size=3000)
+    w = build_weight_table([0.5], 2999).weights[0]
+    got = history_sum(x, w, 1000, 3000)
+    want = loop_history_sum(x, w, 1000, 3000)
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("orders,window,p", [
     ([0.5], (0, 120), 160),
     ([0.3, 1.4], (20, 120), 12),
@@ -668,3 +745,22 @@ def test_identification_matches_the_row_loops(monkeypatch, orders, window, p):
     assert np.array_equal(fast.alpha_hat, slow.alpha_hat)
     assert np.array_equal(fast.iterations, slow.iterations)
     assert fast.flags == slow.flags
+
+
+@pytest.mark.parametrize("orders", [[0.5], [0.3, 1.4]])
+def test_identification_above_the_fft_crossover_matches_the_row_loops(monkeypatch, orders):
+    traj = _noisy_trajectory(orders, 10000, 9)
+    x = traj.states
+    window, p = (8000, 2000), 200
+    ks = np.arange(window[0], window[0] + window[1])
+    calls = _counting_block_convolve(monkeypatch)
+    fast = identify(traj, p, 1e-3, window)
+    ols = ols_spatial(traj, fast.alpha_hat, window)
+    # the full-memory targets go by FFT, the depth-p prediction sums stay direct
+    assert calls and all(shape[0] == ks.size + ks[-1] + 1 for shape in calls)
+    for i, alpha in enumerate(fast.alpha_hat):
+        w = build_weight_table([alpha], int(ks[-1]) + 1).weights[0]
+        row = np.linalg.lstsq(x[ks], loop_gl_targets(x[:, i], w, ks), rcond=None)[0]
+        np.testing.assert_allclose(fast.A_hat[i], row, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ols.A_hat[i], row, rtol=1e-9, atol=1e-12)
+        assert fast.mse[i] == pytest.approx(loop_prediction_mse(x, i, row, w, ks, p), rel=1e-9)

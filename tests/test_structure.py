@@ -1,9 +1,10 @@
 """Structure checks on the package source.
 
 Every memory sum is evaluated in ``fraccore``: the FFT convolutions of the
-memory tail, the block solves and the drives all go through its
-``block_convolve``.  A module that calls ``numpy.fft`` itself has grown a
-second convolution beside it.
+memory tail, the block solves, the drives and the long history sums all go
+through its ``block_convolve``.  A module that calls ``numpy.fft`` itself, or
+a function of ``fraccore`` other than ``kernel_spectrum`` and
+``block_convolve`` that does, has grown a second convolution beside it.
 """
 
 import ast
@@ -50,3 +51,18 @@ def test_the_check_sees_the_ffts_of_fraccore():
                          ids=lambda p: p.name)
 def test_only_fraccore_calls_numpy_fft(path):
     assert fft_uses(path) == [], f"{path.name} uses numpy.fft; convolve through fraccore"
+
+
+def enclosing_definitions(path: Path, lines) -> set:
+    """Names of the top-level functions and classes holding ``lines``; "<module>" outside them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    spans = [(node.lineno, node.end_lineno, node.name) for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return {next((name for lo, hi, name in spans if lo <= line <= hi), "<module>")
+            for line in lines}
+
+
+def test_inside_fraccore_only_the_block_convolution_calls_numpy_fft():
+    path = PACKAGE / "fraccore.py"
+    outside = enclosing_definitions(path, fft_uses(path)) - {"kernel_spectrum", "block_convolve"}
+    assert not outside, f"{sorted(outside)} use numpy.fft; go through block_convolve"
