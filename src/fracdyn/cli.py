@@ -26,7 +26,7 @@ from .analysis import (
     observability_matrices,
     tf_eval,
 )
-from .errors import DomainError, FracdynError
+from .errors import DomainError, FracdynError, NonFiniteError
 from .estimate import EstimatorConfig, run_estimator
 from .fileio import (
     atomic_write,
@@ -134,6 +134,15 @@ def _vector(config: dict, key: str, default, length: int, finite: bool = True, k
     return vec
 
 
+def _model(config: dict, kind=FosModel):
+    """The model file at ``config["model"]``; a file of another kind than ``kind`` exits 2."""
+    model = read_model(_path(config, "model"))
+    if not isinstance(model, kind):
+        want = "multi-term network" if kind is MultiTermNetwork else "single-term"
+        raise DomainError(f"{config['model']} is not a {want} model file")
+    return model
+
+
 def cmd_simulate(args) -> int:
     config = _options(args, args.config)
     model = read_model(_path(config, "model"))
@@ -166,7 +175,7 @@ def cmd_analyze(args) -> int:
     what, out = args.what, _path(config, "out")
     inputs = {}
     if what == "stability":
-        model = read_model(_path(config, "model"))
+        model = _model(config)
         inputs["model"] = config["model"]
         alpha = _number(config, "alpha", None)
         if alpha is not None or model.is_commensurate():
@@ -191,7 +200,7 @@ def cmd_analyze(args) -> int:
             }
         atomic_write(out, canonical_json(report) + "\n")
     elif what == "gramians":
-        model = read_model(_path(config, "model"))
+        model = _model(config)
         inputs["model"] = config["model"]
         K = _number(config, "horizon", max(1, model.n), int)
         ctrb = controllability_gramian(model, None, K)
@@ -268,9 +277,7 @@ def cmd_identify(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _options(args, args.config)
-    net = read_model(_path(config, "model"))
-    if not isinstance(net, MultiTermNetwork):
-        raise DomainError("estimate expects a multi-term network model file")
+    net = _model(config, MultiTermNetwork)
     traj = read_trajectory(_path(config, "trajectory"))
     v = _number(config, "v", 2, int)
     out = _path(config, "out")
@@ -300,10 +307,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_mpc(args) -> int:
     config = _options(args, args.scenario)
-    plant = read_model(_path(config, "model"))
+    plant = _model(config)
     out = _path(config, "out")
-    if isinstance(plant, MultiTermNetwork):
-        raise DomainError("mpc expects a single-term model file")
     bounds = _vector(config, "bounds", None, 2, finite=False)
     if bounds is None:
         bounds = (_number(config, "u_lo", -np.inf, finite=False),
@@ -328,13 +333,16 @@ def cmd_mpc(args) -> int:
     n, m = plant.n, plant.m
     cost_at = dict(zip(result.solve_steps, result.cycle_costs))
     traj = result.trajectory
+    with np.errstate(over="ignore"):  # an energy that is not finite raises instead
+        energy_controlled = float(np.sum(traj.states**2))
+        energy_baseline = float(np.sum(baseline.states**2))
+    if not np.isfinite([energy_controlled, energy_baseline]).all():
+        raise NonFiniteError("state energy is not finite")
     blank = [""] * m
     write_table(out, ["t"] + [f"x{i + 1}" for i in range(n)]
                 + [f"u{i + 1}" for i in range(m)] + ["cost_cycle"],
                 ([k * traj.dt, *traj.states[k], *(result.applied[k] if k < K else blank),
                   cost_at.get(k, "")] for k in range(K + 1)))
-    energy_controlled = float(np.sum(traj.states**2))
-    energy_baseline = float(np.sum(baseline.states**2))
     summary = {
         "steps": K,
         "solves": len(result.cycle_costs),

@@ -10,11 +10,12 @@ rows alike: soft rows become slack variables carrying the quadratic penalty,
 hard rows are exact constraints whose infeasibility the solver proves.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InfeasibleStateConstraints
+from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
 from .fraccore import lower_block_toeplitz
 from .model import FosModel, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
@@ -186,6 +187,7 @@ def _history_lift(model: FosModel, history, p: int) -> np.ndarray:
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite cost raises instead
 def solve_horizon(
     problem: MpcProblem, model: FosModel, history, condensed: CondensedProblem | None = None
 ) -> MpcSolution:
@@ -195,7 +197,8 @@ def solve_horizon(
     pass it in to reuse it across solves.  The QP over the box and the state
     rows is solved exactly.  Soft rows cost ``SOFT_PENALTY`` times their
     squared violation; hard rows hold exactly, or, when no input in the box
-    satisfies them, raise InfeasibleStateConstraints.
+    satisfies them, raise InfeasibleStateConstraints.  A cost that is not
+    finite (a history near the float64 maximum) raises NonFiniteError.
     """
     n, m, P = model.n, model.m, problem.P
     cp = condense(problem, model) if condensed is None else condensed
@@ -207,6 +210,8 @@ def solve_horizon(
     # J(U) = U^T H U + b^T U + const with H PD (R is PD).
     b = 2.0 * S.T @ (Qbar @ fvec) + S.T @ cvec
     const = float(fvec @ Qbar @ fvec + cvec @ fvec)
+    if not (math.isfinite(const) and np.isfinite(b).all()):
+        raise NonFiniteError("horizon cost is not finite")
     k = cp.rows.shape[0]
     g = cp.g.copy()
     g[g.size - k :] -= cp.rows @ fvec
@@ -222,9 +227,12 @@ def solve_horizon(
     on_hi = U >= HI - atol
     proj[on_lo & (proj > 0)] = 0.0
     proj[on_hi & (proj < 0)] = 0.0
+    cost = float(U @ H @ U + b @ U + const)
+    if not math.isfinite(cost):
+        raise NonFiniteError("horizon cost is not finite")
     return MpcSolution(
         u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
-        cost=float(U @ H @ U + b @ U + const), kkt_residual=float(np.linalg.norm(proj)),
+        cost=cost, kkt_residual=float(np.linalg.norm(proj)),
         active_lower=on_lo.reshape(P, m), active_upper=on_hi.reshape(P, m),
         penalty_cost=float(SOFT_PENALTY * (z[b.size :] @ z[b.size :])),
     )

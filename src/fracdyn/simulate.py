@@ -3,12 +3,12 @@
 Both model types step x[k+1] = sum_j M_j x[k-j] + sum_j B_j u[k-j] + sum_j G_j w[k-j]
 with :class:`~fracdyn.fraccore.MemoryTail`: a single-term system has a diagonal
 tail M_j = -diag(c_{j+1}) beside M_0 = A + diag(alpha), O(n K log^2 K) over K
-steps; a network has matrix stacks, O(n^2 K log^2 K).  Open-loop runs step
-their first ``NEAR_BLOCK`` steps and then solve one aligned block of
-``NEAR_BLOCK`` steps at a time from the model's transition matrices, the
-in-block sum by :func:`~fracdyn.fraccore.block_convolve` (:func:`_advance`);
-:class:`FosSimulator` steps one at a time, for closed loops.  Everything is
-deterministic given (model, x0, inputs, noise-or-seed).
+steps; a network has matrix stacks, O(n^2 K log^2 K).  Every recursion here
+runs through :func:`_advance`: open-loop runs solve each aligned block of
+``NEAR_BLOCK`` steps after the first at once (a lift none), and every other
+step is summed and checked by the one store step, :func:`_store`.
+:class:`FosSimulator` steps one state vector at a time, for closed loops.
+Everything is deterministic given (model, x0, inputs, noise-or-seed).
 """
 
 from dataclasses import dataclass
@@ -79,53 +79,54 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _resolve_noise(w, steps: int, dim: int, sigma: float) -> np.ndarray:
-    """Accept an explicit (steps, dim) noise array, an integer seed, or None."""
-    if w is None:
-        return np.zeros((steps, dim))
-    if isinstance(w, (int, np.integer)):
-        return gaussian_noise(int(w), steps, dim, sigma)
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if w.shape != (steps, dim):
-        raise DimensionError(f"noise must have shape ({steps}, {dim}), got {w.shape}")
-    return w
-
-
-def _resolve_inputs(u, steps: int, dim: int) -> np.ndarray:
+def _resolve_inputs(u, steps: int, dim: int, name: str = "inputs") -> np.ndarray:
     if u is None:
         return np.zeros((steps, dim))
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     if u.shape != (steps, dim):
-        raise DimensionError(f"inputs must have shape ({steps}, {dim}), got {u.shape}")
+        raise DimensionError(f"{name} must have shape ({steps}, {dim}), got {u.shape}")
     return u
 
 
+def _resolve_noise(w, steps: int, dim: int, sigma: float) -> np.ndarray:
+    """Accept an explicit (steps, dim) noise array, an integer seed, or None."""
+    if isinstance(w, (int, np.integer)):
+        return gaussian_noise(int(w), steps, dim, sigma)
+    return _resolve_inputs(w, steps, dim, "noise")
+
+
+def _start(x0, K: int, n: int) -> np.ndarray:
+    """States X[0..K], zero but for X[0] = x0, a vector of length n."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (n,):
+        raise DimensionError(f"x0 must have length {n}")
+    X = np.zeros((K + 1, n))
+    X[0] = x0
+    return X
+
+
+def _fos_memory(model: FosModel, X: np.ndarray):
+    """A0 = A + diag(alpha), the tail kernel -c_{j+1} (lag 0 zero) and its MemoryTail over X."""
+    kernel = -build_weight_table(model.alpha, X.shape[0]).weights[:, 1:].T
+    kernel[0] = 0.0
+    return model.A + np.diag(model.alpha), kernel, MemoryTail(kernel, X)
+
+
 class FosSimulator:
-    """Incremental full-memory stepper for a single-term model.
+    """Incremental full-memory stepper of a single-term model's state vector.
 
     Precomputes the weight table once for ``max_steps`` and keeps the whole
-    state history, so closed-loop drivers can interleave solving and stepping
-    without re-simulating from scratch.  ``x0`` is a state vector, or an
-    (n, r) matrix whose columns step as r free responses side by side.
+    state history, so a closed-loop driver can interleave solving and stepping
+    without re-simulating from scratch.  Open-loop runs do not step it:
+    :func:`simulate_fos` solves them a block at a time.
     """
 
     def __init__(self, model: FosModel, x0, max_steps: int):
         self.model = model
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.ndim > 2 or x0.shape[0] != model.n:
-            raise DimensionError(f"x0 must have length {model.n}")
-        self._A0 = model.A + np.diag(model.alpha)
-        self._states = np.zeros((max_steps + 1,) + x0.shape)
-        self._states[0] = x0
-        # x[k+1] = A0 x[k] + sum_{j>=1} -c_{j+1} x[k-j]: the tail kernel, negated
-        kernel = -build_weight_table(model.alpha, max_steps + 1).weights[:, 1:].T
-        kernel[0] = 0.0
-        self._kernel = kernel
-        self._tail = MemoryTail(kernel, self._states)
+        self._states = _start(x0, max_steps, model.n)
+        self._A0, _, self._tail = _fos_memory(model, self._states)
         self.k = 0
 
     @property
@@ -133,52 +134,30 @@ class FosSimulator:
         return self._states[: self.k + 1]
 
     def step(self, u=None, w=None) -> np.ndarray:
-        k = self.k
-        if k + 1 >= self._states.shape[0]:
+        k, x = self.k, self._states
+        if k + 1 >= x.shape[0]:
             raise DimensionError("simulator stepped past its preallocated horizon")
-        x = self._states
-        if x.ndim > 2 and (u is not None or w is not None):
-            raise DimensionError("inputs and noise drive a state vector, not free responses")
-        # overflow is detected by the finiteness check below, not by numpy noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = self._A0 @ x[k] + self._tail(k)
-            if u is not None:
-                nxt = nxt + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
-            if w is not None:
-                nxt = nxt + self.model.Bw @ np.atleast_1d(np.asarray(w, dtype=float))
-        if not np.all(np.isfinite(nxt)):
-            raise NonFiniteError(f"state became non-finite at step {k + 1}")
-        self._states[k + 1] = nxt
+        drives = [(M, np.atleast_1d(np.asarray(v, dtype=float)))
+                  for M, v in ((self.model.B, u), (self.model.Bw, w)) if v is not None]
+        nxt = _store(x, k, lambda k: [self._A0 @ x[k], self._tail(k)] + [M @ v for M, v in drives])
         self.k = k + 1
         return nxt
 
-    def _run(self, uu=None, ww=None) -> np.ndarray:
-        """Step a fresh simulator to its horizon; free responses when ``uu`` is None.
 
-        Blocks past the first are solved at once (:func:`_advance`), unless a
-        channel has integer order: the loop keeps its rows the integer
-        recursion exactly.
-        """
-        model = self.model
-        integer = np.any(model.alpha == np.round(model.alpha))
-        transitions = None if integer else partial(_transitions, self._kernel, self._A0)
+def _fos_run(model: FosModel, X: np.ndarray, uu=None, ww=None) -> np.ndarray:
+    """Fill X[1:] with the open-loop run from X[0]: free responses when ``uu`` is None.
 
-        def step(k):
-            self.k = k  # a solved block moves the run on without the stepper
-            if uu is None:
-                self.step()
-            else:
-                self.step(uu[k], ww[k])
-
-        def forcing(s, b):
-            h = self._tail.far(s)[:b]
-            if uu is not None:
-                h = h + uu[s : s + b] @ model.B.T + ww[s : s + b] @ model.Bw.T
-            return h
-
-        _advance(self._states, step, forcing, transitions)
-        self.k = self._states.shape[0] - 1
-        return self._states
+    Blocks past the first are solved at once (:func:`_advance`), unless a
+    channel has integer order: the loop keeps its rows the integer
+    recursion exactly.
+    """
+    A0, kernel, tail = _fos_memory(model, X)
+    drives = [] if uu is None else [(model.B, uu), (model.Bw, ww)]
+    integer = np.any(model.alpha == np.round(model.alpha))
+    _advance(X, lambda k: [A0 @ X[k], tail(k)] + [M @ v[k] for M, v in drives],
+             lambda s, b: sum((v[s : s + b] @ M.T for M, v in drives), tail.far(s)[:b]),
+             None if integer else partial(_transitions, kernel, A0))
+    return X
 
 
 def simulate_fos(
@@ -198,18 +177,19 @@ def simulate_fos(
     or None.  With alpha = 1 the run equals the ordinary LTI recursion
     x[k+1] = (A + I) x[k] + B u + Bw w exactly.
 
-    The first ``NEAR_BLOCK`` steps are :meth:`FosSimulator.step` calls; later
-    blocks of ``NEAR_BLOCK`` steps are each solved at once, to rounding of the
-    step loop.  A model with a channel of integer order is stepped throughout,
-    and so is one whose transition matrices G_1..G_NEAR_BLOCK have an entry
-    above 1e3: the block solve's rounding grows with them, the loop's does not.
+    The first ``NEAR_BLOCK`` steps are summed one at a time, each as
+    A0 x[k] + tail, then B u, then Bw w; later blocks of ``NEAR_BLOCK`` steps
+    are each solved at once, to rounding of the step loop.  A model with a
+    channel of integer order is stepped throughout, and so is one whose
+    transition matrices G_1..G_NEAR_BLOCK have an entry above 1e3: the block
+    solve's rounding grows with them, the loop's does not.
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
     uu = _resolve_inputs(u, K, model.m)
     ww = _resolve_noise(w, K, model.p, noise_sigma)
-    states = FosSimulator(model, x0, K)._run(uu, ww)
-    return Trajectory(states=states.copy(), inputs=uu, noises=ww, dt=dt)
+    states = _fos_run(model, _start(x0, K, model.n), uu, ww)
+    return Trajectory(states=states, inputs=uu, noises=ww, dt=dt)
 
 
 def transition_matrices(model: FosModel, K: int) -> np.ndarray:
@@ -221,7 +201,9 @@ def transition_matrices(model: FosModel, K: int) -> np.ndarray:
     """
     if K < 0:
         raise DimensionError("horizon K must be non-negative")
-    return FosSimulator(model, np.eye(model.n), K)._run()
+    G = np.zeros((K + 1, model.n, model.n))
+    G[0] = np.eye(model.n)
+    return _fos_run(model, G)
 
 
 def simulate_network(
@@ -241,32 +223,17 @@ def simulate_network(
     """
     if K < 0:
         raise DimensionError("step count K must be non-negative")
-    n = net.n
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (n,):
-        raise DimensionError(f"x0 must have length {n}")
+    X = _start(x0, K, net.n)
     uu = _resolve_inputs(u, K, net.m)
     ww = _resolve_noise(w, K, net.p, 1.0)
     series = network_series(net, K)
-    X = np.zeros((K + 1, n))
-    X[0] = x0
     # x[K] enters no step; an input or disturbance stack of width zero adds nothing
     state = MemoryTail(series.A[1:], X[:K])
     drives = [MemoryTail(kernel, history)
               for kernel, history in ((series.B, uu), (series.G, ww)) if history.shape[1]]
-
-    def step(k):
-        # overflow is detected by the finiteness check below, not by numpy noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = sum(tail(k) for tail in [state] + drives)
-        if not np.all(np.isfinite(nxt)):
-            raise NonFiniteError(f"state became non-finite at step {k + 1}")
-        X[k + 1] = nxt
-
-    def forcing(s, b):
-        return sum((tail.block(s, b) for tail in drives), state.far(s)[:b])
-
-    _advance(X, step, forcing, partial(_transitions, series.A[1:]))
+    _advance(X, lambda k: [tail(k) for tail in [state] + drives],
+             lambda s, b: sum((tail.block(s, b) for tail in drives), state.far(s)[:b]),
+             partial(_transitions, series.A[1:]))
     C = net.C if net.C.ndim == 3 else net.C[None]
     outputs = (C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] @ X[:, :, None])[:, :, 0]
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
@@ -285,23 +252,40 @@ def _transitions(kernel: np.ndarray, A0=None):
     G = np.zeros((NEAR_BLOCK + 1, n, n))
     G[0] = np.eye(n)
     tail = MemoryTail(kernel, G[:NEAR_BLOCK])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(NEAR_BLOCK):
-            G[k + 1] = tail(k) if A0 is None else A0 @ G[k] + tail(k)
+    try:
+        _advance(G, lambda k: [tail(k)] if A0 is None else [A0 @ G[k], tail(k)])
+    except NonFiniteError:
+        return None
     if not np.abs(G).max() <= _MAX_GROWTH:
         return None
     return G, kernel_spectrum(G, 0, NEAR_BLOCK, 2 * NEAR_BLOCK)
 
 
-def _advance(X, step, forcing, transitions) -> None:
+def _store(X, k: int, parts) -> np.ndarray:
+    """Set X[k+1] to the sum of the list ``parts(k)``, added in list order.
+
+    The one step of every recursion here: a sum that is not finite raises
+    NonFiniteError naming step k+1, and its overflow stays out of numpy's
+    warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, *rest = parts(k)
+        nxt = sum(rest, first)
+    if not np.all(np.isfinite(nxt)):
+        raise NonFiniteError(f"state became non-finite at step {k + 1}")
+    X[k + 1] = nxt
+    return nxt
+
+
+def _advance(X, parts, forcing=None, transitions=None) -> None:
     """Fill X[1:] by x[k+1] = sum_{j<=k} M_j x[k-j] + f[k], a block at a time.
 
-    ``step(k)`` fills X[k+1] by the loop: the first block, every block if
-    ``transitions`` or what it builds at the second block (:func:`_transitions`)
-    is None, and a block whose solve is not finite, so that a NonFiniteError
-    names the exact step.  Otherwise the aligned block of steps s..s+b-1 is
-    solved at once: with h = ``forcing(s, b)``, the far field at s plus f,
-    X[s+1+i] = G_{i+1} X[s] + sum_{l<=i} G_{i-l} h_l.
+    :func:`_store` sums step k from ``parts(k)`` for the first block, for
+    every block if ``transitions`` or what it builds at the second block
+    (:func:`_transitions`) is None, and for a block whose solve is not finite,
+    so that a NonFiniteError names the exact step.  Otherwise the aligned
+    block of steps s..s+b-1 is solved at once: with h = ``forcing(s, b)``, the
+    far field at s plus f, X[s+1+i] = G_{i+1} X[s] + sum_{l<=i} G_{i-l} h_l.
     """
     K, solve = X.shape[0] - 1, None
     for s in range(0, K, NEAR_BLOCK):
@@ -317,7 +301,7 @@ def _advance(X, step, forcing, transitions) -> None:
                 X[s + 1 : s + 1 + b] = y
                 continue
         for k in range(s, s + b):
-            step(k)
+            _store(X, k, parts)
 
 
 def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> Trajectory:
@@ -331,14 +315,9 @@ def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> T
     z = aug.lift(x0)
     uu = _resolve_inputs(u, K, aug.m)
     ww = _resolve_noise(w, K, aug.Gtil.shape[1], 1.0)
-    X = np.zeros((K + 1, aug.n))
-    X[0] = z[: aug.n]
-    for k in range(K):
-        z = aug.Atil @ z + aug.Btil @ uu[k] + aug.Gtil @ ww[k]
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteError(f"lifted state became non-finite at step {k + 1}")
-        X[k + 1] = z[: aug.n]
-    return Trajectory(states=X, inputs=uu, noises=ww)
+    Z = _start(z, K, z.shape[0])
+    _advance(Z, lambda k: [aug.Atil @ Z[k], aug.Btil @ uu[k], aug.Gtil @ ww[k]])
+    return Trajectory(states=Z[:, : aug.n], inputs=uu, noises=ww)
 
 
 def gaussian_noise(seed: int, steps: int, dim: int, sigma: float) -> np.ndarray:

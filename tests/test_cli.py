@@ -297,6 +297,28 @@ def test_mpc_deterministic_bytes(tmp_path, scalar_model_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("extra,failure", [
+    # every horizon cost from a state of 1e308 overflows; the run used to exit 0
+    # with nan costs and infinite energies in its outputs
+    ({"x0": [1e308, 1e308]}, "horizon cost is not finite"),
+    # the costs stay finite under a tiny Q, the summed squared states do not
+    ({"x0": [1e200, 1e200], "Q": 1e-300}, "state energy is not finite"),
+])
+def test_mpc_overflow_exits_3_without_a_warning(tmp_path, capsys, extra, failure):
+    path = str(tmp_path / "m.json")
+    write_model(path, FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.0], [0.1, -0.3]], B=[[1.0], [0.0]]))
+    scen_path, out = tmp_path / "scen.json", tmp_path / "run.csv"
+    scen_path.write_text(json.dumps({"model": path, "horizon": 3, "K": 50, **extra}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("mpc", str(scen_path), "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: {failure}" in err and "Traceback" not in err
+    assert not caught
+    assert not out.exists()
+
+
 def test_mpc_bounds_flag_overrides_scenario(tmp_path, scalar_model_file):
     scen = {
         "model": scalar_model_file, "p": 5, "horizon": 6, "control_horizon": 3,
@@ -829,6 +851,10 @@ def test_model_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, network, fo
     assert run_cli("simulate", "--model", str(path), "--steps", "5", "--seed", "1",
                    "--sigma", "0.1", "--out", str(tmp_path / "t.csv")) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+    for what in ("stability", "gramians"):
+        assert run_cli("analyze", what, "--model", str(path),
+                       "--out", str(tmp_path / "o.json")) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def _pinned_inputs() -> None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,15 @@ def test_augmented_truncation_error_at_depth_one():
     assert abs(full.states[2, 0] - lifted.states[2, 0]) == pytest.approx(0.125, abs=1e-15)
 
 
+def test_overflowing_lift_raises_without_a_numpy_warning():
+    # x grows about 30-fold a step from 1e300; the lift's matmul overflows first
+    aug = augment_p(FosModel(alpha=[0.5], A=[[30.0]]), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^state became non-finite at step 6$"):
+            simulate_augmented(aug, [1e300], K=50)
+
+
 def test_truncation_monotone_in_depth_on_positive_family():
     for seed in range(8):
         rng = np.random.default_rng(4000 + seed)
@@ -210,12 +221,8 @@ def test_stepper_refuses_past_horizon():
 def test_stepper_steps_a_matrix_of_free_responses():
     m = FosModel(alpha=[0.4, 1.3], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
     X0 = np.array([[1.0, 0.5, 0.0], [-2.0, 0.0, 1.0]])
-    sim = FosSimulator(m, X0, max_steps=20)
-    for _ in range(20):
-        sim.step()
-    for col in range(3):
-        traj = simulate_fos(m, X0[:, col], K=20)
-        np.testing.assert_allclose(sim.states[:, :, col], traj.states, rtol=1e-13, atol=1e-15)
+    # the stepper holds one state vector: free responses side by side are
+    # transition_matrices' open-loop run, not the closed-loop stepper's
     with pytest.raises(DimensionError):
         FosSimulator(m, X0, max_steps=2).step(u=[1.0])
     with pytest.raises(DimensionError):

@@ -5,6 +5,9 @@ memory tail, the block solves, the drives and the long history sums all go
 through its ``block_convolve``.  A module that calls ``numpy.fft`` itself, or
 a function of ``fraccore`` other than ``kernel_spectrum`` and
 ``block_convolve`` that does, has grown a second convolution beside it.
+
+Every recursion in ``simulate`` stores its steps through one store step, the
+only place there that sums a step, checks it and raises ``NonFiniteError``.
 """
 
 import ast
@@ -66,3 +69,24 @@ def test_inside_fraccore_only_the_block_convolution_calls_numpy_fft():
     path = PACKAGE / "fraccore.py"
     outside = enclosing_definitions(path, fft_uses(path)) - {"kernel_spectrum", "block_convolve"}
     assert not outside, f"{sorted(outside)} use numpy.fft; go through block_convolve"
+
+
+def callers(path: Path, name: str) -> set:
+    """Innermost definitions in ``path`` that call ``name``, dotted through their scopes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope + [child.name] if isinstance(child, scopes) else scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_simulate_raises_nonfinite_error_from_one_store_step():
+    raisers = callers(PACKAGE / "simulate.py", "NonFiniteError")
+    assert len(raisers) == 1, f"{sorted(raisers)} construct NonFiniteError; store through one step"
