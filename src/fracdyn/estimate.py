@@ -3,17 +3,21 @@
 The estimate is the trajectory most consistent with the data: it minimizes a
 weighted quadratic energy of the unknown initial-state error, process
 disturbances, and measurement errors, subject to the truncated-lift dynamics.
-No stochastic noise model is assumed.  Two routes are provided and kept
-independent: the recursive filter with gain/covariance-style updates, and a
-dense batch least-squares solve of the same objective used as its oracle.
-Measurements start at step 1; an output at step 0 is never consumed.
+No stochastic noise model is assumed.  The recursive filter and a dense
+batch least-squares solve of the same objective (:func:`me_batch`, its
+oracle) are kept independent.  The filter runs in one of two forms:
+:func:`me_filter_step` carries the d x d weight P and accepts per-step
+weights and output maps, while :func:`run_estimator` with constant weights
+propagates only the low-rank increment of the predicted weight and the gain
+(the Chandrasekhar recursion) and never forms P.  Measurements start at
+step 1; an output at step 0 is never consumed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InnovationSingular
+from .errors import DimensionError, InnovationSingular, NonFiniteError
 from .model import (
     AugmentedModel, MultiTermNetwork, _as_array, _as_prior, _as_weight, _weight_block, augment_v)
 from .simulate import Trajectory
@@ -87,6 +91,31 @@ def me_filter_init(aug: AugmentedModel, config: EstimatorConfig) -> EstimatorSta
     return EstimatorState(k=0, xhat=xhat0, P=P0, gain=None, M=None, aug=aug, config=config)
 
 
+def _factor(S: np.ndarray, step: int) -> np.ndarray:
+    """Cholesky factor of the innovation matrix S of ``step``; with SPD R it cannot fail."""
+    try:
+        return np.linalg.cholesky(0.5 * (S + S.T))
+    except np.linalg.LinAlgError as exc:
+        raise InnovationSingular(f"innovation matrix of step {step}: {exc}") from exc
+
+
+def _predicted(aug: AugmentedModel, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """A P A^T + G Q G^T assembled from the lift's rows (:attr:`AugmentedModel.rows`)."""
+    rows = aug.rows
+    A_dense = aug.Atil[rows.dense]
+    AP = A_dense @ P
+    M = np.zeros_like(P)
+    M[np.ix_(rows.dense, rows.dense)] = AP @ A_dense.T
+    for row, src, size in rows.copies:
+        M[rows.dense, row : row + size] = AP[:, src : src + size]
+        M[row : row + size, rows.dense] = AP[:, src : src + size].T
+        for row2, src2, size2 in rows.copies:
+            M[row : row + size, row2 : row2 + size2] = P[src : src + size, src2 : src2 + size2]
+    G = aug.Gtil[rows.noise]
+    M[np.ix_(rows.noise, rows.noise)] += G @ Q @ G.T
+    return M
+
+
 def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     """Advance the filter by one step with input u[k] and measurement y[k+1].
 
@@ -110,33 +139,17 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (aug.q,):
         raise DimensionError(f"measurement must have length {aug.q}")
-    A, rows = aug.Atil, aug.rows
     C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape != aug.Ctil.shape:
         raise DimensionError(f"output map must have shape {aug.Ctil.shape}")
     Qk = _weight_block(cfg.Q, k, aug.Gtil.shape[1], "Q")
     Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
-    xpred = A @ state.xhat + aug.Btil @ u
-    P = state.P
-    A_dense = A[rows.dense]
-    AP = A_dense @ P
-    M = np.zeros_like(P)
-    M[np.ix_(rows.dense, rows.dense)] = AP @ A_dense.T
-    for row, src, size in rows.copies:
-        M[rows.dense, row : row + size] = AP[:, src : src + size]
-        M[row : row + size, rows.dense] = AP[:, src : src + size].T
-        for row2, src2, size2 in rows.copies:
-            M[row : row + size, row2 : row2 + size2] = P[src : src + size, src2 : src2 + size2]
-    G = aug.Gtil[rows.noise]
-    M[np.ix_(rows.noise, rows.noise)] += G @ Qk @ G.T
+    xpred = aug.Atil @ state.xhat + aug.Btil @ u
+    M = _predicted(aug, state.P, Qk)
     cols = np.flatnonzero(C.any(axis=0))
     C = C[:, cols]
     CM = C @ M[cols]
-    S = CM[:, cols] @ C.T + Rk1
-    try:
-        L = np.linalg.cholesky(0.5 * (S + S.T))
-    except np.linalg.LinAlgError as exc:  # cannot occur with SPD R
-        raise InnovationSingular(str(exc)) from exc
+    L = _factor(CM[:, cols] @ C.T + Rk1, k + 1)
     K = np.linalg.solve(L.T, np.linalg.solve(L, CM)).T
     xhat = xpred + K @ (y - C @ xpred[cols])
     P = M - K @ CM
@@ -217,35 +230,140 @@ class EstimationRun:
     sup_error: float | None
 
 
+#: Eigenvalues of the first covariance increment at or below this share of
+#: its largest magnitude are cut from its factor.
+INCREMENT_RTOL = 1e-13
+
+
+def _increment(aug: AugmentedModel, P0: np.ndarray, Q: np.ndarray, R: np.ndarray):
+    """(F_0, N_0, S_0, L_0, W_0), the start of :func:`_low_rank_filter`, or None.
+
+    N_0 = M_0 C^T, S_0 = C N_0 + R with Cholesky factor F_0, and the first
+    increment M_1 - M_0 = L_0 W_0 L_0^T.  M_k = A P_k A^T + G Q G^T is the
+    predicted weight of step k+1, so M_0 comes from P0 and M_1 from one
+    Riccati step.  L_0 holds the eigenvectors of the increment whose
+    eigenvalues, the diagonal of W_0, exceed :data:`INCREMENT_RTOL` of the
+    largest magnitude.  None when the increment is not finite, or when its
+    rank alpha exceeds half the lift's dimension d.
+    A low-rank step costs O(d alpha (alpha + r)) against the O(r d^2) of
+    :func:`me_filter_step`; measured at d = 400 to 1600, it took 0.3-0.4 times
+    as long at alpha near d/2 and 1.0-1.3 times as long at alpha near d.
+    """
+    C = aug.Ctil
+    M0 = _predicted(aug, P0, Q)
+    N0 = M0 @ C.T
+    S0 = C @ N0 + R
+    F = _factor(S0, 1)
+    P1 = M0 - N0 @ np.linalg.solve(F.T, np.linalg.solve(F, N0.T))
+    delta = _predicted(aug, 0.5 * (P1 + P1.T), Q) - M0
+    if not np.all(np.isfinite(delta)):
+        return None
+    lam, V = np.linalg.eigh(0.5 * (delta + delta.T))
+    keep = np.abs(lam) > INCREMENT_RTOL * np.abs(lam).max(initial=0.0)
+    if 2 * keep.sum() > aug.dim:
+        return None
+    return F, N0, S0, V[:, keep], np.diag(lam[keep])
+
+
+def _shift(aug: AugmentedModel, A_dense: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``Atil @ X`` from the lift's rows: dense rows multiply, copy runs move slices."""
+    out = np.zeros_like(X)
+    out[aug.rows.dense] = A_dense @ X
+    for row, src, size in aug.rows.copies:
+        out[row : row + size] = X[src : src + size]
+    return out
+
+
+def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
+    """Fill ``est[1:]`` by the Chandrasekhar recursion from ``start`` (:func:`_increment`).
+
+    With N_k = M_k C^T and S_k = C N_k + R, the gain is K_k = N_k S_k^{-1}
+    and the increment M_{k+1} - M_k = L_k W_k L_k^T advances as
+        N_{k+1} = N_k + L_k W_k (C L_k)^T,  S_{k+1} = S_k + (C L_k) W_k (C L_k)^T,
+        L_{k+1} = A (L_k - K_k C L_k),  W_{k+1} = W_k - W_k (C L_k)^T S_{k+1}^{-1} (C L_k) W_k
+    (Kailath 1973; Morf, Sidhu and Kailath 1974).  No d x d matrix is formed.
+    """
+    C, A_dense = aug.Ctil, aug.Atil[aug.rows.dense]
+    F, Nk, S, L, W = start
+    N = est.shape[0] - 1
+    for k in range(N):
+        xpred = _shift(aug, A_dense, xhat) + aug.Btil @ u[k]
+        gain = np.linalg.solve(F.T, np.linalg.solve(F, Nk.T)).T
+        xhat = xpred + gain @ (y[k + 1] - C @ xpred)
+        _store(est, k + 1, xhat)
+        if k + 1 == N:
+            break
+        E = C @ L
+        EW = E @ W
+        Nk = Nk + L @ EW.T
+        S = S + EW @ E.T
+        L = _shift(aug, A_dense, L - gain @ E)
+        F = _factor(S, k + 2)
+        Z = np.linalg.solve(F, EW)
+        W = W - Z.T @ Z
+
+
+def _store(est: np.ndarray, k: int, xhat: np.ndarray) -> None:
+    """Write the estimate of step k; NonFiniteError names the step when it is not finite."""
+    if not np.all(np.isfinite(xhat)):
+        raise NonFiniteError(f"estimate became non-finite at step {k}")
+    est[k] = xhat
+
+
 def run_estimator(
     net: MultiTermNetwork, v: int, config: EstimatorConfig, traj: Trajectory
 ) -> EstimationRun:
     """Filter a measured trajectory through the depth-v truncation of ``net``.
 
     The trajectory must carry outputs; measurement rows 1..K drive the filter
-    (the output at step 0 is ignored).  Per-step output maps on the network
-    are threaded through automatically.  When the trajectory also carries
-    ground-truth states, per-step error norms of the base-state estimate are
-    reported along with terminal and sup errors.
+    (the output at step 0 is ignored).  DimensionError says so when it has
+    none after step 0, or when its outputs are not q wide or its inputs not
+    m wide.  Per-step output maps on the network are threaded through
+    automatically.  When the trajectory also carries ground-truth states,
+    per-step error norms of the base-state estimate are reported along with
+    terminal and sup errors.
+
+    Two routes give the same estimates to rounding.  When Q, R and P0 are not
+    per-step schedules and the network's C is not scheduled, the filter
+    propagates only the low-rank increment of the predicted weight and the
+    gain (:func:`_low_rank_filter`), and forms no P: that takes
+    O(d alpha (alpha + r)) per step for a first increment of rank alpha.  Any
+    schedule, or an increment of rank above d/2 (a dense P0, say), keeps the
+    :func:`me_filter_step` loop.  An estimate that is not finite raises
+    NonFiniteError naming its step, without a numpy warning, on both routes.
     """
     if traj.outputs is None:
         raise DimensionError("trajectory carries no outputs to filter on")
     aug = augment_v(net, v)
     N = traj.outputs.shape[0] - 1
+    if N < 1:
+        raise DimensionError("trajectory has no measurement after step 0")
     u = traj.inputs if traj.inputs is not None else np.zeros((N, aug.m))
     if u.shape[0] < N:
         raise DimensionError("trajectory inputs are shorter than its outputs")
+    if traj.outputs.shape[1] != aug.q:
+        raise DimensionError(f"measurement must have length {aug.q}")
+    if u.shape[1] != aug.m:
+        raise DimensionError(f"input must have length {aug.m}")
     scheduled = net.C.ndim == 3
     state = me_filter_init(aug, config)
     est = np.zeros((N + 1, aug.dim))
     est[0] = state.xhat
-    for k in range(N):
-        Ck = None
-        if scheduled:
-            Ck = np.zeros((aug.q, aug.dim))
-            Ck[:, : aug.n] = net.output_map(k + 1)
-        state = me_filter_step(state, u[k], traj.outputs[k + 1], C=Ck)
-        est[k + 1] = state.xhat
+    with np.errstate(over="ignore", invalid="ignore"):  # _store raises instead
+        start = None
+        if not scheduled and max(config.Q.ndim, config.R.ndim, config.P0.ndim) < 3:
+            start = _increment(aug, state.P, _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q"),
+                               _weight_block(config.R, 1, aug.q, "R"))
+        if start is not None:
+            _low_rank_filter(aug, state.xhat, start, u, traj.outputs, est)
+        else:
+            for k in range(N):
+                Ck = None
+                if scheduled:
+                    Ck = np.zeros((aug.q, aug.dim))
+                    Ck[:, : aug.n] = net.output_map(k + 1)
+                state = me_filter_step(state, u[k], traj.outputs[k + 1], C=Ck)
+                _store(est, k + 1, state.xhat)
     base = est[:, : aug.n]
     err = None
     terminal = sup = None

@@ -85,7 +85,8 @@ def _as_weight(value, name: str, semidefinite: bool = False) -> np.ndarray:
     if np.any(np.abs(blocks - blocks.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
               > 1e-9 * (1.0 + scale)):
         raise NotSPD(f"{name} must be symmetric")
-    blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
+    # halve before adding, so that weights near the float limit do not overflow
+    blocks = 0.5 * blocks + 0.5 * blocks.swapaxes(1, 2)
     low = np.linalg.eigvalsh(blocks).min(axis=1, initial=np.inf)
     if semidefinite and np.any(low < -1e-12 * np.maximum(1.0, scale)):
         raise NotSPD(f"{name} must be positive semidefinite")

@@ -38,6 +38,8 @@ with open(path("net.json"), "w") as fh:
                "input_terms": [{"exponent": 0.5, "matrix": [[1.0], [1.0]]}],
                "disturbance_terms": [{"exponent": 0.7, "matrix": [[1.0, 0.0], [0.0, 1.0]]}],
                "C": [[1.0, 0.0], [0.0, 1.0]]}, fh)
+with open(path("schedule.json"), "w") as fh:
+    json.dump({"R": [[[1.0, 0.0], [0.0, 1.0]]] * 21}, fh)  # a per-step R keeps me_filter_step
 with open(path("scenario.json"), "w") as fh:
     json.dump({"model": path("fos.json"), "p": 4, "horizon": 5, "control_horizon": 1,
                "Q": 1.0, "R": 0.1, "u_lo": -0.2, "u_hi": 0.2, "K": 6, "seed": 4,
@@ -55,6 +57,8 @@ jobs = [
      "--seed", "2", "--sigma", "0.01", "--out", path("net.csv")),
     ("estimate", "--model", path("net.json"), "--trajectory", path("net.csv"), "--v", "3",
      "--out", path("est.csv")),
+    ("estimate", "--model", path("net.json"), "--trajectory", path("net.csv"), "--v", "3",
+     "--config", path("schedule.json"), "--out", path("est_schedule.csv")),
     ("mpc", path("scenario.json"), "--out", path("run.csv")),
 ]
 codes = [[job[0], fracdyn.cli.main(list(job))] for job in jobs]

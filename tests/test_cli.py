@@ -500,6 +500,58 @@ def test_diverging_single_term_model_exits_3_naming_the_step(tmp_path, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("R", [1e-308, [[[1e-308, 0.0], [0.0, 1e-308]]] * 21])
+def test_estimate_overflow_exits_3_naming_the_step(tmp_path, capsys, R):
+    # weights near the float limit overflow the predicted weight; the estimate
+    # of step 1 is still finite, that of step 2 is not.  R is a number or a
+    # per-step schedule
+    net = {"state_terms": [{"exponent": 0.6, "matrix": [[1, 0], [0, 1]]}],
+           "input_terms": [{"exponent": 0.5, "matrix": [[1], [1]]}],
+           "disturbance_terms": [{"exponent": 0.7, "matrix": [[1, 0], [0, 1]]}],
+           "C": [[1, 0], [0, 1]]}
+    model, traj, weights = tmp_path / "net.json", tmp_path / "net.csv", tmp_path / "w.json"
+    model.write_text(json.dumps(net))
+    weights.write_text(json.dumps({"Q": 1e308, "R": R, "P0": 1e308}))
+    assert run_cli("simulate", "--model", str(model), "--x0", "1.0,-0.5", "--steps", "20",
+                   "--seed", "2", "--sigma", "0.01", "--out", str(traj)) == 0
+    out = tmp_path / "est.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("estimate", "--model", str(model), "--trajectory", str(traj), "--v", "3",
+                       "--config", str(weights), "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "fracdyn estimate: numerical failure: estimate became non-finite at step 2\n"
+    assert not caught
+    assert not out.exists() and not (tmp_path / "est.csv.summary.json").exists()
+
+
+def test_estimate_on_a_header_only_trajectory_exits_2(tmp_path, capsys):
+    net_path, traj_path = _write_network_files(tmp_path, 5)
+    header = tmp_path / "header.csv"
+    header.write_text(pathlib.Path(traj_path).read_text().split("\n")[0] + "\n")
+    out = tmp_path / "est.csv"
+    assert run_cli("estimate", "--model", net_path, "--trajectory", str(header),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "fracdyn estimate: trajectory has no measurement after step 0\n"
+    assert not out.exists()
+
+
+def test_estimate_on_a_trajectory_short_of_an_output_exits_2(tmp_path, capsys):
+    # the network measures two outputs; the file carries only y1
+    net_path, traj_path = _write_network_files(tmp_path, 5)
+    one = tmp_path / "one.csv"
+    one.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                           for line in pathlib.Path(traj_path).read_text().splitlines()))
+    out = tmp_path / "est.csv"
+    assert run_cli("estimate", "--model", net_path, "--trajectory", str(one),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "fracdyn estimate: measurement must have length 2\n"
+    assert not out.exists()
+
+
 @pytest.fixture
 def short_trajectory_file(tmp_path, scalar_model_file):
     path = str(tmp_path / "traj.csv")
@@ -749,9 +801,13 @@ def test_estimate_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, override
     net_path, traj_path = _write_network_files(tmp_path, 8)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(overrides))
-    assert run_cli("estimate", "--model", net_path, "--trajectory", traj_path,
-                   "--config", str(path), "--out", str(tmp_path / "e.csv")) in (0, 2, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("estimate", "--model", net_path, "--trajectory", traj_path,
+                       "--config", str(path), "--out", str(tmp_path / "e.csv"))
+    assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
 
 
 _CELL = st.one_of(st.sampled_from(["", " ", "x", "nan", "inf", "1e400", "-0"]),
@@ -767,12 +823,13 @@ def test_trajectory_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, header
     net_path, _ = _write_network_files(tmp_path, 1)
     traj_path = tmp_path / "fuzz.csv"
     traj_path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli("estimate", "--model", net_path, "--trajectory", str(traj_path),
                        "--v", "2", "--out", str(tmp_path / "e.csv"))
     assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("model, field", [

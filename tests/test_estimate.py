@@ -305,6 +305,35 @@ def test_run_estimator_threads_per_step_output_maps():
     assert run.err_norms[-1] <= 0.02 * run.err_norms[0]
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_run_estimator_needs_a_measurement_after_step_0(rows):
+    net = MultiTermNetwork(state_terms=((1.0, [[0.8]]),), C=[[1.0]])
+    cfg = EstimatorConfig.from_scalars(augment_v(net, 1), q=1.0, r=1.0, p0=1.0)
+    traj = Trajectory(states=np.zeros((rows, 1)), outputs=np.zeros((rows, 1)))
+    with pytest.raises(DimensionError, match="^trajectory has no measurement after step 0$"):
+        run_estimator(net, 1, cfg, traj)
+
+
+@pytest.mark.parametrize("R", [0.01, [0.01 * np.eye(2)] * 11])
+@pytest.mark.parametrize("y_cols, u_cols, message", [
+    (1, 1, "^measurement must have length 2$"),
+    (3, 1, "^measurement must have length 2$"),
+    (2, 2, "^input must have length 1$"),
+])
+def test_run_estimator_checks_the_trajectory_widths(R, y_cols, u_cols, message):
+    # checked before either route runs: at v = 10 the low-rank route (constant
+    # R, an increment of rank 5 on d = 30) would otherwise broadcast a
+    # one-column measurement against the prediction
+    net = MultiTermNetwork(state_terms=((0.6, np.eye(2)),), input_terms=((0.5, [[1.0], [1.0]]),),
+                           disturbance_terms=((0.7, np.eye(2)),), C=np.eye(2))
+    K = 10
+    traj = Trajectory(states=np.zeros((K + 1, 2)), inputs=np.ones((K, u_cols)),
+                      outputs=np.ones((K + 1, y_cols)))
+    cfg = EstimatorConfig(Q=1.0, R=R, P0=1.0, xhat0=0.0)
+    with pytest.raises(DimensionError, match=message):
+        run_estimator(net, 10, cfg, traj)
+
+
 def test_run_estimator_requires_outputs():
     net = MultiTermNetwork(state_terms=((1.0, [[0.8]]),), C=[[1.0]])
     aug = augment_v(net, 1)
