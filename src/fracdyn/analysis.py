@@ -5,26 +5,27 @@ of the state matrix: every eigenvalue must satisfy |arg(lambda)| > alpha*pi/2.
 The symmetric sector (absolute value on the angle) is used so conjugate pairs
 receive one verdict.  Controllability and observability use the transition
 matrices G_k of the memory expansion, with deadbeat input synthesis and
-initial-state reconstruction as constructive closures.  Fractional transfer
-functions are evaluated pointwise on the principal branch of s^a.
+initial-state reconstruction (less one zero-state run of the inputs) as
+constructive closures.  Fractional transfer functions are evaluated pointwise
+on the principal branch of s^a.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     BranchWarning,
+    DimensionError,
     DomainError,
     EigenFailure,
     NotControllable,
     NotObservable,
     SingularError,
 )
-from .fraccore import lower_block_toeplitz
-from .model import FosModel, augment_p
-from .simulate import transition_matrices
+from .model import FosModel, _as_matrix, augment_p
+from .simulate import simulate_fos, transition_matrices
 
 __all__ = [
     "StabilityReport",
@@ -182,12 +183,11 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    """Stacked observability matrix, Gramian, and input-feedthrough block."""
+    """Stacked observability matrix O_K and Gramian W_o with its rank."""
 
     K: int
     obsv: np.ndarray
     gramian: np.ndarray
-    feedthrough: np.ndarray
     rank: int
     singular_values: np.ndarray
 
@@ -196,52 +196,48 @@ class ObservabilityReport:
         return self.rank == self.gramian.shape[0]
 
 
-def observability_matrices(model: FosModel, C=None, K: int = 1, B=None) -> ObservabilityReport:
-    """Observability stack O_K, Gramian W_o = O_K^T O_K, and Toeplitz block M_K.
+def observability_matrices(model: FosModel, C=None, K: int = 1) -> ObservabilityReport:
+    """Observability stack O_K and Gramian W_o = O_K^T O_K at horizon K.
 
-    Row block k of M_K maps stacked inputs into y[k]: y[k] = C G_k x0 +
-    sum_{j<k} C G_{k-1-j} B u[j].
+    Row block k of O_K is C G_k, the map from x[0] to the free output y[k].
     """
     if K < 1:
         raise DomainError("horizon K must be >= 1")
-    n = model.n
-    C = np.eye(n) if C is None else np.atleast_2d(np.asarray(C, dtype=float))
-    if C.shape[1] != n:
-        raise DomainError(f"C must have {n} columns")
-    B = _norm_B(model, B)
-    q, m = C.shape[0], B.shape[1]
-    G = transition_matrices(model, K)
-    CG = C @ G[:K]
-    obsv = CG.reshape(K * q, n)
+    C = np.eye(model.n) if C is None else _as_matrix(C, cols=model.n, name="C")
+    obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
     Wo = obsv.T @ obsv
     Wo = 0.5 * (Wo + Wo.T)
-    # block (r, c) of M is C G_{r-1-c} B, and zero on the diagonal
-    M = lower_block_toeplitz(np.concatenate([np.zeros((1, q, m)), CG[: K - 1] @ B]))
     rank, _, s = _numerical_rank(obsv, K)
-    return ObservabilityReport(
-        K=K, obsv=obsv, gramian=Wo, feedthrough=M, rank=rank, singular_values=s
-    )
+    return ObservabilityReport(K=K, obsv=obsv, gramian=Wo, rank=rank, singular_values=s)
+
+
+def _forced_output(model: FosModel, B, C, u: np.ndarray) -> np.ndarray:
+    """Outputs y[0..K-1] that the K rows of u drive from x[0] = 0: one zero-state run."""
+    run = simulate_fos(replace(model, B=B), np.zeros(model.n), u[:-1], K=u.shape[0] - 1)
+    return run.states @ C.T
+
+
+def _rows(a, K: int, width: int, name: str) -> np.ndarray:
+    a = _as_matrix(a, cols=width, name=name)
+    if a.shape[0] < K:
+        raise DimensionError(f"{name} must have at least {K} rows, got {a.shape[0]}")
+    return a[:K]
 
 
 def reconstruct_initial_state(model: FosModel, B, C, u, y, K: int) -> np.ndarray:
-    """Recover x[0] from K inputs and outputs: x0 = W_o^{-1} O_K^T (Y - M_K U).
+    """Recover x[0] from K inputs and outputs: x0 = W_o^{-1} O_K^T (Y - F).
 
-    ``y`` stacks y[0..K-1] (rows), ``u`` stacks u[0..K-1] (rows, may be None
-    for the autonomous case).  Requires observability at horizon K.
+    ``y`` and ``u`` stack y[0..K-1] and u[0..K-1] as rows (u None: no input);
+    F is the output u drives from x[0] = 0.  Requires observability at K.
     """
-    rep = observability_matrices(model, C, K, B=B)
+    B, rep = _norm_B(model, B), observability_matrices(model, C, K)
     if not rep.full_rank:
         raise NotObservable(f"rank {rep.rank} < n = {model.n} at horizon K={K}")
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if y.shape[0] < K:
-        raise DomainError(f"need at least {K} output rows, got {y.shape[0]}")
-    rhs = y[:K].reshape(-1)
+    C = rep.obsv[: rep.obsv.shape[0] // K]  # row block 0 of O_K is C G_0 = C
+    Y = _rows(y, K, C.shape[0], "y")
     if u is not None:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[0] < K:
-            raise DomainError(f"need at least {K} input rows, got {u.shape[0]}")
-        rhs = rhs - rep.feedthrough @ u[:K].reshape(-1)
-    return np.linalg.solve(rep.gramian, rep.obsv.T @ rhs)
+        Y = Y - _forced_output(model, B, C, _rows(u, K, B.shape[1], "u"))
+    return np.linalg.solve(rep.gramian, rep.obsv.T @ Y.reshape(-1))
 
 
 @dataclass(frozen=True)

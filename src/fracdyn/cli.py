@@ -6,7 +6,7 @@ flags always win over config values.  An absent key takes its default; a
 present one must be a number, or numbers of the right length, and ``null``
 exits 2.  Outputs are written atomically and every invocation writes a
 manifest next to its primary output.  Exit codes: 0 success, 2
-parse/validation failure, 3 numerical failure.
+parse/validation failure, 3 numerical failure or memory exhausted.
 """
 
 import argparse
@@ -429,8 +429,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArithmeticError as exc:
-        print(f"fracdyn {args.command}: numerical failure: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        print(f"fracdyn {args.command}: {kind}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FracdynError, ValueError, KeyError, OSError) as exc:
         print(f"fracdyn {args.command}: {exc}", file=sys.stderr)

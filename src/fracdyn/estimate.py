@@ -116,6 +116,7 @@ def _predicted(aug: AugmentedModel, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return M
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate raises instead
 def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     """Advance the filter by one step with input u[k] and measurement y[k+1].
 
@@ -130,6 +131,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     and Q enters the nonzero rows of G.  The update P = M - K (C M) reads
     only the nonzero columns of C.  A step costs O(r d^2) for r dense and
     output rows on a lift of dimension d, not the O(d^3) of dense products.
+    A non-finite estimate raises NonFiniteError naming step k+1, not a warning.
     """
     aug, cfg = state.aug, state.config
     k = state.k
@@ -154,7 +156,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     xhat = xpred + K @ (y - C @ xpred[cols])
     P = M - K @ CM
     P = 0.5 * (P + P.T)
-    return EstimatorState(k=k + 1, xhat=xhat, P=P, gain=K, M=M, aug=aug, config=cfg)
+    return EstimatorState(k=k + 1, xhat=_checked(xhat, k + 1), P=P, gain=K, M=M, aug=aug, config=cfg)
 
 
 def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
@@ -290,7 +292,7 @@ def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
         xpred = _shift(aug, A_dense, xhat) + aug.Btil @ u[k]
         gain = np.linalg.solve(F.T, np.linalg.solve(F, Nk.T)).T
         xhat = xpred + gain @ (y[k + 1] - C @ xpred)
-        _store(est, k + 1, xhat)
+        est[k + 1] = _checked(xhat, k + 1)
         if k + 1 == N:
             break
         E = C @ L
@@ -303,11 +305,11 @@ def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
         W = W - Z.T @ Z
 
 
-def _store(est: np.ndarray, k: int, xhat: np.ndarray) -> None:
-    """Write the estimate of step k; NonFiniteError names the step when it is not finite."""
+def _checked(xhat: np.ndarray, k: int) -> np.ndarray:
+    """The estimate of step k; NonFiniteError names the step when it is not finite."""
     if not np.all(np.isfinite(xhat)):
         raise NonFiniteError(f"estimate became non-finite at step {k}")
-    est[k] = xhat
+    return xhat
 
 
 def run_estimator(
@@ -349,7 +351,7 @@ def run_estimator(
     state = me_filter_init(aug, config)
     est = np.zeros((N + 1, aug.dim))
     est[0] = state.xhat
-    with np.errstate(over="ignore", invalid="ignore"):  # _store raises instead
+    with np.errstate(over="ignore", invalid="ignore"):  # _checked raises instead
         start = None
         if not scheduled and max(config.Q.ndim, config.R.ndim, config.P0.ndim) < 3:
             start = _increment(aug, state.P, _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q"),
@@ -363,7 +365,7 @@ def run_estimator(
                     Ck = np.zeros((aug.q, aug.dim))
                     Ck[:, : aug.n] = net.output_map(k + 1)
                 state = me_filter_step(state, u[k], traj.outputs[k + 1], C=Ck)
-                _store(est, k + 1, state.xhat)
+                est[k + 1] = state.xhat
     base = est[:, : aug.n]
     err = None
     terminal = sup = None

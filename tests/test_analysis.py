@@ -5,12 +5,14 @@ import pytest
 
 from fracdyn import (
     BranchWarning,
+    DimensionError,
     DomainError,
     FosModel,
     FractionalTransferFunction,
     NotControllable,
     NotObservable,
     augmented_spectral_radius,
+    build_weight_table,
     commensurate_stability,
     controllability_gramian,
     deadbeat_input,
@@ -21,6 +23,7 @@ from fracdyn import (
     tf_eval,
     transition_matrices,
 )
+from fracdyn.analysis import _forced_output
 
 
 def test_stability_examples():
@@ -160,15 +163,26 @@ def test_observability_examples():
 
 @pytest.mark.parametrize("q,m,K", [(1, 2, 6), (2, 1, 9), (2, 0, 4), (1, 1, 1)])
 def test_feedthrough_matches_the_block_loop_bitwise(q, m, K):
+    # the inputs' share of the outputs, which reconstruction subtracts: over
+    # these K <= NEAR_BLOCK steps the simulator steps, so it is bitwise the
+    # step loop of the recursion from x[0] = 0, and it is the per-lag block
+    # loop sum_{j<k} C G_{k-1-j} B u[j] to rounding
     rng = np.random.default_rng(q + 3 * m + 7 * K)
     model = FosModel(alpha=[0.4, 0.9], A=-0.2 * np.eye(2) + 0.1 * rng.normal(size=(2, 2)))
     C, B = rng.normal(size=(q, 2)), rng.normal(size=(2, m))
+    u = rng.normal(size=(K, m))
+    forced = _forced_output(model, B, C, u)
+    A0, c = model.A + np.diag(model.alpha), build_weight_table(model.alpha, K).weights
+    x = np.zeros((K, 2))
+    for k in range(K - 1):
+        x[k + 1] = A0 @ x[k] - np.einsum("nt,tn->n", c[:, 2 : k + 2][:, ::-1], x[:k]) + B @ u[k]
+    assert np.array_equal(forced, x @ C.T)
     G = transition_matrices(model, K)
-    M = np.zeros((K * q, K * m))
-    for r in range(1, K):
-        for c in range(r):
-            M[r * q : (r + 1) * q, c * m : (c + 1) * m] = C @ G[r - 1 - c] @ B
-    assert np.array_equal(observability_matrices(model, C, K, B=B).feedthrough, M)
+    lag_loop = np.zeros((K, q))
+    for k in range(1, K):
+        for j in range(k):
+            lag_loop[k] += C @ G[k - 1 - j] @ B @ u[j]
+    assert np.abs(forced - lag_loop).max(initial=0.0) <= 1e-12 * np.abs(lag_loop).max(initial=0.0)
 
 
 def test_reconstruction_examples():
@@ -212,6 +226,23 @@ def test_reconstruction_closure_random():
         y = traj.states @ C.T
         xr = reconstruct_initial_state(model, None, C, u, y, K)
         assert np.linalg.norm(xr - x0) <= 1e-8 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("c_cols,y_cols,u_cols,y_rows,message", [
+    (2, 1, 1, 5, "^y must have 2 columns, got 1$"),
+    (2, 3, 1, 5, "^y must have 2 columns, got 3$"),
+    (2, 2, 2, 5, "^u must have 1 columns, got 2$"),
+    (2, 2, 0, 5, "^u must have 1 columns, got 0$"),
+    (2, 2, 1, 4, "^y must have at least 5 rows, got 4$"),
+    (3, 2, 1, 5, "^C must have 2 columns, got 3$"),
+])
+def test_reconstruction_names_a_wrong_width_in_the_callers_terms(c_cols, y_cols, u_cols, y_rows,
+                                                                 message):
+    model = FosModel(alpha=[0.5, 0.8], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+    K = 5
+    with pytest.raises(DimensionError, match=message):
+        reconstruct_initial_state(model, None, np.eye(2, c_cols), np.ones((K, u_cols)),
+                                  np.ones((y_rows, y_cols)), K)
 
 
 def test_not_observable():

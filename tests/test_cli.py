@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fracdyn
 from fracdyn import (
     FosModel,
     MultiTermNetwork,
@@ -158,6 +162,63 @@ def test_analyze_gramians_singular_exits_3(tmp_path):
     out = str(tmp_path / "g.json")
     assert run_cli("analyze", "gramians", "--model", path,
                    "--horizon", "2", "--out", out) == 3
+
+
+#: Address-space cap of the capped CLI runs: 1 GiB.
+_AS_CAP = 1 << 30
+
+
+def _capped_cli(tmp_path, *argv):
+    """Run ``python -m fracdyn *argv`` under the address-space cap, BLAS on one thread.
+
+    Returns the exit code, stderr and the child's peak RSS in MB (os.wait4).
+    The cap makes an allocation past it fail at once instead of overcommitting.
+    """
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_AS_CAP, _AS_CAP))
+
+    src = str(pathlib.Path(fracdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "fracdyn", *argv], env=env, cwd=tmp_path,
+                                stdout=subprocess.DEVNULL, stderr=err, preexec_fn=cap)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, (tmp_path / "stderr.txt").read_text(), usage.ru_maxrss / 1024
+
+
+def _four_state_model(tmp_path) -> str:
+    path = str(tmp_path / "model.json")
+    A = -0.3 * np.eye(4) + 0.05 * np.array([[0, 1, 0, -1], [1, 0, 1, 0],
+                                             [0, -1, 0, 1], [1, 0, -1, 0]])
+    write_model(path, FosModel(alpha=[0.2, 0.45, 0.7, 0.9], A=A, B=[[1.0], [0.5], [-0.5], [0.25]]))
+    return path
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB only on Linux")
+def test_analyze_gramians_at_horizon_20000_stays_small(tmp_path):
+    # the stacks are (K+1) n x n and K q x n; nothing (K q) x (K m) is formed
+    code, err, peak_mb = _capped_cli(tmp_path, "analyze", "gramians", "--model",
+                                     _four_state_model(tmp_path), "--horizon", "20000",
+                                     "--out", "g.json")
+    assert code == 0, err
+    assert peak_mb < 150, peak_mb
+    rep = json.loads((tmp_path / "g.json").read_text())
+    assert rep["horizon"] == 20000 and rep["observability"]["observable"] is True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_analyze_gramians_out_of_memory_exits_3_with_one_line(tmp_path):
+    # G_0..G_K alone needs 1.19 GiB at this horizon, past the cap
+    code, err, _ = _capped_cli(tmp_path, "analyze", "gramians", "--model",
+                               _four_state_model(tmp_path), "--horizon", "10000000",
+                               "--out", "g.json")
+    assert code == 3
+    assert err.startswith("fracdyn analyze: out of memory: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_analyze_bode_fopid(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fracdyn import (
     DimensionError,
     EstimatorConfig,
     MultiTermNetwork,
+    NonFiniteError,
     NotSPD,
     Trajectory,
     augment_v,
@@ -332,6 +335,22 @@ def test_run_estimator_checks_the_trajectory_widths(R, y_cols, u_cols, message):
     cfg = EstimatorConfig(Q=1.0, R=R, P0=1.0, xhat0=0.0)
     with pytest.raises(DimensionError, match=message):
         run_estimator(net, 10, cfg, traj)
+
+
+def test_filter_step_names_the_first_non_finite_estimate_without_a_warning():
+    # weights near the float limit overflow the predicted weight at step 1;
+    # the estimate of step 1 is still finite, that of step 2 is not
+    net = MultiTermNetwork(state_terms=((0.6, np.eye(2)),), input_terms=((0.5, [[1.0], [1.0]]),),
+                           disturbance_terms=((0.7, np.eye(2)),), C=np.eye(2))
+    state = me_filter_init(augment_v(net, 3), EstimatorConfig(Q=1e308, R=1e-308, P0=1e308,
+                                                              xhat0=0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = me_filter_step(state, None, [0.3, -0.2])
+        assert np.all(np.isfinite(state.xhat)) and not np.all(np.isfinite(state.P))
+        with pytest.raises(NonFiniteError, match="^estimate became non-finite at step 2$"):
+            me_filter_step(state, None, [0.3, -0.2])
+    assert not caught
 
 
 def test_run_estimator_requires_outputs():

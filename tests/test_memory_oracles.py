@@ -42,6 +42,7 @@ from fracdyn import (
     uncontrolled_baseline,
 )
 import fracdyn.fraccore as fraccore
+from fracdyn.analysis import _forced_output
 from fracdyn.fraccore import FFT_SUM_RATIO, NEAR_BLOCK, MemoryTail
 
 #: The 18 orders of acceptance criterion 01b, then the integer orders a
@@ -451,13 +452,29 @@ def test_gramian_deadbeat_and_observability_stacks_match_their_lag_loops(seed):
     u = np.array([-(B.T @ G[K - 1 - j].T) @ z for j in range(K)])
     got = deadbeat_input(model, B, x0, K)
     assert np.abs(got - u).max() <= RTOL * np.abs(u).max()
-    rep = observability_matrices(model, C, K, B=B)
+    rep = observability_matrices(model, C, K)
     assert_close_to_running_max(rep.obsv, np.vstack([C @ G[j] for j in range(K)]), rep.obsv)
-    M = np.zeros((2 * K, 2 * K))
+    # the forced response reconstruction subtracts, past the simulator's first block
+    u = rng.normal(size=(K, 2))
+    forced = np.zeros((K, 2))
     for r in range(K):
         for c in range(r):
-            M[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = C @ G[r - 1 - c] @ B
-    assert np.abs(rep.feedthrough - M).max() <= RTOL * np.abs(M).max()
+            forced[r] += C @ G[r - 1 - c] @ B @ u[c]
+    assert_close_to_running_max(_forced_output(model, B, C, u), forced, forced)
+
+
+def test_forced_response_matches_the_lag_sum_over_1000_steps():
+    # each row sum_{j<k} C G_{k-1-j} B u[j] of the loop G, against the
+    # zero-state run that solves 15 blocks after the first
+    model, rng = random_fos(9, [0.3, 0.7, 0.55])
+    B, C = rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
+    K = 1000
+    u = rng.normal(size=(K, 2))
+    CGB = C @ loop_transition_matrices(model, K)[:K] @ B
+    forced = np.zeros((K, 2))
+    for k in range(1, K):
+        forced[k] = np.einsum("jqm,jm->q", CGB[k - 1 :: -1], u[:k])
+    assert_close_to_running_max(_forced_output(model, B, C, u), forced, forced)
 
 
 # ----------------------------------------------------------------------------
