@@ -104,12 +104,9 @@ def augmented_spectral_radius(model: FosModel, p: int) -> float:
 class GramianReport:
     """Finite-horizon Gramian with its numerical rank."""
 
-    kind: str
-    K: int
     matrix: np.ndarray
     rank: int
     smallest_retained: float
-    singular_values: np.ndarray
 
     @property
     def full_rank(self) -> bool:
@@ -117,23 +114,22 @@ class GramianReport:
 
 
 def _numerical_rank(M: np.ndarray, K: int):
+    """Rank of M and its smallest retained singular value."""
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0:
-        return 0, 0.0, s
+        return 0, 0.0
     thresh = max(M.shape[0], K) * s[0] * RANK_RTOL
     kept = s[s > thresh]
-    return int(kept.size), float(kept[-1]) if kept.size else 0.0, s
+    return int(kept.size), float(kept[-1]) if kept.size else 0.0
 
 
 def _norm_B(model: FosModel, B) -> np.ndarray:
     if B is None:
         return model.B
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != model.n and B.shape[1] == model.n:
+    B = _as_matrix(B, name="B")
+    if B.shape[0] != model.n and B.shape[1] == model.n:  # one row per input reads as B^T
         B = B.T
-    if B.shape[0] != model.n:
-        raise DomainError(f"B must have {model.n} rows")
-    return B
+    return _as_matrix(B, rows=model.n, name="B")
 
 
 def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianReport:
@@ -160,11 +156,8 @@ def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
         raise SingularError(f"G_K is rank-deficient at K={K}; Gramian undefined")
     W = np.linalg.solve(GK, np.linalg.solve(GK, S.T).T)
     W = 0.5 * (W + W.T)
-    rank, smallest, s = _numerical_rank(W, K)
-    return GramianReport(
-        kind="controllability", K=K, matrix=W, rank=rank,
-        smallest_retained=smallest, singular_values=s,
-    ), G
+    rank, smallest = _numerical_rank(W, K)
+    return GramianReport(matrix=W, rank=rank, smallest_retained=smallest), G
 
 
 def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
@@ -185,11 +178,9 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
 class ObservabilityReport:
     """Stacked observability matrix O_K and Gramian W_o with its rank."""
 
-    K: int
     obsv: np.ndarray
     gramian: np.ndarray
     rank: int
-    singular_values: np.ndarray
 
     @property
     def full_rank(self) -> bool:
@@ -207,8 +198,7 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
     obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
     Wo = obsv.T @ obsv
     Wo = 0.5 * (Wo + Wo.T)
-    rank, _, s = _numerical_rank(obsv, K)
-    return ObservabilityReport(K=K, obsv=obsv, gramian=Wo, rank=rank, singular_values=s)
+    return ObservabilityReport(obsv=obsv, gramian=Wo, rank=_numerical_rank(obsv, K)[0])
 
 
 def _forced_output(model: FosModel, B, C, u: np.ndarray) -> np.ndarray:

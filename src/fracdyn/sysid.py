@@ -1,14 +1,17 @@
 """Bilevel bisection + least-squares identification of fractional systems.
 
 Temporal parameters (the per-channel orders) are found by endpoint bisection
-on [-1, 1]: for each candidate order the fractional difference of the channel
-is regressed on the full state, one-step predictions are rebuilt from the
-fitted row, and the interval half adjacent to the worse-endpoint MSE is
-discarded.  Ties keep the lower half.  The spatial matrix is the ordinary
-least-squares row estimate at the final order.  A finite-sample error-bound
-calculator for the lifted OLS problem is included; its universal constants
-are not derivable from first principles and default to 1, so reported bounds
-are meaningful up to those constants.
+on [-1, 1], every channel in lockstep: one fit scores a vector of orders,
+regressing each channel's fractional difference on the full state and
+rebuilding one-step predictions from the fitted rows, and each channel
+discards the interval half adjacent to its worse-endpoint MSE.  Ties keep
+the lower half.  The spatial matrix is the ordinary least-squares row
+estimate at the final orders, from the same fit that ``ols_spatial`` runs.
+Whether the rows need a ridge is a property of the window (its rank), not of
+the orders.  A finite-sample error-bound calculator for the lifted OLS
+problem is included; its universal constants are not derivable from first
+principles and default to 1, so reported bounds are meaningful up to those
+constants.
 """
 
 import math
@@ -108,7 +111,8 @@ def ols_error_bound(
     )
 
 
-def _window_rows(traj: Trajectory, window) -> np.ndarray:
+def _window(traj: Trajectory, window) -> tuple:
+    """Rows, regressors and Gram matrix of a window, and whether it needs the ridge."""
     K = traj.K
     if window is None:
         offset, length = 0, min(100, K)
@@ -118,19 +122,41 @@ def _window_rows(traj: Trajectory, window) -> np.ndarray:
         raise DomainError(
             f"window (offset={offset}, length={length}) does not fit a {K}-step trajectory"
         )
-    return np.arange(offset, offset + length)
+    ks = np.arange(offset, offset + length)
+    Xw = traj.states[ks]
+    return ks, Xw, Xw.T @ Xw, bool(np.linalg.matrix_rank(Xw) < Xw.shape[1])
 
 
-def _ols_row(Xw: np.ndarray, z: np.ndarray, gram: np.ndarray, rank: int):
-    """Least-squares row with ridge fallback on a rank-deficient Gram matrix."""
-    n = Xw.shape[1]
-    if rank == n:
-        return np.linalg.lstsq(Xw, z, rcond=None)[0], False
+def _ols_row(Xw: np.ndarray, z: np.ndarray, gram: np.ndarray, ridge: bool) -> np.ndarray:
+    """Least-squares row, with a small relative ridge on a rank-deficient window."""
+    if not ridge:
+        return np.linalg.lstsq(Xw, z, rcond=None)[0]
     tr = float(np.trace(gram))
     if tr <= 0.0:
         raise SingularError("regressor Gram matrix is zero; no spatial information")
-    ridge = RIDGE_SCALE * tr
-    return np.linalg.solve(gram + ridge * np.eye(n), Xw.T @ z), True
+    return np.linalg.solve(gram + RIDGE_SCALE * tr * np.eye(Xw.shape[1]), Xw.T @ z)
+
+
+def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) -> tuple:
+    """Rows, targets and (given ``p``) one-step MSEs of every channel at its order.
+
+    Channel i regresses its full-memory difference z[k] = D^a x[k+1] on the
+    window states; its prediction from the fitted row keeps memory lags
+    1..p.  Each channel is summed, solved and averaged on its own contiguous
+    column, so a channel's figures do not depend on the other channels.
+    """
+    ks, Xw, gram, ridge = win
+    first, last, n = int(ks[0]), int(ks[-1]), x.shape[1]
+    w = build_weight_table(orders, last + 1).weights
+    rows, Z, mse = np.empty((n, n)), np.empty((ks.size, n)), np.empty(n)
+    for i in range(n):
+        z = history_sum(x[:, i], w[i], first + 1, last + 2)
+        rows[i] = _ols_row(Xw, z, gram, ridge)
+        Z[:, i] = z
+        if p is not None:
+            pred = Xw @ rows[i] - history_sum(x[:, i], w[i, 1 : p + 1], first, last + 1)
+            mse[i] = np.mean((pred - x[ks + 1, i]) ** 2)
+    return rows, Z, mse
 
 
 @dataclass(frozen=True)
@@ -147,28 +173,15 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     """Spatial matrix estimate at given per-channel orders.
 
     Builds the fractional-difference targets of every channel at its order
-    and regresses them on the state window.  A rank-deficient regressor Gram
-    matrix falls back to a small relative ridge and is flagged.
+    and regresses them on the state window.  A rank-deficient window falls
+    back to a small relative ridge and is flagged.
     """
-    x = traj.states
-    n = x.shape[1]
+    n = traj.states.shape[1]
     orders = np.atleast_1d(np.asarray(alphas, dtype=float))
     if orders.shape != (n,):
         raise DomainError(f"need {n} orders, got {orders.shape}")
-    ks = _window_rows(traj, window)
-    Xw = x[ks]
-    gram = Xw.T @ Xw
-    rank = np.linalg.matrix_rank(Xw)
-    kmax = int(ks[-1])
-    table = build_weight_table(orders, kmax + 1)
-    # targets z[k] = D^alpha x[k+1], the full-memory difference at each row
-    Z = history_sum(x, table.weights, ks[0] + 1, kmax + 2)
-    A_hat = np.empty((n, n))
-    ridge = False
-    for i in range(n):
-        row, used_ridge = _ols_row(Xw, Z[:, i], gram, rank)
-        ridge = ridge or used_ridge
-        A_hat[i] = row
+    _, Xw, _, ridge = win = _window(traj, window)
+    A_hat, Z, _ = _fit(traj.states, win, orders)
     residuals = Z - Xw @ A_hat.T
     normal_residual = float(np.linalg.norm(Xw.T @ residuals))
     return OlsResult(A_hat=A_hat, residuals=residuals, normal_residual=normal_residual, ridge=ridge)
@@ -191,18 +204,21 @@ class IdentificationResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite score raises instead
 def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> IdentificationResult:
-    """Per-channel bisection on the order plus OLS for the spatial rows.
+    """Bisection on every channel's order, in lockstep, plus OLS for the spatial rows.
 
-    Each channel starts from the interval [-1, 1]; at every iteration the
-    midpoint is scored (OLS row, then one-step prediction MSE truncated at
-    memory depth ``p``) and the half adjacent to the worse endpoint is
-    dropped, ties keeping the lower half.  Terminates when the interval width
-    is within ``epsilon``; the iteration count never exceeds
-    ceil(log2(2/epsilon)).  Constant channels carry no temporal information
-    and are flagged "degenerate" with the order fixed at 0 by convention; a
-    flat MSE basin at termination raises "low_confidence", and a midpoint
-    scoring worse than both endpoints raises "nonunimodal".  A prediction
-    error that is not finite raises NonFiniteError naming the channel.
+    Every channel starts from the interval [-1, 1]; at every iteration the
+    midpoints of all channels are scored by one fit (OLS rows, then each
+    channel's one-step prediction MSE truncated at memory depth ``p``) and
+    each channel drops the half adjacent to its worse endpoint, ties keeping
+    the lower half.  The widths halve together, 2^(1-k) after k steps, so
+    the search ends for all channels at once, when the width is within
+    ``epsilon``; the iteration count never exceeds ceil(log2(2/epsilon)).
+    Constant channels carry no temporal information: they are held at order 0
+    and flagged "degenerate".  "ridge" marks a rank-deficient window, on
+    every channel; a flat MSE basin at termination raises "low_confidence",
+    and a midpoint scoring worse than both endpoints raises "nonunimodal".
+    A prediction error that is not finite raises NonFiniteError naming the
+    first channel whose search meets one.
     """
     if not 0.0 < epsilon < 2.0:
         raise DomainError("epsilon must lie in (0, 2)")
@@ -210,78 +226,49 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
         raise DomainError("memory depth p must be >= 1")
     x = traj.states
     n = x.shape[1]
-    ks = _window_rows(traj, window)
+    ks, _, _, ridge = win = _window(traj, window)
     if ks.size < 10 * (n + 1):
         raise DomainError(f"window length {ks.size} is below the 10*(n+1) = {10 * (n + 1)} floor")
-    Xw = x[ks]
-    gram = Xw.T @ Xw
-    rank = np.linalg.matrix_rank(Xw)
-    kmax = int(ks[-1])
-    cap = bisection_bound(epsilon)
+    live = np.ptp(x, axis=0) > 0.0
+    lo, hi = np.full(n, -1.0), np.ones(n)
+    try:
+        mse_lo = _fit(x, win, np.where(live, lo, 0.0), p)[2]
+    except SingularError:  # all window states zero: constant channels keep zero rows
+        if live.any():
+            raise
+        return IdentificationResult(
+            alpha_hat=np.zeros(n), A_hat=np.zeros((n, n)), mse=np.zeros(n),
+            iterations=np.zeros(n, dtype=int), window=(int(ks[0]), int(ks.size)),
+            flags=(("degenerate",),) * n,
+        )
+    mse_hi = _fit(x, win, np.where(live, hi, 0.0), p)[2]
+    finite = np.isfinite(mse_lo) & np.isfinite(mse_hi)
+    bumped = np.zeros(n, dtype=bool)
+    iters = 0
+    while hi[0] - lo[0] > epsilon:
+        c = 0.5 * (lo + hi)
+        mse_c = _fit(x, win, np.where(live, c, 0.0), p)[2]
+        finite &= np.isfinite(mse_c)
+        bumped |= (mse_c > mse_lo) & (mse_c > mse_hi)
+        upper = mse_lo > mse_hi  # a tie keeps the lower half
+        lo, mse_lo = np.where(upper, c, lo), np.where(upper, mse_c, mse_lo)
+        hi, mse_hi = np.where(upper, hi, c), np.where(upper, mse_hi, mse_c)
+        iters += 1
+    assert iters <= bisection_bound(epsilon), f"bisection overran its iteration bound ({iters})"
+    alpha_hat = np.where(live, 0.5 * (lo + hi), 0.0)
+    A_hat, _, mse = _fit(x, win, alpha_hat, p)
+    finite &= np.isfinite(mse)
+    if not finite.all():
+        raise NonFiniteError(f"channel {np.argmin(finite) + 1}: prediction error is not finite")
 
-    alpha_hat = np.zeros(n)
-    A_hat = np.zeros((n, n))
-    mse_out = np.zeros(n)
-    iters_out = np.zeros(n, dtype=int)
-    flags: list[tuple] = []
-
-    def score(i: int, alpha: float):
-        w = build_weight_table([alpha], kmax + 1).weights[0]
-        z = history_sum(x[:, i], w, ks[0] + 1, kmax + 2)
-        row, used_ridge = _ols_row(Xw, z, gram, rank)
-        # one-step prediction from the fitted row, memory truncated at depth p
-        pred = Xw @ row - history_sum(x[:, i], w[1 : p + 1], ks[0], kmax + 1)
-        mse = float(np.mean((pred - x[ks + 1, i]) ** 2))
-        if not math.isfinite(mse):
-            raise NonFiniteError(f"channel {i + 1}: prediction error is not finite")
-        return mse, row, used_ridge
-
-    for i in range(n):
-        chan_flags = []
-        if np.ptp(x[:, i]) == 0.0:
-            # No temporal structure at all; order 0 by convention.
-            chan_flags.append("degenerate")
-            try:
-                _, row, used_ridge = score(i, 0.0)
-                if used_ridge:
-                    chan_flags.append("ridge")
-            except SingularError:
-                row = np.zeros(n)
-            alpha_hat[i] = 0.0
-            A_hat[i] = row
-            flags.append(tuple(chan_flags))
-            continue
-
-        lo, hi = -1.0, 1.0
-        mse_lo, _, ridge_lo = score(i, lo)
-        mse_hi, _, ridge_hi = score(i, hi)
-        if ridge_lo or ridge_hi:
-            chan_flags.append("ridge")
-        iters = 0
-        while hi - lo > epsilon:
-            c = 0.5 * (lo + hi)
-            mse_c, _, _ = score(i, c)
-            if mse_c > mse_lo and mse_c > mse_hi and "nonunimodal" not in chan_flags:
-                chan_flags.append("nonunimodal")
-            if mse_lo <= mse_hi:  # tie keeps the lower half
-                hi, mse_hi = c, mse_c
-            else:
-                lo, mse_lo = c, mse_c
-            iters += 1
-        assert iters <= cap, f"bisection overran its iteration bound ({iters} > {cap})"
-        # A flat basin at termination means the data barely constrains the order.
-        if abs(mse_lo - mse_hi) <= FLAT_SPREAD * max(mse_lo, mse_hi, np.finfo(float).tiny):
-            chan_flags.append("low_confidence")
-        alpha_hat[i] = 0.5 * (lo + hi)
-        mse_f, row, _ = score(i, alpha_hat[i])
-        if mse_f > max(mse_lo, mse_hi) + 1e-12 and "nonunimodal" not in chan_flags:
-            chan_flags.append("nonunimodal")
-        A_hat[i] = row
-        mse_out[i] = mse_f
-        iters_out[i] = iters
-        flags.append(tuple(chan_flags))
-
+    worst = np.maximum(mse_lo, mse_hi)
+    # A flat basin at termination means the data barely constrains the order.
+    flat = np.abs(mse_lo - mse_hi) <= FLAT_SPREAD * np.maximum(worst, np.finfo(float).tiny)
+    late = (mse > worst + 1e-12) & ~bumped
+    marks = np.column_stack([~live, np.full(n, ridge), live & bumped, live & flat, live & late])
+    names = ("degenerate", "ridge", "nonunimodal", "low_confidence", "nonunimodal")
     return IdentificationResult(
-        alpha_hat=alpha_hat, A_hat=A_hat, mse=mse_out, iterations=iters_out,
-        window=(int(ks[0]), int(ks.size)), flags=tuple(flags),
+        alpha_hat=alpha_hat, A_hat=A_hat, mse=np.where(live, mse, 0.0),
+        iterations=np.where(live, iters, 0), window=(int(ks[0]), int(ks.size)),
+        flags=tuple(tuple(f for f, on in zip(names, row) if on) for row in marks),
     )

@@ -128,6 +128,25 @@ def test_deadbeat_not_controllable():
         deadbeat_input(m, np.zeros((2, 1)), [1.0, 1.0], 4)
 
 
+@pytest.mark.parametrize("B,error,message", [
+    ([[np.nan], [1.0]], DomainError, "^B entries must be finite$"),
+    ([[np.inf], [1.0]], DomainError, "^B entries must be finite$"),
+    ([[True], [False]], DimensionError, "^B is not numeric: it holds true or false$"),
+    ([[1.0], [2.0], [3.0]], DimensionError, "^B must have 2 rows, got 3$"),
+])
+def test_an_input_matrix_is_checked_before_use(B, error, message):
+    m = n2_fixture()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        with pytest.raises(error, match=message):
+            controllability_gramian(m, B, 4)
+        with pytest.raises(error, match=message):
+            deadbeat_input(m, B, [1.0, -1.0], 4)
+    # a row per input still reads as the transpose
+    assert np.array_equal(deadbeat_input(m, [[0.0, 1.0]], [1.0, -1.0], 4),
+                          deadbeat_input(m, [[0.0], [1.0]], [1.0, -1.0], 4))
+
+
 def test_deadbeat_closure_random():
     for seed in range(25):
         rng = np.random.default_rng(2000 + seed)

@@ -8,14 +8,20 @@ a function of ``fraccore`` other than ``kernel_spectrum`` and
 
 Every recursion in ``simulate`` stores its steps through one store step, the
 only place there that sums a step, checks it and raises ``NonFiniteError``.
+
+Identification scores orders through one fit, ``sysid._fit``, the only place
+in ``sysid`` that tabulates weights or sums a history; ``ols_spatial`` runs the
+same fit.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracdyn
+from fracdyn import Trajectory, sysid
 
 PACKAGE = Path(fracdyn.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -90,3 +96,19 @@ def callers(path: Path, name: str) -> set:
 def test_simulate_raises_nonfinite_error_from_one_store_step():
     raisers = callers(PACKAGE / "simulate.py", "NonFiniteError")
     assert len(raisers) == 1, f"{sorted(raisers)} construct NonFiniteError; store through one step"
+
+
+@pytest.mark.parametrize("name", ["history_sum", "build_weight_table"])
+def test_inside_sysid_only_the_fit_sums_and_tabulates(name):
+    assert callers(PACKAGE / "sysid.py", name) == {"_fit"}, f"score through sysid._fit, not {name}"
+
+
+def test_identify_tabulates_once_per_lockstep_score(monkeypatch):
+    # the fit looks build_weight_table up as a module attribute, where a wrapper can see it
+    calls = []
+    real = sysid.build_weight_table
+    monkeypatch.setattr(sysid, "build_weight_table", lambda a, J: calls.append(a) or real(a, J))
+    states = np.random.default_rng(0).standard_normal((120, 3)).cumsum(axis=0)
+    res = sysid.identify(Trajectory(states=states), 20, 1e-2, (0, 100))
+    assert len(calls) == 3 + sysid.bisection_bound(1e-2) == 3 + int(res.iterations.max())
+    assert all(len(orders) == 3 for orders in calls)
