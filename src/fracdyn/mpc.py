@@ -7,7 +7,11 @@ predicted states become affine in the stacked inputs; each solve minimizes
 the strictly convex quadratic over the box.  One exact dual active-set QP
 solver (Goldfarb and Idnani) handles the box and the optional linear state
 rows alike: soft rows become slack variables carrying the quadratic penalty,
-hard rows are exact constraints whose infeasibility the solver proves.
+hard rows are exact constraints whose infeasibility the solver proves.  Each
+solve first proposes the active set from the constraint rows' Gram matrix
+``W``, built once per problem, with no factorisation per step, then certifies
+it with one QR step; a proposal that fails the check falls back to the full
+QR iteration from the equalities.
 """
 
 import math
@@ -100,7 +104,10 @@ class CondensedProblem:
     From the lifted history ``ztil``, predicted states are
     ``(powers @ ztil)[:, :n] + S @ U``; ``rows`` stacks the state rows over the
     horizon (none without state constraints).  A solve minimises
-    ``1/2 z^T (2 H_z) z + b_z^T z`` subject to ``G z <= g - [0; rows @ fvec]``.
+    ``1/2 z^T (2 H_z) z + b_z^T z`` subject to ``G z <= g - [0; rows @ fvec]``,
+    with ``b_z`` the linear term padded by ``zpad`` and the first ``neq`` rows
+    of ``G`` as equalities; ``W = (G J)(G J)^T`` is the rows' Gram matrix
+    under ``(2 H_z)^-1``, and ``atol`` the tolerance of the reported bounds.
     """
 
     powers: np.ndarray  # (P, d, d): A^1 .. A^P of the lift
@@ -115,6 +122,10 @@ class CondensedProblem:
     J: np.ndarray  # L^-T for L L^T = 2 H_z, H_z = diag(H, SOFT_PENALTY * I) with soft rows
     G: np.ndarray  # pinned inputs (equalities), other finite upper, lower bounds, state rows
     g: np.ndarray  # the right-hand side of G without the free response
+    W: np.ndarray  # (G J)(G J)^T
+    neq: int  # pinned inputs, the equality rows at the top of G
+    atol: float  # an input this close to a bound is reported on it
+    zpad: np.ndarray  # zeros for the slack entries of b_z
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -169,10 +180,14 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     G = np.hstack([G, np.vstack([np.zeros((G.shape[0] - k, k)), -np.eye(k)])])
     Hz = np.diag(np.concatenate([np.zeros(nU), np.full(k, SOFT_PENALTY)]))
     Hz[:nU, :nU] = H
+    J = np.linalg.inv(np.linalg.cholesky(2.0 * Hz)).T
+    GJ = G @ J
+    finite = np.abs(np.concatenate([lo[np.isfinite(lo)], hi[np.isfinite(hi)]]))
     return CondensedProblem(
         powers=np.stack(powers[1:]), S=S, Qbar=Qbar, H=H, cvec=cvec, lo=lo, hi=hi, rows=rows,
-        rows_S=rows_S, J=np.linalg.inv(np.linalg.cholesky(2.0 * Hz)).T, G=G,
-        g=np.concatenate([lo[pin], hi[on_hi], -lo[on_lo], np.tile(hx, P)]),
+        rows_S=rows_S, J=J, G=G, g=np.concatenate([lo[pin], hi[on_hi], -lo[on_lo], np.tile(hx, P)]),
+        W=GJ @ GJ.T, neq=int(np.sum(lo == hi)),
+        atol=1e-9 * (1.0 + (finite.max() if finite.size else 0.0)), zpad=np.zeros(k),
     )
 
 
@@ -215,16 +230,16 @@ def solve_horizon(
     k = cp.rows.shape[0]
     g = cp.g.copy()
     g[g.size - k :] -= cp.rows @ fvec
-    z, lam = _solve_qp(cp.J, np.concatenate([b, np.zeros(cp.J.shape[0] - b.size)]), cp.G, g,
-                       int(np.sum(LO == HI)))
+    bz = np.concatenate([b, cp.zpad])
+    # G z0 for the unconstrained minimiser z0 = -J J^T b_z
+    start = _propose(cp.W, -(cp.G @ (cp.J @ (cp.J.T @ bz))), g, cp.neq)
+    z, lam = _solve_qp(cp.J, bz, cp.G, g, cp.neq, start)
     U = np.clip(z[: b.size], LO, HI)  # bounds hold exactly, not just to solver tolerance
 
     # the gradient of the Lagrangian of the state rows, projected on the active bounds below
     proj = 2.0 * H @ U + b + cp.rows_S.T @ lam[lam.size - k :]
-    finite = np.abs(np.concatenate([LO[np.isfinite(LO)], HI[np.isfinite(HI)]]))
-    atol = 1e-9 * (1.0 + (finite.max() if finite.size else 0.0))
-    on_lo = U <= LO + atol
-    on_hi = U >= HI - atol
+    on_lo = U <= LO + cp.atol
+    on_hi = U >= HI - cp.atol
     proj[on_lo & (proj > 0)] = 0.0
     proj[on_hi & (proj < 0)] = 0.0
     cost = float(U @ H @ U + b @ U + const)
@@ -238,7 +253,78 @@ def solve_horizon(
     )
 
 
-def _solve_qp(J: np.ndarray, b: np.ndarray, G: np.ndarray, g: np.ndarray, neq: int):
+def _bordered(inv: np.ndarray, r: np.ndarray, dd: float) -> np.ndarray:
+    """Inverse of [[W_AA, w], [w^T, w_pp]] from inv = W_AA^-1, r = inv @ w, dd = w_pp - w @ r."""
+    q = r.size
+    out = np.empty((q + 1, q + 1))
+    out[:q, :q] = inv + (r / dd)[:, None] * r
+    out[:q, q] = out[q, :q] = -r / dd
+    out[q, q] = 1.0 / dd
+    return out
+
+
+def _without(inv: np.ndarray, j: int) -> np.ndarray:
+    """Inverse of W_AA with row and column j removed, from inv = W_AA^-1 (a rank-1 downdate)."""
+    keep = np.arange(inv.shape[0]) != j
+    col = inv[keep, j]
+    return inv[np.ix_(keep, keep)] - (col / inv[j, j])[:, None] * col
+
+
+def _propose(W: np.ndarray, s: np.ndarray, g: np.ndarray, neq: int) -> list | None:
+    """The active list ``_solve_qp`` would end with, from the range-space form of its rules.
+
+    ``W = (G J)(G J)^T`` and ``s = G z0`` at the unconstrained minimiser.  On
+    an active list A with multiplier ``lam_p`` on the row ``p`` being added,
+    the multipliers are ``W_AA^-1 (s_A - g_A) - lam_p r`` with
+    ``r = W_AA^-1 W_Ap``, and ``G z = s - W_{:,A} lam_A - lam_p W_{:,p}``.
+    The same add and drop rules as ``_solve_qp`` run on these, keeping
+    ``W_AA^-1`` by bordering on an add and a rank-1 downdate on a drop, so a
+    step makes no factorisation.  A row nearly dependent on the active ones
+    takes no full step, as in the QR loop.  Returns the ordered active list,
+    or None where no step is possible (the QR loop then decides whether the
+    rows are infeasible), on non-finite data, or after ``8 + 4 * rows`` steps.
+    Never raises: the list is only a proposal, which ``_solve_qp`` checks.
+    """
+    active, inv, p, lam_p = np.zeros(0, dtype=np.intp), np.zeros((0, 0)), None, 0.0
+    with np.errstate(all="ignore"):
+        free, tol = s - g, 1e-13 * (1.0 + np.abs(g))
+        for e in range(neq):  # the equalities are active from the start, in order
+            w = W[e][active]
+            r = inv @ w
+            dd = W[e, e] - w @ r
+            if not dd > 1e-12 * W[e, e]:
+                return None
+            inv, active = _bordered(inv, r, dd), np.append(active, e)
+        for _ in range(8 + 4 * g.size):
+            lam = inv @ free[active]
+            if p is None:
+                viol = free - tol - lam @ W[active]
+                viol[active] = 0.0
+                p = int(viol.argmax()) if viol.size else None
+                if p is None or viol[p] <= 0.0:
+                    return active.tolist()
+                lam_p = 0.0
+            w = W[p][active]
+            r = inv @ w
+            dd = W[p, p] - w @ r
+            lam -= lam_p * r
+            t2 = (free[p] - lam_p * W[p, p] - w @ lam) / dd if dd > 1e-12 * W[p, p] else np.inf
+            pos = (r[neq:] > 0).nonzero()[0] + neq
+            ratios = np.maximum(lam[pos], 0.0) / r[pos]
+            t1 = ratios.min(initial=np.inf)
+            if not min(t1, t2) < np.inf:
+                return None
+            lam_p += min(t1, t2)
+            if t2 <= t1:
+                inv, active, p = _bordered(inv, r, dd), np.append(active, p), None
+            else:
+                j = int(pos[ratios.argmin()])
+                inv, active = _without(inv, j), np.delete(active, j)
+    return None
+
+
+def _solve_qp(J: np.ndarray, b: np.ndarray, G: np.ndarray, g: np.ndarray, neq: int,
+              start: list | None = None):
     """Dual active-set QP of Goldfarb and Idnani (Math. Program. 27, 1983).
 
     Minimises ``1/2 z^T D z + b^T z`` subject to ``G z <= g``, the first
@@ -250,8 +336,15 @@ def _solve_qp(J: np.ndarray, b: np.ndarray, G: np.ndarray, g: np.ndarray, neq: i
     the active multipliers, ``p`` weighted by its multiplier so far, so
     rounding does not build up.  Returns z and the multipliers of all rows;
     a violated row no dual step can reach proves the rows infeasible.
+
+    ``start``, an ordered active list proposed by ``_propose``, is checked
+    by the first step: it is the answer when no row is violated and no
+    inequality multiplier is negative.  Otherwise, or without a proposal,
+    the iteration starts from the equalities.  On the list the iteration
+    would end with, the first step is its last, so z and the multipliers
+    are the same bits either way.
     """
-    active, p, lam_p = list(range(neq)), None, 0.0
+    active, p, lam_p = list(range(neq)) if start is None else start, None, 0.0
     tol = 1e-13 * (1.0 + np.abs(g))
     while True:
         q = len(active)
@@ -263,7 +356,13 @@ def _solve_qp(J: np.ndarray, b: np.ndarray, G: np.ndarray, g: np.ndarray, neq: i
         if p is None:
             viol = G @ z - g - tol
             viol[active] = 0.0
-            if not viol.size or viol.max() <= 0.0:
+            done = not viol.size or viol.max() <= 0.0
+            if start is not None:
+                start = None
+                if not (done and lam[neq:].min(initial=0.0) >= 0.0):
+                    active = list(range(neq))
+                    continue
+            if done:
                 lam_all = np.zeros(g.size)
                 lam_all[active] = lam
                 return z, lam_all

@@ -169,12 +169,14 @@ class OlsResult:
     ridge: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that are not finite raise instead
 def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     """Spatial matrix estimate at given per-channel orders.
 
     Builds the fractional-difference targets of every channel at its order
     and regresses them on the state window.  A rank-deficient window falls
-    back to a small relative ridge and is flagged.
+    back to a small relative ridge and is flagged.  Rows that are not finite
+    (a window whose Gram matrix overflows) raise NonFiniteError.
     """
     n = traj.states.shape[1]
     orders = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -182,6 +184,8 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
         raise DomainError(f"need {n} orders, got {orders.shape}")
     _, Xw, _, ridge = win = _window(traj, window)
     A_hat, Z, _ = _fit(traj.states, win, orders)
+    if not np.isfinite(A_hat).all():
+        raise NonFiniteError("spatial rows are not finite")
     residuals = Z - Xw @ A_hat.T
     normal_residual = float(np.linalg.norm(Xw.T @ residuals))
     return OlsResult(A_hat=A_hat, residuals=residuals, normal_residual=normal_residual, ridge=ridge)

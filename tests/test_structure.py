@@ -12,6 +12,10 @@ only place there that sums a step, checks it and raises ``NonFiniteError``.
 Identification scores orders through one fit, ``sysid._fit``, the only place
 in ``sysid`` that tabulates weights or sums a history; ``ols_spatial`` runs the
 same fit.
+
+The MPC solver factors by QR in one place, ``mpc._solve_qp``, which alone
+returns the solution and alone proves hard state rows infeasible; the active
+set that ``mpc._propose`` offers is only ever a starting point for it.
 """
 
 import ast
@@ -112,3 +116,30 @@ def test_identify_tabulates_once_per_lockstep_score(monkeypatch):
     res = sysid.identify(Trajectory(states=states), 20, 1e-2, (0, 100))
     assert len(calls) == 3 + sysid.bisection_bound(1e-2) == 3 + int(res.iterations.max())
     assert all(len(orders) == 3 for orders in calls)
+
+
+def qr_and_infeasible_raises(path: Path) -> list:
+    """Line numbers where a module reads ``np.linalg.qr`` or raises InfeasibleStateConstraints."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "qr":
+            hit = isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.linalg") and any(
+                a.name == "qr" for a in node.names)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            hit = isinstance(exc, ast.Name) and exc.id == "InfeasibleStateConstraints"
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_qp_solver_factors_by_qr_and_proves_infeasibility():
+    hits = {path: qr_and_infeasible_raises(path) for path in MODULES}
+    found = {path.name: enclosing_definitions(path, lines) for path, lines in hits.items() if lines}
+    assert found == {"mpc.py": {"_solve_qp"}}, f"QR steps or infeasibility proofs in {found}"
+    assert len(hits[PACKAGE / "mpc.py"]) == 2  # one QR step, one proof

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fracdyn import (
     DomainError,
     FosModel,
+    NonFiniteError,
     SingularError,
     Trajectory,
     augment_p,
@@ -88,6 +90,17 @@ def test_ols_spatial_zero_state_raises():
     traj = Trajectory(states=np.zeros((50, 1)))
     with pytest.raises(SingularError):
         ols_spatial(traj, [0.5], window=(0, 40))
+
+
+def test_ols_spatial_raises_when_the_gram_matrix_overflows():
+    # channel 2 at 1e160 squares past the float range: the window is numerically rank 1,
+    # and the ridge solve on the overflowed Gram matrix would return NaN rows
+    states = np.random.default_rng(0).standard_normal((200, 2)).cumsum(axis=0)
+    states[:, 1] *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^spatial rows are not finite$"):
+            ols_spatial(Trajectory(states=states), [0.5, 0.5], window=(0, 150))
 
 
 def test_ols_spatial_ridge_on_collinear_channels():
