@@ -25,11 +25,7 @@ __all__ = [
     "FracWeightTable",
     "gl_weight_recursive",
     "build_weight_table",
-    "kernel_spectrum",
-    "block_convolve",
-    "MemoryTail",
     "history_sum",
-    "lower_block_toeplitz",
     "frac_difference",
 ]
 

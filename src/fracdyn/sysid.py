@@ -7,11 +7,12 @@ rebuilding one-step predictions from the fitted rows, and each channel
 discards the interval half adjacent to its worse-endpoint MSE.  Ties keep
 the lower half.  The spatial matrix is the ordinary least-squares row
 estimate at the final orders, from the same fit that ``ols_spatial`` runs.
-Whether the rows need a ridge is a property of the window (its rank), not of
-the orders.  A finite-sample error-bound calculator for the lifted OLS
-problem is included; its universal constants are not derivable from first
-principles and default to 1, so reported bounds are meaningful up to those
-constants.
+Every row is the minimum-norm least-squares solution of ``np.linalg.lstsq``,
+whatever the window's rank; whether the window is rank-deficient (the
+"ridge" flag) is a property of the window, not of the orders.  A
+finite-sample error-bound calculator for the lifted OLS problem is included;
+its universal constants are not derivable from first principles and default
+to 1, so reported bounds are meaningful up to those constants.
 """
 
 import math
@@ -33,9 +34,6 @@ __all__ = [
     "finite_time_gramian",
     "ols_error_bound",
 ]
-
-#: Relative ridge applied to a rank-deficient regressor Gram matrix.
-RIDGE_SCALE = 1e-10
 
 #: Endpoint-MSE relative spread below which a channel is flagged low-confidence.
 FLAT_SPREAD = 0.01
@@ -112,7 +110,7 @@ def ols_error_bound(
 
 
 def _window(traj: Trajectory, window) -> tuple:
-    """Rows, regressors and Gram matrix of a window, and whether it needs the ridge."""
+    """Rows and regressors of a window, and whether the regressors are rank-deficient."""
     K = traj.K
     if window is None:
         offset, length = 0, min(100, K)
@@ -124,34 +122,28 @@ def _window(traj: Trajectory, window) -> tuple:
         )
     ks = np.arange(offset, offset + length)
     Xw = traj.states[ks]
-    return ks, Xw, Xw.T @ Xw, bool(np.linalg.matrix_rank(Xw) < Xw.shape[1])
-
-
-def _ols_row(Xw: np.ndarray, z: np.ndarray, gram: np.ndarray, ridge: bool) -> np.ndarray:
-    """Least-squares row, with a small relative ridge on a rank-deficient window."""
-    if not ridge:
-        return np.linalg.lstsq(Xw, z, rcond=None)[0]
-    tr = float(np.trace(gram))
-    if tr <= 0.0:
-        raise SingularError("regressor Gram matrix is zero; no spatial information")
-    return np.linalg.solve(gram + RIDGE_SCALE * tr * np.eye(Xw.shape[1]), Xw.T @ z)
+    return ks, Xw, bool(np.linalg.matrix_rank(Xw) < Xw.shape[1])
 
 
 def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) -> tuple:
     """Rows, targets and (given ``p``) one-step MSEs of every channel at its order.
 
     Channel i regresses its full-memory difference z[k] = D^a x[k+1] on the
-    window states; its prediction from the fitted row keeps memory lags
-    1..p.  Each channel is summed, solved and averaged on its own contiguous
-    column, so a channel's figures do not depend on the other channels.
+    window states by minimum-norm least squares; its prediction from the
+    fitted row keeps memory lags 1..p.  Each channel is summed, solved and
+    averaged on its own column, so a channel's figures do not depend on the
+    other channels.  An all-zero window has no least-squares information and
+    raises SingularError.
     """
-    ks, Xw, gram, ridge = win
+    ks, Xw, _ = win
+    if not Xw.any():
+        raise SingularError("regressor Gram matrix is zero; no spatial information")
     first, last, n = int(ks[0]), int(ks[-1]), x.shape[1]
     w = build_weight_table(orders, last + 1).weights
     rows, Z, mse = np.empty((n, n)), np.empty((ks.size, n)), np.empty(n)
     for i in range(n):
         z = history_sum(x[:, i], w[i], first + 1, last + 2)
-        rows[i] = _ols_row(Xw, z, gram, ridge)
+        rows[i] = np.linalg.lstsq(Xw, z, rcond=None)[0]
         Z[:, i] = z
         if p is not None:
             pred = Xw @ rows[i] - history_sum(x[:, i], w[i, 1 : p + 1], first, last + 1)
@@ -161,7 +153,11 @@ def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) ->
 
 @dataclass(frozen=True)
 class OlsResult:
-    """Spatial rows at fixed orders, with residual diagnostics."""
+    """Spatial rows at fixed orders, with residual diagnostics.
+
+    ``ridge`` marks a rank-deficient window; the rows are the minimum-norm
+    least-squares rows either way.
+    """
 
     A_hat: np.ndarray
     residuals: np.ndarray
@@ -174,15 +170,16 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     """Spatial matrix estimate at given per-channel orders.
 
     Builds the fractional-difference targets of every channel at its order
-    and regresses them on the state window.  A rank-deficient window falls
-    back to a small relative ridge and is flagged.  Rows that are not finite
-    (a window whose Gram matrix overflows) raise NonFiniteError.
+    and regresses them on the state window by minimum-norm least squares.  A
+    rank-deficient window is flagged ``ridge``; its rows are the least-squares
+    rows of least norm.  An all-zero window raises SingularError, and rows
+    that are not finite (targets that overflow) raise NonFiniteError.
     """
     n = traj.states.shape[1]
     orders = np.atleast_1d(np.asarray(alphas, dtype=float))
     if orders.shape != (n,):
         raise DomainError(f"need {n} orders, got {orders.shape}")
-    _, Xw, _, ridge = win = _window(traj, window)
+    _, Xw, ridge = win = _window(traj, window)
     A_hat, Z, _ = _fit(traj.states, win, orders)
     if not np.isfinite(A_hat).all():
         raise NonFiniteError("spatial rows are not finite")
@@ -219,8 +216,9 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
     ``epsilon``; the iteration count never exceeds ceil(log2(2/epsilon)).
     Constant channels carry no temporal information: they are held at order 0
     and flagged "degenerate".  "ridge" marks a rank-deficient window, on
-    every channel; a flat MSE basin at termination raises "low_confidence",
-    and a midpoint scoring worse than both endpoints raises "nonunimodal".
+    every channel, whose rows are then the least-squares rows of least norm;
+    a flat MSE basin at termination raises "low_confidence", and a midpoint
+    scoring worse than both endpoints raises "nonunimodal".
     A prediction error that is not finite raises NonFiniteError naming the
     first channel whose search meets one.
     """
@@ -230,7 +228,7 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
         raise DomainError("memory depth p must be >= 1")
     x = traj.states
     n = x.shape[1]
-    ks, _, _, ridge = win = _window(traj, window)
+    ks, _, ridge = win = _window(traj, window)
     if ks.size < 10 * (n + 1):
         raise DomainError(f"window length {ks.size} is below the 10*(n+1) = {10 * (n + 1)} floor")
     live = np.ptp(x, axis=0) > 0.0

@@ -3,7 +3,9 @@
 This is the search as it was written before the channels were bisected in
 lockstep: one channel at a time, with its own ``score`` closure that sums
 one order's targets and predictions.  ``fracdyn.identify`` must return the
-same bits and raise the same errors.
+same bits and raise the same errors.  The oracle checks the search, not the
+row solver: every row, on a rank-deficient window too, is the minimum-norm
+``np.linalg.lstsq`` row that ``sysid`` computes.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from fracdyn.errors import DomainError, NonFiniteError, SingularError
 from fracdyn.fraccore import build_weight_table, history_sum
 from fracdyn.simulate import Trajectory
-from fracdyn.sysid import FLAT_SPREAD, RIDGE_SCALE, IdentificationResult, bisection_bound
+from fracdyn.sysid import FLAT_SPREAD, IdentificationResult, bisection_bound
 
 
 def _window_rows(traj: Trajectory, window) -> np.ndarray:
@@ -30,15 +32,14 @@ def _window_rows(traj: Trajectory, window) -> np.ndarray:
 
 
 def _ols_row(Xw: np.ndarray, z: np.ndarray, gram: np.ndarray, rank: int):
-    """Least-squares row with ridge fallback on a rank-deficient Gram matrix."""
+    """Minimum-norm least-squares row, and whether the Gram matrix is rank-deficient."""
     n = Xw.shape[1]
     if rank == n:
         return np.linalg.lstsq(Xw, z, rcond=None)[0], False
     tr = float(np.trace(gram))
     if tr <= 0.0:
         raise SingularError("regressor Gram matrix is zero; no spatial information")
-    ridge = RIDGE_SCALE * tr
-    return np.linalg.solve(gram + ridge * np.eye(n), Xw.T @ z), True
+    return np.linalg.lstsq(Xw, z, rcond=None)[0], True
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite score raises instead

@@ -11,7 +11,11 @@ only place there that sums a step, checks it and raises ``NonFiniteError``.
 
 Identification scores orders through one fit, ``sysid._fit``, the only place
 in ``sysid`` that tabulates weights or sums a history; ``ols_spatial`` runs the
-same fit.
+same fit.  Its rows come from one minimum-norm ``np.linalg.lstsq`` call, at
+any rank of the window, with no second (ridge) solver beside it.
+
+The public namespace of ``fracdyn`` is pinned: each name is declared once,
+in its module's ``__all__`` (``errors`` exports every class it defines).
 
 The MPC solver factors by QR in one place, ``mpc._solve_qp``, which alone
 returns the solution and alone proves hard state rows infeasible; the active
@@ -19,6 +23,10 @@ set that ``mpc._propose`` offers is only ever a starting point for it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +124,62 @@ def test_identify_tabulates_once_per_lockstep_score(monkeypatch):
     res = sysid.identify(Trajectory(states=states), 20, 1e-2, (0, 100))
     assert len(calls) == 3 + sysid.bisection_bound(1e-2) == 3 + int(res.iterations.max())
     assert all(len(orders) == 3 for orders in calls)
+
+
+#: numpy.linalg functions that solve or invert a linear system.
+LINEAR_SOLVERS = frozenset({"lstsq", "solve", "inv", "pinv", "tensorsolve", "tensorinv",
+                            "cholesky", "qr", "svd"})
+
+
+def linalg_solver_uses(path: Path) -> list:
+    """(line, name) of every ``<x>.linalg.<solver>`` a module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in LINEAR_SOLVERS
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+
+
+def test_sysid_solves_for_rows_only_by_least_squares_in_the_fit():
+    path = PACKAGE / "sysid.py"
+    uses = linalg_solver_uses(path)
+    assert [name for _, name in uses] == ["lstsq"], f"sysid solves by {uses}"
+    assert enclosing_definitions(path, [line for line, _ in uses]) == {"_fit"}
+    assert not hasattr(sysid, "RIDGE_SCALE")
+    assert "RIDGE_SCALE" not in path.read_text()
+
+
+#: The 77 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
+PUBLIC = """
+    AugmentedModel BranchWarning ClosedLoopResult CondensedProblem DimensionError DomainError
+    EigenFailure EstimationRun EstimatorConfig EstimatorState FosModel FosSimulator
+    FracWeightTable FracdynError FractionalTransferFunction FrequencyResponse GramianReport
+    IdentificationResult InfeasibleStateConstraints InnovationSingular MpcProblem MpcSolution
+    MultiTermNetwork NetworkSeries NonFiniteError NotControllable NotObservable NotSPD
+    ObservabilityReport OlsBound OlsResult PoleError SingularError StabilityReport Trajectory
+    aj_series analysis augment_p augment_v augmented_spectral_radius bisection_bound
+    build_weight_table commensurate_stability condense controllability_gramian deadbeat_input
+    errors estimate finite_time_gramian fopid_response frac_difference fraccore gaussian_noise
+    gl_weight_recursive history_sum identify me_batch me_filter_init me_filter_step model mpc
+    network_series observability_matrices ols_error_bound ols_spatial reconstruct_initial_state
+    run_closed_loop run_estimator simulate simulate_augmented simulate_fos simulate_network
+    solve_horizon sysid tf_eval transition_matrices uncontrolled_baseline
+""".split()
+
+
+def test_the_public_namespace_is_pinned():
+    # a fresh interpreter: importing fracdyn.cli or fracdyn.fileio adds them as attributes
+    script = ("import json, fracdyn\n"
+              "star = {}\n"
+              "exec('from fracdyn import *', star)\n"
+              "print(json.dumps([sorted(n for n in names if not n.startswith('_'))\n"
+              "                  for names in (dir(fracdyn), star)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    attributes, starred = json.loads(done.stdout)
+    assert attributes == starred == sorted(PUBLIC)
 
 
 def qr_and_infeasible_raises(path: Path) -> list:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -12,13 +13,17 @@ from fracdyn import (
     Trajectory,
     augment_p,
     bisection_bound,
+    build_weight_table,
     finite_time_gramian,
     gaussian_noise,
+    history_sum,
     identify,
     ols_error_bound,
     ols_spatial,
     simulate_fos,
+    sysid,
 )
+from test_identify_oracle import random_case
 
 
 def test_bisection_bound_values():
@@ -92,15 +97,97 @@ def test_ols_spatial_zero_state_raises():
         ols_spatial(traj, [0.5], window=(0, 40))
 
 
-def test_ols_spatial_raises_when_the_gram_matrix_overflows():
-    # channel 2 at 1e160 squares past the float range: the window is numerically rank 1,
-    # and the ridge solve on the overflowed Gram matrix would return NaN rows
+def test_ols_spatial_fits_a_collinear_window_whose_squares_underflow():
+    # only an all-zero window lacks spatial information; 1e-170 squared is zero
+    base = np.random.default_rng(0).standard_normal(200).cumsum() * 1e-170
+    res = ols_spatial(Trajectory(states=np.column_stack([base, 2.0 * base])), [0.5, 0.5],
+                      window=(0, 150))
+    assert res.ridge
+    assert np.isfinite(res.A_hat).all() and res.A_hat.any()
+
+
+def test_ols_spatial_raises_when_the_targets_overflow():
+    # channel 2 alternates between +-1.5e308: its first differences are +-inf
     states = np.random.default_rng(0).standard_normal((200, 2)).cumsum(axis=0)
-    states[:, 1] *= 1e160
+    states[:, 1] = 1.5e308 * (-1.0) ** np.arange(200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="^spatial rows are not finite$"):
-            ols_spatial(Trajectory(states=states), [0.5, 0.5], window=(0, 150))
+            ols_spatial(Trajectory(states=states), [1.0, 1.0], window=(0, 150))
+
+
+def overflowing_scale_walk() -> Trajectory:
+    """A 2-channel random walk whose channel 2 is scaled by 1e160: numerically rank 1."""
+    states = np.random.default_rng(0).standard_normal((200, 2)).cumsum(axis=0)
+    states[:, 1] *= 1e160
+    return Trajectory(states=states)
+
+
+def test_ols_spatial_fits_a_window_whose_gram_matrix_would_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ols_spatial(overflowing_scale_walk(), [0.5, 0.5], window=(0, 150))
+    assert res.ridge
+    assert np.isfinite(res.A_hat).all()
+
+
+def test_identify_names_the_channel_whose_predictions_overflow():
+    # channel 2's errors near 1e160 square past the float range; channel 1's are benign
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^channel 2: prediction error is not finite$"):
+            identify(overflowing_scale_walk(), 20, 1e-2, (0, 150))
+
+
+@functools.cache
+def rank_deficient_cases() -> tuple:
+    """The oracle grid's rank-deficient, not all-zero windows, with their regressors."""
+    cases = []
+    for seed in range(300):
+        traj, _, _, (offset, length) = random_case(seed)
+        Xw = traj.states[offset : offset + length]
+        if Xw.any() and np.linalg.matrix_rank(Xw) < Xw.shape[1]:
+            cases.append((traj, (offset, length), Xw))
+    return tuple(cases)
+
+
+def minimum_norm_rows(traj, window, Xw, order):
+    """Minimum-norm least-squares rows by SVD, with lstsq's cutoff eps * max(M, N) * s_max."""
+    offset, length = window
+    w = build_weight_table([order] * Xw.shape[1], offset + length).weights
+    Z = np.column_stack([history_sum(x, wi, offset + 1, offset + length + 1)
+                         for x, wi in zip(traj.states.T, w)])
+    U, sv, Vt = np.linalg.svd(Xw, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(Xw.shape) * sv[0]
+    return (Vt[keep].T @ ((U[:, keep].T @ Z) / sv[keep, None])).T
+
+
+def test_rank_deficient_rows_are_the_minimum_norm_least_squares_rows():
+    cases = rank_deficient_cases()
+    assert len(cases) >= 50
+    for traj, window, Xw in cases:
+        res = ols_spatial(traj, [0.5] * Xw.shape[1], window)
+        ref = minimum_norm_rows(traj, window, Xw, 0.5)
+        assert res.ridge
+        err = np.linalg.norm(res.A_hat - ref, axis=1)
+        assert (err <= 1e-9 * np.linalg.norm(ref, axis=1)).all(), (window, err)
+
+
+def test_rank_deficient_rows_do_not_depend_on_the_target_layout(monkeypatch):
+    # the same targets summed into a strided column must give the same bits
+    contiguous = [ols_spatial(traj, [0.5] * Xw.shape[1], window).A_hat
+                  for traj, window, Xw in rank_deficient_cases()]
+    real = sysid.history_sum
+
+    def strided(x, weights, start, stop):
+        out = real(x, weights, start, stop)
+        wide = np.zeros((out.size, 3))
+        wide[:, 1] = out
+        return wide[:, 1]
+
+    monkeypatch.setattr(sysid, "history_sum", strided)
+    for (traj, window, Xw), rows in zip(rank_deficient_cases(), contiguous):
+        assert ols_spatial(traj, [0.5] * Xw.shape[1], window).A_hat.tobytes() == rows.tobytes()
 
 
 def test_ols_spatial_ridge_on_collinear_channels():
