@@ -6,14 +6,21 @@ byte-identical and repeated runs with the same inputs produce byte-identical
 files.  Output files are written atomically (temp file + rename) and each
 CLI invocation emits a manifest naming its inputs, outputs, seed, version,
 and the digest of its effective configuration.
+
+CSV outputs are streamed to the temp file in blocks of rows, and the
+trajectory reader parses one line at a time, so their working memory does not
+grow with the number of steps K.  A written file gets the mode that
+``open(path, "w")`` would leave: a replaced file keeps its mode, and a new one
+gets 0o666 less the process umask.
 """
 
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
-import tempfile
+import stat
 
 import numpy as np
 
@@ -83,13 +90,23 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+def atomic_write(path: str, text) -> None:
+    """Write-then-rename so readers never observe a partial file.
+
+    ``text`` is a str or an iterable of str chunks, written in order.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    # created with 0o666 so the umask applies, as it does for open(path, "w");
+    # O_EXCL refuses, never overwrites, a name that is already taken
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))  # a replaced file keeps its mode
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -162,14 +179,26 @@ def read_model(path: str):
         return model_from_dict(json.load(fh))
 
 
+#: Rows formatted per chunk that the CSV writers hand to ``atomic_write``.
+_BLOCK_ROWS = 2048
+
+
+def _csv_text(rows) -> str:
+    out = io.StringIO()  # a fresh one per block: a rewound StringIO holds 4 bytes a character
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def write_table(path: str, header: list, rows) -> None:
     """CSV of a header and rows; str and int cells as they are, others via ``fmt_float``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([cell if isinstance(cell, (str, int)) else fmt_float(cell) for cell in row]
-                     for row in rows)
-    atomic_write(path, out.getvalue())
+    def chunks():
+        yield _csv_text([header])
+        rows_left = iter(rows)
+        while block := list(itertools.islice(rows_left, _BLOCK_ROWS)):
+            yield _csv_text([cell if isinstance(cell, (str, int)) else fmt_float(cell)
+                             for cell in row] for row in block)
+
+    atomic_write(path, chunks())
 
 
 def write_trajectory(path: str, traj: Trajectory) -> None:
@@ -177,24 +206,29 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
 
     Cells are ``fmt_float``'s text: one ``%.17g`` format per row writes it.
     """
-    n = traj.n
+    n, K = traj.n, traj.K
     m = traj.inputs.shape[1] if traj.inputs is not None else 0
     q = traj.outputs.shape[1] if traj.outputs is not None else 0
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
               + [f"y{i + 1}" for i in range(q)])
-    blocks = [np.arange(traj.K + 1)[:, None] * traj.dt, traj.states]
-    if m:
-        blocks.append(np.vstack([traj.inputs, np.zeros((1, m))]))
-    if q:
-        blocks.append(traj.outputs)
-    rows = np.hstack(blocks).tolist()
     cells = ["%.17g"] * len(header)
-    row = ",".join(cells)
-    lines = [",".join(header)] + [row % tuple(r) for r in rows[:-1]]
+    row = ",".join(cells) + "\n"
     cells[1 + n : 1 + n + m] = [""] * m
-    del rows[-1][1 + n : 1 + n + m]
-    lines.append(",".join(cells) % tuple(rows[-1]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    last_row = ",".join(cells) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, K, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, K)
+            blocks = [np.arange(lo, hi)[:, None] * traj.dt, traj.states[lo:hi]]
+            if m:
+                blocks.append(traj.inputs[lo:hi])
+            if q:
+                blocks.append(traj.outputs[lo:hi])
+            yield "".join([row % tuple(r) for r in np.hstack(blocks).tolist()])
+        yield last_row % (K * traj.dt, *traj.states[K], *(traj.outputs[K] if q else ()))
+
+    atomic_write(path, chunks())
 
 
 def _cell_or_zero(cell: str) -> float:
@@ -206,42 +240,55 @@ def read_trajectory(path: str) -> Trajectory:
 
     Rows of blank cells are skipped, and a blank input cell reads 0.  The csv
     module splits the rows and numpy converts the numbers, so a quoted cell
-    may hold a comma but not a line break.
+    may hold a comma but not a line break.  Both read the file one line at a
+    time.
     """
     with open(path, "r") as fh:
-        lines = fh.read().split("\n")
-    if lines == [""]:
-        raise DimensionError(f"{path}: empty trajectory file")
-    reader = csv.reader(lines)
-    header = next(reader)
-    body, first = [], []
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        if len(row) < len(header):
-            raise DimensionError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                 f"the header has {len(header)}")
-        body.append(lines[reader.line_num - 1])
-        if len(first) < 2:
-            first.append(row)
-    cols = {name: idx for idx, name in enumerate(header)}
-    if "t" not in cols:
-        raise DimensionError(f"{path}: trajectory header lacks the time column")
-    x_idx = [cols[h] for h in header if h.startswith("x")]
-    u_idx = [cols[h] for h in header if h.startswith("u")]
-    y_idx = [cols[h] for h in header if h.startswith("y")]
-    if not x_idx:
-        raise DimensionError(f"{path}: trajectory header lacks state columns")
-    T = len(body)
-    used = sorted({*x_idx, *u_idx, *y_idx})
-    table = np.zeros((T, len(header)))
-    if T:
-        table[:, used] = np.loadtxt(body, delimiter=",", usecols=used, ndmin=2, comments=None,
-                                    quotechar='"', converters=dict.fromkeys(u_idx, _cell_or_zero))
+        line = ""
+
+        def lines():  # the csv reader's input; ``line`` keeps its latest line for numpy
+            nonlocal line
+            for line in fh:
+                yield line
+
+        reader = csv.reader(lines())
+        header = next(reader, None)
+        if header is None:
+            raise DimensionError(f"{path}: empty trajectory file")
+        first = []
+
+        def body():
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                if len(row) < len(header):
+                    raise DimensionError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                         f"the header has {len(header)}")
+                if len(first) < 2:
+                    first.append(row)
+                yield line
+
+        cols = {name: idx for idx, name in enumerate(header)}
+        x_idx = [cols[h] for h in header if h.startswith("x")]
+        u_idx = [cols[h] for h in header if h.startswith("u")]
+        y_idx = [cols[h] for h in header if h.startswith("y")]
+        lacks = ("the time column" if "t" not in cols else
+                 "state columns" if not x_idx else None)
+        rows = body()
+        if lacks:
+            for _ in rows:  # a short row is reported before the header
+                pass
+            raise DimensionError(f"{path}: trajectory header lacks {lacks}")
+        used = sorted({*x_idx, *u_idx, *y_idx})
+        head = next(rows, None)  # numpy warns on a file without rows
+        data = np.zeros((0, len(used))) if head is None else np.loadtxt(
+            itertools.chain([head], rows), delimiter=",", usecols=used, ndmin=2, comments=None,
+            quotechar='"', converters=dict.fromkeys(u_idx, _cell_or_zero))
+    T = len(data)
     # take, not fancy indexing, which would return column-major blocks
-    states = table.take(x_idx, axis=1)
-    outputs = table.take(y_idx, axis=1) if y_idx else None
-    inputs = table[: T - 1].take(u_idx, axis=1) if u_idx and T > 1 else None
+    states = data.take(np.searchsorted(used, x_idx), axis=1)
+    outputs = data.take(np.searchsorted(used, y_idx), axis=1) if y_idx else None
+    inputs = data[: T - 1].take(np.searchsorted(used, u_idx), axis=1) if u_idx and T > 1 else None
     dt = 1.0
     if T >= 2:
         t0, t1 = (float(row[cols["t"]]) for row in first)

@@ -3,7 +3,10 @@
 ``loop_write_trajectory`` formats every cell through ``fmt_float`` and the csv
 module, and ``loop_read_trajectory`` converts every cell with ``float``.  The
 library formats a row per ``%.17g`` string and parses the numeric block with
-numpy; it must write the same bytes and read the same arrays.
+numpy; it must write the same bytes and read the same arrays.  The writer
+formats ``_BLOCK_ROWS`` rows at a time, so the oracles also run with the last
+row on either side of a block boundary, and with blank rows, quoted commas and
+faults past the first block.
 """
 
 import csv
@@ -13,7 +16,9 @@ import numpy as np
 import pytest
 
 from fracdyn import DimensionError, Trajectory
-from fracdyn.fileio import fmt_float, read_trajectory, write_trajectory
+from fracdyn.fileio import _BLOCK_ROWS, fmt_float, read_trajectory, write_trajectory
+
+B = _BLOCK_ROWS
 
 
 def loop_write_trajectory(path, traj):
@@ -98,7 +103,7 @@ def _trajectory(seed, K, n, m, q, dt):
     return Trajectory(states=states, inputs=inputs, outputs=outputs, dt=dt)
 
 
-@pytest.mark.parametrize("K", [0, 1, 2, 65, 400])
+@pytest.mark.parametrize("K", [0, 1, 2, 65, 400, B - 1, B, B + 1, 3 * B + 5])
 @pytest.mark.parametrize("m,q", [(0, 0), (2, 0), (0, 3), (1, 2)])
 @pytest.mark.parametrize("dt", [1.0, 0.1])
 def test_trajectory_csv_matches_the_cell_loops(tmp_path, K, m, q, dt):
@@ -146,3 +151,36 @@ def test_reader_errors_match_the_cell_loop(tmp_path, text):
     with pytest.raises(DimensionError) as fast:
         read_trajectory(str(path))
     assert str(fast.value) == str(slow.value)
+
+
+def _rows(start, count):
+    """``count`` rows of a t,x1,note,y1 file, the note a quoted cell that holds a comma."""
+    return "".join(f'{k},{0.5 * k},"n,{k}",{k % 7}\n' for k in range(start, start + count))
+
+
+#: Body rows before the planted lines: the first block and some of the second.
+PAST = B + 10
+
+
+@pytest.mark.parametrize("planted,kept", [
+    (",,,\n", 0), ("\n", 0), ("  \n", 0), ('1e3,2,"a,b",-1\n', 1), ("7,8,,9\n", 1)])
+def test_reader_contracts_hold_past_the_first_block(tmp_path, planted, kept):
+    path = tmp_path / "in.csv"
+    path.write_bytes(("t,x1,note,y1\n" + _rows(0, PAST) + planted + _rows(PAST, 5)).encode())
+    fast = read_trajectory(str(path))
+    assert_same_trajectory(fast, loop_read_trajectory(str(path)))
+    assert fast.states.shape == (PAST + kept + 5, 1)
+
+
+@pytest.mark.parametrize("short", ["1,0.5\n", '1,"2,3",4\n', "1\n"])
+def test_reader_names_the_true_line_past_the_first_block(tmp_path, short):
+    # the header, the rows, a row of blank cells, a blank line, a quoted comma, the fault
+    text = "t,x1,note,y1\n" + _rows(0, PAST) + ",,,\n\n" + _rows(PAST, 1) + short + _rows(0, 3)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DimensionError) as slow:
+        loop_read_trajectory(str(path))
+    with pytest.raises(DimensionError) as fast:
+        read_trajectory(str(path))
+    assert str(fast.value) == str(slow.value)
+    assert f"line {1 + PAST + 3 + 1} has " in str(fast.value)

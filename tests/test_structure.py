@@ -20,6 +20,10 @@ in its module's ``__all__`` (``errors`` exports every class it defines).
 The MPC solver factors by QR in one place, ``mpc._solve_qp``, which alone
 returns the solution and alone proves hard state rows infeasible; the active
 set that ``mpc._propose`` offers is only ever a starting point for it.
+
+Every output file is written by ``fileio.atomic_write``, the only place in the
+package that opens a file for writing, so every one is renamed into place
+whole and gets the mode ``open`` would give it.
 """
 
 import ast
@@ -207,3 +211,64 @@ def test_only_the_qp_solver_factors_by_qr_and_proves_infeasibility():
     found = {path.name: enclosing_definitions(path, lines) for path, lines in hits.items() if lines}
     assert found == {"mpc.py": {"_solve_qp"}}, f"QR steps or infeasibility proofs in {found}"
     assert len(hits[PACKAGE / "mpc.py"]) == 2  # one QR step, one proof
+
+
+#: Calls that create or open a file for writing whatever their arguments.
+WRITE_CALLS = frozenset({"fdopen", "mkstemp", "write_text", "write_bytes"})
+
+
+def write_opens(source: str) -> list:
+    """Line numbers of the calls in ``source`` that open or create a file for writing.
+
+    ``open`` and ``<x>.open`` with a mode holding w, a, x or +, or with a mode that
+    is not a literal (so the check errs towards a hit), ``os.open``, ``os.fdopen``,
+    ``tempfile.mkstemp`` and ``Path.write_text`` or ``write_bytes``.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name, owner = func.id, None
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+            owner = func.value.id if isinstance(func.value, ast.Name) else ""
+        else:
+            continue
+        if name in WRITE_CALLS or (owner, name) == ("os", "open"):
+            hit = True
+        elif name == "open":
+            at = 1 if owner in (None, "io") else 0  # open(file, mode), path.open(mode)
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[at] if len(node.args) > at else None)
+            hit = mode is not None and not (isinstance(mode, ast.Constant)
+                                            and isinstance(mode.value, str)
+                                            and not set(mode.value) & set("wax+"))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("call,hit", [
+    ('open(p, "w")', True), ('open(p, mode="a", newline="")', True), ('io.open(p, "xb")', True),
+    ('open(p, "r+")', True), ('path.open("w")', True), ("open(p, how)", True),
+    ('os.fdopen(fd, "w")', True), ("os.open(p, flags)", True), ("tempfile.mkstemp()", True),
+    ('path.write_text("x")', True), ("open(p)", False), ('open(p, "rb")', False),
+    ("path.open()", False), ('path.open("r")', False),
+])
+def test_the_write_check_reads_each_form_of_open(call, hit):
+    assert bool(write_opens(call)) == hit
+
+
+def test_the_write_check_sees_the_opens_of_atomic_write():
+    path = PACKAGE / "fileio.py"
+    assert enclosing_definitions(path, write_opens(path.read_text())) == {"atomic_write"}
+
+
+def test_only_atomic_write_opens_files_for_writing():
+    found = {path.name: enclosing_definitions(path, lines) for path in MODULES
+             if (lines := write_opens(path.read_text()))}
+    assert found == {"fileio.py": {"atomic_write"}}, f"files opened for writing in {found}"
