@@ -17,10 +17,6 @@ class DomainError(FracdynError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(FracdynError, ArithmeticError):
-    """Gamma-function evaluation requested at a pole (non-positive integer)."""
-
-
 class SingularError(FracdynError, ArithmeticError):
     """A matrix that must be inverted is singular to working tolerance."""
 

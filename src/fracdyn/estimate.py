@@ -100,19 +100,19 @@ def _factor(S: np.ndarray, step: int) -> np.ndarray:
 
 
 def _predicted(aug: AugmentedModel, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """A P A^T + G Q G^T assembled from the lift's rows (:attr:`AugmentedModel.rows`)."""
-    rows = aug.rows
-    A_dense = aug.Atil[rows.dense]
+    """A P A^T + G Q G^T assembled from the lift's layout (:class:`AugmentedModel`)."""
+    n, runs = aug.n, aug.copies
+    A_dense = aug.Atil[:n]
     AP = A_dense @ P
     M = np.zeros_like(P)
-    M[np.ix_(rows.dense, rows.dense)] = AP @ A_dense.T
-    for row, src, size in rows.copies:
-        M[rows.dense, row : row + size] = AP[:, src : src + size]
-        M[row : row + size, rows.dense] = AP[:, src : src + size].T
-        for row2, src2, size2 in rows.copies:
+    M[:n, :n] = AP @ A_dense.T
+    for row, src, size in runs:
+        M[:n, row : row + size] = AP[:, src : src + size]
+        M[row : row + size, :n] = AP[:, src : src + size].T
+        for row2, src2, size2 in runs:
             M[row : row + size, row2 : row2 + size2] = P[src : src + size, src2 : src2 + size2]
-    G = aug.Gtil[rows.noise]
-    M[np.ix_(rows.noise, rows.noise)] += G @ Q @ G.T
+    G = aug.Gtil[:n]
+    M[:n, :n] += G @ Q @ G.T
     return M
 
 
@@ -126,11 +126,11 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     zero output map the step reduces to pure open-loop prediction.  ``C``
     overrides the lift's output row for this step (time-varying maps).
 
-    M is assembled from the lift's rows (:attr:`AugmentedModel.rows`): runs
-    of copy rows of A move blocks of P, only the dense rows are multiplied,
-    and Q enters the nonzero rows of G.  The update P = M - K (C M) reads
-    only the nonzero columns of C.  A step costs O(r d^2) for r dense and
-    output rows on a lift of dimension d, not the O(d^3) of dense products.
+    M is assembled from the lift's layout (:class:`AugmentedModel`): copy
+    runs of A move blocks of P, only the top n rows of A are multiplied, and
+    Q enters the top n rows of G.  The update P = M - K (C M) reads only the
+    nonzero columns of C.  A step costs O(r d^2) for r = n + q rows on a lift
+    of dimension d, not the O(d^3) of dense products.
     A non-finite estimate raises NonFiniteError naming step k+1, not a warning.
     """
     aug, cfg = state.aug, state.config
@@ -267,11 +267,11 @@ def _increment(aug: AugmentedModel, P0: np.ndarray, Q: np.ndarray, R: np.ndarray
     return F, N0, S0, V[:, keep], np.diag(lam[keep])
 
 
-def _shift(aug: AugmentedModel, A_dense: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``Atil @ X`` from the lift's rows: dense rows multiply, copy runs move slices."""
+def _shift(aug: AugmentedModel, X: np.ndarray) -> np.ndarray:
+    """``Atil @ X`` from the lift's layout: the top n rows multiply, copy runs move slices."""
     out = np.zeros_like(X)
-    out[aug.rows.dense] = A_dense @ X
-    for row, src, size in aug.rows.copies:
+    out[: aug.n] = aug.Atil[: aug.n] @ X
+    for row, src, size in aug.copies:
         out[row : row + size] = X[src : src + size]
     return out
 
@@ -285,11 +285,11 @@ def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
         L_{k+1} = A (L_k - K_k C L_k),  W_{k+1} = W_k - W_k (C L_k)^T S_{k+1}^{-1} (C L_k) W_k
     (Kailath 1973; Morf, Sidhu and Kailath 1974).  No d x d matrix is formed.
     """
-    C, A_dense = aug.Ctil, aug.Atil[aug.rows.dense]
+    C = aug.Ctil
     F, Nk, S, L, W = start
     N = est.shape[0] - 1
     for k in range(N):
-        xpred = _shift(aug, A_dense, xhat) + aug.Btil @ u[k]
+        xpred = _shift(aug, xhat) + aug.Btil @ u[k]
         gain = np.linalg.solve(F.T, np.linalg.solve(F, Nk.T)).T
         xhat = xpred + gain @ (y[k + 1] - C @ xpred)
         est[k + 1] = _checked(xhat, k + 1)
@@ -299,7 +299,7 @@ def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
         EW = E @ W
         Nk = Nk + L @ EW.T
         S = S + EW @ E.T
-        L = _shift(aug, A_dense, L - gain @ E)
+        L = _shift(aug, L - gain @ E)
         F = _factor(S, k + 2)
         Z = np.linalg.solve(F, EW)
         W = W - Z.T @ Z

@@ -15,8 +15,6 @@ states, and the depth-v truncation of a network that also stacks the last
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -278,20 +276,6 @@ class MultiTermNetwork:
         return self.C
 
 
-class LiftRows(NamedTuple):
-    """Rows of a lift grouped by what they do to the lifted state.
-
-    ``copies`` holds runs ``(row, source, length)`` of rows that copy one
-    lifted coordinate each: ``Atil[row + i] = I[source + i]`` for i < length.
-    ``dense`` are the other nonzero rows of ``Atil``, and every row in neither
-    is a zero row.  ``noise`` are the nonzero rows of ``Gtil``.
-    """
-
-    copies: tuple
-    dense: np.ndarray
-    noise: np.ndarray
-
-
 @dataclass(frozen=True)
 class AugmentedModel:
     """Finite-memory LTI lift of a fractional system.
@@ -299,6 +283,13 @@ class AugmentedModel:
     ``kind`` is "p-augment" (block companion over the last ``depth`` states)
     or "v-approx" (last ``depth`` states plus last ``depth`` inputs, truncated
     tail entering through ``Gtil``).  ``Ctil`` reads the newest state block.
+
+    The filter reads the layout that :func:`_companion` builds, not the
+    matrices: the top ``n`` rows of ``Atil`` and ``Gtil`` are the only dense
+    and noise rows, and below them ``Atil`` holds the identity runs of
+    :attr:`copies` and zero rows (the ``m`` fresh-input rows of a v-lift,
+    filled through ``Btil``).  Any other nonzero below row ``n``, or a shape
+    that does not fit ``depth``, ``n``, ``m`` and ``q``, raises DimensionError.
     """
 
     kind: str
@@ -311,26 +302,31 @@ class AugmentedModel:
     m: int
     q: int
 
+    def __post_init__(self):
+        n, d, runs = self.n, self.dim, self.copies
+        if not (self.Atil.shape == (d, d) and self.Gtil.shape[0] == d
+                and self.Btil.shape == (d, self.m) and self.Ctil.shape == (self.q, d)
+                and d in (self.depth * n, self.depth * (n + self.m))
+                and np.count_nonzero(self.Atil[n:]) == sum(size for _, _, size in runs)
+                and all(np.all(np.diagonal(self.Atil[row : row + size, src : src + size]) == 1.0)
+                        for row, src, size in runs)
+                and not self.Gtil[n:].any()):
+            raise DimensionError(f"{self.kind} lift lacks the companion layout: dense and noise "
+                                 "rows on top, identity runs below")
+
     @property
     def dim(self) -> int:
         return self.Atil.shape[0]
 
-    @cached_property
-    def rows(self) -> LiftRows:
-        """Copy runs, dense rows and noise rows, derived once from ``Atil`` and ``Gtil``."""
-        nonzero = self.Atil != 0
-        count = nonzero.sum(axis=1)
-        first = nonzero.argmax(axis=1)
-        unit = (count == 1) & (self.Atil[np.arange(self.dim), first] == 1.0)
-        copy = np.flatnonzero(unit)
-        source = first[copy]
-        copies = ()
-        if copy.size:
-            heads = np.flatnonzero(np.r_[True, (np.diff(copy) != 1) | (np.diff(source) != 1)])
-            lengths = np.diff(np.r_[heads, copy.size])
-            copies = tuple(zip(copy[heads].tolist(), source[heads].tolist(), lengths.tolist()))
-        return LiftRows(copies=copies, dense=np.flatnonzero(~unit & (count > 0)),
-                        noise=np.flatnonzero(self.Gtil.any(axis=1)))
+    @property
+    def copies(self) -> tuple:
+        """Identity runs ``(row, source, length)``, ``Atil[row + i] = I[source + i]``: the
+        state history, then, in a v-lift with inputs, the input history."""
+        p, n, m = self.depth, self.n, self.m
+        runs = ((n, 0, (p - 1) * n),)
+        if self.dim > p * n:
+            runs += ((p * n + m, p * n, (p - 1) * m),)
+        return runs
 
     def lift(self, x0) -> np.ndarray:
         """Embed an initial state into the lift by the rule of :func:`_as_prior`."""
@@ -355,8 +351,9 @@ def _companion(kind: str, lags: np.ndarray, lanes, B0: np.ndarray, noise: np.nda
     """Lift of x[k+1] = sum_j lags[j] x[k-j] + sum_j lanes[j] u[k-1-j] + B0 u[k] + noise w[k].
 
     The lifted state stacks the last p = len(lags) states, then, when
-    ``lanes`` is given, the last p inputs.  Identity blocks shift both
-    histories down; the newest state block carries the rest, and ``C`` reads it.
+    ``lanes`` is given, the last p inputs.  Identity blocks shift both histories
+    down (:attr:`AugmentedModel.copies`); the newest state block carries the
+    rest, and ``C`` reads it.
     """
     p, n = lags.shape[:2]
     m = B0.shape[1]

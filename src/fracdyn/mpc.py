@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
 from .fraccore import lower_block_toeplitz
-from .model import FosModel, _as_weight, _weight_block, augment_p
+from .model import FosModel, _as_array, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
 __all__ = [
@@ -73,11 +73,13 @@ class MpcProblem:
         object.__setattr__(self, "Q", _as_weight(self.Q, "Q", semidefinite=True))
         object.__setattr__(self, "R", _as_weight(self.R, "R"))
         if self.c is not None:
-            object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        lo = np.asarray(self.u_lo, dtype=float)
-        hi = np.asarray(self.u_hi, dtype=float)
-        if np.any(lo > hi):
-            raise DomainError("u_lo exceeds u_hi")
+            object.__setattr__(self, "c", _as_array(self.c, "c"))
+            if not np.all(np.isfinite(self.c)):
+                raise DomainError("c entries must be finite")
+        lo = _as_array(self.u_lo, "u_lo")
+        hi = _as_array(self.u_hi, "u_hi")
+        if not np.all(lo <= hi):  # a NaN bound compares false
+            raise DomainError("u_lo exceeds u_hi, or a bound is NaN")
         object.__setattr__(self, "u_lo", lo)
         object.__setattr__(self, "u_hi", hi)
         if (self.state_H is None) != (self.state_h is None):

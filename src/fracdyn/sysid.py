@@ -156,7 +156,9 @@ class OlsResult:
     """Spatial rows at fixed orders, with residual diagnostics.
 
     ``ridge`` marks a rank-deficient window; the rows are the minimum-norm
-    least-squares rows either way.
+    least-squares rows either way.  ``normal_residual`` is the Frobenius norm
+    of ``Xs^T residuals``, ``Xs`` the window's regressors with each nonzero
+    column scaled to unit max-abs, so it stays finite on badly scaled columns.
     """
 
     A_hat: np.ndarray
@@ -184,8 +186,9 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     if not np.isfinite(A_hat).all():
         raise NonFiniteError("spatial rows are not finite")
     residuals = Z - Xw @ A_hat.T
-    normal_residual = float(np.linalg.norm(Xw.T @ residuals))
-    return OlsResult(A_hat=A_hat, residuals=residuals, normal_residual=normal_residual, ridge=ridge)
+    scale = np.abs(Xw).max(axis=0)
+    normal = np.hypot.reduce((Xw / np.where(scale > 0, scale, 1.0)).T @ residuals, axis=None)
+    return OlsResult(A_hat=A_hat, residuals=residuals, normal_residual=float(normal), ridge=ridge)
 
 
 @dataclass(frozen=True)

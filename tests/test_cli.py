@@ -415,7 +415,6 @@ EXIT_CODES = {
     "DimensionError": 2,
     "DomainError": 2,
     "NotSPD": 2,
-    "PoleError": 3,
     "SingularError": 3,
     "NonFiniteError": 3,
     "EigenFailure": 3,

@@ -2,8 +2,9 @@
 
 ``dense_filter_step`` is the step fracdyn used to take: M = A P A^T + G Q G^T
 and P = (I - K C) M as full d x d products.  The library assembles M from the
-lift's copy, dense and noise rows instead, so it sums in another order and
-must agree to 1e-12 relative to the largest magnitude of each quantity.
+layout the lift declares (copy runs, top dense and noise rows) instead, so it
+sums in another order and must agree to 1e-12 relative to the largest
+magnitude of each quantity.
 
 ``run_estimator`` with constant weights propagates only the low-rank
 increment of the predicted weight (the Chandrasekhar recursion).  Its
@@ -118,9 +119,16 @@ def test_structured_step_matches_the_dense_step_on_a_p_lift():
     rng = np.random.default_rng(5)
     model = FosModel(alpha=[0.4, 0.9, 0.7], A=-0.2 * np.eye(3) + 0.05 * rng.normal(size=(3, 3)),
                      B=rng.normal(size=(3, 2)), Bw=rng.normal(size=(3, 2)))
-    aug = augment_p(model, 6)
+    # an order-1 channel with a zero row of A makes the top row a unit row,
+    # and a zero row of Bw a zero noise row; both stay dense and noise rows
+    A = model.A.copy()
+    A[0] = 0.0
+    Bw = model.Bw.copy()
+    Bw[1] = 0.0
+    degenerate = FosModel(alpha=[1.0, 0.9, 0.7], A=A, B=model.B, Bw=Bw)
     N = 25
-    _run_both(aug, _config(rng, aug), rng.normal(size=(N, 2)), rng.normal(size=(N, 3)))
+    for aug in (augment_p(model, 6), augment_p(degenerate, 4)):
+        _run_both(aug, _config(rng, aug), rng.normal(size=(N, 2)), rng.normal(size=(N, 3)))
 
 
 def test_structured_step_matches_the_dense_step_with_schedules():

@@ -3,13 +3,12 @@ import pytest
 
 from fracdyn import (
     DomainError,
-    PoleError,
     build_weight_table,
     frac_difference,
     gl_weight_recursive,
 )
 from fracdyn.fraccore import MemoryTail
-from gl_oracle import gl_weight_gamma
+from gl_oracle import GammaPole, gl_weight_gamma
 
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 20) if k != 10]
 
@@ -33,7 +32,7 @@ def test_gamma_trivials():
 
 def test_gamma_pole_raises_and_recursive_covers():
     for a in (0.0, 1.0, 2.0):
-        with pytest.raises(PoleError):
+        with pytest.raises(GammaPole):
             gl_weight_gamma(a, 3)
         # recursive path is total where the Gamma path has poles
         gl_weight_recursive(a, 3)

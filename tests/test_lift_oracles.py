@@ -2,14 +2,18 @@
 
 ``augment_p`` and ``augment_v`` place copies of the model's coefficients into
 zero matrices, so the library must reproduce these loops bit for bit: every
-entry of ``Atil``, ``Btil``, ``Gtil`` and ``Ctil``, and the row structure the
-filter step reads from them.
+entry of ``Atil``, ``Btil``, ``Gtil`` and ``Ctil``.  The filter reads the
+layout the lift declares (dense and noise rows on top, identity runs below)
+without looking at the matrices, so every lift must have it, and a hand-built
+lift without it must be refused.
 """
 
 import numpy as np
 import pytest
 
-from fracdyn import FosModel, MultiTermNetwork, aj_series, augment_p, augment_v, network_series
+from fracdyn import (
+    AugmentedModel, DimensionError, FosModel, MultiTermNetwork, aj_series, augment_p, augment_v,
+    network_series)
 
 
 def loop_augment_p(model, p):
@@ -55,15 +59,31 @@ def loop_augment_v(net, v):
 
 
 def assert_lift_is(aug, expected):
-    """Bitwise equal matrices, and the row structure derived from them."""
+    """Bitwise equal matrices, laid out as the lift declares."""
     for name, want in zip(("Atil", "Btil", "Gtil", "Ctil"), expected):
         assert np.array_equal(getattr(aug, name), want), name
-    # rows depends on the matrices alone, so a lift built from the oracle's
-    # matrices must give the same copy runs, dense rows and noise rows
-    oracle = type(aug)(aug.kind, aug.depth, *expected, aug.n, aug.m, aug.q)
-    assert aug.rows.copies == oracle.rows.copies
-    assert np.array_equal(aug.rows.dense, oracle.rows.dense)
-    assert np.array_equal(aug.rows.noise, oracle.rows.noise)
+    assert_layout(aug)
+
+
+def assert_layout(aug):
+    """Each declared copy run is exact unit rows, and every other row below n is zero."""
+    n, d, A = aug.n, aug.dim, aug.Atil
+    runs = aug.copies
+    assert len(runs) == (2 if d > aug.depth * n else 1)
+    copied = np.zeros(d, dtype=bool)
+    for row, src, size in runs:
+        assert np.array_equal(A[row : row + size], np.eye(d)[src : src + size])
+        copied[row : row + size] = True
+    assert copied[n:].sum() == d - n - (aug.m if len(runs) == 2 else 0)
+    assert not A[n:][~copied[n:]].any()  # the fresh-input rows of a v-lift
+    assert not aug.Gtil[n:].any()
+    # a hand-built lift with one more nonzero in a copy row does not have the layout
+    if d > n:
+        bad = A.copy()
+        bad[n, 1] += 0.5
+        with pytest.raises(DimensionError):
+            AugmentedModel(aug.kind, aug.depth, bad, aug.Btil, aug.Gtil, aug.Ctil,
+                           aug.n, aug.m, aug.q)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -89,3 +109,19 @@ def test_augment_v_matches_the_block_loop(m, schedule, v):
         disturbance_terms=((0.8, 0.2 * rng.normal(size=(n, 2))),),
         C=rng.normal(size=(5, 2, n)) if schedule else rng.normal(size=(2, n)))
     assert_lift_is(augment_v(net, v), loop_augment_v(net, v))
+
+
+def test_a_lift_without_the_companion_layout_is_refused():
+    model = FosModel(alpha=[0.5, 0.7], A=[[0.1, 0.2], [0.0, -0.1]], B=[[1.0], [0.0]])
+    aug = augment_p(model, 3)
+    fields = dict(kind=aug.kind, depth=aug.depth, Atil=aug.Atil, Btil=aug.Btil, Gtil=aug.Gtil,
+                  Ctil=aug.Ctil, n=aug.n, m=aug.m, q=aug.q)
+    AugmentedModel(**fields)
+    unit = aug.Atil.copy()
+    unit[2, 0] = 2.0  # a copy row that scales its source
+    noise = aug.Gtil.copy()
+    noise[3, 0] = 1.0  # noise below the top block
+    for change in (dict(Atil=unit), dict(Gtil=noise), dict(Atil=aug.Atil[:5, :5]),
+                   dict(depth=2), dict(n=1), dict(m=3), dict(q=1)):
+        with pytest.raises(DimensionError):
+            AugmentedModel(**{**fields, **change})

@@ -35,6 +35,26 @@ def test_problem_validation():
         MpcProblem(p=5, P=4, M=2, Q=[[-1.0]], R=[[1.0]])
 
 
+@pytest.mark.parametrize("numbers, error", [
+    (dict(u_lo=np.nan), DomainError), (dict(u_hi=[0.0, np.nan]), DomainError),
+    (dict(c=[np.nan]), DomainError), (dict(c=[np.inf]), DomainError),
+    (dict(c=[True]), DimensionError), (dict(u_lo=True), DimensionError),
+    (dict(u_hi=[1.0, False]), DimensionError), (dict(c="x"), DimensionError),
+])
+def test_problem_numbers_are_validated_at_construction(numbers, error):
+    with pytest.raises(error):
+        MpcProblem(p=2, P=4, M=2, Q=1.0, R=1.0, **numbers)
+
+
+def test_infinite_bounds_and_valid_numbers_keep_their_bits():
+    c = np.array([0.1, -3e-7])
+    problem = MpcProblem(p=2, P=4, M=2, Q=1.0, R=1.0, c=c.tolist(), u_lo=[-np.inf, -1.5],
+                         u_hi=np.inf)
+    assert problem.c.tobytes() == c.tobytes()
+    assert problem.u_lo.tobytes() == np.array([-np.inf, -1.5]).tobytes()
+    assert problem.u_hi == np.inf
+
+
 def test_model_without_inputs_is_rejected():
     m = FosModel(alpha=[0.5], A=[[0.2]])  # no input channels
     from fracdyn import DimensionError

@@ -14,6 +14,10 @@ in ``sysid`` that tabulates weights or sums a history; ``ols_spatial`` runs the
 same fit.  Its rows come from one minimum-norm ``np.linalg.lstsq`` call, at
 any rank of the window, with no second (ridge) solver beside it.
 
+Every lift is built by ``model._companion``, the only place in the package
+that constructs an ``AugmentedModel``, so the layout it declares (dense and
+noise rows on top, identity runs below) is the one the filter reads.
+
 The public namespace of ``fracdyn`` is pinned: each name is declared once,
 in its module's ``__all__`` (``errors`` exports every class it defines).
 
@@ -94,13 +98,15 @@ def test_inside_fraccore_only_the_block_convolution_calls_numpy_fft():
 
 
 def callers(path: Path, name: str) -> set:
-    """Innermost definitions in ``path`` that call ``name``, dotted through their scopes."""
+    """Innermost definitions in ``path`` that call ``name`` or ``<x>.name``, dotted by scope."""
     tree = ast.parse(path.read_text(), filename=str(path))
     scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = set()
 
     def visit(node, scope):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Name) and func.id == name
+                or isinstance(func, ast.Attribute) and func.attr == name):
             found.add(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope + [child.name] if isinstance(child, scopes) else scope)
@@ -152,14 +158,24 @@ def test_sysid_solves_for_rows_only_by_least_squares_in_the_fit():
     assert "RIDGE_SCALE" not in path.read_text()
 
 
-#: The 77 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
+def test_the_lift_check_sees_the_companion_build():
+    assert callers(PACKAGE / "model.py", "AugmentedModel") == {"_companion"}
+
+
+def test_only_the_companion_builder_constructs_a_lift():
+    found = {path.name: names for path in MODULES
+             if (names := callers(path, "AugmentedModel"))}
+    assert found == {"model.py": {"_companion"}}, f"lifts constructed in {found}"
+
+
+#: The 76 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
 PUBLIC = """
     AugmentedModel BranchWarning ClosedLoopResult CondensedProblem DimensionError DomainError
     EigenFailure EstimationRun EstimatorConfig EstimatorState FosModel FosSimulator
     FracWeightTable FracdynError FractionalTransferFunction FrequencyResponse GramianReport
     IdentificationResult InfeasibleStateConstraints InnovationSingular MpcProblem MpcSolution
     MultiTermNetwork NetworkSeries NonFiniteError NotControllable NotObservable NotSPD
-    ObservabilityReport OlsBound OlsResult PoleError SingularError StabilityReport Trajectory
+    ObservabilityReport OlsBound OlsResult SingularError StabilityReport Trajectory
     aj_series analysis augment_p augment_v augmented_spectral_radius bisection_bound
     build_weight_table commensurate_stability condense controllability_gramian deadbeat_input
     errors estimate finite_time_gramian fopid_response frac_difference fraccore gaussian_noise

@@ -131,6 +131,15 @@ def test_ols_spatial_fits_a_window_whose_gram_matrix_would_overflow():
     assert np.isfinite(res.A_hat).all()
 
 
+def test_ols_spatial_normal_residual_stays_finite_where_the_scales_overflow():
+    # Xw^T residuals would reach 1e160 x 1e161; the column-scaled product does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ols_spatial(overflowing_scale_walk(), [0.5, 0.5], window=(0, 150))
+    assert np.isfinite(res.normal_residual)
+    assert res.normal_residual <= 1e3 * np.abs(res.residuals).max()
+
+
 def test_identify_names_the_channel_whose_predictions_overflow():
     # channel 2's errors near 1e160 square past the float range; channel 1's are benign
     with warnings.catch_warnings():
