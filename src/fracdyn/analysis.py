@@ -24,7 +24,7 @@ from .errors import (
     NotObservable,
     SingularError,
 )
-from .model import FosModel, _as_matrix, augment_p
+from .model import FosModel, _as_matrix, _vector, augment_p
 from .simulate import simulate_fos, transition_matrices
 
 __all__ = [
@@ -166,11 +166,14 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     Stacks u[j] = -(G_{K-1-j} B)^T G_K^{-T} W_c^{-1} x0; requires
     controllability at horizon K.
     """
+    x0 = _vector(x0, model.n, "x0")
+    if not np.all(np.isfinite(x0)):
+        raise DomainError("x0 entries must be finite")
     B = _norm_B(model, B)
     rep, G = _controllability(model, B, K)
     if not rep.full_rank:
         raise NotControllable(f"rank {rep.rank} < n = {model.n} at horizon K={K}")
-    z = np.linalg.solve(G[K].T, np.linalg.solve(rep.matrix, np.atleast_1d(np.asarray(x0, dtype=float))))
+    z = np.linalg.solve(G[K].T, np.linalg.solve(rep.matrix, x0))
     return -(z @ G[K - 1 :: -1]) @ B
 
 
@@ -333,11 +336,11 @@ def fopid_response(kp, ki, kd, lam, mu, omegas) -> FrequencyResponse:
     """Frequency response of the five-parameter fractional PID.
 
     C(s) = kp + ki / s^lam + kd s^mu evaluated at s = j*omega for each
-    positive frequency; lam = mu = 1 reproduces the classical PID response.
+    positive, finite frequency; lam = mu = 1 reproduces the classical PID response.
     """
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omega <= 0):
-        raise DomainError("frequencies must be positive")
+    if not np.all(np.isfinite(omega) & (omega > 0)):
+        raise DomainError("frequencies must be positive and finite")
     resp = np.empty(omega.shape, dtype=complex)
     for i, w in enumerate(omega):
         s = 1j * w

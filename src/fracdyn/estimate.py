@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionError, InnovationSingular, NonFiniteError
 from .model import (
-    AugmentedModel, MultiTermNetwork, _as_array, _as_prior, _as_weight, _weight_block, augment_v)
+    AugmentedModel, MultiTermNetwork, _as_array, _as_prior, _as_weight, _vector, _weight_block,
+    augment_v)
 from .simulate import Trajectory
 
 __all__ = [
@@ -135,12 +136,8 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     """
     aug, cfg = state.aug, state.config
     k = state.k
-    u = np.zeros(aug.m) if u is None else np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (aug.m,):
-        raise DimensionError(f"input must have length {aug.m}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (aug.q,):
-        raise DimensionError(f"measurement must have length {aug.q}")
+    u = np.zeros(aug.m) if u is None else _vector(u, aug.m, "input")
+    y = _vector(y, aug.q, "measurement")
     C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape != aug.Ctil.shape:
         raise DimensionError(f"output map must have shape {aug.Ctil.shape}")

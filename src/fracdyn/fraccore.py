@@ -12,17 +12,15 @@ O(K log^2 K) over K steps.  The identification sums, over series known in
 advance, go through :func:`history_sum`, directly when they are short.  Each
 FFT convolution, in the tail, in the simulators' block solves and in a long
 :func:`history_sum`, is one :func:`block_convolve`.  All sequences are
-causal: samples at negative indices are zero.
+causal: samples at negative indices are zero.  A weight table is the plain
+read-only (orders, lags 0..J) array that :func:`build_weight_table` returns.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "FracWeightTable",
     "gl_weight_recursive",
     "build_weight_table",
     "history_sum",
@@ -48,33 +46,15 @@ def gl_weight_recursive(alpha: float, j: int) -> float:
     """
     if j < 0:
         raise DomainError("lag index j must be non-negative")
-    return float(build_weight_table([alpha], j).weights[0, j])
+    return float(build_weight_table([alpha], j)[0, j])
 
 
-@dataclass(frozen=True)
-class FracWeightTable:
-    """Precomputed GL weights, one row per channel, columns are lags 0..horizon.
+def build_weight_table(alphas, J: int) -> np.ndarray:
+    """Read-only (len(alphas), J + 1) array: [i, j] is the lag-j weight at order ``alphas[i]``.
 
-    ``weights[i, j]`` is the lag-j weight at order ``orders[i]``; column j
-    equals the diagonal of the per-lag scaling matrix applied to the state.
-    Rows satisfy weights[i, 0] = 1 and weights[i, 1] = -orders[i].
-    """
-
-    orders: np.ndarray
-    horizon: int
-    weights: np.ndarray
-
-    @property
-    def channels(self) -> int:
-        return self.orders.shape[0]
-
-
-def build_weight_table(alphas, J: int) -> FracWeightTable:
-    """Tabulate weights for every order in ``alphas`` up to lag ``J``.
-
-    The table is meant to be computed once per (orders, horizon) pair and
-    shared; recomputing weights inside simulation loops turns O(K^2) total
-    work into O(K^3).
+    Row i starts 1, -alphas[i] and has the bits of the one-order table of
+    alphas[i].  Compute a table once per (orders, horizon) and share it:
+    recomputing weights inside simulation loops turns O(K^2) work into O(K^3).
     """
     if J < 0:
         raise DomainError("horizon J must be non-negative")
@@ -88,9 +68,7 @@ def build_weight_table(alphas, J: int) -> FracWeightTable:
     # exactly the rounding order of the scalar recurrence
     w = np.cumprod(factors, axis=1)
     w.setflags(write=False)
-    orders = orders.copy()
-    orders.setflags(write=False)
-    return FracWeightTable(orders=orders, horizon=J, weights=w)
+    return w
 
 
 def kernel_spectrum(kernel: np.ndarray, first: int, stop: int, size: int) -> np.ndarray:
@@ -249,13 +227,13 @@ def lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(P * r, P * c)
 
 
-def frac_difference(series, alphas, k: int, table: FracWeightTable | None = None):
+def frac_difference(series, alphas, k: int, table: np.ndarray | None = None):
     """Causal fractional difference of a multichannel series at step ``k``.
 
     Evaluates sum_{j=0..k} c_j^{alpha_i} * x_i[k-j] per channel, with samples
     before time 0 taken as zero.  ``series`` is time-major, shape (T,) for a
-    single channel or (T, n).  Passing a precomputed ``table`` (horizon >= k)
-    avoids re-deriving the weights.
+    single channel or (T, n).  Passing a precomputed :func:`build_weight_table`
+    array ``table`` with at least k + 1 lags avoids re-deriving the weights.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
@@ -269,6 +247,6 @@ def frac_difference(series, alphas, k: int, table: FracWeightTable | None = None
         raise IndexError(f"step k={k} outside series of length {x.shape[0]}")
     if table is None:
         table = build_weight_table(orders, k)
-    elif table.horizon < k:
+    elif table.shape[1] <= k:
         raise DomainError("weight table horizon is shorter than requested step")
-    return history_sum(x, table.weights[:, : k + 1], k, k + 1)[0]
+    return history_sum(x, table[:, : k + 1], k, k + 1)[0]

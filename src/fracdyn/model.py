@@ -48,6 +48,14 @@ def _as_array(value, name: str) -> np.ndarray:
         raise DimensionError(f"{name} is not a numeric array: {exc}") from None
 
 
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as a float vector of length n; another length raises DimensionError naming it."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (n,):
+        raise DimensionError(f"{name} must have length {n}")
+    return v
+
+
 def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: str = "matrix"):
     m = np.atleast_2d(_as_array(value, name))
     if m.ndim != 2:
@@ -342,7 +350,7 @@ def aj_series(model: FosModel, J: int) -> list[np.ndarray]:
     """
     if J < 0:
         raise DimensionError("series length J must be non-negative")
-    w = build_weight_table(model.alpha, J + 1).weights
+    w = build_weight_table(model.alpha, J + 1)
     return [model.A + np.diag(model.alpha)] + [np.diag(-w[:, j + 1]) for j in range(1, J + 1)]
 
 
@@ -407,18 +415,19 @@ class NetworkSeries:
 def network_series(net: MultiTermNetwork, J: int) -> NetworkSeries:
     """Reduced series coefficients of a network up to lag ``J``.
 
-    Folds the per-term GL weights into lag matrices and divides by the lead
-    matrix: A[j] = -lead^{-1} sum_i A_i c_j^{a_i}, and likewise (without the
-    sign) for the input and disturbance stacks.
+    Folds the per-term GL weights, one table for every exponent, into lag
+    matrices and divides by the lead matrix: A[j] = -lead^{-1} sum_i A_i
+    c_j^{a_i}, and likewise (without the sign) for the other two stacks.
     """
     if J < 0:
         raise DimensionError("series length J must be non-negative")
     n, m, p = net.n, net.m, net.p
+    terms = net.state_terms + net.input_terms + net.disturbance_terms
+    rows = iter(build_weight_table([a for a, _ in terms], J))  # taken in turn by each stack
 
-    def hat_stack(terms, cols):
+    def hat_stack(group, cols):
         out = np.zeros((J + 1, n, cols))
-        for exponent, mat in terms:
-            w = build_weight_table([exponent], J).weights[0]
+        for (_, mat), w in zip(group, rows):
             out += w[:, None, None] * mat[None, :, :]
         return out
 

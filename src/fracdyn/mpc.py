@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
 from .fraccore import lower_block_toeplitz
-from .model import FosModel, _as_array, _as_weight, _weight_block, augment_p
+from .model import FosModel, _as_array, _as_matrix, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
 __all__ = [
@@ -48,7 +48,9 @@ class MpcProblem:
     predictive lift.  ``Q`` (PSD) and ``R`` (PD) are each a number (that
     multiple of I), a diagonal, a matrix or a per-offset schedule; ``c`` is
     the linear state cost (zero when omitted).  ``state_H @ x <= state_h``
-    rows, when given, apply to every predicted state.
+    rows, when given, apply to every predicted state.  ``state_H`` is finite;
+    a limit may be +inf, and -inf on hard rows only, since a soft row's slack
+    would cost infinitely.
     """
 
     p: int
@@ -64,6 +66,10 @@ class MpcProblem:
     hard_state: bool = False
 
     def __post_init__(self):
+        for name in ("p", "P", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be a whole number, got {value!r}")
         if self.p < 1:
             raise DomainError("model depth p must be >= 1")
         if self.P < 1:
@@ -84,6 +90,16 @@ class MpcProblem:
         object.__setattr__(self, "u_hi", hi)
         if (self.state_H is None) != (self.state_h is None):
             raise DomainError("state_H and state_h must be given together")
+        if self.state_H is not None:
+            H = _as_matrix(self.state_H, name="state_H")
+            h = np.atleast_1d(_as_array(self.state_h, "state_h"))
+            if h.shape != (H.shape[0],):
+                raise DimensionError(f"state_h must have {H.shape[0]} entries, one a state_H row")
+            if np.isnan(h).any() or not self.hard_state and (h == -np.inf).any():
+                raise DomainError("state_h limits must not be NaN, nor -inf on a soft row "
+                                  "(its slack would cost infinitely)")
+            object.__setattr__(self, "state_H", H)
+            object.__setattr__(self, "state_h", h)
 
 
 @dataclass(frozen=True)
@@ -162,12 +178,10 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
         if cvec.shape != (P * n,):
             raise DimensionError("linear state cost has the wrong length")
 
-    Hx, hx = np.zeros((0, n)), np.zeros(0)
-    if problem.state_H is not None:
-        Hx = np.atleast_2d(np.asarray(problem.state_H, dtype=float))
-        hx = np.atleast_1d(np.asarray(problem.state_h, dtype=float))
-        if Hx.shape[1] != n or hx.shape != (Hx.shape[0],):
-            raise DimensionError("state constraint rows do not match the state dimension")
+    Hx = np.zeros((0, n)) if problem.state_H is None else problem.state_H
+    hx = np.zeros(0) if problem.state_h is None else problem.state_h
+    if Hx.shape[1] != n:
+        raise DimensionError("state constraint rows do not match the state dimension")
     rows = _block_diag(np.broadcast_to(Hx, (P,) + Hx.shape))
     rows_S = rows @ S
     H = S.T @ Qbar @ S + Rbar
@@ -422,8 +436,7 @@ def run_closed_loop(
     if K < 1:
         raise DomainError("step count K must be >= 1")
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
-    x0 = np.zeros(plant.n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    sim = FosSimulator(plant, x0, K)
+    sim = FosSimulator(plant, np.zeros(plant.n) if x0 is None else x0, K)
     condensed = condense(problem, plant)
     applied = np.zeros((K, plant.m))
     solutions, solve_steps = [], []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 from .fraccore import NEAR_BLOCK, MemoryTail, block_convolve, build_weight_table, kernel_spectrum
-from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
+from .model import AugmentedModel, FosModel, MultiTermNetwork, _vector, network_series
 
 __all__ = [
     "Trajectory",
@@ -99,17 +99,14 @@ def _resolve_noise(w, steps: int, dim: int, sigma: float) -> np.ndarray:
 
 def _start(x0, K: int, n: int) -> np.ndarray:
     """States X[0..K], zero but for X[0] = x0, a vector of length n."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (n,):
-        raise DimensionError(f"x0 must have length {n}")
     X = np.zeros((K + 1, n))
-    X[0] = x0
+    X[0] = _vector(x0, n, "x0")
     return X
 
 
 def _fos_memory(model: FosModel, X: np.ndarray):
     """A0 = A + diag(alpha), the tail kernel -c_{j+1} (lag 0 zero) and its MemoryTail over X."""
-    kernel = -build_weight_table(model.alpha, X.shape[0]).weights[:, 1:].T
+    kernel = -build_weight_table(model.alpha, X.shape[0])[:, 1:].T
     kernel[0] = 0.0
     return model.A + np.diag(model.alpha), kernel, MemoryTail(kernel, X)
 
@@ -137,8 +134,9 @@ class FosSimulator:
         k, x = self.k, self._states
         if k + 1 >= x.shape[0]:
             raise DimensionError("simulator stepped past its preallocated horizon")
-        drives = [(M, np.atleast_1d(np.asarray(v, dtype=float)))
-                  for M, v in ((self.model.B, u), (self.model.Bw, w)) if v is not None]
+        drives = [(M, _vector(v, M.shape[1], name))
+                  for M, v, name in ((self.model.B, u, "u"), (self.model.Bw, w, "w"))
+                  if v is not None]
         nxt = _store(x, k, lambda k: [self._A0 @ x[k], self._tail(k)] + [M @ v for M, v in drives])
         self.k = k + 1
         return nxt

@@ -139,7 +139,7 @@ def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) ->
     if not Xw.any():
         raise SingularError("regressor Gram matrix is zero; no spatial information")
     first, last, n = int(ks[0]), int(ks[-1]), x.shape[1]
-    w = build_weight_table(orders, last + 1).weights
+    w = build_weight_table(orders, last + 1)
     rows, Z, mse = np.empty((n, n)), np.empty((ks.size, n)), np.empty(n)
     for i in range(n):
         z = history_sum(x[:, i], w[i], first + 1, last + 2)

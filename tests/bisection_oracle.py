@@ -79,7 +79,7 @@ def identify_per_channel(traj: Trajectory, p: int, epsilon: float, window=None) 
     flags: list[tuple] = []
 
     def score(i: int, alpha: float):
-        w = build_weight_table([alpha], kmax + 1).weights[0]
+        w = build_weight_table([alpha], kmax + 1)[0]
         z = history_sum(x[:, i], w, ks[0] + 1, kmax + 2)
         row, used_ridge = _ols_row(Xw, z, gram, rank)
         # one-step prediction from the fitted row, memory truncated at depth p

@@ -60,7 +60,7 @@ def test_criterion_01b_gl_magnitude_envelope():
     alphas = [round(0.1 * k, 1) for k in range(1, 20) if k != 10]
     table = fd.build_weight_table(alphas, 200)
     violations = []
-    for a, w in zip(alphas, table.weights):
+    for a, w in zip(alphas, table):
         first = 2 if a < 1 else 3
         j = np.arange(first, 201, dtype=float)
         scaled = abs(math.gamma(-a)) * np.abs(w[first:])

@@ -128,6 +128,17 @@ def test_deadbeat_not_controllable():
         deadbeat_input(m, np.zeros((2, 1)), [1.0, 1.0], 4)
 
 
+@pytest.mark.parametrize("x0, error, message", [
+    ([1.0, 2.0, 3.0], DimensionError, "^x0 must have length 2$"),
+    ([[1.0, 2.0]], DimensionError, "^x0 must have length 2$"),
+    ([np.nan, 0.0], DomainError, "^x0 entries must be finite$"),
+    ([np.inf, 0.0], DomainError, "^x0 entries must be finite$"),
+])
+def test_deadbeat_checks_its_initial_state(x0, error, message):
+    with pytest.raises(error, match=message):
+        deadbeat_input(n2_fixture(), [[0.0], [1.0]], x0, 4)
+
+
 @pytest.mark.parametrize("B,error,message", [
     ([[np.nan], [1.0]], DomainError, "^B entries must be finite$"),
     ([[np.inf], [1.0]], DomainError, "^B entries must be finite$"),
@@ -191,7 +202,7 @@ def test_feedthrough_matches_the_block_loop_bitwise(q, m, K):
     C, B = rng.normal(size=(q, 2)), rng.normal(size=(2, m))
     u = rng.normal(size=(K, m))
     forced = _forced_output(model, B, C, u)
-    A0, c = model.A + np.diag(model.alpha), build_weight_table(model.alpha, K).weights
+    A0, c = model.A + np.diag(model.alpha), build_weight_table(model.alpha, K)
     x = np.zeros((K, 2))
     for k in range(K - 1):
         x[k + 1] = A0 @ x[k] - np.einsum("nt,tn->n", c[:, 2 : k + 2][:, ::-1], x[:k]) + B @ u[k]
@@ -341,3 +352,9 @@ def test_fopid_integer_orders_match_classic_pid():
 def test_fopid_rejects_nonpositive_frequency():
     with pytest.raises(DomainError):
         fopid_response(1, 1, 1, 0.5, 0.5, [0.0])
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_fopid_rejects_non_finite_frequencies(omega):
+    with pytest.raises(DomainError, match="^frequencies must be positive"):
+        fopid_response(1, 1, 1, 0.5, 0.5, [1.0, omega])

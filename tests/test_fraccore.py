@@ -58,19 +58,26 @@ def test_partial_sum_identity(alpha):
 
 def test_table_invariants():
     t = build_weight_table([0.5], 2)
-    np.testing.assert_allclose(t.weights, [[1.0, -0.5, -0.125]], atol=0.0)
+    np.testing.assert_allclose(t, [[1.0, -0.5, -0.125]], atol=0.0)
     t2 = build_weight_table([1.0, 1.0], 3)
-    np.testing.assert_allclose(t2.weights, [[1, -1, 0, 0], [1, -1, 0, 0]], atol=0.0)
+    np.testing.assert_allclose(t2, [[1, -1, 0, 0], [1, -1, 0, 0]], atol=0.0)
     empty = build_weight_table([], 5)
-    assert empty.weights.shape == (0, 6)
-    assert empty.channels == 0
+    assert empty.shape == (0, 6)
+    # the table is the read-only (orders, J + 1) array itself; row i starts 1, -alphas[i]
+    alphas = [0.3, 1.0, 1.7, -0.4]
+    t3 = build_weight_table(alphas, 7)
+    assert isinstance(t3, np.ndarray) and t3.shape == (len(alphas), 8)
+    for row, a in zip(t3, alphas):
+        assert row[0] == 1.0 and row[1] == -a
+    with pytest.raises(ValueError):
+        t3[0, 1] = 0.0
 
 
 def test_table_matches_pointwise():
     t = build_weight_table(ALPHA_GRID, 60)
     for i, a in enumerate(ALPHA_GRID):
         for j in range(61):
-            assert t.weights[i, j] == pytest.approx(gl_weight_recursive(a, j), abs=0.0)
+            assert t[i, j] == pytest.approx(gl_weight_recursive(a, j), abs=0.0)
 
 
 def test_frac_difference_examples():

@@ -203,13 +203,13 @@ def assert_stepper_matches(actual, expected):
 
 
 def test_weight_table_matches_the_lag_loop_bitwise():
-    assert np.array_equal(build_weight_table(ORDERS, 3000).weights,
+    assert np.array_equal(build_weight_table(ORDERS, 3000),
                           loop_weight_table(ORDERS, 3000))
     rng = np.random.default_rng(11)
     for _ in range(20):
         orders = rng.uniform(-1.0, 2.0, size=int(rng.integers(1, 6)))
         J = int(rng.integers(0, 3001))
-        assert np.array_equal(build_weight_table(orders, J).weights,
+        assert np.array_equal(build_weight_table(orders, J),
                               loop_weight_table(orders, J))
 
 
@@ -619,7 +619,7 @@ def test_memory_tail_blocks_match_the_direct_sum(shape, matrix):
     if matrix:
         kernel = rng.normal(size=(K, 4, shape[0])) * decay[:, None, None]
     else:
-        kernel = -build_weight_table([0.3, 0.75, 1.4], K - 1).weights.T
+        kernel = -build_weight_table([0.3, 0.75, 1.4], K - 1).T
     states = rng.normal(size=(K,) + shape)
     tail = MemoryTail(kernel, states)
     got = np.concatenate([tail.block(s, min(NEAR_BLOCK, K - s))
@@ -639,7 +639,7 @@ def test_identification_sums_match_the_row_loops(alpha, window, p):
     traj = _noisy_trajectory([alpha], 160, 5)
     x = traj.states[:, 0]
     ks = np.arange(window[0], window[0] + window[1])
-    w = build_weight_table([alpha], int(ks[-1]) + 1).weights[0]
+    w = build_weight_table([alpha], int(ks[-1]) + 1)[0]
     # a depth reaching past time 0 must stop at the first sample
     targets = history_sum(x, w, ks[0] + 1, ks[-1] + 2)
     assert_close_to_running_max(targets, loop_gl_targets(x, w, ks), x[: ks[-1] + 2])
@@ -652,7 +652,7 @@ def test_frac_difference_matches_the_row_loop():
     table = build_weight_table(ORDERS[:4], 200)
     for k in (0, 1, 57, 200):
         got = frac_difference(traj.states[: k + 1], ORDERS[:4], k, table)
-        want = loop_history_sum(traj.states, table.weights[:, : k + 1], k, k + 1)[0]
+        want = loop_history_sum(traj.states, table[:, : k + 1], k, k + 1)[0]
         assert_close_to_running_max(got[None], want[None], traj.states[: k + 1])
 
 
@@ -688,7 +688,7 @@ def _counting_block_convolve(monkeypatch):
 @pytest.mark.parametrize("start,stop,lags,by_fft", HISTORY_CASES)
 def test_history_sum_by_fft_matches_the_row_loop(monkeypatch, start, stop, lags, by_fft):
     x = _noisy_trajectory(SUM_ORDERS, 3000, 11).states
-    w = build_weight_table(SUM_ORDERS, lags - 1).weights
+    w = build_weight_table(SUM_ORDERS, lags - 1)
     calls = _counting_block_convolve(monkeypatch)
     got = history_sum(x, w, start, stop)
     assert len(calls) == by_fft
@@ -704,7 +704,7 @@ def test_history_sum_stays_direct_and_bitwise_just_below_the_crossover(monkeypat
     lags, size = 1000, 2048
     rows = FFT_SUM_RATIO * size * (size.bit_length() - 1) // lags
     x = _noisy_trajectory(SUM_ORDERS[:2], 3000, 12).states
-    w = build_weight_table(SUM_ORDERS[:2], lags - 1).weights
+    w = build_weight_table(SUM_ORDERS[:2], lags - 1)
     calls = _counting_block_convolve(monkeypatch)
     got = history_sum(x, w, 2000, 2000 + rows)
     assert not calls
@@ -720,7 +720,7 @@ def test_history_sum_whose_transform_overflows_is_summed_directly(monkeypatch):
     # holds 2000 times the 1e306 state and overflows; the direct sums stay finite
     x = 0.1 * np.random.default_rng(4).normal(size=3000)
     x[2500] = 1e306
-    w = build_weight_table([-1.0], 1999).weights[0]
+    w = build_weight_table([-1.0], 1999)[0]
     calls = _counting_block_convolve(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -734,7 +734,7 @@ def test_history_sum_by_fft_rounds_relative_to_the_whole_segment():
     # on a series growing a millionfold the first rows are off by 1.3e-12 of
     # their own running maximum, but by 3e-15 of the largest sum
     x = np.exp(np.linspace(0.0, np.log(1e6), 3000)) * np.random.default_rng(3).normal(size=3000)
-    w = build_weight_table([0.5], 2999).weights[0]
+    w = build_weight_table([0.5], 2999)[0]
     got = history_sum(x, w, 1000, 3000)
     want = loop_history_sum(x, w, 1000, 3000)
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
@@ -751,7 +751,7 @@ def test_identification_matches_the_row_loops(monkeypatch, orders, window, p):
     fast = identify(traj, p, 1e-3, window)
     ols = ols_spatial(traj, fast.alpha_hat, window)
     for i, alpha in enumerate(fast.alpha_hat):
-        w = build_weight_table([alpha], int(ks[-1]) + 1).weights[0]
+        w = build_weight_table([alpha], int(ks[-1]) + 1)[0]
         row = np.linalg.lstsq(x[ks], loop_gl_targets(x[:, i], w, ks), rcond=None)[0]
         np.testing.assert_allclose(fast.A_hat[i], row, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(ols.A_hat[i], row, rtol=1e-9, atol=1e-12)
@@ -776,7 +776,7 @@ def test_identification_above_the_fft_crossover_matches_the_row_loops(monkeypatc
     # the full-memory targets go by FFT, the depth-p prediction sums stay direct
     assert calls and all(shape[0] == ks.size + ks[-1] + 1 for shape in calls)
     for i, alpha in enumerate(fast.alpha_hat):
-        w = build_weight_table([alpha], int(ks[-1]) + 1).weights[0]
+        w = build_weight_table([alpha], int(ks[-1]) + 1)[0]
         row = np.linalg.lstsq(x[ks], loop_gl_targets(x[:, i], w, ks), rcond=None)[0]
         np.testing.assert_allclose(fast.A_hat[i], row, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(ols.A_hat[i], row, rtol=1e-9, atol=1e-12)

@@ -66,7 +66,7 @@ def test_sign_correctness_fractional_difference_residual():
         table = build_weight_table(alpha, 21)
         for k in range(20):
             lhs = np.einsum(
-                "nj,jn->n", table.weights[:, : k + 2], traj.states[k + 1 :: -1, :]
+                "nj,jn->n", table[:, : k + 2], traj.states[k + 1 :: -1, :]
             )
             np.testing.assert_allclose(lhs, A @ traj.states[k], atol=1e-10)
 
@@ -200,14 +200,44 @@ def test_network_series_brute_force_multichannel():
     )
     s = network_series(net, 5)
     lead = A1 + A2
-    w5 = build_weight_table([0.5], 5).weights[0]
-    w9 = build_weight_table([0.9], 5).weights[0]
-    w4 = build_weight_table([0.4], 5).weights[0]
+    w5 = build_weight_table([0.5], 5)[0]
+    w9 = build_weight_table([0.9], 5)[0]
+    w4 = build_weight_table([0.4], 5)[0]
     for j in range(1, 6):
         expect = -np.linalg.solve(lead, A1 * w5[j] + A2 * w9[j])
         np.testing.assert_allclose(s.A[j], expect, atol=1e-12)
     for j in range(6):
         np.testing.assert_allclose(s.B[j], np.linalg.solve(lead, B1 * w4[j]), atol=1e-12)
+
+
+def test_network_series_tabulates_every_exponent_in_one_call(monkeypatch):
+    # one weight table for all terms; each row keeps the bits of its one-order table
+    import fracdyn.model as model
+
+    rng = np.random.default_rng(3)
+    A1 = rng.normal(size=(3, 3)) + 4 * np.eye(3)
+    A2 = 0.3 * rng.normal(size=(3, 3))
+    B1 = rng.normal(size=(3, 2))
+    net = MultiTermNetwork(state_terms=((0.35, A1), (1.3, A2)), input_terms=((0.8, B1),))
+    J = 40
+    calls = []
+    monkeypatch.setattr(model, "build_weight_table",
+                        lambda a, J: calls.append(list(a)) or build_weight_table(a, J))
+    s = network_series(net, J)
+    assert calls == [[0.35, 1.3, 0.8]]
+
+    def reference(terms, cols, first):
+        # per-term tables summed in term order, then one solve over lags first..J
+        out = np.zeros((J + 1, 3, cols))
+        for exponent, mat in terms:
+            out += build_weight_table([exponent], J)[0][:, None, None] * mat[None, :, :]
+        flat = np.linalg.solve(A1 + A2, out[first:].transpose(1, 0, 2).reshape(3, -1))
+        return flat.reshape(3, J + 1 - first, cols).transpose(1, 0, 2)
+
+    assert not s.A[0].any()
+    assert s.A[1:].tobytes() == (-reference(net.state_terms, 3, 1)).tobytes()
+    assert s.B.tobytes() == reference(net.input_terms, 2, 0).tobytes()
+    assert s.G.shape == (J + 1, 3, 0)
 
 
 def test_augment_v_dimensions():

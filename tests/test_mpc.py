@@ -55,6 +55,37 @@ def test_infinite_bounds_and_valid_numbers_keep_their_bits():
     assert problem.u_hi == np.inf
 
 
+@pytest.mark.parametrize("fields, error, name", [
+    (dict(state_H=[[1.0, 0.0]], state_h=[np.nan]), DomainError, "state_h"),
+    (dict(state_H=[[1.0, 0.0]], state_h=[np.nan], hard_state=True), DomainError, "state_h"),
+    (dict(state_H=[[np.nan, 0.0]], state_h=[0.5]), DomainError, "state_H"),
+    (dict(state_H=[[1.0, 0.0]], state_h=[-np.inf]), DomainError, "state_h"),
+    (dict(state_H=[[True, False]], state_h=[0.5]), DimensionError, "state_H"),
+    (dict(state_H=[[1.0, 0.0]], state_h=[False]), DimensionError, "state_h"),
+    (dict(state_H=[[1.0, 0.0]], state_h=[0.5, 0.5]), DimensionError, "state_h"),
+    (dict(state_H=np.ones((1, 1, 2)), state_h=[0.5]), DimensionError, "state_H"),
+    (dict(p=2.5), DomainError, "p"), (dict(P=3.5), DomainError, "P"),
+    (dict(M=1.0), DomainError, "M"), (dict(p=True), DomainError, "p"),
+])
+def test_horizons_and_state_rows_are_validated_at_construction(fields, error, name):
+    with pytest.raises(error, match=rf"^{name} "):
+        MpcProblem(**(dict(p=2, P=3, M=1, Q=1.0, R=1.0) | fields))
+
+
+def test_open_and_hard_infinite_state_limits_stay_legal():
+    plant = FosModel(alpha=[0.5, 0.7], A=-0.2 * np.eye(2), B=[[1.0], [0.5]])
+    history = np.ones((2, 2))
+    H = np.array([[1.0, 0.0], [0.0, 1.0]])
+    open_row = MpcProblem(p=2, P=3, M=1, Q=1.0, R=1.0, u_lo=-1.0, u_hi=1.0,
+                          state_H=H.tolist(), state_h=[np.inf, 0.5])
+    assert open_row.state_H.tobytes() == H.tobytes()
+    assert np.isfinite(solve_horizon(open_row, plant, history).u).all()
+    hard = MpcProblem(p=2, P=3, M=1, Q=1.0, R=1.0, u_lo=-1.0, u_hi=1.0,
+                      state_H=H, state_h=[-np.inf, 0.5], hard_state=True)
+    with pytest.raises(InfeasibleStateConstraints):
+        solve_horizon(hard, plant, history)
+
+
 def test_model_without_inputs_is_rejected():
     m = FosModel(alpha=[0.5], A=[[0.2]])  # no input channels
     from fracdyn import DimensionError

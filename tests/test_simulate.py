@@ -218,6 +218,19 @@ def test_stepper_refuses_past_horizon():
         sim.step()
 
 
+@pytest.mark.parametrize("drives, message", [
+    (dict(u=[1.0, 2.0]), "^u must have length 1$"),
+    (dict(u=[1.0], w=[0.0]), "^w must have length 2$"),
+    (dict(w=np.zeros((2, 1))), "^w must have length 2$"),
+])
+def test_stepper_checks_its_drive_lengths(drives, message):
+    m = FosModel(alpha=[0.4, 1.3], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]], Bw=np.eye(2))
+    sim = FosSimulator(m, [1.0, 0.0], max_steps=2)
+    with pytest.raises(DimensionError, match=message):
+        sim.step(**drives)
+    assert sim.k == 0
+
+
 def test_stepper_steps_a_matrix_of_free_responses():
     m = FosModel(alpha=[0.4, 1.3], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
     X0 = np.array([[1.0, 0.5, 0.0], [-2.0, 0.0, 1.0]])

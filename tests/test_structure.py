@@ -168,11 +168,11 @@ def test_only_the_companion_builder_constructs_a_lift():
     assert found == {"model.py": {"_companion"}}, f"lifts constructed in {found}"
 
 
-#: The 76 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
+#: The 75 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
 PUBLIC = """
     AugmentedModel BranchWarning ClosedLoopResult CondensedProblem DimensionError DomainError
     EigenFailure EstimationRun EstimatorConfig EstimatorState FosModel FosSimulator
-    FracWeightTable FracdynError FractionalTransferFunction FrequencyResponse GramianReport
+    FracdynError FractionalTransferFunction FrequencyResponse GramianReport
     IdentificationResult InfeasibleStateConstraints InnovationSingular MpcProblem MpcSolution
     MultiTermNetwork NetworkSeries NonFiniteError NotControllable NotObservable NotSPD
     ObservabilityReport OlsBound OlsResult SingularError StabilityReport Trajectory

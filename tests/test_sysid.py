@@ -163,7 +163,7 @@ def rank_deficient_cases() -> tuple:
 def minimum_norm_rows(traj, window, Xw, order):
     """Minimum-norm least-squares rows by SVD, with lstsq's cutoff eps * max(M, N) * s_max."""
     offset, length = window
-    w = build_weight_table([order] * Xw.shape[1], offset + length).weights
+    w = build_weight_table([order] * Xw.shape[1], offset + length)
     Z = np.column_stack([history_sum(x, wi, offset + 1, offset + length + 1)
                          for x, wi in zip(traj.states.T, w)])
     U, sv, Vt = np.linalg.svd(Xw, full_matrices=False)
@@ -299,7 +299,7 @@ def test_identify_self_consistency_one_step_mse():
         for i in range(n):
             for k in ks:
                 hist = traj.states[k::-1, i][: min(k + 1, 200)]
-                pred = res.A_hat[i] @ traj.states[k] - table.weights[i, 1 : hist.size + 1] @ hist
+                pred = res.A_hat[i] @ traj.states[k] - table[i, 1 : hist.size + 1] @ hist
                 mse[i] += (pred - traj.states[k + 1, i]) ** 2
         mse /= ks.size
         assert np.all(mse <= 2.0 * sigma**2)
