@@ -11,7 +11,8 @@ on the principal branch of s^a.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     NotObservable,
     SingularError,
 )
+from .fraccore import _count
 from .model import FosModel, _as_matrix, _vector, augment_p
 from .simulate import simulate_fos, transition_matrices
 
@@ -50,8 +52,7 @@ MARGINAL_TOL = 1e-9
 RANK_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Sector-test outcome: per-eigenvalue margins |arg| - alpha*pi/2."""
 
     eigenvalues: np.ndarray
@@ -100,8 +101,7 @@ def augmented_spectral_radius(model: FosModel, p: int) -> float:
     return float(np.max(np.abs(eig))) if eig.size else 0.0
 
 
-@dataclass(frozen=True)
-class GramianReport:
+class GramianReport(NamedTuple):
     """Finite-horizon Gramian with its numerical rank."""
 
     matrix: np.ndarray
@@ -144,7 +144,7 @@ def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianRepor
 
 def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
     """The Gramian report at horizon K and the transition matrices G_0..G_K behind it."""
-    if K < 1:
+    if _count(K, "horizon K") < 1:
         raise DomainError("horizon K must be >= 1")
     G = transition_matrices(model, K)
     # sum_{j<K} (G_j B)(G_j B)^T as one product of the blocks side by side
@@ -177,8 +177,7 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     return -(z @ G[K - 1 :: -1]) @ B
 
 
-@dataclass(frozen=True)
-class ObservabilityReport:
+class ObservabilityReport(NamedTuple):
     """Stacked observability matrix O_K and Gramian W_o with its rank."""
 
     obsv: np.ndarray
@@ -195,7 +194,7 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
 
     Row block k of O_K is C G_k, the map from x[0] to the free output y[k].
     """
-    if K < 1:
+    if _count(K, "horizon K") < 1:
         raise DomainError("horizon K must be >= 1")
     C = np.eye(model.n) if C is None else _as_matrix(C, cols=model.n, name="C")
     obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
@@ -206,7 +205,8 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
 
 def _forced_output(model: FosModel, B, C, u: np.ndarray) -> np.ndarray:
     """Outputs y[0..K-1] that the K rows of u drive from x[0] = 0: one zero-state run."""
-    run = simulate_fos(replace(model, B=B), np.zeros(model.n), u[:-1], K=u.shape[0] - 1)
+    model = FosModel(model.alpha, model.A, B, model.Bw)
+    run = simulate_fos(model, np.zeros(model.n), u[:-1], K=u.shape[0] - 1)
     return run.states @ C.T
 
 
@@ -233,37 +233,32 @@ def reconstruct_initial_state(model: FosModel, B, C, u, y, K: int) -> np.ndarray
     return np.linalg.solve(rep.gramian, rep.obsv.T @ Y.reshape(-1))
 
 
-@dataclass(frozen=True)
-class FractionalTransferFunction:
+class FractionalTransferFunction(namedtuple("FractionalTransferFunction", "num den ss")):
     """Fractional transfer function, rational-in-s^a or state-space form.
 
     Rational form: H(s) = sum_k b_k s^{beta_k} / sum_k a_k s^{alpha_k} with
     ``num`` = [(b_k, beta_k), ...] and ``den`` = [(a_k, alpha_k), ...]; all
     exponents must be non-negative and the denominator non-empty.  State-space
-    form: H(s) = C (s^alpha I - A)^{-1} B + D for a commensurate order alpha.
+    form: H(s) = C (s^alpha I - A)^{-1} B + D for a commensurate order alpha;
+    ``ss`` is (A, B, C, D, alpha).
     """
 
-    num: tuple = None
-    den: tuple = None
-    ss: tuple = None  # (A, B, C, D, alpha)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ss is not None:
-            A, B, C, D, alpha = self.ss
-            A = np.atleast_2d(np.asarray(A, dtype=float))
-            B = np.atleast_2d(np.asarray(B, dtype=float))
-            C = np.atleast_2d(np.asarray(C, dtype=float))
-            D = np.atleast_2d(np.asarray(D, dtype=float))
-            object.__setattr__(self, "ss", (A, B, C, D, float(alpha)))
-            return
-        if not self.den:
+    def __new__(cls, num=None, den=None, ss=None):
+        if ss is not None:
+            A, B, C, D, alpha = ss
+            mats = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, D))
+            return super().__new__(cls, num, den, (*mats, float(alpha)))
+        if not den:
             raise DomainError("denominator terms must be non-empty")
-        for terms, name in ((self.num, "numerator"), (self.den, "denominator")):
+        for terms, name in ((num, "numerator"), (den, "denominator")):
             for _, exp in terms or ():
                 if exp < 0:
                     raise DomainError(f"{name} exponents must be non-negative")
-        object.__setattr__(self, "num", tuple((float(c), float(e)) for c, e in (self.num or ())))
-        object.__setattr__(self, "den", tuple((float(c), float(e)) for c, e in self.den))
+        num = tuple((float(c), float(e)) for c, e in (num or ()))
+        den = tuple((float(c), float(e)) for c, e in den)
+        return super().__new__(cls, num, den, None)
 
     @classmethod
     def rational(cls, num, den) -> "FractionalTransferFunction":
@@ -316,8 +311,7 @@ def tf_eval(tf: FractionalTransferFunction, s: complex):
     return num / den
 
 
-@dataclass(frozen=True)
-class FrequencyResponse:
+class FrequencyResponse(NamedTuple):
     """Pointwise response with ready-to-plot magnitude/phase columns."""
 
     omega: np.ndarray
@@ -337,7 +331,11 @@ def fopid_response(kp, ki, kd, lam, mu, omegas) -> FrequencyResponse:
 
     C(s) = kp + ki / s^lam + kd s^mu evaluated at s = j*omega for each
     positive, finite frequency; lam = mu = 1 reproduces the classical PID response.
+    A gain or order that is not finite raises DomainError naming it.
     """
+    for name, value in zip(("kp", "ki", "kd", "lam", "mu"), (kp, ki, kd, lam, mu)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
     if not np.all(np.isfinite(omega) & (omega > 0)):
         raise DomainError("frequencies must be positive and finite")

@@ -13,7 +13,8 @@ propagates only the low-rank increment of the predicted weight and the gain
 step 1; an output at step 0 is never consumed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(namedtuple("EstimatorConfig", "Q R P0 xhat0")):
     """Weights of the energy objective: process Q, measurement R, prior (P0, xhat0).
 
     Each weight is a number (that multiple of I), a diagonal, an SPD matrix or
@@ -45,15 +45,11 @@ class EstimatorConfig:
     checked against the lift when the filter is initialized.
     """
 
-    Q: np.ndarray
-    R: np.ndarray
-    P0: np.ndarray
-    xhat0: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("Q", "R", "P0"):
-            object.__setattr__(self, name, _as_weight(getattr(self, name), name))
-        object.__setattr__(self, "xhat0", _as_array(self.xhat0, "xhat0"))
+    def __new__(cls, Q, R, P0, xhat0):
+        return super().__new__(cls, _as_weight(Q, "Q"), _as_weight(R, "R"), _as_weight(P0, "P0"),
+                               _as_array(xhat0, "xhat0"))
 
     @classmethod
     def from_scalars(cls, aug: AugmentedModel, q: float, r: float, p0: float, xhat0_base=0.0):
@@ -62,8 +58,7 @@ class EstimatorConfig:
                    xhat0=_as_prior(xhat0_base, aug.n, aug.dim, "xhat0"))
 
 
-@dataclass(frozen=True)
-class EstimatorState:
+class EstimatorState(NamedTuple):
     """Filter state after ``k`` measurement updates.
 
     ``P`` stays symmetric positive definite (re-symmetrized every step to
@@ -218,8 +213,7 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     return xhat, cost
 
 
-@dataclass
-class EstimationRun:
+class EstimationRun(NamedTuple):
     """End-to-end estimator output aligned to the measurement timeline."""
 
     estimates: np.ndarray  # (N+1, lift dim)

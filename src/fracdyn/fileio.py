@@ -15,7 +15,6 @@ gets 0o666 less the process umask.
 """
 
 import csv
-import hashlib
 import io
 import itertools
 import json
@@ -87,6 +86,8 @@ def _emit(obj, out) -> None:
 
 def config_digest(config: dict) -> str:
     """SHA-256 hex digest of the canonical bytes of a configuration dict."""
+    import hashlib  # here, not at import: only a manifest needs it, and it loads OpenSSL
+
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 

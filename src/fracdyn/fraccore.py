@@ -36,6 +36,13 @@ NEAR_BLOCK = 64
 FFT_SUM_RATIO = 20
 
 
+def _count(value, name: str):
+    """``value`` if it is an int or numpy integer, not true/false; else DomainError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return value
+
+
 def gl_weight_recursive(alpha: float, j: int) -> float:
     """Weight c_j at order alpha via the product recurrence.
 
@@ -44,7 +51,7 @@ def gl_weight_recursive(alpha: float, j: int) -> float:
     finite real alpha; integer orders truncate exactly (c_j = 0 for
     j > alpha when alpha is a non-negative integer).
     """
-    if j < 0:
+    if _count(j, "lag index j") < 0:
         raise DomainError("lag index j must be non-negative")
     return float(build_weight_table([alpha], j)[0, j])
 
@@ -56,7 +63,7 @@ def build_weight_table(alphas, J: int) -> np.ndarray:
     alphas[i].  Compute a table once per (orders, horizon) and share it:
     recomputing weights inside simulation loops turns O(K^2) work into O(K^3).
     """
-    if J < 0:
+    if _count(J, "horizon J") < 0:
         raise DomainError("horizon J must be non-negative")
     orders = np.atleast_1d(np.asarray(alphas, dtype=float))
     if orders.ndim != 1:

@@ -12,14 +12,20 @@ finite-memory LTI lifts (:class:`AugmentedModel`) from one block-companion
 builder: the depth-p lift of the single-term system over its last ``p``
 states, and the depth-v truncation of a network that also stacks the last
 ``v`` inputs and routes the truncated tail through a disturbance column.
+
+Every record of the package is a named tuple: it unpacks and indexes, cannot
+be assigned to, and ``==`` on its array fields raises as numpy's ``==`` does.
+A record that checks and normalises its inputs does so in ``__new__``, which
+``_replace`` skips; build a changed record with its constructor.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NotSPD, SingularError
-from .fraccore import build_weight_table
+from .fraccore import _count, build_weight_table
 
 __all__ = [
     "FosModel",
@@ -145,8 +151,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class FosModel:
+class FosModel(namedtuple("FosModel", "alpha A B Bw")):
     """Single-term fractional system with per-channel orders.
 
     Parameters accept scalars or nested lists for convenience; everything is
@@ -155,14 +160,11 @@ class FosModel:
     matrix (autonomous system).
     """
 
-    alpha: np.ndarray
-    A: np.ndarray
-    B: np.ndarray = None
-    Bw: np.ndarray = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = np.atleast_1d(_as_array(self.alpha, "alpha"))
-        A = _as_matrix(self.A, name="A")
+    def __new__(cls, alpha, A, B=None, Bw=None):
+        alpha = np.atleast_1d(_as_array(alpha, "alpha"))
+        A = _as_matrix(A, name="A")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionError(f"A must be square, got {A.shape}")
@@ -172,12 +174,9 @@ class FosModel:
             raise DimensionError("alpha entries must be finite")
         if np.any(alpha < -1.0) or np.any(alpha >= 2.0):
             raise DimensionError("alpha entries must lie in [-1, 2)")
-        B = np.zeros((n, 0)) if self.B is None else _as_matrix(self.B, rows=n, name="B")
-        Bw = np.eye(n) if self.Bw is None else _as_matrix(self.Bw, rows=n, name="Bw")
-        object.__setattr__(self, "alpha", _freeze(alpha))
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "B", _freeze(B))
-        object.__setattr__(self, "Bw", _freeze(Bw))
+        B = np.zeros((n, 0)) if B is None else _as_matrix(B, rows=n, name="B")
+        Bw = np.eye(n) if Bw is None else _as_matrix(Bw, rows=n, name="Bw")
+        return super().__new__(cls, *map(_freeze, (alpha, A, B, Bw)))
 
     @property
     def n(self) -> int:
@@ -195,8 +194,8 @@ class FosModel:
         return self.n > 0 and bool(np.all(self.alpha == self.alpha[0]))
 
 
-@dataclass(frozen=True)
-class MultiTermNetwork:
+class MultiTermNetwork(namedtuple("MultiTermNetwork",
+                                  "state_terms input_terms disturbance_terms C lead_condition")):
     """Multi-term fractional network with output map.
 
     ``state_terms``, ``input_terms``, and ``disturbance_terms`` are lists of
@@ -207,13 +206,9 @@ class MultiTermNetwork:
     matrix or a per-step (T, q, n) schedule.
     """
 
-    state_terms: tuple
-    input_terms: tuple = ()
-    disturbance_terms: tuple = ()
-    C: np.ndarray = None
-    lead_condition: float = field(init=False, default=np.nan)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, state_terms, input_terms=(), disturbance_terms=(), C=None):
         def norm_terms(terms, rows, name):
             try:
                 pairs = [(float(exponent), matrix) for exponent, matrix in terms]
@@ -228,20 +223,20 @@ class MultiTermNetwork:
                 out.append((exponent, _freeze(_as_matrix(matrix, rows=rows, name=name))))
             return tuple(out)
 
-        state_terms = norm_terms(self.state_terms, None, "state term")
+        state_terms = norm_terms(state_terms, None, "state term")
         if not state_terms:
             raise DimensionError("at least one state term is required")
         n = state_terms[0][1].shape[0]
         for _, mat in state_terms:
             if mat.shape != (n, n):
                 raise DimensionError("state-term matrices must be square and same size")
-        input_terms = norm_terms(self.input_terms, n, "input term")
-        dist_terms = norm_terms(self.disturbance_terms, n, "disturbance term")
+        input_terms = norm_terms(input_terms, n, "input term")
+        dist_terms = norm_terms(disturbance_terms, n, "disturbance term")
         for terms, name in ((input_terms, "input"), (dist_terms, "disturbance")):
             widths = {mat.shape[1] for _, mat in terms}
             if len(widths) > 1:
                 raise DimensionError(f"{name}-term matrices must share a column count")
-        C = np.eye(n) if self.C is None else _as_array(self.C, "C")
+        C = np.eye(n) if C is None else _as_array(C, "C")
         if C.ndim <= 2:
             C = _as_matrix(C, cols=n, name="C")
         elif C.ndim != 3 or C.shape[2] != n:
@@ -255,11 +250,10 @@ class MultiTermNetwork:
             raise SingularError(
                 f"sum of state-term matrices is singular to tolerance (cond={cond:.3e})"
             )
-        object.__setattr__(self, "state_terms", state_terms)
-        object.__setattr__(self, "input_terms", input_terms)
-        object.__setattr__(self, "disturbance_terms", dist_terms)
-        object.__setattr__(self, "C", _freeze(C))
-        object.__setattr__(self, "lead_condition", cond)
+        return super().__new__(cls, state_terms, input_terms, dist_terms, _freeze(C), cond)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the four constructor fields
+        return tuple(self)[:4]
 
     @property
     def n(self) -> int:
@@ -284,8 +278,7 @@ class MultiTermNetwork:
         return self.C
 
 
-@dataclass(frozen=True)
-class AugmentedModel:
+class AugmentedModel(namedtuple("AugmentedModel", "kind depth Atil Btil Gtil Ctil n m q")):
     """Finite-memory LTI lift of a fractional system.
 
     ``kind`` is "p-augment" (block companion over the last ``depth`` states)
@@ -300,27 +293,21 @@ class AugmentedModel:
     that does not fit ``depth``, ``n``, ``m`` and ``q``, raises DimensionError.
     """
 
-    kind: str
-    depth: int
-    Atil: np.ndarray
-    Btil: np.ndarray
-    Gtil: np.ndarray
-    Ctil: np.ndarray
-    n: int
-    m: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, d, runs = self.n, self.dim, self.copies
-        if not (self.Atil.shape == (d, d) and self.Gtil.shape[0] == d
-                and self.Btil.shape == (d, self.m) and self.Ctil.shape == (self.q, d)
-                and d in (self.depth * n, self.depth * (n + self.m))
-                and np.count_nonzero(self.Atil[n:]) == sum(size for _, _, size in runs)
-                and all(np.all(np.diagonal(self.Atil[row : row + size, src : src + size]) == 1.0)
+    def __new__(cls, kind, depth, Atil, Btil, Gtil, Ctil, n, m, q):
+        self = super().__new__(cls, kind, depth, Atil, Btil, Gtil, Ctil, n, m, q)
+        d, runs = self.dim, self.copies
+        if not (Atil.shape == (d, d) and Gtil.shape[0] == d
+                and Btil.shape == (d, m) and Ctil.shape == (q, d)
+                and d in (depth * n, depth * (n + m))
+                and np.count_nonzero(Atil[n:]) == sum(size for _, _, size in runs)
+                and all(np.all(np.diagonal(Atil[row : row + size, src : src + size]) == 1.0)
                         for row, src, size in runs)
-                and not self.Gtil[n:].any()):
-            raise DimensionError(f"{self.kind} lift lacks the companion layout: dense and noise "
+                and not Gtil[n:].any()):
+            raise DimensionError(f"{kind} lift lacks the companion layout: dense and noise "
                                  "rows on top, identity runs below")
+        return self
 
     @property
     def dim(self) -> int:
@@ -348,7 +335,7 @@ def aj_series(model: FosModel, J: int) -> list[np.ndarray]:
     per-channel GL weights.  With alpha = 1 this collapses to A_0 = A + I and
     zero tail, the ordinary first-difference system.
     """
-    if J < 0:
+    if _count(J, "series length J") < 0:
         raise DimensionError("series length J must be non-negative")
     w = build_weight_table(model.alpha, J + 1)
     return [model.A + np.diag(model.alpha)] + [np.diag(-w[:, j + 1]) for j in range(1, J + 1)]
@@ -392,14 +379,13 @@ def augment_p(model: FosModel, p: int) -> AugmentedModel:
     The top block row carries A_0..A_{p-1}; identity blocks shift the state
     history down.  Input and noise enter the newest block only.
     """
-    if p < 1:
+    if _count(p, "augmentation depth p") < 1:
         raise DimensionError("augmentation depth p must be >= 1")
     lags = np.array(aj_series(model, p - 1))
     return _companion("p-augment", lags, None, model.B, model.Bw, np.eye(model.n))
 
 
-@dataclass(frozen=True)
-class NetworkSeries:
+class NetworkSeries(NamedTuple):
     """Reduced convolution series of a multi-term network.
 
     The state recursion reads x[k+1] = sum_{j>=1} A[j] x[k+1-j]
@@ -419,7 +405,7 @@ def network_series(net: MultiTermNetwork, J: int) -> NetworkSeries:
     matrices and divides by the lead matrix: A[j] = -lead^{-1} sum_i A_i
     c_j^{a_i}, and likewise (without the sign) for the other two stacks.
     """
-    if J < 0:
+    if _count(J, "series length J") < 0:
         raise DimensionError("series length J must be non-negative")
     n, m, p = net.n, net.m, net.p
     terms = net.state_terms + net.input_terms + net.disturbance_terms
@@ -461,7 +447,7 @@ def augment_v(net: MultiTermNetwork, v: int) -> AugmentedModel:
     Noise-free, input-free propagation matches the full series simulation
     exactly for the first v steps.
     """
-    if v < 1:
+    if _count(v, "truncation depth v") < 1:
         raise DimensionError("truncation depth v must be >= 1")
     series = network_series(net, v)
     return _companion("v-approx", series.A[1:], series.B[1:], series.B[0], np.eye(net.n),

@@ -15,12 +15,13 @@ QR iteration from the equalities.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
-from .fraccore import lower_block_toeplitz
+from .fraccore import _count, lower_block_toeplitz
 from .model import FosModel, _as_array, _as_matrix, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
@@ -39,8 +40,7 @@ __all__ = [
 SOFT_PENALTY = 1e6
 
 
-@dataclass(frozen=True)
-class MpcProblem:
+class MpcProblem(namedtuple("MpcProblem", "p P M Q R c u_lo u_hi state_H state_h hard_state")):
     """Horizon problem data: weights, linear cost, box, optional state rows.
 
     ``P`` is the prediction horizon, ``M`` the control horizon (the prefix of
@@ -53,57 +53,43 @@ class MpcProblem:
     would cost infinitely.
     """
 
-    p: int
-    P: int
-    M: int
-    Q: np.ndarray
-    R: np.ndarray
-    c: np.ndarray | None = None
-    u_lo: np.ndarray | float = -np.inf
-    u_hi: np.ndarray | float = np.inf
-    state_H: np.ndarray | None = None
-    state_h: np.ndarray | None = None
-    hard_state: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p", "P", "M"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be a whole number, got {value!r}")
-        if self.p < 1:
+    def __new__(cls, p, P, M, Q, R, c=None, u_lo=-np.inf, u_hi=np.inf, state_H=None,
+                state_h=None, hard_state=False):
+        for name, value in (("p", p), ("P", P), ("M", M)):
+            _count(value, name)
+        if p < 1:
             raise DomainError("model depth p must be >= 1")
-        if self.P < 1:
+        if P < 1:
             raise DomainError("prediction horizon P must be >= 1")
-        if not 1 <= self.M <= self.P:
+        if not 1 <= M <= P:
             raise DomainError("control horizon M must satisfy 1 <= M <= P")
-        object.__setattr__(self, "Q", _as_weight(self.Q, "Q", semidefinite=True))
-        object.__setattr__(self, "R", _as_weight(self.R, "R"))
-        if self.c is not None:
-            object.__setattr__(self, "c", _as_array(self.c, "c"))
-            if not np.all(np.isfinite(self.c)):
+        Q = _as_weight(Q, "Q", semidefinite=True)
+        R = _as_weight(R, "R")
+        if c is not None:
+            c = _as_array(c, "c")
+            if not np.all(np.isfinite(c)):
                 raise DomainError("c entries must be finite")
-        lo = _as_array(self.u_lo, "u_lo")
-        hi = _as_array(self.u_hi, "u_hi")
-        if not np.all(lo <= hi):  # a NaN bound compares false
+        u_lo = _as_array(u_lo, "u_lo")
+        u_hi = _as_array(u_hi, "u_hi")
+        if not np.all(u_lo <= u_hi):  # a NaN bound compares false
             raise DomainError("u_lo exceeds u_hi, or a bound is NaN")
-        object.__setattr__(self, "u_lo", lo)
-        object.__setattr__(self, "u_hi", hi)
-        if (self.state_H is None) != (self.state_h is None):
+        if (state_H is None) != (state_h is None):
             raise DomainError("state_H and state_h must be given together")
-        if self.state_H is not None:
-            H = _as_matrix(self.state_H, name="state_H")
-            h = np.atleast_1d(_as_array(self.state_h, "state_h"))
-            if h.shape != (H.shape[0],):
-                raise DimensionError(f"state_h must have {H.shape[0]} entries, one a state_H row")
-            if np.isnan(h).any() or not self.hard_state and (h == -np.inf).any():
+        if state_H is not None:
+            state_H = _as_matrix(state_H, name="state_H")
+            state_h = np.atleast_1d(_as_array(state_h, "state_h"))
+            if state_h.shape != (state_H.shape[0],):
+                raise DimensionError(
+                    f"state_h must have {state_H.shape[0]} entries, one a state_H row")
+            if np.isnan(state_h).any() or not hard_state and (state_h == -np.inf).any():
                 raise DomainError("state_h limits must not be NaN, nor -inf on a soft row "
                                   "(its slack would cost infinitely)")
-            object.__setattr__(self, "state_H", H)
-            object.__setattr__(self, "state_h", h)
+        return super().__new__(cls, p, P, M, Q, R, c, u_lo, u_hi, state_H, state_h, hard_state)
 
 
-@dataclass(frozen=True)
-class MpcSolution:
+class MpcSolution(NamedTuple):
     """One horizon solve: optimal inputs, predictions, cost, KKT diagnostics."""
 
     u: np.ndarray  # (P, m)
@@ -115,8 +101,7 @@ class MpcSolution:
     penalty_cost: float = 0.0
 
 
-@dataclass(frozen=True)
-class CondensedProblem:
+class CondensedProblem(NamedTuple):
     """What every solve of one (problem, model) pair shares: the history-free terms.
 
     From the lifted history ``ztil``, predicted states are
@@ -401,15 +386,14 @@ def _solve_qp(J: np.ndarray, b: np.ndarray, G: np.ndarray, g: np.ndarray, neq: i
             del active[pos[np.argmin(ratios)]]
 
 
-@dataclass
-class ClosedLoopResult:
+class ClosedLoopResult(NamedTuple):
     """Receding-horizon run: trajectory, applied inputs, per-cycle solves."""
 
     trajectory: Trajectory
     applied: np.ndarray  # (K, m)
     cycle_costs: np.ndarray  # one entry per solve event
-    solutions: list = field(default_factory=list)
-    solve_steps: list = field(default_factory=list)
+    solutions: list  # one MpcSolution per solve event
+    solve_steps: list  # the step of each solve event
     noise: np.ndarray | None = None
 
     @property
@@ -433,7 +417,7 @@ def run_closed_loop(
     full memory, so the depth-p predictive lift is an approximation of the
     true dynamics.  ``noise`` is a (K, p) array, an integer seed, or None.
     """
-    if K < 1:
+    if _count(K, "step count K") < 1:
         raise DomainError("step count K must be >= 1")
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
     sim = FosSimulator(plant, np.zeros(plant.n) if x0 is None else x0, K)
@@ -461,7 +445,7 @@ def uncontrolled_baseline(
     plant: FosModel, K: int, noise=None, *, x0=None, noise_sigma: float = 1.0
 ) -> Trajectory:
     """Zero-input run on the identical noise sequence, for paired comparison."""
-    if K < 1:
+    if _count(K, "step count K") < 1:
         raise DomainError("step count K must be >= 1")
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
     x0 = np.zeros(plant.n) if x0 is None else x0

@@ -11,13 +11,14 @@ step is summed and checked by the one store step, :func:`_store`.
 Everything is deterministic given (model, x0, inputs, noise-or-seed).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .fraccore import NEAR_BLOCK, MemoryTail, block_convolve, build_weight_table, kernel_spectrum
+from .fraccore import (
+    NEAR_BLOCK, MemoryTail, _count, block_convolve, build_weight_table, kernel_spectrum)
 from .model import AugmentedModel, FosModel, MultiTermNetwork, _vector, network_series
 
 __all__ = [
@@ -35,40 +36,35 @@ __all__ = [
 _MAX_GROWTH = 1e3
 
 
-@dataclass
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
     """Time-indexed record of a simulated or measured run.
 
     ``states`` has K+1 rows; ``inputs`` and ``noises`` have K rows (the sample
     applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt`` is
-    metadata only: row k corresponds to time k*dt.
+    metadata only: row k corresponds to time k*dt.  A named tuple, checked
+    and converted to float arrays on construction (``_replace`` skips that).
     """
 
-    states: np.ndarray
-    inputs: np.ndarray | None = None
-    outputs: np.ndarray | None = None
-    noises: np.ndarray | None = None
-    dt: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+    def __new__(cls, states, inputs=None, outputs=None, noises=None, dt=1.0):
+        states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]  # a flat sequence is one channel over time
-        self.states = states
-        K = self.K
-        for name in ("inputs", "outputs", "noises"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            val = np.atleast_2d(np.asarray(val, dtype=float))
-            want = K + 1 if name == "outputs" else K
-            if val.shape[0] != want:
-                raise DimensionError(f"{name} must have {want} rows, got {val.shape[0]}")
-            if not np.all(np.isfinite(val)):
-                raise DimensionError(f"{name} contains non-finite entries")
-            setattr(self, name, val)
-        if not np.all(np.isfinite(self.states)):
+        K = states.shape[0] - 1
+        rest = []
+        for name, val in (("inputs", inputs), ("outputs", outputs), ("noises", noises)):
+            if val is not None:
+                val = np.atleast_2d(np.asarray(val, dtype=float))
+                want = K + 1 if name == "outputs" else K
+                if val.shape[0] != want:
+                    raise DimensionError(f"{name} must have {want} rows, got {val.shape[0]}")
+                if not np.all(np.isfinite(val)):
+                    raise DimensionError(f"{name} contains non-finite entries")
+            rest.append(val)
+        if not np.all(np.isfinite(states)):
             raise DimensionError("states contain non-finite entries")
+        return super().__new__(cls, states, *rest, dt)
 
     @property
     def K(self) -> int:
@@ -122,7 +118,7 @@ class FosSimulator:
 
     def __init__(self, model: FosModel, x0, max_steps: int):
         self.model = model
-        self._states = _start(x0, max_steps, model.n)
+        self._states = _start(x0, _count(max_steps, "max_steps"), model.n)
         self._A0, _, self._tail = _fos_memory(model, self._states)
         self.k = 0
 
@@ -182,7 +178,7 @@ def simulate_fos(
     transition matrices G_1..G_NEAR_BLOCK have an entry above 1e3: the block
     solve's rounding grows with them, the loop's does not.
     """
-    if K < 0:
+    if _count(K, "step count K") < 0:
         raise DimensionError("step count K must be non-negative")
     uu = _resolve_inputs(u, K, model.m)
     ww = _resolve_noise(w, K, model.p, noise_sigma)
@@ -197,7 +193,7 @@ def transition_matrices(model: FosModel, K: int) -> np.ndarray:
     run from the identity with no input or noise, block by block as in
     :func:`simulate_fos`.
     """
-    if K < 0:
+    if _count(K, "horizon K") < 0:
         raise DimensionError("horizon K must be non-negative")
     G = np.zeros((K + 1, model.n, model.n))
     G[0] = np.eye(model.n)
@@ -219,7 +215,7 @@ def simulate_network(
     oracles are the double loop and the direct sums in
     ``tests/test_memory_oracles.py``.
     """
-    if K < 0:
+    if _count(K, "step count K") < 0:
         raise DimensionError("step count K must be non-negative")
     X = _start(x0, K, net.n)
     uu = _resolve_inputs(u, K, net.m)
@@ -308,7 +304,7 @@ def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> T
     ``x0`` may be base-dimension (history zero-padded) or a full lift vector.
     ``w`` feeds the lift's disturbance column (width ``Gtil.shape[1]``).
     """
-    if K < 0:
+    if _count(K, "step count K") < 0:
         raise DimensionError("step count K must be non-negative")
     z = aug.lift(x0)
     uu = _resolve_inputs(u, K, aug.m)

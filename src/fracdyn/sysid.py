@@ -16,7 +16,7 @@ to 1, so reported bounds are meaningful up to those constants.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def finite_time_gramian(Atil, t: int) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-@dataclass(frozen=True)
-class OlsBound:
+class OlsBound(NamedTuple):
     """Evaluated finite-sample bound and its (reported, unenforced) side condition."""
 
     value: float
@@ -151,8 +150,7 @@ def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) ->
     return rows, Z, mse
 
 
-@dataclass(frozen=True)
-class OlsResult:
+class OlsResult(NamedTuple):
     """Spatial rows at fixed orders, with residual diagnostics.
 
     ``ridge`` marks a rank-deficient window; the rows are the minimum-norm
@@ -191,8 +189,7 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     return OlsResult(A_hat=A_hat, residuals=residuals, normal_residual=float(normal), ridge=ridge)
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
+class IdentificationResult(NamedTuple):
     """Bisection outcome per channel plus the spatial matrix at the final orders."""
 
     alpha_hat: np.ndarray

@@ -358,3 +358,12 @@ def test_fopid_rejects_nonpositive_frequency():
 def test_fopid_rejects_non_finite_frequencies(omega):
     with pytest.raises(DomainError, match="^frequencies must be positive"):
         fopid_response(1, 1, 1, 0.5, 0.5, [1.0, omega])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot,name", enumerate(["kp", "ki", "kd", "lam", "mu"]))
+def test_fopid_rejects_a_non_finite_gain_or_order(slot, name, bad):
+    args = [1.0, 1.0, 1.0, 0.5, 0.5]
+    args[slot] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        fopid_response(*args, [1.0])

@@ -4,8 +4,14 @@ Every CLI call is a fresh process, so any scipy import would be paid by the
 subcommand that makes it.  A fresh interpreter imports fracdyn, runs every
 subcommand through ``fracdyn.cli.main`` and closed loops with soft and hard
 state rows, and records the scipy modules loaded after each stage.
+
+Cold start is paid the same way.  ``import fracdyn`` loads neither numpy nor
+a submodule, and a name taken from it loads only its module's imports.
+Neither the CLI nor ``fileio`` loads ``dataclasses`` or ``hashlib`` (which
+only a manifest's digest needs) at import.
 """
 
+import fnmatch
 import json
 import os
 import subprocess
@@ -102,3 +108,30 @@ def stages(tmp_path_factory):
                                    "estimate"])
 def test_scipy_free_stage_loads_no_scipy(stages, stage):
     assert stages[stage] == []
+
+
+#: (statement run in a fresh interpreter, modules that must not be loaded after it)
+COLD_STARTS = [
+    ("import fracdyn", ["numpy", "fracdyn.*"]),
+    ("from fracdyn import simulate_fos",
+     ["fracdyn.sysid", "fracdyn.estimate", "fracdyn.mpc", "fracdyn.analysis"]),
+    ("import fracdyn.cli", ["dataclasses"]),
+    ("import fracdyn.fileio", ["hashlib"]),
+]
+
+
+@pytest.mark.parametrize("statement,absent", COLD_STARTS, ids=[s for s, _ in COLD_STARTS])
+def test_a_cold_import_loads_only_what_it_uses(statement, absent):
+    script = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    src = str(Path(fracdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "fracdyn" in loaded
+    # errors, a dozen exception classes, may load with the package
+    found = sorted(name for name in loaded - {"fracdyn.errors"}
+                   if any(fnmatch.fnmatchcase(name, pattern) for pattern in absent))
+    assert found == []

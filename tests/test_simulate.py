@@ -5,15 +5,27 @@ import pytest
 
 from fracdyn import (
     DimensionError,
+    DomainError,
     FosModel,
     FosSimulator,
+    MpcProblem,
+    MultiTermNetwork,
     NonFiniteError,
     Trajectory,
+    aj_series,
     augment_p,
+    augment_v,
+    build_weight_table,
+    deadbeat_input,
     gaussian_noise,
+    gl_weight_recursive,
+    network_series,
+    run_closed_loop,
     simulate_augmented,
     simulate_fos,
+    simulate_network,
     transition_matrices,
+    uncontrolled_baseline,
 )
 
 
@@ -240,3 +252,47 @@ def test_stepper_steps_a_matrix_of_free_responses():
         FosSimulator(m, X0, max_steps=2).step(u=[1.0])
     with pytest.raises(DimensionError):
         FosSimulator(m, np.ones((3, 2)), max_steps=2)
+
+
+def _count_calls(count):
+    """Each public call that takes a step count or horizon, with ``count`` as it."""
+    model = FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+    net = MultiTermNetwork(state_terms=[(0.6, np.eye(2))], input_terms=[(0.5, [[1.0], [0.0]])])
+    problem = MpcProblem(p=3, P=4, M=2, Q=1.0, R=0.1, u_lo=-1.0, u_hi=1.0)
+    x0 = [1.0, -0.5]
+    return {
+        "simulate_fos": lambda: simulate_fos(model, x0, K=count),
+        "simulate_network": lambda: simulate_network(net, x0, K=count),
+        "simulate_augmented": lambda: simulate_augmented(augment_p(model, 3), x0, K=count),
+        "transition_matrices": lambda: transition_matrices(model, count),
+        "FosSimulator": lambda: FosSimulator(model, x0, count).states,
+        "deadbeat_input": lambda: deadbeat_input(model, None, x0, count),
+        "run_closed_loop": lambda: run_closed_loop(model, problem, count, 0).applied,
+        "uncontrolled_baseline": lambda: uncontrolled_baseline(model, count, 0).states,
+        "build_weight_table": lambda: build_weight_table([0.5], count),
+        "gl_weight_recursive": lambda: gl_weight_recursive(0.5, count),
+        "aj_series": lambda: np.array(aj_series(model, count)),
+        "network_series": lambda: network_series(net, count).A,
+        "augment_p": lambda: augment_p(model, count).Atil,
+        "augment_v": lambda: augment_v(net, count).Atil,
+    }
+
+
+COUNTED = list(_count_calls(3))
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("call", COUNTED)
+def test_a_step_count_must_be_a_whole_number(call, bad):
+    # the message names the argument: "step count K", "horizon J", "max_steps", ...
+    named = r"^[\w ]*\b(K|J|j|p|v|max_steps) must be a whole number, got "
+    with pytest.raises(DomainError, match=named):
+        _count_calls(bad)[call]()
+
+
+@pytest.mark.parametrize("call", COUNTED)
+def test_a_numpy_integer_count_keeps_the_bits_of_an_int(call):
+    want, got = _count_calls(3)[call](), _count_calls(np.int64(3))[call]()
+    if isinstance(want, Trajectory):
+        want, got = want.states, got.states
+    np.testing.assert_array_equal(got, want, strict=True)

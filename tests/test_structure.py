@@ -19,7 +19,10 @@ that constructs an ``AugmentedModel``, so the layout it declares (dense and
 noise rows on top, identity runs below) is the one the filter reads.
 
 The public namespace of ``fracdyn`` is pinned: each name is declared once,
-in its module's ``__all__`` (``errors`` exports every class it defines).
+in its module's ``__all__`` (``errors`` exports every class it defines), and
+the package's map from name to module, which loads the module on first use,
+agrees with those declarations.  No module imports ``dataclasses``: records
+are named tuples, which write and compile no methods at import.
 
 The MPC solver factors by QR in one place, ``mpc._solve_qp``, which alone
 returns the solution and alone proves hard state rows infeasible; the active
@@ -184,6 +187,42 @@ PUBLIC = """
     run_closed_loop run_estimator simulate simulate_augmented simulate_fos simulate_network
     solve_horizon sysid tf_eval transition_matrices uncontrolled_baseline
 """.split()
+
+
+def test_the_lazy_namespace_maps_each_name_to_the_module_that_declares_it():
+    declared = {}
+    for module in fracdyn._NAMES:
+        mod = getattr(fracdyn, module)
+        names = getattr(mod, "__all__", None) or [  # errors: every class it defines
+            name for name, obj in vars(mod).items()
+            if isinstance(obj, type) and obj.__module__ == mod.__name__]
+        declared.update(dict.fromkeys(names, module))
+    assert fracdyn._HOME == declared
+    assert all(getattr(fracdyn, name).__module__ == f"fracdyn.{module}"
+               for name, module in declared.items())
+
+
+def dataclass_imports(path: Path) -> list:
+    """Line numbers where a module imports ``dataclasses`` or a name from it."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("import dataclasses", True), ("from dataclasses import dataclass, field", True),
+    ("import os, dataclasses as dc", True), ("from typing import NamedTuple", False),
+])
+def test_the_dataclass_check_reads_each_form_of_import(tmp_path, source, hit):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert bool(dataclass_imports(path)) == hit
+
+
+def test_no_module_imports_dataclasses():
+    # each record is a named tuple; a dataclass writes and compiles code at import
+    found = {path.name: lines for path in MODULES if (lines := dataclass_imports(path))}
+    assert not found, f"dataclasses imported in {found}"
 
 
 def test_the_public_namespace_is_pinned():
