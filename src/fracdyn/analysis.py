@@ -144,8 +144,7 @@ def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianRepor
 
 def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
     """The Gramian report at horizon K and the transition matrices G_0..G_K behind it."""
-    if _count(K, "horizon K") < 1:
-        raise DomainError("horizon K must be >= 1")
+    K = _count(K, "horizon K", least=1)
     G = transition_matrices(model, K)
     # sum_{j<K} (G_j B)(G_j B)^T as one product of the blocks side by side
     GB = np.concatenate(G[:K] @ B, axis=1)
@@ -194,8 +193,7 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
 
     Row block k of O_K is C G_k, the map from x[0] to the free output y[k].
     """
-    if _count(K, "horizon K") < 1:
-        raise DomainError("horizon K must be >= 1")
+    K = _count(K, "horizon K", least=1)
     C = np.eye(model.n) if C is None else _as_matrix(C, cols=model.n, name="C")
     obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
     Wo = obsv.T @ obsv

@@ -39,6 +39,7 @@ from .fileio import (
     write_table,
     write_trajectory,
 )
+from .fraccore import _count
 from .model import FosModel, MultiTermNetwork, _holds_bool
 from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
 from .simulate import gaussian_noise, simulate_fos, simulate_network
@@ -146,9 +147,7 @@ def _model(config: dict, kind=FosModel):
 def cmd_simulate(args) -> int:
     config = _options(args, args.config)
     model = read_model(_path(config, "model"))
-    K = _number(config, "steps", 0, int)
-    if K < 0:
-        raise DomainError("steps must be non-negative")
+    K = _count(_number(config, "steps", 0, int), "steps")
     x0 = _vector(config, "x0", np.zeros(model.n), model.n)
     u = None
     if "input" in config:
@@ -223,11 +222,9 @@ def cmd_analyze(args) -> int:
     else:
         start = _number(config, "omega_start", 1e-2)
         stop = _number(config, "omega_stop", 1e2)
-        points = _number(config, "omega_points", 200, int)
         if start <= 0 or stop <= start:
             raise DomainError("need 0 < omega_start < omega_stop")
-        if points < 1:
-            raise DomainError(f"omega_points must be >= 1, got {points}")
+        points = _count(_number(config, "omega_points", 200, int), "omega_points", least=1)
         omegas = np.logspace(np.log10(start), np.log10(stop), points)
         if "fopid" in config:
             resp = fopid_response(*_vector(config, "fopid", None, 5), omegas)

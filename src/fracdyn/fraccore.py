@@ -36,11 +36,18 @@ NEAR_BLOCK = 64
 FFT_SUM_RATIO = 20
 
 
-def _count(value, name: str):
-    """``value`` if it is an int or numpy integer, not true/false; else DomainError naming it."""
+def _count(value, name: str, least=0) -> int:
+    """``value`` as an int if it is a count of at least ``least``; else DomainError naming it.
+
+    A count is an int or numpy integer, not true/false.  This is the one place
+    a step count, horizon, depth or window is judged; ``least=-np.inf`` judges
+    only the type, for an index or horizon whose range its caller checks.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return value
+    if value < least:
+        raise DomainError(f"{name} must be {'non-negative' if least == 0 else f'>= {least}'}")
+    return int(value)
 
 
 def gl_weight_recursive(alpha: float, j: int) -> float:
@@ -51,8 +58,7 @@ def gl_weight_recursive(alpha: float, j: int) -> float:
     finite real alpha; integer orders truncate exactly (c_j = 0 for
     j > alpha when alpha is a non-negative integer).
     """
-    if _count(j, "lag index j") < 0:
-        raise DomainError("lag index j must be non-negative")
+    j = _count(j, "lag index j")
     return float(build_weight_table([alpha], j)[0, j])
 
 
@@ -63,8 +69,7 @@ def build_weight_table(alphas, J: int) -> np.ndarray:
     alphas[i].  Compute a table once per (orders, horizon) and share it:
     recomputing weights inside simulation loops turns O(K^2) work into O(K^3).
     """
-    if _count(J, "horizon J") < 0:
-        raise DomainError("horizon J must be non-negative")
+    J = _count(J, "horizon J")
     orders = np.atleast_1d(np.asarray(alphas, dtype=float))
     if orders.ndim != 1:
         raise DomainError("alphas must be a vector")
@@ -242,6 +247,7 @@ def frac_difference(series, alphas, k: int, table: np.ndarray | None = None):
     single channel or (T, n).  Passing a precomputed :func:`build_weight_table`
     array ``table`` with at least k + 1 lags avoids re-deriving the weights.
     """
+    k = _count(k, "step k", least=-np.inf)
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
         x = x[:, None]

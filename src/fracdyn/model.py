@@ -335,8 +335,7 @@ def aj_series(model: FosModel, J: int) -> list[np.ndarray]:
     per-channel GL weights.  With alpha = 1 this collapses to A_0 = A + I and
     zero tail, the ordinary first-difference system.
     """
-    if _count(J, "series length J") < 0:
-        raise DimensionError("series length J must be non-negative")
+    J = _count(J, "series length J")
     w = build_weight_table(model.alpha, J + 1)
     return [model.A + np.diag(model.alpha)] + [np.diag(-w[:, j + 1]) for j in range(1, J + 1)]
 
@@ -379,8 +378,7 @@ def augment_p(model: FosModel, p: int) -> AugmentedModel:
     The top block row carries A_0..A_{p-1}; identity blocks shift the state
     history down.  Input and noise enter the newest block only.
     """
-    if _count(p, "augmentation depth p") < 1:
-        raise DimensionError("augmentation depth p must be >= 1")
+    p = _count(p, "augmentation depth p", least=1)
     lags = np.array(aj_series(model, p - 1))
     return _companion("p-augment", lags, None, model.B, model.Bw, np.eye(model.n))
 
@@ -405,8 +403,7 @@ def network_series(net: MultiTermNetwork, J: int) -> NetworkSeries:
     matrices and divides by the lead matrix: A[j] = -lead^{-1} sum_i A_i
     c_j^{a_i}, and likewise (without the sign) for the other two stacks.
     """
-    if _count(J, "series length J") < 0:
-        raise DimensionError("series length J must be non-negative")
+    J = _count(J, "series length J")
     n, m, p = net.n, net.m, net.p
     terms = net.state_terms + net.input_terms + net.disturbance_terms
     rows = iter(build_weight_table([a for a, _ in terms], J))  # taken in turn by each stack
@@ -447,8 +444,7 @@ def augment_v(net: MultiTermNetwork, v: int) -> AugmentedModel:
     Noise-free, input-free propagation matches the full series simulation
     exactly for the first v steps.
     """
-    if _count(v, "truncation depth v") < 1:
-        raise DimensionError("truncation depth v must be >= 1")
+    v = _count(v, "truncation depth v", least=1)
     series = network_series(net, v)
     return _companion("v-approx", series.A[1:], series.B[1:], series.B[0], np.eye(net.n),
                       net.output_map(0))

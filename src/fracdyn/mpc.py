@@ -57,12 +57,9 @@ class MpcProblem(namedtuple("MpcProblem", "p P M Q R c u_lo u_hi state_H state_h
 
     def __new__(cls, p, P, M, Q, R, c=None, u_lo=-np.inf, u_hi=np.inf, state_H=None,
                 state_h=None, hard_state=False):
-        for name, value in (("p", p), ("P", P), ("M", M)):
-            _count(value, name)
-        if p < 1:
-            raise DomainError("model depth p must be >= 1")
-        if P < 1:
-            raise DomainError("prediction horizon P must be >= 1")
+        p = _count(p, "model depth p", least=1)
+        P = _count(P, "prediction horizon P", least=1)
+        M = _count(M, "M", least=-np.inf)
         if not 1 <= M <= P:
             raise DomainError("control horizon M must satisfy 1 <= M <= P")
         Q = _as_weight(Q, "Q", semidefinite=True)
@@ -417,8 +414,7 @@ def run_closed_loop(
     full memory, so the depth-p predictive lift is an approximation of the
     true dynamics.  ``noise`` is a (K, p) array, an integer seed, or None.
     """
-    if _count(K, "step count K") < 1:
-        raise DomainError("step count K must be >= 1")
+    K = _count(K, "step count K", least=1)
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
     sim = FosSimulator(plant, np.zeros(plant.n) if x0 is None else x0, K)
     condensed = condense(problem, plant)
@@ -445,8 +441,7 @@ def uncontrolled_baseline(
     plant: FosModel, K: int, noise=None, *, x0=None, noise_sigma: float = 1.0
 ) -> Trajectory:
     """Zero-input run on the identical noise sequence, for paired comparison."""
-    if _count(K, "step count K") < 1:
-        raise DomainError("step count K must be >= 1")
+    K = _count(K, "step count K", least=1)
     w = _resolve_noise(noise, K, plant.p, noise_sigma)
     x0 = np.zeros(plant.n) if x0 is None else x0
     return simulate_fos(plant, x0, u=None, w=w, K=K)

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, DomainError, NonFiniteError
 from .fraccore import (
     NEAR_BLOCK, MemoryTail, _count, block_convolve, build_weight_table, kernel_spectrum)
 from .model import AugmentedModel, FosModel, MultiTermNetwork, _vector, network_series
@@ -94,9 +94,11 @@ def _resolve_noise(w, steps: int, dim: int, sigma: float) -> np.ndarray:
 
 
 def _start(x0, K: int, n: int) -> np.ndarray:
-    """States X[0..K], zero but for X[0] = x0, a vector of length n."""
+    """States X[0..K], zero but for X[0] = x0, a finite vector of length n."""
     X = np.zeros((K + 1, n))
     X[0] = _vector(x0, n, "x0")
+    if not np.all(np.isfinite(X[0])):
+        raise DomainError("x0 entries must be finite")
     return X
 
 
@@ -178,8 +180,7 @@ def simulate_fos(
     transition matrices G_1..G_NEAR_BLOCK have an entry above 1e3: the block
     solve's rounding grows with them, the loop's does not.
     """
-    if _count(K, "step count K") < 0:
-        raise DimensionError("step count K must be non-negative")
+    K = _count(K, "step count K")
     uu = _resolve_inputs(u, K, model.m)
     ww = _resolve_noise(w, K, model.p, noise_sigma)
     states = _fos_run(model, _start(x0, K, model.n), uu, ww)
@@ -193,8 +194,7 @@ def transition_matrices(model: FosModel, K: int) -> np.ndarray:
     run from the identity with no input or noise, block by block as in
     :func:`simulate_fos`.
     """
-    if _count(K, "horizon K") < 0:
-        raise DimensionError("horizon K must be non-negative")
+    K = _count(K, "horizon K")
     G = np.zeros((K + 1, model.n, model.n))
     G[0] = np.eye(model.n)
     return _fos_run(model, G)
@@ -215,8 +215,7 @@ def simulate_network(
     oracles are the double loop and the direct sums in
     ``tests/test_memory_oracles.py``.
     """
-    if _count(K, "step count K") < 0:
-        raise DimensionError("step count K must be non-negative")
+    K = _count(K, "step count K")
     X = _start(x0, K, net.n)
     uu = _resolve_inputs(u, K, net.m)
     ww = _resolve_noise(w, K, net.p, 1.0)
@@ -304,8 +303,7 @@ def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> T
     ``x0`` may be base-dimension (history zero-padded) or a full lift vector.
     ``w`` feeds the lift's disturbance column (width ``Gtil.shape[1]``).
     """
-    if _count(K, "step count K") < 0:
-        raise DimensionError("step count K must be non-negative")
+    K = _count(K, "step count K")
     z = aug.lift(x0)
     uu = _resolve_inputs(u, K, aug.m)
     ww = _resolve_noise(w, K, aug.Gtil.shape[1], 1.0)
@@ -316,7 +314,8 @@ def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> T
 
 def gaussian_noise(seed: int, steps: int, dim: int, sigma: float) -> np.ndarray:
     """Deterministic (steps, dim) Gaussian draws for a fixed seed."""
-    if sigma < 0:
-        raise DimensionError("sigma must be non-negative")
+    size = _count(steps, "steps"), _count(dim, "dim")
+    if not 0 <= sigma < np.inf:
+        raise DimensionError("sigma must be non-negative and finite")
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, size=(steps, dim)) * sigma
+    return rng.normal(0.0, 1.0, size=size) * sigma

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, SingularError
-from .fraccore import build_weight_table, history_sum
+from .fraccore import _count, build_weight_table, history_sum
 from .simulate import Trajectory
 
 __all__ = [
@@ -48,8 +48,7 @@ def bisection_bound(epsilon: float) -> int:
 
 def finite_time_gramian(Atil, t: int) -> np.ndarray:
     """W_t = sum_{j=0..t-1} A^j (A^j)^T; W_1 is the identity."""
-    if t < 1:
-        raise DomainError("gramian horizon t must be >= 1")
+    t = _count(t, "gramian horizon t", least=1)
     A = np.atleast_2d(np.asarray(Atil, dtype=float))
     d = A.shape[0]
     W = np.eye(d)
@@ -84,6 +83,8 @@ def ols_error_bound(
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError("delta must lie in (0, 1]")
+    K = _count(K, "sample count K", least=-np.inf)
+    k = _count(k, "gramian horizon k", least=-np.inf)
     if not 1 <= k <= K:
         raise DomainError("need 1 <= k <= K")
     A = np.atleast_2d(np.asarray(Atil, dtype=float))
@@ -111,11 +112,9 @@ def ols_error_bound(
 def _window(traj: Trajectory, window) -> tuple:
     """Rows and regressors of a window, and whether the regressors are rank-deficient."""
     K = traj.K
-    if window is None:
-        offset, length = 0, min(100, K)
-    else:
-        offset, length = window
-    if offset < 0 or length < 1 or offset + length > K:
+    offset, length = (0, min(100, K)) if window is None else window
+    offset, length = _count(offset, "window offset"), _count(length, "window length", least=1)
+    if offset + length > K:
         raise DomainError(
             f"window (offset={offset}, length={length}) does not fit a {K}-step trajectory"
         )
@@ -224,8 +223,7 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
     """
     if not 0.0 < epsilon < 2.0:
         raise DomainError("epsilon must lie in (0, 2)")
-    if p < 1:
-        raise DomainError("memory depth p must be >= 1")
+    p = _count(p, "memory depth p", least=1)
     x = traj.states
     n = x.shape[1]
     ks, _, ridge = win = _window(traj, window)

@@ -7,6 +7,7 @@ inequality; see its docstring).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,9 +426,9 @@ def test_criterion_12_cli_determinism(tmp_path):
                          "--epsilon", "1e-2", "--window", "0,60",
                          "--out-model", ident_out, "--out-diag", diag_out]) == 0
         blobs.append(
-            open(traj_out, "rb").read()
-            + open(ident_out, "rb").read()
-            + open(diag_out, "rb").read()
+            Path(traj_out).read_bytes()
+            + Path(ident_out).read_bytes()
+            + Path(diag_out).read_bytes()
         )
     assert blobs[0] == blobs[1]
     _report("12", "repeated seeded CLI pipelines produce byte-identical outputs")

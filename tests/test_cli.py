@@ -62,9 +62,9 @@ def test_simulate_deterministic_bytes(tmp_path, scalar_model_file):
         assert run_cli("simulate", "--model", scalar_model_file, "--x0", "1.0",
                        "--steps", "50", "--seed", "7", "--sigma", "0.1",
                        "--out", out) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    m1 = json.load(open(out1 + ".manifest.json"))
-    m2 = json.load(open(out2 + ".manifest.json"))
+    assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
+    m1 = json.loads(pathlib.Path(out1 + ".manifest.json").read_text())
+    m2 = json.loads(pathlib.Path(out2 + ".manifest.json").read_text())
     assert m1["config_digest"] == m2["config_digest"]
     assert m1["seed"] == 7 and m1["version"]
 
@@ -77,7 +77,7 @@ def test_trajectory_round_trip(tmp_path, scalar_model_file):
     assert traj.K == 10
     back = str(tmp_path / "t2.csv")
     write_trajectory(back, traj)
-    assert open(out).read() == open(back).read()
+    assert pathlib.Path(out).read_text() == pathlib.Path(back).read_text()
 
 
 def test_missing_model_file_exits_2(tmp_path):
@@ -133,14 +133,14 @@ def test_analyze_stability_and_gramians(tmp_path, scalar_model_file):
     out = str(tmp_path / "stab.json")
     assert run_cli("analyze", "stability", "--model", scalar_model_file,
                    "--out", out) == 0
-    rep = json.load(open(out))
+    rep = json.loads(pathlib.Path(out).read_text())
     assert rep["test"] == "commensurate-sector"
     assert rep["verdict"] in {"stable", "unstable", "marginal"}
 
     out2 = str(tmp_path / "gram.json")
     assert run_cli("analyze", "gramians", "--model", scalar_model_file,
                    "--horizon", "4", "--out", out2) == 0
-    rep2 = json.load(open(out2))
+    rep2 = json.loads(pathlib.Path(out2).read_text())
     assert rep2["controllability"]["controllable"] is True
     assert rep2["observability"]["observable"] is True
 
@@ -150,7 +150,7 @@ def test_analyze_noncommensurate_heuristic(tmp_path):
     write_model(path, FosModel(alpha=[0.5, 0.9], A=[[0.1, 0.0], [0.0, 0.1]]))
     out = str(tmp_path / "stab.json")
     assert run_cli("analyze", "stability", "--model", path, "--out", out) == 0
-    rep = json.load(open(out))
+    rep = json.loads(pathlib.Path(out).read_text())
     assert rep["test"] == "heuristic-lift-spectral-radius"
     assert "heuristic" in rep["verdict"]
 
@@ -311,7 +311,7 @@ def test_estimate_cli_end_to_end(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == K + 1
-    summary = json.load(open(out + ".summary.json"))
+    summary = json.loads(pathlib.Path(out + ".summary.json").read_text())
     assert summary["sup_error"] < 0.5
     assert summary["terminal_error"] < 0.1
 
@@ -328,7 +328,7 @@ def test_mpc_scenario_and_bounds_validation(tmp_path, scalar_model_file):
         json.dump(scen, fh)
     out = str(tmp_path / "run.csv")
     assert run_cli("mpc", scen_path, "--out", out) == 0
-    summary = json.load(open(out + ".summary.json"))
+    summary = json.loads(pathlib.Path(out + ".summary.json").read_text())
     assert summary["energy_controlled"] < summary["energy_baseline"]
     assert summary["solves"] == -(-30 // 4)
 
@@ -354,7 +354,7 @@ def test_mpc_deterministic_bytes(tmp_path, scalar_model_file):
     for name in ("r1.csv", "r2.csv"):
         out = str(tmp_path / name)
         assert run_cli("mpc", scen_path, "--out", out) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(pathlib.Path(out).read_bytes())
     assert outs[0] == outs[1]
 
 

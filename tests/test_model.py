@@ -132,7 +132,7 @@ def test_non_numeric_or_nested_fields_are_dimension_errors():
 
 def test_augment_p_rejects_bad_depth():
     m = FosModel(alpha=[0.5], A=[[0.2]])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="^augmentation depth p must be >= 1$"):
         augment_p(m, 0)
 
 
@@ -247,7 +247,7 @@ def test_augment_v_dimensions():
     aug = augment_v(net, 1)
     assert aug.dim == 2  # one state lane plus one input lane
     assert aug.kind == "v-approx"
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="^truncation depth v must be >= 1$"):
         augment_v(net, 0)
 
 

@@ -145,9 +145,9 @@ REFUSED = [
     ("MultiTermNetwork", dict(state_terms=[(0.5, [[1.0, 0.0], [0.0, 0.0]])]), SingularError,
      "sum of state-term matrices is singular to tolerance (cond=inf)"),
     ("MpcProblem", dict(p=2.5, P=2, M=1, Q=1.0, R=1.0), DomainError,
-     "p must be a whole number, got 2.5"),
+     "model depth p must be a whole number, got 2.5"),
     ("MpcProblem", dict(p=1, P=True, M=1, Q=1.0, R=1.0), DomainError,
-     "P must be a whole number, got True"),
+     "prediction horizon P must be a whole number, got True"),
     ("MpcProblem", dict(p=0, P=2, M=1, Q=1.0, R=1.0), DomainError, "model depth p must be >= 1"),
     ("MpcProblem", dict(p=1, P=0, M=1, Q=1.0, R=1.0), DomainError,
      "prediction horizon P must be >= 1"),

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,9 +18,14 @@ from fracdyn import (
     augment_v,
     build_weight_table,
     deadbeat_input,
+    finite_time_gramian,
+    frac_difference,
     gaussian_noise,
     gl_weight_recursive,
+    identify,
     network_series,
+    ols_error_bound,
+    ols_spatial,
     run_closed_loop,
     simulate_augmented,
     simulate_fos,
@@ -203,7 +209,7 @@ def test_dimension_errors():
         simulate_fos(m, [1.0, 2.0], K=2)
     with pytest.raises(DimensionError):
         simulate_fos(m, [1.0], u=np.ones((3, 2)), K=3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="^step count K must be non-negative$"):
         simulate_fos(m, [1.0], K=-1)
 
 
@@ -255,11 +261,12 @@ def test_stepper_steps_a_matrix_of_free_responses():
 
 
 def _count_calls(count):
-    """Each public call that takes a step count or horizon, with ``count`` as it."""
+    """Each public call that takes a step count, horizon, depth or window, with ``count`` as it."""
     model = FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
     net = MultiTermNetwork(state_terms=[(0.6, np.eye(2))], input_terms=[(0.5, [[1.0], [0.0]])])
     problem = MpcProblem(p=3, P=4, M=2, Q=1.0, R=0.1, u_lo=-1.0, u_hi=1.0)
     x0 = [1.0, -0.5]
+    run = simulate_fos(FosModel(alpha=[0.5], A=[[-0.1]], Bw=[[1.0]]), [1.0], w=3, K=30)
     return {
         "simulate_fos": lambda: simulate_fos(model, x0, K=count),
         "simulate_network": lambda: simulate_network(net, x0, K=count),
@@ -275,6 +282,17 @@ def _count_calls(count):
         "network_series": lambda: network_series(net, count).A,
         "augment_p": lambda: augment_p(model, count).Atil,
         "augment_v": lambda: augment_v(net, count).Atil,
+        "MpcProblem p": lambda: MpcProblem(p=count, P=4, M=2, Q=1.0, R=0.1),
+        "MpcProblem P": lambda: MpcProblem(p=3, P=count, M=1, Q=1.0, R=0.1),
+        "gaussian_noise steps": lambda: gaussian_noise(1, count, 2, 1.0),
+        "gaussian_noise dim": lambda: gaussian_noise(1, 4, count, 1.0),
+        "frac_difference": lambda: frac_difference(run.states, [0.5], count),
+        "identify": lambda: identify(run, count, 0.1).alpha_hat,
+        "window offset": lambda: ols_spatial(run, [0.5], (count, 20)).A_hat,
+        "window length": lambda: ols_spatial(run, [0.5], (0, count)).A_hat,
+        "finite_time_gramian": lambda: finite_time_gramian([[0.5]], count),
+        "ols_error_bound K": lambda: np.array(ols_error_bound([[0.5]], count, 1, 0.1)),
+        "ols_error_bound k": lambda: np.array(ols_error_bound([[0.5]], 30, count, 0.1)),
     }
 
 
@@ -285,7 +303,8 @@ COUNTED = list(_count_calls(3))
 @pytest.mark.parametrize("call", COUNTED)
 def test_a_step_count_must_be_a_whole_number(call, bad):
     # the message names the argument: "step count K", "horizon J", "max_steps", ...
-    named = r"^[\w ]*\b(K|J|j|p|v|max_steps) must be a whole number, got "
+    named = (r"^[\w ]*\b(K|J|j|k|p|P|t|v|max_steps|steps|dim|offset|length) "
+             r"must be a whole number, got ")
     with pytest.raises(DomainError, match=named):
         _count_calls(bad)[call]()
 
@@ -295,4 +314,81 @@ def test_a_numpy_integer_count_keeps_the_bits_of_an_int(call):
     want, got = _count_calls(3)[call](), _count_calls(np.int64(3))[call]()
     if isinstance(want, Trajectory):
         want, got = want.states, got.states
+    if isinstance(want, MpcProblem):
+        want, got = want[:3], got[:3]
     np.testing.assert_array_equal(got, want, strict=True)
+
+
+#: What each counted call says of a count below its floor.
+FLOORS = {
+    "simulate_fos": "step count K must be non-negative",
+    "simulate_network": "step count K must be non-negative",
+    "simulate_augmented": "step count K must be non-negative",
+    "transition_matrices": "horizon K must be non-negative",
+    "FosSimulator": "max_steps must be non-negative",
+    "deadbeat_input": "horizon K must be >= 1",
+    "run_closed_loop": "step count K must be >= 1",
+    "uncontrolled_baseline": "step count K must be >= 1",
+    "build_weight_table": "horizon J must be non-negative",
+    "gl_weight_recursive": "lag index j must be non-negative",
+    "aj_series": "series length J must be non-negative",
+    "network_series": "series length J must be non-negative",
+    "augment_p": "augmentation depth p must be >= 1",
+    "augment_v": "truncation depth v must be >= 1",
+    "MpcProblem p": "model depth p must be >= 1",
+    "MpcProblem P": "prediction horizon P must be >= 1",
+    "gaussian_noise steps": "steps must be non-negative",
+    "gaussian_noise dim": "dim must be non-negative",
+    # a step outside the series and a k outside 1..K keep the messages of their ranges
+    "frac_difference": "step k=-1 outside series of length 31",
+    "identify": "memory depth p must be >= 1",
+    "window offset": "window offset must be non-negative",
+    "window length": "window length must be >= 1",
+    "finite_time_gramian": "gramian horizon t must be >= 1",
+    "ols_error_bound K": "need 1 <= k <= K",
+    "ols_error_bound k": "need 1 <= k <= K",
+}
+
+BELOW_FLOOR = [(call, count) for call, message in FLOORS.items()
+               for count in ([-1, 0] if message.endswith(">= 1") else [-1])]
+
+
+def test_every_counted_call_has_a_floor():
+    assert list(FLOORS) == COUNTED
+
+
+@pytest.mark.parametrize("call,count", BELOW_FLOOR)
+def test_a_count_below_its_floor_is_refused_naming_it(call, count):
+    error = IndexError if call == "frac_difference" else DomainError
+    with pytest.raises(error, match=f"^{re.escape(FLOORS[call])}$"):
+        _count_calls(count)[call]()
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0])
+def test_a_noise_scale_must_be_finite_and_non_negative(sigma):
+    m = FosModel(alpha=[0.5], A=[[0.2]], Bw=[[1.0]])
+    for draw in (lambda: gaussian_noise(1, 2, 1, sigma),
+                 lambda: simulate_fos(m, [1.0], w=1, K=3, noise_sigma=sigma)):
+        with pytest.raises(DimensionError, match="^sigma must be non-negative and finite$"):
+            draw()
+
+
+def _stepped_from(x0):
+    """Each entry that steps a state from ``x0``."""
+    model = FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+    net = MultiTermNetwork(state_terms=[(0.6, np.eye(2))], input_terms=[(0.5, [[1.0], [0.0]])])
+    problem = MpcProblem(p=3, P=4, M=2, Q=1.0, R=0.1, u_lo=-1.0, u_hi=1.0)
+    return {
+        "simulate_fos": lambda: simulate_fos(model, x0, K=3),
+        "simulate_network": lambda: simulate_network(net, x0, K=3),
+        "FosSimulator": lambda: FosSimulator(model, x0, 3),
+        "run_closed_loop": lambda: run_closed_loop(model, problem, 3, 0, x0=x0),
+        "uncontrolled_baseline": lambda: uncontrolled_baseline(model, 3, 0, x0=x0),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", list(_stepped_from([0.0, 0.0])))
+def test_a_non_finite_initial_state_is_refused_as_an_argument(call, bad):
+    with pytest.raises(DomainError, match="^x0 entries must be finite$"):
+        _stepped_from([bad, 0.5])[call]()

@@ -31,11 +31,17 @@ set that ``mpc._propose`` offers is only ever a starting point for it.
 Every output file is written by ``fileio.atomic_write``, the only place in the
 package that opens a file for writing, so every one is renamed into place
 whole and gets the mode ``open`` would give it.
+
+Every step count, horizon, depth and window is judged by ``fraccore._count``,
+which refuses one that is not a whole number or lies below its floor.  A
+module that compares a count with a number, or raises the floor message of a
+count itself, has grown a second rule beside it.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,3 +333,94 @@ def test_only_atomic_write_opens_files_for_writing():
     found = {path.name: enclosing_definitions(path, lines) for path in MODULES
              if (lines := write_opens(path.read_text()))}
     assert found == {"fileio.py": {"atomic_write"}}, f"files opened for writing in {found}"
+
+
+def _is_count(node) -> bool:
+    """Whether ``node`` is a call of ``_count``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_count")
+
+
+def count_names(source: str) -> set:
+    """The names that the ``_count`` calls in ``source`` give their counts."""
+    return {node.args[1].value for node in ast.walk(ast.parse(source))
+            if _is_count(node) and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
+
+
+def _text(node) -> str:
+    """A message's literal text, with each ``{...}`` of an f-string read as ``{}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return ""
+
+
+def count_floor_checks(source: str, names) -> list:
+    """Line numbers where ``source`` judges the floor of a count by hand.
+
+    An ``if`` that raises when one ``_count(...)`` call, or a name assigned
+    from one, compares so with a number; or a raise of the floor message of a
+    count in ``names`` ("<name> must be non-negative" or "<name> must be >= 1").
+    A chained comparison such as ``1 <= M <= P`` relates two counts and is not
+    a floor, and a branch that raises nothing is not a check.
+    """
+    tree = ast.parse(source)
+    counted = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            counted |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_count(v)}
+    floor = re.compile(rf"^({'|'.join(map(re.escape, names))}) must be (non-negative|>= 1)\b")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(isinstance(n, ast.Raise)
+                                            for stmt in node.body for n in ast.walk(stmt)):
+            sides = [[c.left, *c.comparators] for c in ast.walk(node.test)
+                     if isinstance(c, ast.Compare) and len(c.ops) == 1]
+            hit = any(
+                any(_is_count(side) or isinstance(side, ast.Name) and side.id in counted
+                    for side in pair)
+                and any(isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+                        for side in pair)
+                for pair in sides)
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            hit = bool(floor.match(_text(node.exc.args[0])))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+#: The name of every count that the package judges.
+COUNT_NAMES = set().union(*(count_names(path.read_text()) for path in MODULES))
+
+
+@pytest.mark.parametrize("source,hit", [
+    ('if _count(K, "step count K") < 0:\n    raise DimensionError("x")', True),
+    ('K = _count(K, "K")\nif K < 1:\n    raise DomainError("need K >= 1")', True),
+    ('p, P = _count(p, "p"), _count(P, "P")\nif not 0 < P:\n    raise ValueError', True),
+    ('J = _count(J, "J")\nif J >= 1:\n    A[1:] = 0.0', False),
+    ('raise DomainError("horizon K must be >= 1")', True),
+    ('raise DomainError(f"omega_points must be >= 1, got {points}")', True),
+    ('K = _count(K, "step count K", least=1)', False),
+    ('M = _count(M, "M")\nif not 1 <= M <= P:\n    raise DomainError("M")', False),
+    ('raise DimensionError("sigma must be non-negative")', False),
+    ('raise DomainError(f"{name} exponents must be non-negative")', False),
+])
+def test_the_floor_check_reads_each_form_of_a_hand_check(source, hit):
+    assert bool(count_floor_checks(source, COUNT_NAMES)) == hit
+
+
+def test_the_floor_check_knows_the_counts_of_every_module():
+    assert {"horizon K", "omega_points", "step count K", "memory depth p"} <= COUNT_NAMES
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fraccore.py"],
+                         ids=lambda p: p.name)
+def test_only_fraccore_judges_the_floor_of_a_count(path):
+    lines = count_floor_checks(path.read_text(), COUNT_NAMES)
+    assert lines == [], f"{path.name} checks a count's floor at lines {lines}; use fraccore._count"
