@@ -26,7 +26,7 @@ from .errors import (
     SingularError,
 )
 from .fraccore import _count
-from .model import FosModel, _as_matrix, _vector, augment_p
+from .model import FosModel, _as_matrix, _finite_vector, augment_p
 from .simulate import simulate_fos, transition_matrices
 
 __all__ = [
@@ -165,9 +165,7 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     Stacks u[j] = -(G_{K-1-j} B)^T G_K^{-T} W_c^{-1} x0; requires
     controllability at horizon K.
     """
-    x0 = _vector(x0, model.n, "x0")
-    if not np.all(np.isfinite(x0)):
-        raise DomainError("x0 entries must be finite")
+    x0 = _finite_vector(x0, model.n, "x0")
     B = _norm_B(model, B)
     rep, G = _controllability(model, B, K)
     if not rep.full_rank:

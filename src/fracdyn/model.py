@@ -62,6 +62,14 @@ def _vector(v, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _finite_vector(v, n: int, name: str) -> np.ndarray:
+    """:func:`_vector`, and a non-finite entry raises DomainError naming it."""
+    v = _vector(v, n, name)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} entries must be finite")
+    return v
+
+
 def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: str = "matrix"):
     m = np.atleast_2d(_as_array(value, name))
     if m.ndim != 2:

@@ -16,10 +16,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonFiniteError
+from .errors import DimensionError, NonFiniteError
 from .fraccore import (
     NEAR_BLOCK, MemoryTail, _count, block_convolve, build_weight_table, kernel_spectrum)
-from .model import AugmentedModel, FosModel, MultiTermNetwork, _vector, network_series
+from .model import (
+    AugmentedModel, FosModel, MultiTermNetwork, _finite_vector, _vector, network_series)
 
 __all__ = [
     "Trajectory",
@@ -96,9 +97,7 @@ def _resolve_noise(w, steps: int, dim: int, sigma: float) -> np.ndarray:
 def _start(x0, K: int, n: int) -> np.ndarray:
     """States X[0..K], zero but for X[0] = x0, a finite vector of length n."""
     X = np.zeros((K + 1, n))
-    X[0] = _vector(x0, n, "x0")
-    if not np.all(np.isfinite(X[0])):
-        raise DomainError("x0 entries must be finite")
+    X[0] = _finite_vector(x0, n, "x0")
     return X
 
 
