@@ -17,16 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BranchWarning,
-    DimensionError,
-    DomainError,
-    EigenFailure,
-    NotControllable,
-    NotObservable,
-    SingularError,
-)
-from .fraccore import _count
-from .model import FosModel, _as_matrix, _finite_vector, augment_p
+    BranchWarning, DimensionError, DomainError, EigenFailure, NonFiniteError, NotControllable,
+    NotObservable, SingularError)
+from .fraccore import _array, _count, _real
+from .model import FosModel, _as_matrix, augment_p
 from .simulate import simulate_fos, transition_matrices
 
 __all__ = [
@@ -62,16 +56,18 @@ class StabilityReport(NamedTuple):
 
 
 def commensurate_stability(A, alpha: float) -> StabilityReport:
-    """Sector stability test for a commensurate system of order ``alpha``.
+    """Continuous-time sector test for a commensurate system of order ``alpha``.
 
-    Stable iff |arg(lambda_i)| > alpha*pi/2 for every eigenvalue; at alpha = 1
-    this is the open-left-half-plane test.  Margins within ``MARGINAL_TOL`` of
+    Stable iff |arg(lambda_i)| > alpha*pi/2 for every eigenvalue (Matignon,
+    1996); at alpha = 1 this is the open-left-half-plane test.  It is exact
+    for the continuous-time system D^alpha x = A x, not for the discrete-time
+    model that fracdyn simulates, on which it errs towards "stable": alpha = 1,
+    A = -3 passes, yet x[k+1] = -2 x[k].  Margins within ``MARGINAL_TOL`` of
     zero yield the verdict "marginal" rather than a binary answer, since
     eigensolver noise at the sector boundary is not decidable.
     """
-    if not 0.0 < alpha < 2.0:
-        raise DomainError("commensurate order must lie in (0, 2)")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    alpha = _real(alpha, "alpha", 0.0, 2.0)
+    A = _as_matrix(A, name="A", square=True)
     try:
         eig = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -142,6 +138,7 @@ def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianRepor
     return _controllability(model, _norm_B(model, B), K)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a Gramian that is not finite raises instead
 def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
     """The Gramian report at horizon K and the transition matrices G_0..G_K behind it."""
     K = _count(K, "horizon K", least=1)
@@ -154,6 +151,8 @@ def _controllability(model: FosModel, B: np.ndarray, K: int) -> tuple:
     if sv.size and (sv[0] == 0 or sv[-1] / sv[0] < 1e-12):
         raise SingularError(f"G_K is rank-deficient at K={K}; Gramian undefined")
     W = np.linalg.solve(GK, np.linalg.solve(GK, S.T).T)
+    if not np.isfinite(W).all():
+        raise NonFiniteError(f"controllability Gramian is not finite at K={K}: G_k B overflows")
     W = 0.5 * (W + W.T)
     rank, smallest = _numerical_rank(W, K)
     return GramianReport(matrix=W, rank=rank, smallest_retained=smallest), G
@@ -165,7 +164,7 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     Stacks u[j] = -(G_{K-1-j} B)^T G_K^{-T} W_c^{-1} x0; requires
     controllability at horizon K.
     """
-    x0 = _finite_vector(x0, model.n, "x0")
+    x0 = _array(x0, "x0", model.n)
     B = _norm_B(model, B)
     rep, G = _controllability(model, B, K)
     if not rep.full_rank:
@@ -186,6 +185,7 @@ class ObservabilityReport(NamedTuple):
         return self.rank == self.gramian.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a Gramian that is not finite raises instead
 def observability_matrices(model: FosModel, C=None, K: int = 1) -> ObservabilityReport:
     """Observability stack O_K and Gramian W_o = O_K^T O_K at horizon K.
 
@@ -195,6 +195,8 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
     C = np.eye(model.n) if C is None else _as_matrix(C, cols=model.n, name="C")
     obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
     Wo = obsv.T @ obsv
+    if not np.isfinite(Wo).all():
+        raise NonFiniteError(f"observability Gramian is not finite at K={K}: C G_k overflows")
     Wo = 0.5 * (Wo + Wo.T)
     return ObservabilityReport(obsv=obsv, gramian=Wo, rank=_numerical_rank(obsv, K)[0])
 
@@ -226,7 +228,10 @@ def reconstruct_initial_state(model: FosModel, B, C, u, y, K: int) -> np.ndarray
     Y = _rows(y, K, C.shape[0], "y")
     if u is not None:
         Y = Y - _forced_output(model, B, C, _rows(u, K, B.shape[1], "u"))
-    return np.linalg.solve(rep.gramian, rep.obsv.T @ Y.reshape(-1))
+    try:  # the rank is judged on O_K, whose Gramian can still underflow to singular
+        return np.linalg.solve(rep.gramian, rep.obsv.T @ Y.reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"observability Gramian is singular at K={K}: {exc}") from None
 
 
 class FractionalTransferFunction(namedtuple("FractionalTransferFunction", "num den ss")):
@@ -243,26 +248,37 @@ class FractionalTransferFunction(namedtuple("FractionalTransferFunction", "num d
 
     def __new__(cls, num=None, den=None, ss=None):
         if ss is not None:
-            A, B, C, D, alpha = ss
-            mats = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, D))
-            return super().__new__(cls, num, den, (*mats, float(alpha)))
+            try:
+                A, B, C, D, alpha = ss
+            except (TypeError, ValueError):
+                raise DomainError(f"ss must be (A, B, C, D, alpha), got {ss!r}") from None
+            mats = (_as_matrix(M, name=name) for M, name in zip((A, B, C, D), "ABCD"))
+            return super().__new__(cls, num, den, (*mats, _real(alpha, "alpha")))
+        num, den = _terms(() if num is None else num, "num"), _terms(den, "den")
         if not den:
-            raise DomainError("denominator terms must be non-empty")
-        for terms, name in ((num, "numerator"), (den, "denominator")):
-            for _, exp in terms or ():
-                if exp < 0:
-                    raise DomainError(f"{name} exponents must be non-negative")
-        num = tuple((float(c), float(e)) for c, e in (num or ()))
-        den = tuple((float(c), float(e)) for c, e in den)
+            raise DomainError("den terms must be non-empty")
         return super().__new__(cls, num, den, None)
 
     @classmethod
     def rational(cls, num, den) -> "FractionalTransferFunction":
-        return cls(num=tuple(num), den=tuple(den))
+        return cls(num=num, den=den)
 
     @classmethod
     def state_space(cls, A, B, C, D, alpha: float) -> "FractionalTransferFunction":
         return cls(ss=(A, B, C, D, alpha))
+
+
+def _terms(terms, name: str) -> tuple:
+    """(coefficient, exponent) pairs of floats, exponents non-negative; else an error naming it."""
+    pairs = _array(terms, name)
+    if pairs.size == 0:
+        return ()
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DimensionError(f"{name} must be (coefficient, exponent) pairs, got shape "
+                             f"{pairs.shape}")
+    if np.any(pairs[:, 1] < 0):
+        raise DomainError(f"{name} exponents must be non-negative")
+    return tuple(map(tuple, pairs.tolist()))
 
 
 def _principal_power(s: complex, exponent: float) -> complex:
@@ -280,7 +296,10 @@ def _principal_power(s: complex, exponent: float) -> complex:
             BranchWarning,
             stacklevel=3,
         )
-    return complex(s) ** exponent
+    try:
+        return complex(s) ** exponent
+    except OverflowError:
+        raise NonFiniteError(f"s^{exponent:g} overflows at s = {s}") from None
 
 
 def tf_eval(tf: FractionalTransferFunction, s: complex):
@@ -288,9 +307,11 @@ def tf_eval(tf: FractionalTransferFunction, s: complex):
 
     Uses the principal branch for every fractional power; integer-exponent
     forms reduce to plain polynomial evaluation.  Returns a complex scalar
-    for single-output systems, otherwise a complex matrix.
+    for single-output systems, otherwise a complex matrix.  ``s`` is a real
+    or complex number with finite parts.
     """
-    s = complex(s)
+    parts = (s.real, s.imag) if isinstance(s, (complex, np.complexfloating)) else (s, 0.0)
+    s = complex(*(_real(part, "s") for part in parts))
     if tf.ss is not None:
         A, B, C, D, alpha = tf.ss
         sa = _principal_power(s, alpha)
@@ -327,16 +348,19 @@ def fopid_response(kp, ki, kd, lam, mu, omegas) -> FrequencyResponse:
 
     C(s) = kp + ki / s^lam + kd s^mu evaluated at s = j*omega for each
     positive, finite frequency; lam = mu = 1 reproduces the classical PID response.
-    A gain or order that is not finite raises DomainError naming it.
+    A gain, order or frequency that is not a finite number raises DomainError
+    naming it.
     """
-    for name, value in zip(("kp", "ki", "kd", "lam", "mu"), (kp, ki, kd, lam, mu)):
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    omega = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.all(np.isfinite(omega) & (omega > 0)):
-        raise DomainError("frequencies must be positive and finite")
+    kp, ki, kd, lam, mu = (_real(value, name) for name, value in
+                           zip(("kp", "ki", "kd", "lam", "mu"), (kp, ki, kd, lam, mu)))
+    omega = np.atleast_1d(_array(omegas, "omegas"))
+    if not np.all(omega > 0):
+        raise DomainError("omegas must be positive frequencies")
     resp = np.empty(omega.shape, dtype=complex)
     for i, w in enumerate(omega):
         s = 1j * w
         resp[i] = kp + ki * _principal_power(s, -lam) + kd * _principal_power(s, mu)
+    if not np.isfinite(resp).all():
+        raise NonFiniteError(f"response is not finite at kp={kp:g}, ki={ki:g}, kd={kd:g}, "
+                             f"lam={lam:g}, mu={mu:g}")
     return FrequencyResponse(omega=omega, response=resp)

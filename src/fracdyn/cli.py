@@ -3,10 +3,11 @@
 One subcommand per pipeline stage: ``simulate``, ``analyze``, ``identify``,
 ``estimate``, ``mpc``.  Every option can also come from a JSON config file;
 flags always win over config values.  An absent key takes its default; a
-present one must be a number, or numbers of the right length, and ``null``
-exits 2.  Outputs are written atomically and every invocation writes a
-manifest next to its primary output.  Exit codes: 0 success, 2
-parse/validation failure, 3 numerical failure or memory exhausted.
+present one is judged under its own name by the library's argument readers
+(``fraccore``), so ``null`` or a bad value exits 2 naming the key.  Outputs
+are written atomically and every invocation writes a manifest next to its
+primary output.  Exit codes: 0 success, 2 parse/validation failure, 3
+numerical failure or memory exhausted.
 """
 
 import argparse
@@ -39,8 +40,8 @@ from .fileio import (
     write_table,
     write_trajectory,
 )
-from .fraccore import _count
-from .model import FosModel, MultiTermNetwork, _holds_bool
+from .fraccore import _array, _count, _real
+from .model import FosModel, MultiTermNetwork
 from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
 from .simulate import gaussian_noise, simulate_fos, simulate_network
 from .sysid import identify
@@ -74,65 +75,24 @@ def _path(config: dict, key: str) -> str:
     return value
 
 
-def _array(key: str, value, finite: bool = True) -> np.ndarray:
-    """``value`` as a float array; a comma-separated string reads as a vector.
+def _json_count(value):
+    """A whole float such as 4.0, as JSON may write a count, as that int; else ``value``."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
-    Null, true/false at any depth, non-numbers, ragged nests and NaN exit 2 naming
-    ``key``, and so does +-inf unless ``finite`` is false.
+
+def _get(config: dict, key: str, reader, default=None, **rules):
+    """``reader(config[key], key, **rules)``: ``key`` judged by the library's reader.
+
+    An absent key reads ``default``, or None when that is None.  The config
+    format adds two rules: a comma-separated string is a vector, and a whole
+    float is a count (4.0 reads as 4, 3.9 exits 2).
     """
-    if value is None:
-        raise DomainError(f"{key} must not be null")
-    if _holds_bool(value):
-        raise DomainError(f"{key} must be numbers, not true or false, got {value!r}")
-    items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
-    try:
-        arr = np.asarray(items, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{key} must be numbers, got {value!r}") from None
-    if np.isnan(arr).any() or (finite and np.isinf(arr).any()):
-        raise DomainError(f"{key} must be {'finite' if finite else 'numbers'}, got {value!r}")
-    return arr
-
-
-def _whole(key: str, arr: np.ndarray, value) -> None:
-    """Exit 2 naming ``key`` unless every entry of ``arr`` is a whole number."""
-    if not np.all(arr == np.trunc(arr)):
-        raise DomainError(f"{key} must be integral, got {value!r}")
-
-
-def _number(config: dict, key: str, default, kind=float, finite: bool = True):
-    """``config[key]`` as one ``kind`` number, or ``default`` when the key is absent.
-
-    An int option rejects a value that ``int()`` would change: 4.0 reads as 4,
-    3.9 exits 2.
-    """
-    if key not in config:
-        return default
-    value = config[key]
-    arr = _array(key, value, finite)
-    if isinstance(value, list) or arr.size != 1:
-        raise DomainError(f"{key} must be one number, got {value!r}")
-    if kind is int:
-        _whole(key, arr, value)
-    try:
-        return kind(value)
-    except ValueError:
-        raise DomainError(f"{key} must be one {kind.__name__}, got {value!r}") from None
-
-
-def _vector(config: dict, key: str, default, length: int, finite: bool = True, kind=float):
-    """``config[key]`` as ``length`` numbers, or ``default`` when the key is absent.
-
-    With ``kind=int`` every entry must be a whole number.
-    """
-    if key not in config:
-        return default
-    vec = np.atleast_1d(_array(key, config[key], finite))
-    if vec.shape != (length,):
-        raise DomainError(f"{key} must have length {length}, got {config[key]!r}")
-    if kind is int:
-        _whole(key, vec, config[key])
-    return vec
+    if key not in config and default is None:
+        return None
+    value = config.get(key, default)
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    return reader(_json_count(value) if reader is _count else value, key, **rules)
 
 
 def _model(config: dict, kind=FosModel):
@@ -147,16 +107,16 @@ def _model(config: dict, kind=FosModel):
 def cmd_simulate(args) -> int:
     config = _options(args, args.config)
     model = read_model(_path(config, "model"))
-    K = _count(_number(config, "steps", 0, int), "steps")
-    x0 = _vector(config, "x0", np.zeros(model.n), model.n)
+    K = _get(config, "steps", _count, 0)
+    x0 = _get(config, "x0", _array, np.zeros(model.n), length=model.n)
     u = None
     if "input" in config:
         u = read_trajectory(_path(config, "input")).inputs
         if u is None:
             raise DomainError("input trajectory file carries no input columns")
-    seed = _number(config, "seed", None, int)
-    sigma = _number(config, "sigma", 1.0)
-    dt = _number(config, "dt", 1.0)
+    seed = _get(config, "seed", _count)
+    sigma = _get(config, "sigma", _real, 1.0)
+    dt = _get(config, "dt", _real, 1.0)
     out = _path(config, "out")
     if isinstance(model, MultiTermNetwork):
         w = gaussian_noise(seed, K, model.p, sigma) if seed is not None else None
@@ -176,7 +136,7 @@ def cmd_analyze(args) -> int:
     if what == "stability":
         model = _model(config)
         inputs["model"] = config["model"]
-        alpha = _number(config, "alpha", None)
+        alpha = _get(config, "alpha", _real)
         if alpha is not None or model.is_commensurate():
             a = alpha if alpha is not None else float(model.alpha[0])
             rep = commensurate_stability(model.A, a)
@@ -188,7 +148,7 @@ def cmd_analyze(args) -> int:
                 "verdict": rep.verdict,
             }
         else:
-            p = _number(config, "horizon", 10, int)
+            p = _get(config, "horizon", _count, 10)
             rho = augmented_spectral_radius(model, p)
             report = {
                 "test": "heuristic-lift-spectral-radius",
@@ -201,7 +161,7 @@ def cmd_analyze(args) -> int:
     elif what == "gramians":
         model = _model(config)
         inputs["model"] = config["model"]
-        K = _number(config, "horizon", max(1, model.n), int)
+        K = _get(config, "horizon", _count, max(1, model.n))
         ctrb = controllability_gramian(model, None, K)
         obsv = observability_matrices(model, None, K)
         report = {
@@ -220,14 +180,12 @@ def cmd_analyze(args) -> int:
         }
         atomic_write(out, canonical_json(report) + "\n")
     else:
-        start = _number(config, "omega_start", 1e-2)
-        stop = _number(config, "omega_stop", 1e2)
-        if start <= 0 or stop <= start:
-            raise DomainError("need 0 < omega_start < omega_stop")
-        points = _count(_number(config, "omega_points", 200, int), "omega_points", least=1)
+        start = _get(config, "omega_start", _real, 1e-2, lo=0.0)
+        stop = _get(config, "omega_stop", _real, 1e2, lo=start)
+        points = _get(config, "omega_points", _count, 200, least=1)
         omegas = np.logspace(np.log10(start), np.log10(stop), points)
         if "fopid" in config:
-            resp = fopid_response(*_vector(config, "fopid", None, 5), omegas)
+            resp = fopid_response(*_get(config, "fopid", _array, length=5), omegas)
         elif "num" in config and "den" in config:
             tf = FractionalTransferFunction.rational(_terms(config, "num"), _terms(config, "den"))
             resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
@@ -240,25 +198,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _terms(config: dict, key: str) -> list:
+def _terms(config: dict, key: str) -> np.ndarray:
     """Terms as 'coef:exp,coef:exp' (a bare coef has exponent 0) or [coef, exp] pairs."""
     spec = config[key]
     if isinstance(spec, str):
         spec = [[coef, exp or 0.0] for coef, _, exp in (p.partition(":") for p in spec.split(","))]
-    terms = _array(key, spec)
-    if terms.ndim != 2 or terms.shape[1] != 2:
-        raise DomainError(f"{key} must be [coef, exp] pairs, got {config[key]!r}")
-    return [tuple(term) for term in terms.tolist()]
+    return _array(spec, key)
 
 
 def cmd_identify(args) -> int:
     config = _options(args, args.config)
     traj = read_trajectory(_path(config, "trajectory"))
-    p = _number(config, "depth", 50, int)
-    epsilon = _number(config, "epsilon", 1e-3)
-    window = _vector(config, "window", None, 2, kind=int)
+    p = _get(config, "depth", _count, 50)
+    epsilon = _get(config, "epsilon", _real, 1e-3)
+    window = _get(config, "window", _array, length=2)
+    if window is not None:
+        window = tuple(_count(_json_count(v), "window") for v in window.tolist())
     out_model, out_diag = _path(config, "out_model"), _path(config, "out_diag")
-    result = identify(traj, p, epsilon, None if window is None else tuple(map(int, window)))
+    result = identify(traj, p, epsilon, window)
     n = result.alpha_hat.shape[0]
     model = FosModel(alpha=np.clip(result.alpha_hat, -1.0, 1.0), A=result.A_hat,
                      B=np.zeros((n, 0)), Bw=np.eye(n))
@@ -276,12 +233,10 @@ def cmd_estimate(args) -> int:
     config = _options(args, args.config)
     net = _model(config, MultiTermNetwork)
     traj = read_trajectory(_path(config, "trajectory"))
-    v = _number(config, "v", 2, int)
+    v = _get(config, "v", _count, 2)
     out = _path(config, "out")
-    weights = EstimatorConfig(
-        Q=_array("Q", config.get("Q", 1.0)), R=_array("R", config.get("R", 1.0)),
-        P0=_array("P0", config.get("P0", 1.0)), xhat0=_array("xhat0", config.get("xhat0", 0.0)),
-    )
+    weights = EstimatorConfig(*(_get(config, key, _array, default) for key, default in
+                                (("Q", 1.0), ("R", 1.0), ("P0", 1.0), ("xhat0", 0.0))))
     run = run_estimator(net, v, weights, traj)
     N = run.base_estimates.shape[0] - 1
     err = run.err_norms if run.err_norms is not None else [""] * (N + 1)
@@ -306,24 +261,24 @@ def cmd_mpc(args) -> int:
     config = _options(args, args.scenario)
     plant = _model(config)
     out = _path(config, "out")
-    bounds = _vector(config, "bounds", None, 2, finite=False)
+    bounds = _get(config, "bounds", _array, length=2, finite=False)
     if bounds is None:
-        bounds = (_number(config, "u_lo", -np.inf, finite=False),
-                  _number(config, "u_hi", np.inf, finite=False))
-    P = _number(config, "horizon", 10, int)
+        bounds = [_get(config, key, _array, default, length=1, finite=False)[0]
+                  for key, default in (("u_lo", -np.inf), ("u_hi", np.inf))]
+    P = _get(config, "horizon", _count, 10)
     problem = MpcProblem(
-        p=_number(config, "p", 10, int),
+        p=_get(config, "p", _count, 10),
         P=P,
-        M=_number(config, "control_horizon", P, int),
-        Q=_array("Q", config.get("Q", 1.0)),
-        R=_array("R", config.get("R", 1.0)),
-        c=_array("c", config["c"]) if "c" in config else None,
-        u_lo=float(bounds[0]), u_hi=float(bounds[1]),
+        M=_get(config, "control_horizon", _count, P),
+        Q=_get(config, "Q", _array, 1.0),
+        R=_get(config, "R", _array, 1.0),
+        c=_get(config, "c", _array),
+        u_lo=bounds[0], u_hi=bounds[1],
     )
-    K = _number(config, "K", 100, int)
-    seed = _number(config, "seed", 0, int)
-    sigma = _number(config, "sigma", 1.0)
-    x0 = _vector(config, "x0", None, plant.n)
+    K = _get(config, "K", _count, 100)
+    seed = _get(config, "seed", _count, 0)
+    sigma = _get(config, "sigma", _real, 1.0)
+    x0 = _get(config, "x0", _array, length=plant.n)
     result = run_closed_loop(plant, problem, K, seed, x0=x0, noise_sigma=sigma)
     baseline = uncontrolled_baseline(plant, K, seed, x0=x0, noise_sigma=sigma)
 

@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, InnovationSingular, NonFiniteError
+from .fraccore import _array
 from .model import (
-    AugmentedModel, MultiTermNetwork, _as_array, _as_prior, _as_weight, _vector, _weight_block,
-    augment_v)
+    AugmentedModel, MultiTermNetwork, _as_prior, _as_weight, _weight_block, augment_v)
 from .simulate import Trajectory
 
 __all__ = [
@@ -49,7 +49,7 @@ class EstimatorConfig(namedtuple("EstimatorConfig", "Q R P0 xhat0")):
 
     def __new__(cls, Q, R, P0, xhat0):
         return super().__new__(cls, _as_weight(Q, "Q"), _as_weight(R, "R"), _as_weight(P0, "P0"),
-                               _as_array(xhat0, "xhat0"))
+                               _array(xhat0, "xhat0"))
 
     @classmethod
     def from_scalars(cls, aug: AugmentedModel, q: float, r: float, p0: float, xhat0_base=0.0):
@@ -131,11 +131,11 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     """
     aug, cfg = state.aug, state.config
     k = state.k
-    u = np.zeros(aug.m) if u is None else _vector(u, aug.m, "input")
-    y = _vector(y, aug.q, "measurement")
-    C = aug.Ctil if C is None else np.atleast_2d(np.asarray(C, dtype=float))
+    u = np.zeros(aug.m) if u is None else _array(u, "input", aug.m, finite=False)
+    y = _array(y, "measurement", aug.q, finite=False)
+    C = aug.Ctil if C is None else np.atleast_2d(_array(C, "C", finite=False))
     if C.shape != aug.Ctil.shape:
-        raise DimensionError(f"output map must have shape {aug.Ctil.shape}")
+        raise DimensionError(f"C must have shape {aug.Ctil.shape}")
     Qk = _weight_block(cfg.Q, k, aug.Gtil.shape[1], "Q")
     Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
     xpred = aug.Atil @ state.xhat + aug.Btil @ u
@@ -151,6 +151,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     return EstimatorState(k=k + 1, xhat=_checked(xhat, k + 1), P=P, gain=K, M=M, aug=aug, config=cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost that is not finite raises instead
 def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     """Exact minimizer of the energy objective over N steps (dense oracle).
 
@@ -164,17 +165,17 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     """
     d, n_r, q = aug.dim, aug.Gtil.shape[1], aug.q
     prior = me_filter_init(aug, config)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = np.atleast_2d(_array(y, "y"))
     N = y.shape[0]
     if N < 1:
         raise DimensionError("need at least one measurement")
     if y.shape[1] != q:
-        raise DimensionError(f"measurements must have {q} columns")
+        raise DimensionError(f"y must have {q} columns")
     if u is None:
         u = np.zeros((N, aug.m))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    u = np.atleast_2d(_array(u, "u"))
     if u.shape != (N, aug.m):
-        raise DimensionError(f"inputs must have shape ({N}, {aug.m})")
+        raise DimensionError(f"u must have shape ({N}, {aug.m})")
 
     nvar = d + N * n_r
     A, G, C = aug.Atil, aug.Gtil, aug.Ctil
@@ -209,6 +210,8 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     target = np.concatenate(rhs)
     theta = np.linalg.lstsq(design, target, rcond=None)[0]
     cost = float(np.sum((design @ theta - target) ** 2))
+    if not np.isfinite(cost):
+        raise NonFiniteError("batch cost is not finite: u or y overflows")
     xhat = np.einsum("kdv,v->kd", Phi, theta) + off
     return xhat, cost
 

@@ -14,11 +14,17 @@ FFT convolution, in the tail, in the simulators' block solves and in a long
 :func:`history_sum`, is one :func:`block_convolve`.  All sequences are
 causal: samples at negative indices are zero.  A weight table is the plain
 read-only (orders, lags 0..J) array that :func:`build_weight_table` returns.
+
+It also holds the readers that judge every argument of the package and its
+CLI, each raising an error that names it: :func:`_count` (a count),
+:func:`_real` (a finite real in a range) and :func:`_array` (a float array).
 """
+
+import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "gl_weight_recursive",
@@ -50,6 +56,53 @@ def _count(value, name: str, least=0) -> int:
     return int(value)
 
 
+def _real(value, name: str, lo=-np.inf, hi=np.inf, ends: str = "()") -> float:
+    """``value`` as a float if it is a finite real in (lo, hi); else DomainError naming it.
+
+    A real is an int, float or numpy number, not true/false; ``ends`` "[]" closes the ends.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if not ((lo < x or ends[0] == "[" and x == lo) and (x < hi or ends[1] == "]" and x == hi)):
+        raise DomainError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
+    return x
+
+
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a bool or a list/tuple nest holding one (JSON true/false)."""
+    return isinstance(value, bool) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_bool, value)))
+
+
+def _array(value, name: str, length: int | None = None, finite: bool = True) -> np.ndarray:
+    """``value`` as a float array; a vector of ``length`` entries when that is given.
+
+    None, a string, true/false at any depth, and what numpy cannot read as
+    floats raise DimensionError naming ``name``, as does another length (a
+    number is one entry).  A NaN or +-inf entry raises DomainError naming it,
+    unless ``finite`` is false: the caller then judges the values, as the MPC
+    bounds (which may be infinite) and the drives of one step (whose sum the
+    step checks) do.
+    """
+    if not isinstance(value, np.ndarray) and (
+            value is None or isinstance(value, str) or _holds_bool(value)):
+        raise DimensionError(f"{name} must be numbers, got {value!r}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionError(f"{name} must be numbers, got {value!r}") from None
+    if length is not None:
+        arr = np.atleast_1d(arr)
+        if arr.shape != (length,):
+            raise DimensionError(f"{name} must have length {length}")
+    if finite and not np.isfinite(arr).all():
+        raise DomainError(f"{name} entries must be finite")
+    return arr
+
+
 def gl_weight_recursive(alpha: float, j: int) -> float:
     """Weight c_j at order alpha via the product recurrence.
 
@@ -59,7 +112,7 @@ def gl_weight_recursive(alpha: float, j: int) -> float:
     j > alpha when alpha is a non-negative integer).
     """
     j = _count(j, "lag index j")
-    return float(build_weight_table([alpha], j)[0, j])
+    return float(build_weight_table([_real(alpha, "alpha")], j)[0, j])
 
 
 def build_weight_table(alphas, J: int) -> np.ndarray:
@@ -68,9 +121,10 @@ def build_weight_table(alphas, J: int) -> np.ndarray:
     Row i starts 1, -alphas[i] and has the bits of the one-order table of
     alphas[i].  Compute a table once per (orders, horizon) and share it:
     recomputing weights inside simulation loops turns O(K^2) work into O(K^3).
+    Orders so large that a weight overflows raise DomainError.
     """
     J = _count(J, "horizon J")
-    orders = np.atleast_1d(np.asarray(alphas, dtype=float))
+    orders = np.atleast_1d(_array(alphas, "alphas"))
     if orders.ndim != 1:
         raise DomainError("alphas must be a vector")
     lags = np.arange(1.0, J + 1.0)
@@ -78,7 +132,10 @@ def build_weight_table(alphas, J: int) -> np.ndarray:
     factors[:, 1:] = (lags - 1.0 - orders[:, None]) / lags
     # cumprod multiplies left to right, so c_j = c_{j-1} * (j - 1 - a) / j in
     # exactly the rounding order of the scalar recurrence
-    w = np.cumprod(factors, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below instead
+        w = np.cumprod(factors, axis=1)
+    if not np.isfinite(w[:, -1]).all():  # an overflow stays inf or nan to the last lag
+        raise DomainError(f"alphas give weights beyond the float range by lag {J}")
     w.setflags(write=False)
     return w
 
@@ -201,11 +258,13 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
     scale; one that comes out non-finite (a series near the float64 maximum)
     is redone directly, so overflow shows as it does in the direct sum.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    x, w = _array(x, "x"), _array(weights, "weights")
+    start, stop = _count(start, "start", least=-np.inf), _count(stop, "stop", least=-np.inf)
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"x must be a (T,) or (T, n) series, got shape {x.shape}")
     if not 0 <= start <= stop <= x.shape[0]:
         raise IndexError(f"rows [{start}, {stop}) outside series of length {x.shape[0]}")
-    if w.shape[-1] == 0 or w.shape[:-1] != x.shape[1:]:
+    if w.ndim == 0 or w.shape[-1] == 0 or w.shape[:-1] != x.shape[1:]:
         raise DomainError(f"weights of shape {w.shape} do not fit a series of shape {x.shape}")
     lags = w.shape[-1]
     first = start - (lags - 1)
@@ -248,14 +307,12 @@ def frac_difference(series, alphas, k: int, table: np.ndarray | None = None):
     array ``table`` with at least k + 1 lags avoids re-deriving the weights.
     """
     k = _count(k, "step k", least=-np.inf)
-    x = np.asarray(series, dtype=float)
+    x = _array(series, "series")
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"series must be a (T,) or (T, n) series, got shape {x.shape}")
     if x.ndim == 1:
         x = x[:, None]
-    orders = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if x.shape[1] != orders.shape[0]:
-        raise DomainError(
-            f"series has {x.shape[1]} channels but {orders.shape[0]} orders given"
-        )
+    orders = _array(alphas, "alphas", x.shape[1])  # one order per channel
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"step k={k} outside series of length {x.shape[0]}")
     if table is None:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NotSPD, SingularError
-from .fraccore import _count, build_weight_table
+from .errors import DimensionError, NotSPD, SingularError
+from .fraccore import _array, _count, build_weight_table
 
 __all__ = [
     "FosModel",
@@ -38,44 +38,13 @@ __all__ = [
     "augment_v",
 ]
 
-def _holds_bool(value) -> bool:
-    """Whether ``value`` is a bool or a list/tuple nest holding one (JSON true/false)."""
-    return isinstance(value, bool) or (
-        isinstance(value, (list, tuple)) and any(map(_holds_bool, value)))
-
-
-def _as_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; true/false and non-numbers raise DimensionError."""
-    if _holds_bool(value):
-        raise DimensionError(f"{name} is not numeric: it holds true or false")
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionError(f"{name} is not a numeric array: {exc}") from None
-
-
-def _vector(v, n: int, name: str) -> np.ndarray:
-    """``v`` as a float vector of length n; another length raises DimensionError naming it."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (n,):
-        raise DimensionError(f"{name} must have length {n}")
-    return v
-
-
-def _finite_vector(v, n: int, name: str) -> np.ndarray:
-    """:func:`_vector`, and a non-finite entry raises DomainError naming it."""
-    v = _vector(v, n, name)
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"{name} entries must be finite")
-    return v
-
-
-def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: str = "matrix"):
-    m = np.atleast_2d(_as_array(value, name))
+def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: str = "matrix",
+               square: bool = False):
+    m = np.atleast_2d(_array(value, name))
     if m.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} entries must be finite")
+    if square and m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{name} must be square, got {m.shape}")
     if rows is not None and m.shape[0] != rows:
         raise DimensionError(f"{name} must have {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
@@ -92,12 +61,10 @@ def _as_weight(value, name: str, semidefinite: bool = False) -> np.ndarray:
     definite (semidefinite with ``semidefinite``); NotSPD names ``name``
     otherwise.
     """
-    W = _as_array(value, name)
+    W = _array(value, name)
     if W.ndim > 3 or W.ndim >= 2 and W.shape[-1] != W.shape[-2]:
         raise NotSPD(f"{name} must be a number, a diagonal, a square matrix or a (T, s, s) "
                      f"schedule, got shape {W.shape}")
-    if not np.all(np.isfinite(W)):
-        raise NotSPD(f"{name} entries must be finite")
     # every form as a stack of blocks; a number and a diagonal make one diagonal block
     blocks = W if W.ndim >= 2 else np.diag(np.atleast_1d(W))
     blocks = blocks if blocks.ndim == 3 else blocks[None]
@@ -140,9 +107,7 @@ def _as_prior(value, n: int, dim: int, name: str) -> np.ndarray:
     both with the history zero; a length-``dim`` vector is the lifted state.
     DimensionError (another shape) or DomainError (non-finite) names ``name``.
     """
-    x = _as_array(value, name)
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"{name} entries must be finite")
+    x = _array(value, name)
     if x.shape == (dim,):
         return x.copy()
     if x.shape not in ((), (n,)):
@@ -171,15 +136,9 @@ class FosModel(namedtuple("FosModel", "alpha A B Bw")):
     __slots__ = ()
 
     def __new__(cls, alpha, A, B=None, Bw=None):
-        alpha = np.atleast_1d(_as_array(alpha, "alpha"))
-        A = _as_matrix(A, name="A")
+        A = _as_matrix(A, name="A", square=True)
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionError(f"A must be square, got {A.shape}")
-        if alpha.shape != (n,):
-            raise DimensionError(f"alpha must have length {n}, got {alpha.shape}")
-        if not np.all(np.isfinite(alpha)):
-            raise DimensionError("alpha entries must be finite")
+        alpha = _array(alpha, "alpha", n)
         if np.any(alpha < -1.0) or np.any(alpha >= 2.0):
             raise DimensionError("alpha entries must lie in [-1, 2)")
         B = np.zeros((n, 0)) if B is None else _as_matrix(B, rows=n, name="B")
@@ -244,13 +203,11 @@ class MultiTermNetwork(namedtuple("MultiTermNetwork",
             widths = {mat.shape[1] for _, mat in terms}
             if len(widths) > 1:
                 raise DimensionError(f"{name}-term matrices must share a column count")
-        C = np.eye(n) if C is None else _as_array(C, "C")
+        C = np.eye(n) if C is None else _array(C, "C")
         if C.ndim <= 2:
             C = _as_matrix(C, cols=n, name="C")
         elif C.ndim != 3 or C.shape[2] != n:
             raise DimensionError(f"per-step C must have shape (T, q, {n})")
-        elif not np.all(np.isfinite(C)):
-            raise DomainError("C entries must be finite")
 
         lead = sum(mat for _, mat in state_terms)
         cond = float(np.linalg.cond(lead))
@@ -333,7 +290,7 @@ class AugmentedModel(namedtuple("AugmentedModel", "kind depth Atil Btil Gtil Cti
 
     def lift(self, x0) -> np.ndarray:
         """Embed an initial state into the lift by the rule of :func:`_as_prior`."""
-        return _as_prior(x0, self.n, self.dim, "initial state")
+        return _as_prior(x0, self.n, self.dim, "x0")
 
 
 def aj_series(model: FosModel, J: int) -> list[np.ndarray]:

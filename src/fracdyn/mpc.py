@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
-from .fraccore import _count, lower_block_toeplitz
-from .model import FosModel, _as_array, _as_matrix, _as_weight, _weight_block, augment_p
+from .fraccore import _array, _count, lower_block_toeplitz
+from .model import FosModel, _as_matrix, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
 __all__ = [
@@ -64,26 +64,24 @@ class MpcProblem(namedtuple("MpcProblem", "p P M Q R c u_lo u_hi state_H state_h
             raise DomainError("control horizon M must satisfy 1 <= M <= P")
         Q = _as_weight(Q, "Q", semidefinite=True)
         R = _as_weight(R, "R")
-        if c is not None:
-            c = _as_array(c, "c")
-            if not np.all(np.isfinite(c)):
-                raise DomainError("c entries must be finite")
-        u_lo = _as_array(u_lo, "u_lo")
-        u_hi = _as_array(u_hi, "u_hi")
+        c = None if c is None else _array(c, "c")
+        u_lo = _array(u_lo, "u_lo", finite=False)
+        u_hi = _array(u_hi, "u_hi", finite=False)
         if not np.all(u_lo <= u_hi):  # a NaN bound compares false
             raise DomainError("u_lo exceeds u_hi, or a bound is NaN")
         if (state_H is None) != (state_h is None):
             raise DomainError("state_H and state_h must be given together")
         if state_H is not None:
             state_H = _as_matrix(state_H, name="state_H")
-            state_h = np.atleast_1d(_as_array(state_h, "state_h"))
+            state_h = np.atleast_1d(_array(state_h, "state_h", finite=False))
             if state_h.shape != (state_H.shape[0],):
                 raise DimensionError(
                     f"state_h must have {state_H.shape[0]} entries, one a state_H row")
             if np.isnan(state_h).any() or not hard_state and (state_h == -np.inf).any():
                 raise DomainError("state_h limits must not be NaN, nor -inf on a soft row "
                                   "(its slack would cost infinitely)")
-        return super().__new__(cls, p, P, M, Q, R, c, u_lo, u_hi, state_H, state_h, hard_state)
+        return super().__new__(cls, p, P, M, Q, R, c, u_lo, u_hi, state_H, state_h,
+                               bool(hard_state))
 
 
 class MpcSolution(NamedTuple):
@@ -191,7 +189,7 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
 
 def _history_lift(model: FosModel, history, p: int) -> np.ndarray:
     """Stack the last p states, newest first, zero-padding before time 0."""
-    hist = np.atleast_2d(np.asarray(history, dtype=float))
+    hist = np.atleast_2d(_array(history, "history"))
     if hist.shape[1] != model.n:
         raise DimensionError(f"history rows must have length {model.n}")
     z = np.zeros(p * model.n)
@@ -224,7 +222,7 @@ def solve_horizon(
     b = 2.0 * S.T @ (Qbar @ fvec) + S.T @ cvec
     const = float(fvec @ Qbar @ fvec + cvec @ fvec)
     if not (math.isfinite(const) and np.isfinite(b).all()):
-        raise NonFiniteError("horizon cost is not finite")
+        raise NonFiniteError("horizon cost is not finite from this history")
     k = cp.rows.shape[0]
     g = cp.g.copy()
     g[g.size - k :] -= cp.rows @ fvec
@@ -242,7 +240,7 @@ def solve_horizon(
     proj[on_hi & (proj < 0)] = 0.0
     cost = float(U @ H @ U + b @ U + const)
     if not math.isfinite(cost):
-        raise NonFiniteError("horizon cost is not finite")
+        raise NonFiniteError("horizon cost is not finite from this history")
     return MpcSolution(
         u=U.reshape(P, m), predicted=(fvec + S @ U).reshape(P, n),
         cost=cost, kkt_residual=float(np.linalg.norm(proj)),
@@ -415,7 +413,7 @@ def run_closed_loop(
     true dynamics.  ``noise`` is a (K, p) array, an integer seed, or None.
     """
     K = _count(K, "step count K", least=1)
-    w = _resolve_noise(noise, K, plant.p, noise_sigma)
+    w = _resolve_noise(noise, K, plant.p, noise_sigma, "noise")
     sim = FosSimulator(plant, np.zeros(plant.n) if x0 is None else x0, K)
     condensed = condense(problem, plant)
     applied = np.zeros((K, plant.m))
@@ -442,6 +440,6 @@ def uncontrolled_baseline(
 ) -> Trajectory:
     """Zero-input run on the identical noise sequence, for paired comparison."""
     K = _count(K, "step count K", least=1)
-    w = _resolve_noise(noise, K, plant.p, noise_sigma)
+    w = _resolve_noise(noise, K, plant.p, noise_sigma, "noise")
     x0 = np.zeros(plant.n) if x0 is None else x0
     return simulate_fos(plant, x0, u=None, w=w, K=K)

@@ -16,11 +16,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, DomainError, NonFiniteError
 from .fraccore import (
-    NEAR_BLOCK, MemoryTail, _count, block_convolve, build_weight_table, kernel_spectrum)
-from .model import (
-    AugmentedModel, FosModel, MultiTermNetwork, _finite_vector, _vector, network_series)
+    NEAR_BLOCK, MemoryTail, _array, _count, _real, block_convolve, build_weight_table,
+    kernel_spectrum)
+from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
 
 __all__ = [
     "Trajectory",
@@ -41,31 +41,30 @@ class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
     """Time-indexed record of a simulated or measured run.
 
     ``states`` has K+1 rows; ``inputs`` and ``noises`` have K rows (the sample
-    applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt`` is
-    metadata only: row k corresponds to time k*dt.  A named tuple, checked
-    and converted to float arrays on construction (``_replace`` skips that).
+    applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt``, a
+    finite number, is metadata only: row k corresponds to time k*dt.  A named
+    tuple, checked and converted to float arrays on construction
+    (``_replace`` skips that).
     """
 
     __slots__ = ()
 
     def __new__(cls, states, inputs=None, outputs=None, noises=None, dt=1.0):
-        states = np.asarray(states, dtype=float)
+        states = _array(states, "states")
         if states.ndim == 1:
             states = states[:, None]  # a flat sequence is one channel over time
+        if states.ndim != 2:
+            raise DimensionError(f"states must be a (K+1, n) array, got shape {states.shape}")
         K = states.shape[0] - 1
         rest = []
         for name, val in (("inputs", inputs), ("outputs", outputs), ("noises", noises)):
             if val is not None:
-                val = np.atleast_2d(np.asarray(val, dtype=float))
+                val = np.atleast_2d(_array(val, name))
                 want = K + 1 if name == "outputs" else K
                 if val.shape[0] != want:
                     raise DimensionError(f"{name} must have {want} rows, got {val.shape[0]}")
-                if not np.all(np.isfinite(val)):
-                    raise DimensionError(f"{name} contains non-finite entries")
             rest.append(val)
-        if not np.all(np.isfinite(states)):
-            raise DimensionError("states contain non-finite entries")
-        return super().__new__(cls, states, *rest, dt)
+        return super().__new__(cls, states, *rest, _real(dt, "dt"))
 
     @property
     def K(self) -> int:
@@ -76,10 +75,10 @@ class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
         return self.states.shape[1]
 
 
-def _resolve_inputs(u, steps: int, dim: int, name: str = "inputs") -> np.ndarray:
+def _resolve_inputs(u, steps: int, dim: int, name: str = "u") -> np.ndarray:
     if u is None:
         return np.zeros((steps, dim))
-    u = np.asarray(u, dtype=float)
+    u = _array(u, name)
     if u.ndim == 1:
         u = u[:, None]
     if u.shape != (steps, dim):
@@ -87,17 +86,17 @@ def _resolve_inputs(u, steps: int, dim: int, name: str = "inputs") -> np.ndarray
     return u
 
 
-def _resolve_noise(w, steps: int, dim: int, sigma: float) -> np.ndarray:
-    """Accept an explicit (steps, dim) noise array, an integer seed, or None."""
-    if isinstance(w, (int, np.integer)):
-        return gaussian_noise(int(w), steps, dim, sigma)
-    return _resolve_inputs(w, steps, dim, "noise")
+def _resolve_noise(w, steps: int, dim: int, sigma: float, name: str = "w") -> np.ndarray:
+    """An explicit (steps, dim) noise array ``name``, the draws of a seed, or zeros for None."""
+    if w is None or isinstance(w, (list, tuple, np.ndarray)):
+        return _resolve_inputs(w, steps, dim, name)
+    return gaussian_noise(w, steps, dim, sigma)
 
 
 def _start(x0, K: int, n: int) -> np.ndarray:
     """States X[0..K], zero but for X[0] = x0, a finite vector of length n."""
     X = np.zeros((K + 1, n))
-    X[0] = _finite_vector(x0, n, "x0")
+    X[0] = _array(x0, "x0", n)
     return X
 
 
@@ -131,7 +130,7 @@ class FosSimulator:
         k, x = self.k, self._states
         if k + 1 >= x.shape[0]:
             raise DimensionError("simulator stepped past its preallocated horizon")
-        drives = [(M, _vector(v, M.shape[1], name))
+        drives = [(M, _array(v, name, M.shape[1], finite=False))
                   for M, v, name in ((self.model.B, u, "u"), (self.model.Bw, w, "w"))
                   if v is not None]
         nxt = _store(x, k, lambda k: [self._A0 @ x[k], self._tail(k)] + [M @ v for M, v in drives])
@@ -312,9 +311,11 @@ def simulate_augmented(aug: AugmentedModel, x0, u=None, w=None, K: int = 0) -> T
 
 
 def gaussian_noise(seed: int, steps: int, dim: int, sigma: float) -> np.ndarray:
-    """Deterministic (steps, dim) Gaussian draws for a fixed seed."""
-    size = _count(steps, "steps"), _count(dim, "dim")
-    if not 0 <= sigma < np.inf:
-        raise DimensionError("sigma must be non-negative and finite")
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, size=size) * sigma
+    """Deterministic (steps, dim) Gaussian draws for a fixed seed, a count."""
+    seed, size = _count(seed, "seed"), (_count(steps, "steps"), _count(dim, "dim"))
+    sigma = _real(sigma, "sigma", 0.0, np.inf, "[)")
+    with np.errstate(over="ignore"):  # an overflow raises below instead
+        draws = np.random.default_rng(seed).normal(0.0, 1.0, size=size) * sigma
+    if not np.isfinite(draws).all():
+        raise DomainError(f"sigma {sigma:g} scales the draws beyond the float range")
+    return draws

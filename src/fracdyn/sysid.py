@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, SingularError
-from .fraccore import _count, build_weight_table, history_sum
+from .fraccore import _array, _count, _real, build_weight_table, history_sum
+from .model import _as_matrix
 from .simulate import Trajectory
 
 __all__ = [
@@ -41,21 +42,23 @@ FLAT_SPREAD = 0.01
 
 def bisection_bound(epsilon: float) -> int:
     """Worst-case bisection iterations to shrink [-1, 1] to width <= epsilon."""
-    if not 0.0 < epsilon <= 2.0:
-        raise DomainError("epsilon must lie in (0, 2]")
-    return max(0, math.ceil(math.log2(2.0 / epsilon)))
+    epsilon = _real(epsilon, "epsilon", 0.0, 2.0, "(]")
+    return max(0, math.ceil(1.0 - math.log2(epsilon)))  # 2 / epsilon overflows when subnormal
 
 
 def finite_time_gramian(Atil, t: int) -> np.ndarray:
-    """W_t = sum_{j=0..t-1} A^j (A^j)^T; W_1 is the identity."""
+    """W_t = sum_{j=0..t-1} A^j (A^j)^T; W_1 is the identity, and an overflow raises."""
     t = _count(t, "gramian horizon t", least=1)
-    A = np.atleast_2d(np.asarray(Atil, dtype=float))
+    A = _as_matrix(Atil, name="Atil", square=True)
     d = A.shape[0]
     W = np.eye(d)
     M = np.eye(d)
-    for _ in range(1, t):
-        M = A @ M
-        W += M @ M.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below instead
+        for _ in range(1, t):
+            M = A @ M
+            W += M @ M.T
+    if not np.isfinite(W).all():
+        raise NonFiniteError(f"the gramian of Atil overflows by horizon t={t}")
     return 0.5 * (W + W.T)
 
 
@@ -81,17 +84,17 @@ def ols_error_bound(
     side condition K/k >= c * (d log(d/delta) + log det(W_K W_k^{-1})) is
     reported, not enforced.
     """
-    if not 0.0 < delta <= 1.0:
-        raise DomainError("delta must lie in (0, 1]")
+    delta = _real(delta, "delta", 0.0, 1.0, "(]")
+    C, c = _real(C, "C"), _real(c, "c")
     K = _count(K, "sample count K", least=-np.inf)
     k = _count(k, "gramian horizon k", least=-np.inf)
     if not 1 <= k <= K:
         raise DomainError("need 1 <= k <= K")
-    A = np.atleast_2d(np.asarray(Atil, dtype=float))
+    A = _as_matrix(Atil, name="Atil", square=True)
     d = A.shape[0]
     rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if d else 0.0
     if rho > 1.0 + 1e-9:
-        raise DomainError(f"spectral radius {rho:.6g} exceeds marginal stability")
+        raise DomainError(f"Atil has spectral radius {rho:.6g}, beyond marginal stability")
     Wk = finite_time_gramian(A, k)
     lam_min = float(np.min(np.linalg.eigvalsh(Wk)))
     if lam_min <= 0.0:
@@ -102,6 +105,8 @@ def ols_error_bound(
     inner = d * math.log(d / delta) + logdet if d else 0.0
     value = C / math.sqrt(K * lam_min) * math.sqrt(max(inner, 0.0))
     side_rhs = c * inner
+    if not (math.isfinite(value) and math.isfinite(side_rhs)):
+        raise NonFiniteError(f"bound overflows at C={C:g}, c={c:g}")
     side_lhs = K / k
     return OlsBound(
         value=value, side_lhs=side_lhs, side_rhs=side_rhs,
@@ -112,7 +117,10 @@ def ols_error_bound(
 def _window(traj: Trajectory, window) -> tuple:
     """Rows and regressors of a window, and whether the regressors are rank-deficient."""
     K = traj.K
-    offset, length = (0, min(100, K)) if window is None else window
+    try:
+        offset, length = (0, min(100, K)) if window is None else window
+    except (TypeError, ValueError):
+        raise DomainError(f"window must be an (offset, length) pair, got {window!r}") from None
     offset, length = _count(offset, "window offset"), _count(length, "window length", least=1)
     if offset + length > K:
         raise DomainError(
@@ -174,10 +182,7 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     rows of least norm.  An all-zero window raises SingularError, and rows
     that are not finite (targets that overflow) raise NonFiniteError.
     """
-    n = traj.states.shape[1]
-    orders = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if orders.shape != (n,):
-        raise DomainError(f"need {n} orders, got {orders.shape}")
+    orders = _array(alphas, "alphas", traj.n)
     _, Xw, ridge = win = _window(traj, window)
     A_hat, Z, _ = _fit(traj.states, win, orders)
     if not np.isfinite(A_hat).all():
@@ -221,8 +226,7 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
     A prediction error that is not finite raises NonFiniteError naming the
     first channel whose search meets one.
     """
-    if not 0.0 < epsilon < 2.0:
-        raise DomainError("epsilon must lie in (0, 2)")
+    epsilon = _real(epsilon, "epsilon", 0.0, 2.0)
     p = _count(p, "memory depth p", least=1)
     x = traj.states
     n = x.shape[1]

@@ -465,6 +465,10 @@ def test_bode_without_frequency_points_exits_2(tmp_path):
     assert not out.exists()
 
 
+#: What the readers say of a non-finite option: an array's entries, or a number.
+NON_FINITE = {"x0": "x0 entries must be finite", "sigma": "sigma must be finite"}
+
+
 @pytest.mark.parametrize("extra, option", [
     (("--x0", "nan"), "x0"),
     (("--x0", "1", "--sigma", "nan", "--seed", "1"), "sigma"),
@@ -474,7 +478,7 @@ def test_simulate_non_finite_option_exits_2_naming_it(tmp_path, capsys, scalar_m
     out = tmp_path / "x.csv"
     assert run_cli("simulate", "--model", scalar_model_file, *extra, "--steps", "5",
                    "--out", str(out)) == 2
-    assert f"{option} must be finite" in capsys.readouterr().err
+    assert NON_FINITE[option] in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -768,7 +772,7 @@ def test_fractional_value_of_an_integer_option_exits_2(tmp_path, capsys, scalar_
     path.write_text(json.dumps(config))
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert f"{key} must be integral" in err and "Traceback" not in err
+    assert f"{key} must be a whole number" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -897,7 +901,7 @@ def test_trajectory_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, header
     ({"state_terms": 5}, "state_terms"),
     ({"state_terms": [5]}, "state_terms"),
     ({"state_terms": [{"exponent": None, "matrix": [[0.1]]}]}, "state term"),
-    ({"state_terms": [{"exponent": 0.5, "matrix": None}]}, "state term entries must be finite"),
+    ({"state_terms": [{"exponent": 0.5, "matrix": None}]}, "state term must be numbers"),
     ({"state_terms": [{"exponent": 0.5, "matrix": [[1.0]]}], "C": [[float("nan")]]},
      "C entries must be finite"),
     ({"alpha": [0.5], "A": [[None]]}, "A entries must be finite"),
@@ -906,13 +910,13 @@ def test_trajectory_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, header
     ({"alpha": [0.5], "A": [[0.2]], "n": None}, "declared n"),
     ([1.0], "JSON object"),
     # JSON true/false are not numbers
-    ({"alpha": [True, 0.7], "A": [[-0.2, 0.0], [0.0, -0.3]]}, "alpha is not numeric"),
-    ({"alpha": [0.5, 0.7], "A": [[-0.2, False], [0.0, -0.3]]}, "A is not numeric"),
+    ({"alpha": [True, 0.7], "A": [[-0.2, 0.0], [0.0, -0.3]]}, "alpha must be numbers"),
+    ({"alpha": [0.5, 0.7], "A": [[-0.2, False], [0.0, -0.3]]}, "A must be numbers"),
     ({"alpha": [0.5], "A": [[0.2]], "n": True}, "declared n"),
     ({"alpha": [0.5], "A": [[0.2]], "B": [[1.0]], "m": True}, "declared m"),
-    ({"alpha": [0.5], "A": [[0.2]], "Bw": [[True]]}, "Bw is not numeric"),
+    ({"alpha": [0.5], "A": [[0.2]], "Bw": [[True]]}, "Bw must be numbers"),
     ({"state_terms": [{"exponent": True, "matrix": [[1.0]]}]}, "state_terms"),
-    ({"state_terms": [{"exponent": 0.5, "matrix": [[1.0]]}], "C": [[True]]}, "C is not numeric"),
+    ({"state_terms": [{"exponent": 0.5, "matrix": [[1.0]]}], "C": [[True]]}, "C must be numbers"),
 ])
 def test_bad_model_file_exits_2_naming_the_field(tmp_path, capsys, model, field):
     path = tmp_path / "m.json"

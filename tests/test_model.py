@@ -24,7 +24,7 @@ def test_fos_model_validation():
         FosModel(alpha=[0.5, 0.6], A=[[0.2]])
     with pytest.raises(DimensionError):
         FosModel(alpha=[2.5], A=[[0.2]])  # outside [-1, 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         FosModel(alpha=[np.nan], A=[[0.2]])
     m = FosModel(alpha=[0.5], A=[[0.2]], B=[[1.0]])
     assert (m.n, m.m, m.p) == (1, 1, 1)
@@ -122,9 +122,9 @@ def test_malformed_state_terms_are_dimension_errors(terms):
 
 
 def test_non_numeric_or_nested_fields_are_dimension_errors():
-    with pytest.raises(DimensionError, match="alpha is not a numeric array"):
+    with pytest.raises(DimensionError, match="alpha must be numbers"):
         FosModel(alpha={}, A=[[0.2]])
-    with pytest.raises(DimensionError, match="A is not a numeric array"):
+    with pytest.raises(DimensionError, match="A must be numbers"):
         FosModel(alpha=[0.5, 0.5], A=[[0.2], [0.1, 0.3]])
     with pytest.raises(DimensionError, match="B must be a matrix"):
         FosModel(alpha=[0.5], A=[[0.2]], B=[[[1.0]]])

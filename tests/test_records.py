@@ -117,12 +117,12 @@ I2 = np.eye(2)
 
 REFUSED = [
     ("FosModel", dict(alpha=[0.5, 0.6], A=[[0.2]]), DimensionError,
-     "alpha must have length 1, got (2,)"),
+     "alpha must have length 1"),
     ("FosModel", dict(alpha=[0.5], A=[[0.2, 0.1]]), DimensionError, "A must be square, got (1, 2)"),
-    ("FosModel", dict(alpha=[np.nan], A=[[0.2]]), DimensionError, "alpha entries must be finite"),
+    ("FosModel", dict(alpha=[np.nan], A=[[0.2]]), DomainError, "alpha entries must be finite"),
     ("FosModel", dict(alpha=[2.5], A=[[0.2]]), DimensionError, "alpha entries must lie in [-1, 2)"),
     ("FosModel", dict(alpha=[True], A=[[0.2]]), DimensionError,
-     "alpha is not numeric: it holds true or false"),
+     "alpha must be numbers, got [True]"),
     ("FosModel", dict(alpha=[0.5], A=[[0.2]], B=[[1.0], [2.0]]), DimensionError,
      "B must have 1 rows, got 2"),
     ("FosModel", dict(alpha=[0.5], A=[[0.2]], Bw=[[np.nan]]), DomainError,
@@ -170,10 +170,10 @@ REFUSED = [
      "Q must be positive definite"),
     ("EstimatorConfig", dict(Q=1.0, R=[[1.0, 2.0], [0.0, 1.0]], P0=1.0, xhat0=0.0), NotSPD,
      "R must be symmetric"),
-    ("EstimatorConfig", dict(Q=1.0, R=1.0, P0=np.nan, xhat0=0.0), NotSPD,
+    ("EstimatorConfig", dict(Q=1.0, R=1.0, P0=np.nan, xhat0=0.0), DomainError,
      "P0 entries must be finite"),
     ("EstimatorConfig", dict(Q=1.0, R=1.0, P0=1.0, xhat0=[True]), DimensionError,
-     "xhat0 is not numeric: it holds true or false"),
+     "xhat0 must be numbers, got [True]"),
 ]
 
 

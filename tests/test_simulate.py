@@ -224,7 +224,7 @@ def test_simulator_seed_dispatch_is_deterministic():
 def test_trajectory_validation():
     with pytest.raises(DimensionError):
         Trajectory(states=np.ones((3, 1)), inputs=np.ones((3, 1)))  # needs K rows
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         Trajectory(states=np.array([[np.inf]]))
 
 
@@ -284,6 +284,7 @@ def _count_calls(count):
         "augment_v": lambda: augment_v(net, count).Atil,
         "MpcProblem p": lambda: MpcProblem(p=count, P=4, M=2, Q=1.0, R=0.1),
         "MpcProblem P": lambda: MpcProblem(p=3, P=count, M=1, Q=1.0, R=0.1),
+        "gaussian_noise seed": lambda: gaussian_noise(count, 4, 2, 1.0),
         "gaussian_noise steps": lambda: gaussian_noise(1, count, 2, 1.0),
         "gaussian_noise dim": lambda: gaussian_noise(1, 4, count, 1.0),
         "frac_difference": lambda: frac_difference(run.states, [0.5], count),
@@ -303,7 +304,7 @@ COUNTED = list(_count_calls(3))
 @pytest.mark.parametrize("call", COUNTED)
 def test_a_step_count_must_be_a_whole_number(call, bad):
     # the message names the argument: "step count K", "horizon J", "max_steps", ...
-    named = (r"^[\w ]*\b(K|J|j|k|p|P|t|v|max_steps|steps|dim|offset|length) "
+    named = (r"^[\w ]*\b(K|J|j|k|p|P|t|v|max_steps|steps|dim|seed|offset|length) "
              r"must be a whole number, got ")
     with pytest.raises(DomainError, match=named):
         _count_calls(bad)[call]()
@@ -337,6 +338,7 @@ FLOORS = {
     "augment_v": "truncation depth v must be >= 1",
     "MpcProblem p": "model depth p must be >= 1",
     "MpcProblem P": "prediction horizon P must be >= 1",
+    "gaussian_noise seed": "seed must be non-negative",
     "gaussian_noise steps": "steps must be non-negative",
     "gaussian_noise dim": "dim must be non-negative",
     # a step outside the series and a k outside 1..K keep the messages of their ranges
@@ -364,12 +366,34 @@ def test_a_count_below_its_floor_is_refused_naming_it(call, count):
         _count_calls(count)[call]()
 
 
+def _seeded(seed):
+    """Each entry that draws its noise from ``seed`` when that is not an array."""
+    model = FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+    net = MultiTermNetwork(state_terms=[(0.6, np.eye(2))], disturbance_terms=[(0.7, np.eye(2))])
+    problem = MpcProblem(p=3, P=4, M=2, Q=1.0, R=0.1, u_lo=-1.0, u_hi=1.0)
+    return {
+        "simulate_fos": lambda: simulate_fos(model, [1.0, -0.5], w=seed, K=3),
+        "simulate_network": lambda: simulate_network(net, [1.0, -0.5], w=seed, K=3),
+        "run_closed_loop": lambda: run_closed_loop(model, problem, 3, seed),
+        "uncontrolled_baseline": lambda: uncontrolled_baseline(model, 3, seed),
+    }
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, np.nan, np.inf, -np.inf, True])
+@pytest.mark.parametrize("call", list(_seeded(0)))
+def test_a_seed_must_be_a_count(call, bad):
+    # true is not seed 1, and numpy's own refusals of -1, 2.5 or nan are not the message
+    with pytest.raises(DomainError, match=r"^seed must be (a whole number|non-negative)"):
+        _seeded(bad)[call]()
+    _seeded(np.zeros((3, 2)))[call]()  # an explicit noise array is no seed
+
+
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0])
 def test_a_noise_scale_must_be_finite_and_non_negative(sigma):
     m = FosModel(alpha=[0.5], A=[[0.2]], Bw=[[1.0]])
     for draw in (lambda: gaussian_noise(1, 2, 1, sigma),
                  lambda: simulate_fos(m, [1.0], w=1, K=3, noise_sigma=sigma)):
-        with pytest.raises(DimensionError, match="^sigma must be non-negative and finite$"):
+        with pytest.raises(DomainError, match=r"^sigma must (be finite|lie in \[0, inf\)), got "):
             draw()
 
 

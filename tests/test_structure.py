@@ -36,6 +36,11 @@ Every step count, horizon, depth and window is judged by ``fraccore._count``,
 which refuses one that is not a whole number or lies below its floor.  A
 module that compares a count with a number, or raises the floor message of a
 count itself, has grown a second rule beside it.
+
+Every argument is judged by the readers of ``fraccore`` (``_count``, ``_real``
+and ``_array``), the CLI's options under their config keys.  ``cli.py`` raises
+none of the readers' messages and casts no value to float itself: it holds no
+reader of its own.
 """
 
 import ast
@@ -342,9 +347,20 @@ def _is_count(node) -> bool:
 
 
 def count_names(source: str) -> set:
-    """The names that the ``_count`` calls in ``source`` give their counts."""
-    return {node.args[1].value for node in ast.walk(ast.parse(source))
-            if _is_count(node) and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
+    """The names that the ``_count`` calls in ``source`` give their counts.
+
+    The CLI's ``_get(config, key, _count, ...)`` judges ``key`` as a count.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            continue
+        if _is_count(node) or (isinstance(node.func, ast.Name) and node.func.id == "_get"
+                               and len(node.args) > 2 and isinstance(node.args[2], ast.Name)
+                               and node.args[2].id == "_count"):
+            names.add(node.args[1].value)
+    return names
 
 
 def _text(node) -> str:
@@ -424,3 +440,56 @@ def test_the_floor_check_knows_the_counts_of_every_module():
 def test_only_fraccore_judges_the_floor_of_a_count(path):
     lines = count_floor_checks(path.read_text(), COUNT_NAMES)
     assert lines == [], f"{path.name} checks a count's floor at lines {lines}; use fraccore._count"
+
+
+#: Wording that only the argument readers of ``fraccore`` raise.
+READER_MESSAGES = ("must be finite", "must have length", "must be a whole number")
+#: numpy calls that read a value as floats when given ``dtype=float``.
+FLOAT_CASTS = {"asarray", "array"}
+
+
+def reader_uses(source: str) -> list:
+    """Line numbers where ``source`` judges an argument itself.
+
+    A raise whose message holds a reader's wording, or a call of ``asarray``
+    or ``array`` with ``dtype=float`` (or ``float`` as its second argument).
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            hit = any(words in _text(node.exc.args[0]) for words in READER_MESSAGES)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in FLOAT_CASTS:
+            dtype = next((kw.value for kw in node.keywords if kw.arg == "dtype"),
+                         node.args[1] if len(node.args) > 1 else None)
+            hit = isinstance(dtype, ast.Name) and dtype.id == "float"
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source,hit", [
+    ('raise DomainError(f"{key} must be finite, got {value!r}")', True),
+    ('raise DomainError(f"{key} must have length {n}, got {value!r}")', True),
+    ('raise DomainError(f"{key} must be a whole number, got {value!r}")', True),
+    ("arr = np.asarray(items, dtype=float)", True),
+    ("arr = numpy.array(items, float)", True),
+    ('raise DomainError(f"{key} must name a file, got {value!r}")', False),
+    ("arr = np.asarray(rows)", False),
+    ("x0 = _array(value, key, length=2)", False),
+])
+def test_the_reader_check_reads_each_form_of_a_reader(source, hit):
+    assert bool(reader_uses(source)) == hit
+
+
+def test_the_reader_check_sees_the_readers_of_fraccore():
+    path = PACKAGE / "fraccore.py"
+    assert {"_count", "_real", "_array"} <= enclosing_definitions(
+        path, reader_uses(path.read_text()))
+
+
+def test_the_cli_holds_no_reader_of_its_own():
+    # every option is judged by a reader of fraccore under its config key
+    lines = reader_uses((PACKAGE / "cli.py").read_text())
+    assert lines == [], f"cli.py judges an argument at lines {lines}; use fraccore's readers"

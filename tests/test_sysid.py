@@ -68,6 +68,21 @@ def test_ols_error_bound_reports_side_condition():
     assert isinstance(res.side_ok, bool)
 
 
+@pytest.mark.parametrize("window", [(0,), 5, (0, 10, 5), "ab"])
+def test_a_window_must_be_an_offset_length_pair(window):
+    traj = Trajectory(states=np.random.default_rng(0).standard_normal((40, 1)).cumsum(axis=0))
+    for call in (lambda: identify(traj, 3, 0.1, window), lambda: ols_spatial(traj, [0.5], window)):
+        with pytest.raises(DomainError, match=r"^window (offset )?must be"):
+            call()
+
+
+def test_a_non_finite_matrix_fails_alike_in_both_gramian_calls():
+    for call in (lambda: finite_time_gramian([[np.nan]], 3),
+                 lambda: ols_error_bound([[np.nan]], 10, 2, 0.1)):
+        with pytest.raises(DomainError, match="^Atil entries must be finite$"):
+            call()
+
+
 def test_ols_error_bound_domain_checks():
     with pytest.raises(DomainError):
         ols_error_bound(2.0 * np.eye(1), 10, 1, 0.1)  # spectral radius > 1

@@ -120,7 +120,7 @@ def test_the_prior_resolves_against_the_lift():
         me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=2.0, xhat0=[1.0, 2.0, 3.0]))
     with pytest.raises(DomainError, match="^xhat0 entries must be finite"):
         me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=2.0, xhat0=[1.0, np.nan]))
-    with pytest.raises(DomainError, match="^xhat0 entries must be finite"):
+    with pytest.raises(DimensionError, match="^xhat0 must be numbers, got None$"):
         EstimatorConfig.from_scalars(aug, 1.0, 1.0, 1.0, None)
     with pytest.raises(DimensionError, match=f"^P0 must have {d}x{d} blocks"):
         me_filter_init(aug, EstimatorConfig(Q=1.0, R=1.0, P0=[1.0, 2.0], xhat0=0.0))
