@@ -17,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BranchWarning, DimensionError, DomainError, EigenFailure, NonFiniteError, NotControllable,
-    NotObservable, SingularError)
-from .fraccore import _array, _count, _real
-from .model import FosModel, _as_matrix, augment_p
+    BranchWarning, DomainError, EigenFailure, NonFiniteError, NotControllable, NotObservable,
+    SingularError)
+from .fraccore import _array, _count, _real, _square
+from .model import FosModel, augment_p
 from .simulate import simulate_fos, transition_matrices
 
 __all__ = [
@@ -67,7 +67,7 @@ def commensurate_stability(A, alpha: float) -> StabilityReport:
     eigensolver noise at the sector boundary is not decidable.
     """
     alpha = _real(alpha, "alpha", 0.0, 2.0)
-    A = _as_matrix(A, name="A", square=True)
+    A = _square(A, "A")
     try:
         eig = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -122,10 +122,10 @@ def _numerical_rank(M: np.ndarray, K: int):
 def _norm_B(model: FosModel, B) -> np.ndarray:
     if B is None:
         return model.B
-    B = _as_matrix(B, name="B")
+    B = _array(B, "B", (None, None))
     if B.shape[0] != model.n and B.shape[1] == model.n:  # one row per input reads as B^T
         B = B.T
-    return _as_matrix(B, rows=model.n, name="B")
+    return _array(B, "B", (model.n, None))
 
 
 def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianReport:
@@ -164,7 +164,7 @@ def deadbeat_input(model: FosModel, B, x0, K: int) -> np.ndarray:
     Stacks u[j] = -(G_{K-1-j} B)^T G_K^{-T} W_c^{-1} x0; requires
     controllability at horizon K.
     """
-    x0 = _array(x0, "x0", model.n)
+    x0 = _array(x0, "x0", (model.n,))
     B = _norm_B(model, B)
     rep, G = _controllability(model, B, K)
     if not rep.full_rank:
@@ -192,7 +192,7 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
     Row block k of O_K is C G_k, the map from x[0] to the free output y[k].
     """
     K = _count(K, "horizon K", least=1)
-    C = np.eye(model.n) if C is None else _as_matrix(C, cols=model.n, name="C")
+    C = np.eye(model.n) if C is None else _array(C, "C", (None, model.n))
     obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
     Wo = obsv.T @ obsv
     if not np.isfinite(Wo).all():
@@ -208,26 +208,24 @@ def _forced_output(model: FosModel, B, C, u: np.ndarray) -> np.ndarray:
     return run.states @ C.T
 
 
-def _rows(a, K: int, width: int, name: str) -> np.ndarray:
-    a = _as_matrix(a, cols=width, name=name)
-    if a.shape[0] < K:
-        raise DimensionError(f"{name} must have at least {K} rows, got {a.shape[0]}")
-    return a[:K]
-
-
 def reconstruct_initial_state(model: FosModel, B, C, u, y, K: int) -> np.ndarray:
     """Recover x[0] from K inputs and outputs: x0 = W_o^{-1} O_K^T (Y - F).
 
     ``y`` and ``u`` stack y[0..K-1] and u[0..K-1] as rows (u None: no input);
-    F is the output u drives from x[0] = 0.  Requires observability at K.
+    rows past K are not read.  F is the output u drives from x[0] = 0.
+    Requires observability at K.
     """
     B, rep = _norm_B(model, B), observability_matrices(model, C, K)
     if not rep.full_rank:
         raise NotObservable(f"rank {rep.rank} < n = {model.n} at horizon K={K}")
     C = rep.obsv[: rep.obsv.shape[0] // K]  # row block 0 of O_K is C G_0 = C
-    Y = _rows(y, K, C.shape[0], "y")
+
+    def first_K(a, name: str, width: int) -> np.ndarray:
+        return _array(_array(a, name, (None, width))[:K], name, (K, width))
+
+    Y = first_K(y, "y", C.shape[0])
     if u is not None:
-        Y = Y - _forced_output(model, B, C, _rows(u, K, B.shape[1], "u"))
+        Y = Y - _forced_output(model, B, C, first_K(u, "u", B.shape[1]))
     try:  # the rank is judged on O_K, whose Gramian can still underflow to singular
         return np.linalg.solve(rep.gramian, rep.obsv.T @ Y.reshape(-1))
     except np.linalg.LinAlgError as exc:
@@ -252,7 +250,7 @@ class FractionalTransferFunction(namedtuple("FractionalTransferFunction", "num d
                 A, B, C, D, alpha = ss
             except (TypeError, ValueError):
                 raise DomainError(f"ss must be (A, B, C, D, alpha), got {ss!r}") from None
-            mats = (_as_matrix(M, name=name) for M, name in zip((A, B, C, D), "ABCD"))
+            mats = (_array(M, name, (None, None)) for M, name in zip((A, B, C, D), "ABCD"))
             return super().__new__(cls, num, den, (*mats, _real(alpha, "alpha")))
         num, den = _terms(() if num is None else num, "num"), _terms(den, "den")
         if not den:
@@ -273,9 +271,7 @@ def _terms(terms, name: str) -> tuple:
     pairs = _array(terms, name)
     if pairs.size == 0:
         return ()
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise DimensionError(f"{name} must be (coefficient, exponent) pairs, got shape "
-                             f"{pairs.shape}")
+    pairs = _array(pairs, name, (None, 2))
     if np.any(pairs[:, 1] < 0):
         raise DomainError(f"{name} exponents must be non-negative")
     return tuple(map(tuple, pairs.tolist()))

@@ -108,12 +108,12 @@ def cmd_simulate(args) -> int:
     config = _options(args, args.config)
     model = read_model(_path(config, "model"))
     K = _get(config, "steps", _count, 0)
-    x0 = _get(config, "x0", _array, np.zeros(model.n), length=model.n)
+    x0 = _get(config, "x0", _array, np.zeros(model.n), shape=(model.n,))
     u = None
     if "input" in config:
         u = read_trajectory(_path(config, "input")).inputs
         if u is None:
-            raise DomainError("input trajectory file carries no input columns")
+            raise DomainError("input trajectory file carries no inputs (u1, u2, ...)")
     seed = _get(config, "seed", _count)
     sigma = _get(config, "sigma", _real, 1.0)
     dt = _get(config, "dt", _real, 1.0)
@@ -124,8 +124,8 @@ def cmd_simulate(args) -> int:
     else:
         traj = simulate_fos(model, x0, u=u, w=seed, K=K, dt=dt, noise_sigma=sigma)
     write_trajectory(out, traj)
-    write_manifest(out, "simulate", {"model": config["model"]}, {"trajectory": out},
-                   seed, config, __version__)
+    inputs = {key: config[key] for key in ("model", "input") if key in config}
+    write_manifest(out, "simulate", inputs, {"trajectory": out}, seed, config, __version__)
     return EXIT_OK
 
 
@@ -185,7 +185,7 @@ def cmd_analyze(args) -> int:
         points = _get(config, "omega_points", _count, 200, least=1)
         omegas = np.logspace(np.log10(start), np.log10(stop), points)
         if "fopid" in config:
-            resp = fopid_response(*_get(config, "fopid", _array, length=5), omegas)
+            resp = fopid_response(*_get(config, "fopid", _array, shape=(5,)), omegas)
         elif "num" in config and "den" in config:
             tf = FractionalTransferFunction.rational(_terms(config, "num"), _terms(config, "den"))
             resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
@@ -211,15 +211,13 @@ def cmd_identify(args) -> int:
     traj = read_trajectory(_path(config, "trajectory"))
     p = _get(config, "depth", _count, 50)
     epsilon = _get(config, "epsilon", _real, 1e-3)
-    window = _get(config, "window", _array, length=2)
+    window = _get(config, "window", _array, shape=(2,))
     if window is not None:
         window = tuple(_count(_json_count(v), "window") for v in window.tolist())
     out_model, out_diag = _path(config, "out_model"), _path(config, "out_diag")
     result = identify(traj, p, epsilon, window)
     n = result.alpha_hat.shape[0]
-    model = FosModel(alpha=np.clip(result.alpha_hat, -1.0, 1.0), A=result.A_hat,
-                     B=np.zeros((n, 0)), Bw=np.eye(n))
-    write_model(out_model, model)
+    write_model(out_model, FosModel(alpha=result.alpha_hat, A=result.A_hat))
     write_table(out_diag, ["channel", "alpha_hat", "iterations", "mse", "flag"],
                 ([i + 1, result.alpha_hat[i], int(result.iterations[i]), result.mse[i],
                   result.flag_string(i)] for i in range(n)))
@@ -261,9 +259,9 @@ def cmd_mpc(args) -> int:
     config = _options(args, args.scenario)
     plant = _model(config)
     out = _path(config, "out")
-    bounds = _get(config, "bounds", _array, length=2, finite=False)
+    bounds = _get(config, "bounds", _array, shape=(2,), finite=False)
     if bounds is None:
-        bounds = [_get(config, key, _array, default, length=1, finite=False)[0]
+        bounds = [_get(config, key, _array, default, shape=(1,), finite=False)[0]
                   for key, default in (("u_lo", -np.inf), ("u_hi", np.inf))]
     P = _get(config, "horizon", _count, 10)
     problem = MpcProblem(
@@ -278,7 +276,7 @@ def cmd_mpc(args) -> int:
     K = _get(config, "K", _count, 100)
     seed = _get(config, "seed", _count, 0)
     sigma = _get(config, "sigma", _real, 1.0)
-    x0 = _get(config, "x0", _array, length=plant.n)
+    x0 = _get(config, "x0", _array, shape=(plant.n,))
     result = run_closed_loop(plant, problem, K, seed, x0=x0, noise_sigma=sigma)
     baseline = uncontrolled_baseline(plant, K, seed, x0=x0, noise_sigma=sigma)
 

@@ -131,11 +131,9 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     """
     aug, cfg = state.aug, state.config
     k = state.k
-    u = np.zeros(aug.m) if u is None else _array(u, "input", aug.m, finite=False)
-    y = _array(y, "measurement", aug.q, finite=False)
-    C = aug.Ctil if C is None else np.atleast_2d(_array(C, "C", finite=False))
-    if C.shape != aug.Ctil.shape:
-        raise DimensionError(f"C must have shape {aug.Ctil.shape}")
+    u = np.zeros(aug.m) if u is None else _array(u, "input", (aug.m,), finite=False)
+    y = _array(y, "measurement", (aug.q,), finite=False)
+    C = aug.Ctil if C is None else _array(C, "C", aug.Ctil.shape, finite=False)
     Qk = _weight_block(cfg.Q, k, aug.Gtil.shape[1], "Q")
     Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
     xpred = aug.Atil @ state.xhat + aug.Btil @ u
@@ -165,17 +163,11 @@ def me_batch(aug: AugmentedModel, config: EstimatorConfig, u, y):
     """
     d, n_r, q = aug.dim, aug.Gtil.shape[1], aug.q
     prior = me_filter_init(aug, config)
-    y = np.atleast_2d(_array(y, "y"))
+    y = _array(y, "y", (None, q))
     N = y.shape[0]
     if N < 1:
         raise DimensionError("need at least one measurement")
-    if y.shape[1] != q:
-        raise DimensionError(f"y must have {q} columns")
-    if u is None:
-        u = np.zeros((N, aug.m))
-    u = np.atleast_2d(_array(u, "u"))
-    if u.shape != (N, aug.m):
-        raise DimensionError(f"u must have shape ({N}, {aug.m})")
+    u = np.zeros((N, aug.m)) if u is None else _array(u, "u", (N, aug.m))
 
     nvar = d + N * n_r
     A, G, C = aug.Atil, aug.Gtil, aug.Ctil
@@ -334,13 +326,9 @@ def run_estimator(
     N = traj.outputs.shape[0] - 1
     if N < 1:
         raise DimensionError("trajectory has no measurement after step 0")
-    u = traj.inputs if traj.inputs is not None else np.zeros((N, aug.m))
-    if u.shape[0] < N:
-        raise DimensionError("trajectory inputs are shorter than its outputs")
-    if traj.outputs.shape[1] != aug.q:
-        raise DimensionError(f"measurement must have length {aug.q}")
-    if u.shape[1] != aug.m:
-        raise DimensionError(f"input must have length {aug.m}")
+    y = _array(traj.outputs, "trajectory outputs", (None, aug.q))
+    u = _array(np.zeros((N, aug.m)) if traj.inputs is None else traj.inputs[:N],
+               "trajectory inputs", (N, aug.m))
     scheduled = net.C.ndim == 3
     state = me_filter_init(aug, config)
     est = np.zeros((N + 1, aug.dim))
@@ -351,14 +339,14 @@ def run_estimator(
             start = _increment(aug, state.P, _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q"),
                                _weight_block(config.R, 1, aug.q, "R"))
         if start is not None:
-            _low_rank_filter(aug, state.xhat, start, u, traj.outputs, est)
+            _low_rank_filter(aug, state.xhat, start, u, y, est)
         else:
             for k in range(N):
                 Ck = None
                 if scheduled:
                     Ck = np.zeros((aug.q, aug.dim))
                     Ck[:, : aug.n] = net.output_map(k + 1)
-                state = me_filter_step(state, u[k], traj.outputs[k + 1], C=Ck)
+                state = me_filter_step(state, u[k], y[k + 1], C=Ck)
                 est[k + 1] = state.xhat
     base = est[:, : aug.n]
     err = None

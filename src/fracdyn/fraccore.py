@@ -17,7 +17,9 @@ read-only (orders, lags 0..J) array that :func:`build_weight_table` returns.
 
 It also holds the readers that judge every argument of the package and its
 CLI, each raising an error that names it: :func:`_count` (a count),
-:func:`_real` (a finite real in a range) and :func:`_array` (a float array).
+:func:`_real` (a finite real in a range) and :func:`_array` (a float array of
+a declared shape, which also sets the one rule for a 1-D value where a
+matrix or time series belongs; :func:`_square` reads a square matrix by it).
 """
 
 import math
@@ -77,12 +79,19 @@ def _holds_bool(value) -> bool:
         isinstance(value, (list, tuple)) and any(map(_holds_bool, value)))
 
 
-def _array(value, name: str, length: int | None = None, finite: bool = True) -> np.ndarray:
-    """``value`` as a float array; a vector of ``length`` entries when that is given.
+def _array(value, name: str, shape: tuple | None = None, finite: bool = True,
+           series: bool = False) -> np.ndarray:
+    """``value`` as a float array; of the declared ``shape`` when that is given.
 
-    None, a string, true/false at any depth, and what numpy cannot read as
-    floats raise DimensionError naming ``name``, as does another length (a
-    number is one entry).  A NaN or +-inf entry raises DomainError naming it,
+    ``shape`` is a tuple of sizes, None for a free size.  A number where a
+    vector or matrix belongs is one entry.  A 1-D value where a matrix
+    belongs is one row if a row fits the declared sizes, otherwise one
+    column; when both sizes are free, ``series`` makes it a column (one
+    channel of a time-major series) and a matrix takes it as a row.  Another
+    shape raises DimensionError naming ``name``: "must have length n" for a
+    vector, "must have shape (3, *), got (1, 3)" otherwise.  None, a string,
+    true/false at any depth, and what numpy cannot read as floats raise
+    DimensionError too.  A NaN or +-inf entry raises DomainError naming it,
     unless ``finite`` is false: the caller then judges the values, as the MPC
     bounds (which may be infinite) and the drives of one step (whose sum the
     step checks) do.
@@ -94,13 +103,33 @@ def _array(value, name: str, length: int | None = None, finite: bool = True) -> 
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise DimensionError(f"{name} must be numbers, got {value!r}") from None
-    if length is not None:
-        arr = np.atleast_1d(arr)
-        if arr.shape != (length,):
-            raise DimensionError(f"{name} must have length {length}")
+    if shape is not None and arr.shape != shape and not _fits(arr, shape):
+        fit = None
+        if arr.ndim < len(shape) <= 2:  # a number, or a vector where a matrix belongs
+            row = arr.reshape((1,) * (len(shape) - 1) + (-1,))
+            order = (row.T, row) if series and shape == (None, None) else (row, row.T)
+            fit = next((a for a in order if _fits(a, shape)), None)
+        if fit is None:
+            if len(shape) == 1:
+                raise DimensionError(f"{name} must have length {shape[0]}")
+            sizes = ", ".join("*" if size is None else str(size) for size in shape)
+            raise DimensionError(f"{name} must have shape ({sizes}), got {arr.shape}")
+        arr = fit
     if finite and not np.isfinite(arr).all():
         raise DomainError(f"{name} entries must be finite")
     return arr
+
+
+def _fits(arr: np.ndarray, shape: tuple) -> bool:
+    """Whether ``arr`` has the declared ``shape``, None a free size."""
+    return arr.ndim == len(shape) and all(
+        want is None or size == want for size, want in zip(arr.shape, shape))
+
+
+def _square(value, name: str) -> np.ndarray:
+    """``value`` as a finite square matrix by the rule of :func:`_array`; its rows set the size."""
+    m = _array(value, name, (None, None))
+    return _array(m, name, m.shape[:1] * 2)
 
 
 def gl_weight_recursive(alpha: float, j: int) -> float:
@@ -307,12 +336,8 @@ def frac_difference(series, alphas, k: int, table: np.ndarray | None = None):
     array ``table`` with at least k + 1 lags avoids re-deriving the weights.
     """
     k = _count(k, "step k", least=-np.inf)
-    x = _array(series, "series")
-    if x.ndim not in (1, 2):
-        raise DimensionError(f"series must be a (T,) or (T, n) series, got shape {x.shape}")
-    if x.ndim == 1:
-        x = x[:, None]
-    orders = _array(alphas, "alphas", x.shape[1])  # one order per channel
+    x = _array(series, "series", (None, None), series=True)
+    orders = _array(alphas, "alphas", x.shape[1:])  # one order per channel
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"step k={k} outside series of length {x.shape[0]}")
     if table is None:

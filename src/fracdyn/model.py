@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NotSPD, SingularError
-from .fraccore import _array, _count, build_weight_table
+from .fraccore import _array, _count, _real, _square, build_weight_table
 
 __all__ = [
     "FosModel",
@@ -37,20 +37,6 @@ __all__ = [
     "network_series",
     "augment_v",
 ]
-
-def _as_matrix(value, rows: int | None = None, cols: int | None = None, name: str = "matrix",
-               square: bool = False):
-    m = np.atleast_2d(_array(value, name))
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise DimensionError(f"{name} must have {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise DimensionError(f"{name} must have {cols} columns, got {m.shape[1]}")
-    return m
-
 
 def _as_weight(value, name: str, semidefinite: bool = False) -> np.ndarray:
     """A quadratic weight with its blocks symmetrised.
@@ -136,13 +122,13 @@ class FosModel(namedtuple("FosModel", "alpha A B Bw")):
     __slots__ = ()
 
     def __new__(cls, alpha, A, B=None, Bw=None):
-        A = _as_matrix(A, name="A", square=True)
+        A = _square(A, "A")
         n = A.shape[0]
-        alpha = _array(alpha, "alpha", n)
+        alpha = _array(alpha, "alpha", (n,))
         if np.any(alpha < -1.0) or np.any(alpha >= 2.0):
             raise DimensionError("alpha entries must lie in [-1, 2)")
-        B = np.zeros((n, 0)) if B is None else _as_matrix(B, rows=n, name="B")
-        Bw = np.eye(n) if Bw is None else _as_matrix(Bw, rows=n, name="Bw")
+        B = np.zeros((n, 0)) if B is None else _array(B, "B", (n, None))
+        Bw = np.eye(n) if Bw is None else _array(Bw, "Bw", (n, None))
         return super().__new__(cls, *map(_freeze, (alpha, A, B, Bw)))
 
     @property
@@ -176,38 +162,28 @@ class MultiTermNetwork(namedtuple("MultiTermNetwork",
     __slots__ = ()
 
     def __new__(cls, state_terms, input_terms=(), disturbance_terms=(), C=None):
-        def norm_terms(terms, rows, name):
+        def norm_terms(terms, shape, name):
             try:
-                pairs = [(float(exponent), matrix) for exponent, matrix in terms]
-            except (TypeError, ValueError, OverflowError):
-                raise DimensionError(
-                    f"{name}s must be (exponent, matrix) pairs with numeric exponents") from None
-            out = []
-            for exponent, matrix in pairs:
-                if not 0 < exponent < np.inf:
-                    raise DimensionError(f"{name} exponents must be positive and finite, "
-                                         f"got {exponent}")
-                out.append((exponent, _freeze(_as_matrix(matrix, rows=rows, name=name))))
-            return tuple(out)
+                pairs = [(exponent, matrix) for exponent, matrix in terms]
+            except (TypeError, ValueError):
+                raise DimensionError(f"{name}s must be (exponent, matrix) pairs") from None
+            return tuple((_real(exponent, f"{name} exponent", 0.0),
+                          _freeze(_array(matrix, name, shape))) for exponent, matrix in pairs)
 
-        state_terms = norm_terms(state_terms, None, "state term")
+        state_terms = norm_terms(state_terms, (None, None), "state term")
         if not state_terms:
             raise DimensionError("at least one state term is required")
         n = state_terms[0][1].shape[0]
-        for _, mat in state_terms:
-            if mat.shape != (n, n):
-                raise DimensionError("state-term matrices must be square and same size")
-        input_terms = norm_terms(input_terms, n, "input term")
-        dist_terms = norm_terms(disturbance_terms, n, "disturbance term")
+        for _, mat in state_terms:  # the lead term sets the size, each term is n-by-n
+            _array(mat, "state term", (n, n))
+        input_terms = norm_terms(input_terms, (n, None), "input term")
+        dist_terms = norm_terms(disturbance_terms, (n, None), "disturbance term")
         for terms, name in ((input_terms, "input"), (dist_terms, "disturbance")):
             widths = {mat.shape[1] for _, mat in terms}
             if len(widths) > 1:
                 raise DimensionError(f"{name}-term matrices must share a column count")
         C = np.eye(n) if C is None else _array(C, "C")
-        if C.ndim <= 2:
-            C = _as_matrix(C, cols=n, name="C")
-        elif C.ndim != 3 or C.shape[2] != n:
-            raise DimensionError(f"per-step C must have shape (T, q, {n})")
+        C = _array(C, "C", (None, None, n) if C.ndim == 3 else (None, n))
 
         lead = sum(mat for _, mat in state_terms)
         cond = float(np.linalg.cond(lead))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
 from .fraccore import _array, _count, lower_block_toeplitz
-from .model import FosModel, _as_matrix, _as_weight, _weight_block, augment_p
+from .model import FosModel, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
 __all__ = [
@@ -72,11 +72,8 @@ class MpcProblem(namedtuple("MpcProblem", "p P M Q R c u_lo u_hi state_H state_h
         if (state_H is None) != (state_h is None):
             raise DomainError("state_H and state_h must be given together")
         if state_H is not None:
-            state_H = _as_matrix(state_H, name="state_H")
-            state_h = np.atleast_1d(_array(state_h, "state_h", finite=False))
-            if state_h.shape != (state_H.shape[0],):
-                raise DimensionError(
-                    f"state_h must have {state_H.shape[0]} entries, one a state_H row")
+            state_H = _array(state_H, "state_H", (None, None))
+            state_h = _array(state_h, "state_h", state_H.shape[:1], finite=False)
             if np.isnan(state_h).any() or not hard_state and (state_h == -np.inf).any():
                 raise DomainError("state_h limits must not be NaN, nor -inf on a soft row "
                                   "(its slack would cost infinitely)")
@@ -152,16 +149,12 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
 
     Qbar = _block_diag(np.stack([_weight_block(problem.Q, k, n, "Q") for k in range(P)]))
     Rbar = _block_diag(np.stack([_weight_block(problem.R, k, m, "R") for k in range(P)]))
-    cvec = np.zeros(P * n)
-    if problem.c is not None:
-        cvec = np.tile(problem.c, P) if problem.c.ndim == 1 else problem.c.reshape(-1)
-        if cvec.shape != (P * n,):
-            raise DimensionError("linear state cost has the wrong length")
-
-    Hx = np.zeros((0, n)) if problem.state_H is None else problem.state_H
-    hx = np.zeros(0) if problem.state_h is None else problem.state_h
-    if Hx.shape[1] != n:
-        raise DimensionError("state constraint rows do not match the state dimension")
+    cvec, c = np.zeros(P * n), problem.c
+    if c is not None:  # one cost for every step, or a (P, n) schedule
+        cvec = np.tile(_array(c, "c", (n,)), P) if c.ndim < 2 else _array(c, "c", (P, n)).ravel()
+    Hx, hx = np.zeros((0, n)), np.zeros(0)
+    if problem.state_H is not None:
+        Hx, hx = _array(problem.state_H, "state_H", (None, n)), problem.state_h
     rows = _block_diag(np.broadcast_to(Hx, (P,) + Hx.shape))
     rows_S = rows @ S
     H = S.T @ Qbar @ S + Rbar
@@ -189,9 +182,7 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
 
 def _history_lift(model: FosModel, history, p: int) -> np.ndarray:
     """Stack the last p states, newest first, zero-padding before time 0."""
-    hist = np.atleast_2d(_array(history, "history"))
-    if hist.shape[1] != model.n:
-        raise DimensionError(f"history rows must have length {model.n}")
+    hist = _array(history, "history", (None, model.n))
     z = np.zeros(p * model.n)
     recent = hist[::-1][:p].reshape(-1)
     z[: recent.size] = recent

@@ -45,25 +45,21 @@ class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
     finite number, is metadata only: row k corresponds to time k*dt.  A named
     tuple, checked and converted to float arrays on construction
     (``_replace`` skips that).
+
+    Each series is time-major, one row a sample, and is read by the one shape
+    rule of the package (``fraccore._array``): another shape raises
+    DimensionError, "inputs must have shape (3, *), got (2, 1)".  A 1-D
+    series is one channel, a column, here as at every entry that takes a
+    series, unless its declared rows are one, where it is that one sample.
     """
 
     __slots__ = ()
 
     def __new__(cls, states, inputs=None, outputs=None, noises=None, dt=1.0):
-        states = _array(states, "states")
-        if states.ndim == 1:
-            states = states[:, None]  # a flat sequence is one channel over time
-        if states.ndim != 2:
-            raise DimensionError(f"states must be a (K+1, n) array, got shape {states.shape}")
+        states = _array(states, "states", (None, None), series=True)
         K = states.shape[0] - 1
-        rest = []
-        for name, val in (("inputs", inputs), ("outputs", outputs), ("noises", noises)):
-            if val is not None:
-                val = np.atleast_2d(_array(val, name))
-                want = K + 1 if name == "outputs" else K
-                if val.shape[0] != want:
-                    raise DimensionError(f"{name} must have {want} rows, got {val.shape[0]}")
-            rest.append(val)
+        rest = [None if val is None else _array(val, name, (rows, None)) for name, val, rows in
+                (("inputs", inputs, K), ("outputs", outputs, K + 1), ("noises", noises, K))]
         return super().__new__(cls, states, *rest, _real(dt, "dt"))
 
     @property
@@ -76,14 +72,7 @@ class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
 
 
 def _resolve_inputs(u, steps: int, dim: int, name: str = "u") -> np.ndarray:
-    if u is None:
-        return np.zeros((steps, dim))
-    u = _array(u, name)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.shape != (steps, dim):
-        raise DimensionError(f"{name} must have shape ({steps}, {dim}), got {u.shape}")
-    return u
+    return np.zeros((steps, dim)) if u is None else _array(u, name, (steps, dim))
 
 
 def _resolve_noise(w, steps: int, dim: int, sigma: float, name: str = "w") -> np.ndarray:
@@ -96,7 +85,7 @@ def _resolve_noise(w, steps: int, dim: int, sigma: float, name: str = "w") -> np
 def _start(x0, K: int, n: int) -> np.ndarray:
     """States X[0..K], zero but for X[0] = x0, a finite vector of length n."""
     X = np.zeros((K + 1, n))
-    X[0] = _array(x0, "x0", n)
+    X[0] = _array(x0, "x0", (n,))
     return X
 
 
@@ -130,7 +119,7 @@ class FosSimulator:
         k, x = self.k, self._states
         if k + 1 >= x.shape[0]:
             raise DimensionError("simulator stepped past its preallocated horizon")
-        drives = [(M, _array(v, name, M.shape[1], finite=False))
+        drives = [(M, _array(v, name, M.shape[1:], finite=False))
                   for M, v, name in ((self.model.B, u, "u"), (self.model.Bw, w, "w"))
                   if v is not None]
         nxt = _store(x, k, lambda k: [self._A0 @ x[k], self._tail(k)] + [M @ v for M, v in drives])

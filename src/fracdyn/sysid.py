@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, SingularError
-from .fraccore import _array, _count, _real, build_weight_table, history_sum
-from .model import _as_matrix
+from .fraccore import _array, _count, _real, _square, build_weight_table, history_sum
 from .simulate import Trajectory
 
 __all__ = [
@@ -49,7 +48,7 @@ def bisection_bound(epsilon: float) -> int:
 def finite_time_gramian(Atil, t: int) -> np.ndarray:
     """W_t = sum_{j=0..t-1} A^j (A^j)^T; W_1 is the identity, and an overflow raises."""
     t = _count(t, "gramian horizon t", least=1)
-    A = _as_matrix(Atil, name="Atil", square=True)
+    A = _square(Atil, "Atil")
     d = A.shape[0]
     W = np.eye(d)
     M = np.eye(d)
@@ -90,7 +89,7 @@ def ols_error_bound(
     k = _count(k, "gramian horizon k", least=-np.inf)
     if not 1 <= k <= K:
         raise DomainError("need 1 <= k <= K")
-    A = _as_matrix(Atil, name="Atil", square=True)
+    A = _square(Atil, "Atil")
     d = A.shape[0]
     rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if d else 0.0
     if rho > 1.0 + 1e-9:
@@ -182,7 +181,7 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     rows of least norm.  An all-zero window raises SingularError, and rows
     that are not finite (targets that overflow) raise NonFiniteError.
     """
-    orders = _array(alphas, "alphas", traj.n)
+    orders = _array(alphas, "alphas", (traj.n,))
     _, Xw, ridge = win = _window(traj, window)
     A_hat, Z, _ = _fit(traj.states, win, orders)
     if not np.isfinite(A_hat).all():

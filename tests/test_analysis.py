@@ -143,7 +143,7 @@ def test_deadbeat_checks_its_initial_state(x0, error, message):
     ([[np.nan], [1.0]], DomainError, "^B entries must be finite$"),
     ([[np.inf], [1.0]], DomainError, "^B entries must be finite$"),
     ([[True], [False]], DimensionError, r"^B must be numbers, got \[\[True\], \[False\]\]$"),
-    ([[1.0], [2.0], [3.0]], DimensionError, "^B must have 2 rows, got 3$"),
+    ([[1.0], [2.0], [3.0]], DimensionError, r"^B must have shape \(2, \*\), got \(3, 1\)$"),
 ])
 def test_an_input_matrix_is_checked_before_use(B, error, message):
     m = n2_fixture()
@@ -259,12 +259,12 @@ def test_reconstruction_closure_random():
 
 
 @pytest.mark.parametrize("c_cols,y_cols,u_cols,y_rows,message", [
-    (2, 1, 1, 5, "^y must have 2 columns, got 1$"),
-    (2, 3, 1, 5, "^y must have 2 columns, got 3$"),
-    (2, 2, 2, 5, "^u must have 1 columns, got 2$"),
-    (2, 2, 0, 5, "^u must have 1 columns, got 0$"),
-    (2, 2, 1, 4, "^y must have at least 5 rows, got 4$"),
-    (3, 2, 1, 5, "^C must have 2 columns, got 3$"),
+    (2, 1, 1, 5, r"^y must have shape \(\*, 2\), got \(5, 1\)$"),
+    (2, 3, 1, 5, r"^y must have shape \(\*, 2\), got \(5, 3\)$"),
+    (2, 2, 2, 5, r"^u must have shape \(\*, 1\), got \(5, 2\)$"),
+    (2, 2, 0, 5, r"^u must have shape \(\*, 1\), got \(5, 0\)$"),
+    (2, 2, 1, 4, r"^y must have shape \(5, 2\), got \(4, 2\)$"),
+    (3, 2, 1, 5, r"^C must have shape \(\*, 2\), got \(2, 3\)$"),
 ])
 def test_reconstruction_names_a_wrong_width_in_the_callers_terms(c_cols, y_cols, u_cols, y_rows,
                                                                  message):

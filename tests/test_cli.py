@@ -285,6 +285,27 @@ def test_simulate_with_input_file(tmp_path, scalar_model_file):
     assert traj.states[2, 0] == pytest.approx(0.7 + 1.0, abs=1e-14)
 
 
+def test_simulate_names_its_input_file_in_the_manifest(tmp_path, scalar_model_file):
+    drive = str(tmp_path / "drive.csv")
+    write_trajectory(drive, Trajectory(states=np.zeros((4, 1)), inputs=np.ones((3, 1))))
+    out = str(tmp_path / "forced.csv")
+    assert run_cli("simulate", "--model", scalar_model_file, "--steps", "3", "--input", drive,
+                   "--out", out) == 0
+    manifest = json.loads(pathlib.Path(out + ".manifest.json").read_text())
+    assert manifest["inputs"] == {"model": scalar_model_file, "input": drive}
+
+
+def test_simulate_from_a_file_without_inputs_exits_2(tmp_path, capsys, scalar_model_file):
+    drive = str(tmp_path / "free.csv")
+    write_trajectory(drive, Trajectory(states=np.zeros((4, 1))))
+    out = tmp_path / "forced.csv"
+    assert run_cli("simulate", "--model", scalar_model_file, "--steps", "3", "--input", drive,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "fracdyn simulate: input trajectory file carries no inputs (u1, u2, ...)\n")
+    assert not out.exists()
+
+
 def test_estimate_cli_end_to_end(tmp_path):
     net = MultiTermNetwork(
         state_terms=((0.6, np.eye(2)), (0.3, [[0.0, 0.1], [0.1, 0.0]])),
@@ -612,7 +633,7 @@ def test_estimate_on_a_trajectory_short_of_an_output_exits_2(tmp_path, capsys):
     assert run_cli("estimate", "--model", net_path, "--trajectory", str(one),
                    "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == "fracdyn estimate: measurement must have length 2\n"
+    assert err == "fracdyn estimate: trajectory outputs must have shape (*, 2), got (6, 1)\n"
     assert not out.exists()
 
 

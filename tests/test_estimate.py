@@ -319,9 +319,9 @@ def test_run_estimator_needs_a_measurement_after_step_0(rows):
 
 @pytest.mark.parametrize("R", [0.01, [0.01 * np.eye(2)] * 11])
 @pytest.mark.parametrize("y_cols, u_cols, message", [
-    (1, 1, "^measurement must have length 2$"),
-    (3, 1, "^measurement must have length 2$"),
-    (2, 2, "^input must have length 1$"),
+    (1, 1, r"^trajectory outputs must have shape \(\*, 2\), got \(11, 1\)$"),
+    (3, 1, r"^trajectory outputs must have shape \(\*, 2\), got \(11, 3\)$"),
+    (2, 2, r"^trajectory inputs must have shape \(10, 1\), got \(10, 2\)$"),
 ])
 def test_run_estimator_checks_the_trajectory_widths(R, y_cols, u_cols, message):
     # checked before either route runs: at v = 10 the low-rank route (constant

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from fracdyn import (
+    DimensionError,
     DomainError,
     build_weight_table,
     frac_difference,
     gl_weight_recursive,
 )
-from fracdyn.fraccore import MemoryTail
+from fracdyn.fraccore import MemoryTail, _array, _square
 from gl_oracle import GammaPole, gl_weight_gamma
 
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 20) if k != 10]
@@ -159,3 +160,39 @@ def test_memory_tail_rejects_a_kernel_shorter_than_the_history():
         MemoryTail(np.ones((9, 2, 2)), np.zeros((10, 2)))
     with pytest.raises(DomainError, match="shorter than the state history"):
         MemoryTail(np.ones((9, 2)), np.zeros((10, 2)))
+
+
+@pytest.mark.parametrize("value,shape,series,want", [
+    (2.0, (1,), False, [2.0]),
+    (2.0, (None, None), False, [[2.0]]),
+    ([1.0, 2.0], (None, None), False, [[1.0, 2.0]]),  # a matrix takes it as a row
+    ([1.0, 2.0], (None, None), True, [[1.0], [2.0]]),  # a series as one channel
+    ([1.0, 2.0], (1, None), True, [[1.0, 2.0]]),  # one sample: a row fits
+    ([1.0, 2.0], (None, 2), True, [[1.0, 2.0]]),
+    ([1.0, 2.0], (None, 1), False, [[1.0], [2.0]]),  # a row does not fit: a column
+    ([1.0, 2.0], (2, None), False, [[1.0], [2.0]]),
+    ([[1.0, 2.0]], (None, 2), False, [[1.0, 2.0]]),
+])
+def test_a_1d_value_is_a_row_where_one_fits_else_a_column(value, shape, series, want):
+    got = _array(value, "v", shape, series=series)
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("value,shape,message", [
+    ([1.0, 2.0], (3,), "^v must have length 3$"),
+    ([[1.0, 2.0]], (2,), "^v must have length 2$"),
+    ([1.0, 2.0, 3.0], (2, 2), r"^v must have shape \(2, 2\), got \(3,\)$"),
+    ([[1.0], [2.0]], (1, 2), r"^v must have shape \(1, 2\), got \(2, 1\)$"),  # no transpose
+    ([[1.0, 2.0]], (None, 3), r"^v must have shape \(\*, 3\), got \(1, 2\)$"),
+    ([[[1.0]]], (None, None), r"^v must have shape \(\*, \*\), got \(1, 1, 1\)$"),
+    ([[1.0]], (None, None, 2), r"^v must have shape \(\*, \*, 2\), got \(1, 1\)$"),
+])
+def test_another_shape_is_a_dimension_error_naming_the_value(value, shape, message):
+    with pytest.raises(DimensionError, match=message):
+        _array(value, "v", shape)
+
+
+def test_a_square_matrix_takes_its_size_from_its_rows():
+    np.testing.assert_array_equal(_square(3.0, "A"), [[3.0]], strict=True)
+    with pytest.raises(DimensionError, match=r"^A must have shape \(1, 1\), got \(1, 2\)$"):
+        _square([1.0, 2.0], "A")

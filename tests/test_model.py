@@ -114,10 +114,14 @@ def test_non_finite_matrix_entries_are_domain_errors(build, field, value):
         build([[value]])
 
 
-@pytest.mark.parametrize("terms", [None, 5, [5], [(None, [[1.0]])], [("x", [[1.0]])],
-                                   [(0.5,)], [(np.inf, [[1.0]])], [(np.nan, [[1.0]])]])
-def test_malformed_state_terms_are_dimension_errors(terms):
-    with pytest.raises(DimensionError, match="state term"):
+# an exponent that is not a positive finite number is a DomainError of the reader of reals
+@pytest.mark.parametrize("terms, error", [
+    (None, DimensionError), (5, DimensionError), ([5], DimensionError),
+    ([(None, [[1.0]])], DomainError), ([("x", [[1.0]])], DomainError),
+    ([(0.5,)], DimensionError), ([(np.inf, [[1.0]])], DomainError),
+    ([(np.nan, [[1.0]])], DomainError)], ids=[f"terms{i}" for i in range(8)])
+def test_malformed_state_terms_are_dimension_errors(terms, error):
+    with pytest.raises(error, match="state term"):
         MultiTermNetwork(state_terms=terms)
 
 
@@ -126,7 +130,7 @@ def test_non_numeric_or_nested_fields_are_dimension_errors():
         FosModel(alpha={}, A=[[0.2]])
     with pytest.raises(DimensionError, match="A must be numbers"):
         FosModel(alpha=[0.5, 0.5], A=[[0.2], [0.1, 0.3]])
-    with pytest.raises(DimensionError, match="B must be a matrix"):
+    with pytest.raises(DimensionError, match="B must have shape"):
         FosModel(alpha=[0.5], A=[[0.2]], B=[[[1.0]]])
 
 
@@ -150,7 +154,7 @@ def test_companion_square_two_ways():
 
 
 def test_network_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         MultiTermNetwork(state_terms=((0.5, [[1.0]]), (-0.2, [[1.0]])))
     with pytest.raises(SingularError):
         MultiTermNetwork(state_terms=((0.5, [[1.0]]), (0.7, [[-1.0]])))

@@ -44,7 +44,8 @@ BAD = {
 #: and for an array, where a number is a 1 x 1 matrix, a weight of that multiple of I, a
 #: series of one sample or a vector of one entry.
 NUMBERS = {"-1", "0", "2.5", "1e308"}
-#: ... and a vector of two is a row, a diagonal weight or a series of two samples.
+#: ... and a vector of two is a row (a column where a row does not fit the declared
+#: sizes), a diagonal weight or a single-channel series of two samples.
 MATRIX = NUMBERS | {"vector"}
 
 
@@ -56,7 +57,10 @@ class Entry(NamedTuple):
     default, or a comment), and ``raises`` maps (argument, bad value) to
     another exception class that it raises instead, with the reason.
     ``names`` maps an argument to the pattern its messages use when that is
-    not the argument's own name.
+    not the argument's own name.  ``series`` maps each time-major series
+    argument to a valid single-channel value, a (K, 1) array, to be given
+    with the other series of the call; its 1-D form is a valid value too,
+    read as the same column.
     """
 
     fn: object
@@ -65,6 +69,7 @@ class Entry(NamedTuple):
     accepts: dict = {}
     raises: dict = {}
     names: dict = {}
+    series: dict = {}
 
 
 def _fixtures():
@@ -90,6 +95,12 @@ F = _fixtures()
 #: Why a non-finite drive of one closed-loop or filter step names the step, not the drive.
 HOT = ("the drives of one step get a shape check only: the check of what the step computes "
        "raises NonFiniteError naming the step")
+
+
+def _column(*samples):
+    """A single-channel series: a (K, 1) array of ``samples``."""
+    return np.array(samples, dtype=float)[:, None]
+
 
 # tf_eval on the negative real axis warns of the principal branch by design
 pytestmark = pytest.mark.filterwarnings("ignore::fracdyn.errors.BranchWarning")
@@ -119,8 +130,9 @@ SPEC = {
                              ("series", "alphas", "k"),
                              accepts={"alphas": NUMBERS - {"1e308"}, "k": {"0"}},
                              raises={("k", "-1"): (IndexError, "a step outside the series"),
-                                     ("series", "vector"): (IndexError,
-                                                            "a step outside the series")}),
+                                     **{("series", bad): (IndexError, "a step outside the series")
+                                        for bad in MATRIX}},
+                             series={"series": _column(1.0, 2.0, 3.0)}),
     "FosModel": Entry(FosModel, dict(alpha=[0.5], A=[[-0.2]], B=[[1.0]], Bw=[[1.0]]),
                       ("alpha", "A", "B", "Bw"),
                       accepts={"alpha": {"-1", "0"}, "A": NUMBERS, "B": MATRIX | {"None"},
@@ -129,7 +141,7 @@ SPEC = {
         state_terms=[(0.6, [[1.0]])], input_terms=[(0.5, [[1.0]])],
         disturbance_terms=[(0.7, [[1.0]])], C=[[1.0]]),
         ("state_terms", "input_terms", "disturbance_terms", "C"),
-        accepts={"C": NUMBERS | {"None"}},
+        accepts={"C": MATRIX | {"None"}},
         names={"state_terms": "state term", "input_terms": "input term",
                "disturbance_terms": "disturbance term"}),
     "aj_series": Entry(fracdyn.aj_series, dict(model=F["model"], J=2), ("J",),
@@ -142,8 +154,14 @@ SPEC = {
                                          outputs=[[1.0], [0.5]], noises=[[0.0]], dt=1.0),
                         ("states", "inputs", "outputs", "noises", "dt"),
                         accepts={"states": {"vector"}, "inputs": MATRIX | {"None"},
-                                 "outputs": {"None"}, "noises": MATRIX | {"None"},
-                                 "dt": NUMBERS}),
+                                 "outputs": {"vector", "None"}, "noises": MATRIX | {"None"},
+                                 "dt": NUMBERS},
+                        raises={("states", bad): (fracdyn.DimensionError, "a number is one "
+                                                  "sample, so K = 0; the error names inputs, "
+                                                  "which holds one") for bad in NUMBERS},
+                        series={"states": _column(1.0, 0.5, 0.2), "inputs": _column(0.1, 0.0),
+                                "outputs": _column(1.0, 0.5, 0.2),
+                                "noises": _column(0.0, -0.1)}),
     "FosSimulator": Entry(FosSimulator, dict(model=F["model"], x0=[1.0], max_steps=3),
                           ("x0", "max_steps"), accepts={"x0": NUMBERS, "max_steps": {"0"}}),
     "FosSimulator.step": Entry(_step, dict(u=[0.5], w=[0.1]), ("u", "w"),
@@ -155,19 +173,25 @@ SPEC = {
                           ("x0", "u", "w", "K", "dt", "noise_sigma"),
                           accepts={"x0": NUMBERS, "u": {"None"}, "w": {"0", "None"},
                                    "K": {"0"}, "dt": NUMBERS, "noise_sigma": {"0", "2.5"}},
-                          names={"w": r"\b(w|seed)\b", "noise_sigma": "sigma"}),
+                          names={"w": r"\b(w|seed)\b", "noise_sigma": "sigma"},
+                          series={"u": _column(0.1, 0.2, 0.3, 0.4),
+                                  "w": _column(0.0, 0.1, -0.1, 0.2)}),
     "simulate_network": Entry(fracdyn.simulate_network, dict(net=F["net"], x0=[1.0], u=None,
                                                              w=None, K=4, dt=1.0),
                               ("x0", "u", "w", "K", "dt"),
                               accepts={"x0": NUMBERS, "u": {"None"}, "w": {"0", "None"},
                                        "K": {"0"}, "dt": NUMBERS},
-                              names={"w": r"\b(w|seed)\b"}),
+                              names={"w": r"\b(w|seed)\b"},
+                              series={"u": _column(0.1, 0.2, 0.3, 0.4),
+                                      "w": _column(0.0, 0.1, -0.1, 0.2)}),
     "simulate_augmented": Entry(fracdyn.simulate_augmented, dict(aug=F["aug"], x0=[1.0], u=None,
                                                                  w=None, K=4),
                                 ("x0", "u", "w", "K"),
                                 accepts={"x0": NUMBERS | {"vector"}, "u": {"None"},
                                          "w": {"0", "None"}, "K": {"0"}},
-                                names={"w": r"\b(w|seed)\b"}),
+                                names={"w": r"\b(w|seed)\b"},
+                                series={"u": _column(0.1, 0.2, 0.3, 0.4),
+                                        "w": _column(0.0, 0.1, -0.1, 0.2)}),
     "transition_matrices": Entry(fracdyn.transition_matrices, dict(model=F["model"], K=3),
                                  ("K",), accepts={"K": {"0"}}),
     "gaussian_noise": Entry(fracdyn.gaussian_noise, dict(seed=1, steps=200, dim=1, sigma=1.0),
@@ -189,17 +213,21 @@ SPEC = {
                             raises={("B", "0"): (fracdyn.NotControllable, "no input reaches x")}),
     "observability_matrices": Entry(fracdyn.observability_matrices,
                                     dict(model=F["model"], C=[[1.0]], K=2), ("C", "K"),
-                                    accepts={"C": NUMBERS - {"1e308"} | {"None"}}),
+                                    accepts={"C": MATRIX - {"1e308"} | {"None"}}),
     "reconstruct_initial_state": Entry(fracdyn.reconstruct_initial_state, dict(
         model=F["model"], B=[[1.0]], C=[[1.0]], u=[[0.0], [0.0]], y=[[1.0], [0.3]], K=2),
         ("B", "C", "u", "y", "K"),
-        accepts={"B": NUMBERS | {"None"}, "C": {"-1", "2.5", "None"}, "u": {"None"}},
+        accepts={"B": NUMBERS | {"None"}, "C": {"-1", "2.5", "None"},
+                 "u": {"None", "vector"}, "y": {"vector"}},
         raises={("C", "0"): (fracdyn.NotObservable, "a zero output map observes nothing"),
                 ("B", "vector"): (fracdyn.DimensionError, "a row of two inputs is a valid B; "
-                                  "the error names u, which has one column")}),
+                                  "the error names u, which has one column"),
+                ("C", "vector"): (fracdyn.DimensionError, "a column of two outputs is a valid "
+                                  "C; the error names y, which has one column")},
+        series={"u": _column(0.0, 0.5), "y": _column(1.0, 0.3)}),
     "FractionalTransferFunction": Entry(FractionalTransferFunction, dict(
         num=[(1.0, 0.5)], den=[(1.0, 1.0), (1.0, 0.0)], ss=None), ("num", "den", "ss"),
-        accepts={"num": {"None"}, "ss": {"None"}}),
+        accepts={"num": {"None", "vector"}, "den": {"vector"}, "ss": {"None"}}),
     "tf_eval": Entry(fracdyn.tf_eval, dict(tf=F["tf"], s=1j), ("s",),
                      accepts={"s": NUMBERS - {"-1"}}),
     "fopid_response": Entry(fracdyn.fopid_response, dict(kp=1.0, ki=1.0, kd=0.5, lam=0.5, mu=0.7,
@@ -238,7 +266,11 @@ SPEC = {
     "me_batch": Entry(fracdyn.me_batch, dict(aug=F["lift"], config=F["config"], u=[[0.5]],
                                              y=[[0.3]]),
                       ("u", "y"), accepts={"u": NUMBERS - {"1e308"} | {"None"},
-                                           "y": NUMBERS - {"1e308"}}),
+                                           "y": NUMBERS - {"1e308"}},
+                      raises={("y", "vector"): (fracdyn.DimensionError, "a 1-D y is two "
+                                                "measurements; the error names u, which holds "
+                                                "one input")},
+                      series={"u": _column(0.5, -0.2, 0.1), "y": _column(0.3, 0.2, 0.4)}),
     "run_estimator": Entry(fracdyn.run_estimator, dict(net=F["net"], v=2, config=F["config"],
                                                        traj=F["net_traj"]), ("v",)),
     "MpcProblem": Entry(MpcProblem, dict(p=2, P=3, M=1, Q=1.0, R=1.0, c=[0.0], u_lo=-1.0,
@@ -255,7 +287,8 @@ SPEC = {
     "condense": Entry(fracdyn.condense, dict(problem=F["problem"], model=F["model"]), ()),
     "solve_horizon": Entry(fracdyn.solve_horizon, dict(problem=F["problem"], model=F["model"],
                                                        history=[[1.0], [0.5]]),
-                           ("history",), accepts={"history": NUMBERS - {"1e308"}}),
+                           ("history",), accepts={"history": MATRIX - {"1e308"}},
+                           series={"history": _column(1.0, 0.5, 0.2)}),
     "run_closed_loop": Entry(fracdyn.run_closed_loop, dict(plant=F["model"], problem=F["problem"],
                                                            K=3, noise=1, x0=[1.0],
                                                            noise_sigma=1.0),
@@ -265,13 +298,15 @@ SPEC = {
                              raises={(key, "1e308"): (NonFiniteError, "the horizon cost "
                                                       "overflows from the first state")
                                      for key in ("x0", "noise_sigma")},
-                             names={"noise": r"\b(noise|seed)\b", "noise_sigma": "sigma"}),
+                             names={"noise": r"\b(noise|seed)\b", "noise_sigma": "sigma"},
+                             series={"noise": _column(0.1, 0.0, -0.1)}),
     "uncontrolled_baseline": Entry(fracdyn.uncontrolled_baseline, dict(
         plant=F["model"], K=3, noise=1, x0=[1.0], noise_sigma=1.0),
         ("K", "noise", "x0", "noise_sigma"),
         accepts={"noise": {"0", "None"}, "x0": NUMBERS | {"None"},
                  "noise_sigma": {"0", "2.5", "1e308"}},
-        names={"noise": r"\b(noise|seed)\b", "noise_sigma": "sigma"}),
+        names={"noise": r"\b(noise|seed)\b", "noise_sigma": "sigma"},
+        series={"noise": _column(0.1, 0.0, -0.1)}),
 }
 
 
@@ -325,6 +360,54 @@ def test_a_bad_value_raises_a_toolkit_error_naming_the_argument(name, arg, bad):
     if error is FracdynError:
         pattern = entry.names.get(arg, rf"\b{re.escape(arg)}\b")
         assert re.search(pattern, str(caught.value)), str(caught.value)
+
+
+def _same(got, want) -> bool:
+    """Whether two results, nests of arrays, numbers and records, hold the same bits."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.shape == want.shape
+                and got.tobytes() == want.tobytes())
+    if isinstance(want, (tuple, list)):
+        return type(got) is type(want) and len(got) == len(want) and all(map(_same, got, want))
+    return got == want
+
+
+SERIES = [(name, arg) for name, entry in SPEC.items() for arg in entry.series]
+
+
+def test_every_series_argument_declares_a_single_channel_value():
+    assert {name for name, _ in SERIES} == {
+        "frac_difference", "Trajectory", "simulate_fos", "simulate_network", "simulate_augmented",
+        "reconstruct_initial_state", "me_batch", "solve_horizon", "run_closed_loop",
+        "uncontrolled_baseline"}
+
+
+@pytest.mark.parametrize("name,arg", SERIES)
+def test_a_single_channel_series_reads_as_its_column(name, arg):
+    entry = SPEC[name]
+    args = entry.args | entry.series
+    want = entry.fn(**args)
+    assert _same(entry.fn(**(args | {arg: entry.series[arg].ravel()})), want)
+
+
+#: 1-D single-channel series that each call below once refused, with their samples.
+FLAT = {
+    "Trajectory inputs": (lambda s: Trajectory(states=[1.0, 2.0, 3.0, 4.0], inputs=s),
+                          [0.1, 0.2, 0.3]),
+    "me_batch y": (lambda s: fracdyn.me_batch(F["lift"], F["config"], None, s), [0.3, 0.2, 0.4]),
+    "me_batch u": (lambda s: fracdyn.me_batch(F["lift"], F["config"], s, [[0.3], [0.2], [0.4]]),
+                   [0.5, -0.2, 0.1]),
+    "solve_horizon history": (lambda s: fracdyn.solve_horizon(F["problem"], F["model"], s),
+                              [1.0, 0.5, 0.2]),
+    "reconstruct_initial_state y": (lambda s: fracdyn.reconstruct_initial_state(
+        F["model"], None, [[1.0]], None, s, 3), [1.0, 0.3, 0.1]),
+}
+
+
+@pytest.mark.parametrize("case", FLAT)
+def test_a_once_refused_1d_series_equals_its_column(case):
+    call, samples = FLAT[case]
+    assert _same(call(samples), call(_column(*samples)))
 
 
 def _finite_like(value):

@@ -118,30 +118,30 @@ I2 = np.eye(2)
 REFUSED = [
     ("FosModel", dict(alpha=[0.5, 0.6], A=[[0.2]]), DimensionError,
      "alpha must have length 1"),
-    ("FosModel", dict(alpha=[0.5], A=[[0.2, 0.1]]), DimensionError, "A must be square, got (1, 2)"),
+    ("FosModel", dict(alpha=[0.5], A=[[0.2, 0.1]]), DimensionError, "A must have shape (1, 1), got (1, 2)"),
     ("FosModel", dict(alpha=[np.nan], A=[[0.2]]), DomainError, "alpha entries must be finite"),
     ("FosModel", dict(alpha=[2.5], A=[[0.2]]), DimensionError, "alpha entries must lie in [-1, 2)"),
     ("FosModel", dict(alpha=[True], A=[[0.2]]), DimensionError,
      "alpha must be numbers, got [True]"),
     ("FosModel", dict(alpha=[0.5], A=[[0.2]], B=[[1.0], [2.0]]), DimensionError,
-     "B must have 1 rows, got 2"),
+     "B must have shape (1, *), got (2, 1)"),
     ("FosModel", dict(alpha=[0.5], A=[[0.2]], Bw=[[np.nan]]), DomainError,
      "Bw entries must be finite"),
     ("MultiTermNetwork", dict(state_terms=[]), DimensionError,
      "at least one state term is required"),
-    ("MultiTermNetwork", dict(state_terms=[(0.0, I2)]), DimensionError,
-     "state term exponents must be positive and finite, got 0.0"),
-    ("MultiTermNetwork", dict(state_terms=[("a", I2)]), DimensionError,
-     "state terms must be (exponent, matrix) pairs with numeric exponents"),
+    ("MultiTermNetwork", dict(state_terms=[(0.0, I2)]), DomainError,
+     "state term exponent must lie in (0, inf), got 0.0"),
+    ("MultiTermNetwork", dict(state_terms=[("a", I2)]), DomainError,
+     "state term exponent must be a number, got 'a'"),
     ("MultiTermNetwork", dict(state_terms=[(0.5, I2), (0.3, np.eye(3))]), DimensionError,
-     "state-term matrices must be square and same size"),
+     "state term must have shape (2, 2), got (3, 3)"),
     ("MultiTermNetwork",
      dict(state_terms=[(0.5, I2)], input_terms=[(0.5, I2), (0.5, [[1], [1]])]), DimensionError,
      "input-term matrices must share a column count"),
     ("MultiTermNetwork", dict(state_terms=[(0.5, I2)], C=np.eye(3)), DimensionError,
-     "C must have 2 columns, got 3"),
+     "C must have shape (*, 2), got (3, 3)"),
     ("MultiTermNetwork", dict(state_terms=[(0.5, I2)], C=np.ones((2, 2, 3))), DimensionError,
-     "per-step C must have shape (T, q, 2)"),
+     "C must have shape (*, *, 2), got (2, 2, 3)"),
     ("MultiTermNetwork", dict(state_terms=[(0.5, [[1.0, 0.0], [0.0, 0.0]])]), SingularError,
      "sum of state-term matrices is singular to tolerance (cond=inf)"),
     ("MpcProblem", dict(p=2.5, P=2, M=1, Q=1.0, R=1.0), DomainError,
@@ -162,7 +162,7 @@ REFUSED = [
     ("MpcProblem", dict(p=1, P=2, M=1, Q=1.0, R=1.0, state_H=[[1.0]]), DomainError,
      "state_H and state_h must be given together"),
     ("MpcProblem", dict(p=1, P=2, M=1, Q=1.0, R=1.0, state_H=[[1.0]], state_h=[1.0, 2.0]),
-     DimensionError, "state_h must have 1 entries, one a state_H row"),
+     DimensionError, "state_h must have length 1"),
     ("MpcProblem", dict(p=1, P=2, M=1, Q=1.0, R=1.0, state_H=[[1.0]], state_h=[-np.inf]),
      DomainError, "state_h limits must not be NaN, nor -inf on a soft row "
                   "(its slack would cost infinitely)"),
@@ -174,6 +174,10 @@ REFUSED = [
      "P0 entries must be finite"),
     ("EstimatorConfig", dict(Q=1.0, R=1.0, P0=1.0, xhat0=[True]), DimensionError,
      "xhat0 must be numbers, got [True]"),
+    ("MultiTermNetwork", dict(state_terms=[(True, I2)]), DomainError,
+     "state term exponent must be a number, got True"),
+    ("MultiTermNetwork", dict(state_terms=[(0.5, I2)], input_terms=[("0.5", [[1], [1]])]),
+     DomainError, "input term exponent must be a number, got '0.5'"),
 ]
 
 

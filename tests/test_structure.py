@@ -40,7 +40,8 @@ count itself, has grown a second rule beside it.
 Every argument is judged by the readers of ``fraccore`` (``_count``, ``_real``
 and ``_array``), the CLI's options under their config keys.  ``cli.py`` raises
 none of the readers' messages and casts no value to float itself: it holds no
-reader of its own.
+reader of its own.  Every matrix and time series is judged by the shape it
+declares to ``_array``, so no module but ``fraccore`` raises a shape message.
 """
 
 import ast
@@ -448,6 +449,13 @@ READER_MESSAGES = ("must be finite", "must have length", "must be a whole number
 FLOAT_CASTS = {"asarray", "array"}
 
 
+def _raises_words(node, messages) -> bool:
+    """Whether ``node`` raises an error whose message holds one of ``messages``."""
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and bool(node.exc.args) and any(words in _text(node.exc.args[0])
+                                            for words in messages))
+
+
 def reader_uses(source: str) -> list:
     """Line numbers where ``source`` judges an argument itself.
 
@@ -456,8 +464,8 @@ def reader_uses(source: str) -> list:
     """
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
-            hit = any(words in _text(node.exc.args[0]) for words in READER_MESSAGES)
+        if isinstance(node, ast.Raise):
+            hit = _raises_words(node, READER_MESSAGES)
         elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in FLOAT_CASTS:
             dtype = next((kw.value for kw in node.keywords if kw.arg == "dtype"),
                          node.args[1] if len(node.args) > 1 else None)
@@ -493,3 +501,39 @@ def test_the_cli_holds_no_reader_of_its_own():
     # every option is judged by a reader of fraccore under its config key
     lines = reader_uses((PACKAGE / "cli.py").read_text())
     assert lines == [], f"cli.py judges an argument at lines {lines}; use fraccore's readers"
+
+
+#: Wording of a shape judged by hand; ``fraccore._array`` alone judges a declared shape.
+SHAPE_MESSAGES = ("must have shape", "rows, got", "columns", "must be a matrix", "must be square")
+
+
+def shape_raises(source: str) -> list:
+    """Line numbers where ``source`` raises an error in a shape's wording."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if _raises_words(node, SHAPE_MESSAGES)]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ('raise DimensionError(f"C must have shape {aug.Ctil.shape}")', True),
+    ('raise DimensionError(f"{name} must have {want} rows, got {val.shape[0]}")', True),
+    ('raise DimensionError(f"y must have {q} columns")', True),
+    ('raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")', True),
+    ('raise DimensionError(f"{name} must be square, got {m.shape}")', True),
+    ('raise DimensionError("input-term matrices must share a column count")', False),
+    ('raise DimensionError("need at least one measurement")', False),
+    ('x = _array(value, "C", (None, n))', False),
+])
+def test_the_shape_check_reads_each_form_of_a_shape_message(source, hit):
+    assert bool(shape_raises(source)) == hit
+
+
+def test_the_shape_check_sees_the_shape_message_of_fraccore():
+    path = PACKAGE / "fraccore.py"
+    assert enclosing_definitions(path, shape_raises(path.read_text())) == {"_array"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fraccore.py"],
+                         ids=lambda p: p.name)
+def test_only_fraccore_raises_a_shape_message(path):
+    lines = shape_raises(path.read_text())
+    assert lines == [], f"{path.name} judges a shape at lines {lines}; declare it to _array"
