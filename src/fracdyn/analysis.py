@@ -120,12 +120,8 @@ def _numerical_rank(M: np.ndarray, K: int):
 
 
 def _norm_B(model: FosModel, B) -> np.ndarray:
-    if B is None:
-        return model.B
-    B = _array(B, "B", (None, None))
-    if B.shape[0] != model.n and B.shape[1] == model.n:  # one row per input reads as B^T
-        B = B.T
-    return _array(B, "B", (model.n, None))
+    """``B`` read as ``FosModel.B`` is, one row per state; None is the model's own."""
+    return model.B if B is None else _array(B, "B", (model.n, None))
 
 
 def controllability_gramian(model: FosModel, B=None, K: int = 1) -> GramianReport:
@@ -239,7 +235,8 @@ class FractionalTransferFunction(namedtuple("FractionalTransferFunction", "num d
     ``num`` = [(b_k, beta_k), ...] and ``den`` = [(a_k, alpha_k), ...]; all
     exponents must be non-negative and the denominator non-empty.  State-space
     form: H(s) = C (s^alpha I - A)^{-1} B + D for a commensurate order alpha;
-    ``ss`` is (A, B, C, D, alpha).
+    ``ss`` is (A, B, C, D, alpha) with A (n, n), B (n, m), C (q, n) and D (q, m),
+    each read by the shape rule of ``fraccore._array``.
     """
 
     __slots__ = ()
@@ -250,8 +247,11 @@ class FractionalTransferFunction(namedtuple("FractionalTransferFunction", "num d
                 A, B, C, D, alpha = ss
             except (TypeError, ValueError):
                 raise DomainError(f"ss must be (A, B, C, D, alpha), got {ss!r}") from None
-            mats = (_array(M, name, (None, None)) for M, name in zip((A, B, C, D), "ABCD"))
-            return super().__new__(cls, num, den, (*mats, _real(alpha, "alpha")))
+            A = _square(A, "A")
+            B = _array(B, "B", (A.shape[0], None))
+            C = _array(C, "C", (None, A.shape[0]))
+            D = _array(D, "D", (C.shape[0], B.shape[1]))
+            return super().__new__(cls, num, den, (A, B, C, D, _real(alpha, "alpha")))
         num, den = _terms(() if num is None else num, "num"), _terms(den, "den")
         if not den:
             raise DomainError("den terms must be non-empty")

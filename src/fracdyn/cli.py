@@ -4,10 +4,15 @@ One subcommand per pipeline stage: ``simulate``, ``analyze``, ``identify``,
 ``estimate``, ``mpc``.  Every option can also come from a JSON config file;
 flags always win over config values.  An absent key takes its default; a
 present one is judged under its own name by the library's argument readers
-(``fraccore``), so ``null`` or a bad value exits 2 naming the key.  Outputs
-are written atomically and every invocation writes a manifest next to its
-primary output.  Exit codes: 0 success, 2 parse/validation failure, 3
-numerical failure or memory exhausted.
+(``fraccore``), so ``null`` or a bad value exits 2 naming the key.
+
+``main`` owns a run.  It reads the options once; a subcommand, a function of
+them, writes its primary outputs (atomically) and returns the manifest's
+inputs, outputs and seed and its summary dict or None.  ``main`` writes the
+summary to ``<first output>.summary.json``, listed last in the outputs, then
+the manifest beside the first output, and returns the exit code: 0 success,
+2 parse/validation failure, 3 numerical failure or memory exhausted.  A run
+that fails writes no summary and no manifest.
 """
 
 import argparse
@@ -30,11 +35,10 @@ from .analysis import (
 from .errors import DomainError, FracdynError, NonFiniteError
 from .estimate import EstimatorConfig, run_estimator
 from .fileio import (
-    atomic_write,
-    canonical_json,
     read_model,
     read_trajectory,
     write_bode,
+    write_json,
     write_manifest,
     write_model,
     write_table,
@@ -51,14 +55,14 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 #: Parser entries that are not options of the run.
-_NOT_OPTIONS = frozenset({"func", "command", "config", "scenario"})
+_NOT_OPTIONS = frozenset({"func", "command", "config"})
 
 
-def _options(args, path: str | None) -> dict:
-    """The JSON object at ``path``, overlaid with every flag that was given."""
+def _options(args) -> dict:
+    """The JSON object at ``args.config``, overlaid with every flag that was given."""
     config = {}
-    if path:
-        with open(path, "r") as fh:
+    if args.config:
+        with open(args.config, "r") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise DomainError("config file must hold a JSON object")
@@ -104,8 +108,7 @@ def _model(config: dict, kind=FosModel):
     return model
 
 
-def cmd_simulate(args) -> int:
-    config = _options(args, args.config)
+def cmd_simulate(config: dict) -> tuple:
     model = read_model(_path(config, "model"))
     K = _get(config, "steps", _count, 0)
     x0 = _get(config, "x0", _array, np.zeros(model.n), shape=(model.n,))
@@ -125,17 +128,28 @@ def cmd_simulate(args) -> int:
         traj = simulate_fos(model, x0, u=u, w=seed, K=K, dt=dt, noise_sigma=sigma)
     write_trajectory(out, traj)
     inputs = {key: config[key] for key in ("model", "input") if key in config}
-    write_manifest(out, "simulate", inputs, {"trajectory": out}, seed, config, __version__)
-    return EXIT_OK
+    return inputs, {"trajectory": out}, seed, None
 
 
-def cmd_analyze(args) -> int:
-    config = _options(args, args.config)
-    what, out = args.what, _path(config, "out")
-    inputs = {}
+def cmd_analyze(config: dict) -> tuple:
+    what, out = config["what"], _path(config, "out")
+    if what == "bode":
+        start = _get(config, "omega_start", _real, 1e-2, lo=0.0)
+        stop = _get(config, "omega_stop", _real, 1e2, lo=start)
+        points = _get(config, "omega_points", _count, 200, least=1)
+        omegas = np.logspace(np.log10(start), np.log10(stop), points)
+        if "fopid" in config:
+            resp = fopid_response(*_get(config, "fopid", _array, shape=(5,)), omegas)
+        elif "num" in config and "den" in config:
+            tf = FractionalTransferFunction.rational(_terms(config, "num"), _terms(config, "den"))
+            resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
+        else:
+            raise DomainError("bode needs either --fopid or --num/--den terms")
+        write_bode(out, resp)
+        print("note: fractional powers of j*omega evaluated on the principal branch")
+        return {}, {"report": out}, config.get("seed"), None
+    model = _model(config)
     if what == "stability":
-        model = _model(config)
-        inputs["model"] = config["model"]
         alpha = _get(config, "alpha", _real)
         if alpha is not None or model.is_commensurate():
             a = alpha if alpha is not None else float(model.alpha[0])
@@ -157,10 +171,7 @@ def cmd_analyze(args) -> int:
                 "spectral_radius": rho,
                 "verdict": "contractive (heuristic)" if rho < 1 else "non-contractive (heuristic)",
             }
-        atomic_write(out, canonical_json(report) + "\n")
-    elif what == "gramians":
-        model = _model(config)
-        inputs["model"] = config["model"]
+    else:
         K = _get(config, "horizon", _count, max(1, model.n))
         ctrb = controllability_gramian(model, None, K)
         obsv = observability_matrices(model, None, K)
@@ -178,24 +189,8 @@ def cmd_analyze(args) -> int:
                 "observable": obsv.full_rank,
             },
         }
-        atomic_write(out, canonical_json(report) + "\n")
-    else:
-        start = _get(config, "omega_start", _real, 1e-2, lo=0.0)
-        stop = _get(config, "omega_stop", _real, 1e2, lo=start)
-        points = _get(config, "omega_points", _count, 200, least=1)
-        omegas = np.logspace(np.log10(start), np.log10(stop), points)
-        if "fopid" in config:
-            resp = fopid_response(*_get(config, "fopid", _array, shape=(5,)), omegas)
-        elif "num" in config and "den" in config:
-            tf = FractionalTransferFunction.rational(_terms(config, "num"), _terms(config, "den"))
-            resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
-        else:
-            raise DomainError("bode needs either --fopid or --num/--den terms")
-        write_bode(out, resp)
-        print("note: fractional powers of j*omega evaluated on the principal branch")
-    write_manifest(out, "analyze", inputs, {"report": out},
-                   config.get("seed"), config, __version__)
-    return EXIT_OK
+    write_json(out, report)
+    return {"model": config["model"]}, {"report": out}, config.get("seed"), None
 
 
 def _terms(config: dict, key: str) -> np.ndarray:
@@ -206,8 +201,7 @@ def _terms(config: dict, key: str) -> np.ndarray:
     return _array(spec, key)
 
 
-def cmd_identify(args) -> int:
-    config = _options(args, args.config)
+def cmd_identify(config: dict) -> tuple:
     traj = read_trajectory(_path(config, "trajectory"))
     p = _get(config, "depth", _count, 50)
     epsilon = _get(config, "epsilon", _real, 1e-3)
@@ -221,14 +215,11 @@ def cmd_identify(args) -> int:
     write_table(out_diag, ["channel", "alpha_hat", "iterations", "mse", "flag"],
                 ([i + 1, result.alpha_hat[i], int(result.iterations[i]), result.mse[i],
                   result.flag_string(i)] for i in range(n)))
-    write_manifest(out_model, "identify", {"trajectory": config["trajectory"]},
-                   {"model": out_model, "diagnostics": out_diag},
-                   config.get("seed"), config, __version__)
-    return EXIT_OK
+    return ({"trajectory": config["trajectory"]}, {"model": out_model, "diagnostics": out_diag},
+            config.get("seed"), None)
 
 
-def cmd_estimate(args) -> int:
-    config = _options(args, args.config)
+def cmd_estimate(config: dict) -> tuple:
     net = _model(config, MultiTermNetwork)
     traj = read_trajectory(_path(config, "trajectory"))
     v = _get(config, "v", _count, 2)
@@ -240,23 +231,13 @@ def cmd_estimate(args) -> int:
     err = run.err_norms if run.err_norms is not None else [""] * (N + 1)
     write_table(out, ["t"] + [f"xhat{i + 1}" for i in range(net.n)] + ["err_norm"],
                 ([k * traj.dt, *run.base_estimates[k], err[k]] for k in range(N + 1)))
-    summary = {
-        "v": v,
-        "steps": N,
-        "terminal_error": run.terminal_error,
-        "sup_error": run.sup_error,
-    }
-    summary_path = out + ".summary.json"
-    atomic_write(summary_path, canonical_json(summary) + "\n")
-    write_manifest(out, "estimate",
-                   {"model": config["model"], "trajectory": config["trajectory"]},
-                   {"estimates": out, "summary": summary_path},
-                   config.get("seed"), config, __version__)
-    return EXIT_OK
+    summary = {"v": v, "steps": N, "terminal_error": run.terminal_error,
+               "sup_error": run.sup_error}
+    return ({"model": config["model"], "trajectory": config["trajectory"]}, {"estimates": out},
+            config.get("seed"), summary)
 
 
-def cmd_mpc(args) -> int:
-    config = _options(args, args.scenario)
+def cmd_mpc(config: dict) -> tuple:
     plant = _model(config)
     out = _path(config, "out")
     bounds = _get(config, "bounds", _array, shape=(2,), finite=False)
@@ -300,19 +281,12 @@ def cmd_mpc(args) -> int:
         "energy_baseline": energy_baseline,
         "suppression_ratio": energy_controlled / energy_baseline if energy_baseline else None,
     }
-    summary_path = out + ".summary.json"
-    atomic_write(summary_path, canonical_json(summary) + "\n")
-    write_manifest(out, "mpc", {"model": config["model"]},
-                   {"run": out, "summary": summary_path},
-                   seed, config, __version__)
-    return EXIT_OK
+    return {"model": config["model"]}, {"run": out}, seed, summary
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fracdyn",
-        description="Batch toolkit for discrete-time fractional-order systems",
-    )
+        prog="fracdyn", description="Batch toolkit for discrete-time fractional-order systems")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -362,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     mpc = sub.add_parser("mpc", help="closed-loop receding-horizon run from a scenario")
-    mpc.add_argument("scenario", help="scenario JSON")
+    mpc.add_argument("config", metavar="scenario", help="scenario JSON")
     mpc.add_argument("--steps", dest="K", type=int)
     mpc.add_argument("--seed", type=int)
     mpc.add_argument("--horizon", type=int)
@@ -375,10 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _options(args)
+        inputs, outputs, seed, summary = args.func(config)
+        first = next(iter(outputs.values()))
+        if summary is not None:
+            outputs["summary"] = first + ".summary.json"
+            write_json(outputs["summary"], summary)
+        write_manifest(first, args.command, inputs, outputs, seed, config)
+        return EXIT_OK
     except (ArithmeticError, MemoryError) as exc:
         kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
         print(f"fracdyn {args.command}: {kind}: {exc}", file=sys.stderr)

@@ -3,9 +3,13 @@
 Every float is printed with one fixed 17-significant-digit formatter and
 keys are emitted in a fixed order, so serialize -> parse -> serialize is
 byte-identical and repeated runs with the same inputs produce byte-identical
-files.  Output files are written atomically (temp file + rename) and each
-CLI invocation emits a manifest naming its inputs, outputs, seed, version,
-and the digest of its effective configuration.
+files.  Output files are written atomically (temp file + rename), and every
+JSON file (a model, a report, a summary, a manifest) by :func:`write_json`.
+Each CLI run writes its summary, when it has one, to
+``<first output>.summary.json`` and a manifest to
+``<first output>.manifest.json`` naming its inputs, outputs (the summary
+last), seed, the package version, and the digest of its effective
+configuration.
 
 CSV outputs are streamed to the temp file in blocks of rows, and the
 trajectory reader parses one line at a time, so their working memory does not
@@ -23,6 +27,7 @@ import stat
 
 import numpy as np
 
+from . import __version__
 from .errors import DimensionError
 from .model import FosModel, MultiTermNetwork
 from .simulate import Trajectory
@@ -32,6 +37,7 @@ __all__ = [
     "canonical_json",
     "config_digest",
     "atomic_write",
+    "write_json",
     "write_model",
     "read_model",
     "write_table",
@@ -115,6 +121,11 @@ def atomic_write(path: str, text) -> None:
         raise
 
 
+def write_json(path: str, obj) -> None:
+    """``obj`` as canonical JSON and a newline, written atomically."""
+    atomic_write(path, canonical_json(obj) + "\n")
+
+
 def _matrix_list(M: np.ndarray) -> list:
     return [list(row) for row in np.atleast_2d(M)]
 
@@ -172,7 +183,7 @@ def model_from_dict(data: dict):
 
 
 def write_model(path: str, model) -> None:
-    atomic_write(path, canonical_json(model_to_dict(model)) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def read_model(path: str):
@@ -310,17 +321,15 @@ _OUTPUT_KEYS = frozenset({"out", "out_model", "out_diag"})
 
 
 def write_manifest(out_path: str, subcommand: str, inputs: dict, outputs: dict,
-                   seed, config: dict, version: str) -> str:
-    """Write <out>.manifest.json describing one CLI invocation; returns its path."""
+                   seed, config: dict) -> None:
+    """Write <out>.manifest.json describing one CLI invocation."""
     effective = {k: v for k, v in sorted(config.items()) if k not in _OUTPUT_KEYS}
     manifest = {
         "subcommand": subcommand,
         "inputs": inputs,
         "outputs": outputs,
         "seed": seed,
-        "version": version,
+        "version": __version__,
         "config_digest": config_digest(effective),
     }
-    path = out_path + ".manifest.json"
-    atomic_write(path, canonical_json(manifest) + "\n")
-    return path
+    write_json(out_path + ".manifest.json", manifest)

@@ -153,9 +153,9 @@ def test_an_input_matrix_is_checked_before_use(B, error, message):
             controllability_gramian(m, B, 4)
         with pytest.raises(error, match=message):
             deadbeat_input(m, B, [1.0, -1.0], 4)
-    # a row per input still reads as the transpose
-    assert np.array_equal(deadbeat_input(m, [[0.0, 1.0]], [1.0, -1.0], 4),
-                          deadbeat_input(m, [[0.0], [1.0]], [1.0, -1.0], 4))
+    # B has one row per state, as FosModel.B does: a row per input is not read as B^T
+    with pytest.raises(DimensionError, match=r"^B must have shape \(2, \*\), got \(1, 2\)$"):
+        deadbeat_input(m, [[0.0, 1.0]], [1.0, -1.0], 4)
 
 
 def test_deadbeat_closure_random():
@@ -294,6 +294,29 @@ def test_tf_eval_state_space_half_order():
     tf = FractionalTransferFunction.state_space([[0.0]], [[1.0]], [[1.0]], [[0.0]], 0.5)
     val = tf_eval(tf, 1j)
     assert val == pytest.approx(np.exp(-1j * np.pi / 4), abs=1e-14)
+
+
+@pytest.mark.parametrize("A,B,C,D,message", [
+    (np.zeros((2, 3)), np.ones((2, 1)), np.ones((1, 2)), 0.0,
+     r"^A must have shape \(2, 2\), got \(2, 3\)$"),
+    (np.zeros((2, 2)), np.ones((3, 1)), np.ones((1, 2)), 0.0,
+     r"^B must have shape \(2, \*\), got \(3, 1\)$"),
+    (np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 3)), 0.0,
+     r"^C must have shape \(\*, 2\), got \(1, 3\)$"),
+    ([[0.0]], [[1.0]], [[1.0]], [[0.0, 0.0]], r"^D must have shape \(1, 1\), got \(1, 2\)$"),
+    (-np.eye(2), np.eye(2), [1.0, 1.0], 0.25, r"^D must have shape \(1, 2\), got \(\)$"),
+], ids=["A not square", "B rows", "C columns", "D size", "D a number for two inputs"])
+def test_state_space_sizes_agree_with_A(A, B, C, D, message):
+    with pytest.raises(DimensionError, match=message):
+        FractionalTransferFunction.state_space(A, B, C, D, 0.5)
+
+
+def test_state_space_d_takes_its_shape_from_c_and_b():
+    # q = 1 output and m = 2 inputs: a 1-D D is the row that fits
+    tf = FractionalTransferFunction.state_space(-np.eye(2), np.eye(2), [1.0, 1.0], [0.25, 0.5],
+                                                1.0)
+    assert tf.ss[3].shape == (1, 2)
+    np.testing.assert_allclose(tf_eval(tf, 1.0), [[0.75, 1.0]], rtol=1e-15)
 
 
 def test_tf_eval_scaling_covariance():

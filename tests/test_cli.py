@@ -295,6 +295,70 @@ def test_simulate_names_its_input_file_in_the_manifest(tmp_path, scalar_model_fi
     assert manifest["inputs"] == {"model": scalar_model_file, "input": drive}
 
 
+#: command -> (argv, manifest inputs, manifest outputs) of a run given no seed, in a
+#: directory of the files of ``_pinned_inputs`` and an MPC scenario.  The manifest
+#: sits beside the first output; a summary is listed last.
+_MANIFEST_RUNS = {
+    "simulate": (("simulate", "--model", "model.json", "--input", "meas.csv", "--steps", "40",
+                  "--out", "sim.csv"),
+                 {"model": "model.json", "input": "meas.csv"}, {"trajectory": "sim.csv"}),
+    "analyze stability": (("analyze", "stability", "--model", "model.json", "--out", "st.json"),
+                          {"model": "model.json"}, {"report": "st.json"}),
+    "analyze gramians": (("analyze", "gramians", "--model", "model.json", "--out", "gr.json"),
+                         {"model": "model.json"}, {"report": "gr.json"}),
+    "analyze bode": (("analyze", "bode", "--fopid", "1,1,0,0.5,1", "--omega-points", "3",
+                      "--out", "bode.csv"), {}, {"report": "bode.csv"}),
+    "identify": (("identify", "--trajectory", "meas.csv", "--depth", "5",
+                  "--out-model", "id.json", "--out-diag", "diag.csv"),
+                 {"trajectory": "meas.csv"}, {"model": "id.json", "diagnostics": "diag.csv"}),
+    "estimate": (("estimate", "--model", "net.json", "--trajectory", "meas.csv",
+                  "--out", "est.csv"), {"model": "net.json", "trajectory": "meas.csv"},
+                 {"estimates": "est.csv", "summary": "est.csv.summary.json"}),
+    "mpc": (("mpc", "scenario.json", "--out", "mpc.csv"), {"model": "model.json"},
+            {"run": "mpc.csv", "summary": "mpc.csv.summary.json"}),
+}
+
+
+def _manifest_inputs() -> None:
+    _pinned_inputs()
+    with open("scenario.json", "w") as fh:
+        json.dump({"model": "model.json", "p": 3, "horizon": 4, "control_horizon": 2, "K": 4},
+                  fh)
+
+
+@pytest.mark.parametrize("command", list(_MANIFEST_RUNS))
+def test_each_manifest_names_its_run_beside_the_first_output(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    _manifest_inputs()
+    argv, inputs, outputs = _MANIFEST_RUNS[command]
+    assert run_cli(*argv) == 0
+    first = next(iter(outputs.values()))
+    assert sorted(map(str, pathlib.Path().glob("*.manifest.json"))) == [first + ".manifest.json"]
+    assert all(os.path.isfile(path) for path in outputs.values())
+    with open(first + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert list(manifest) == ["subcommand", "inputs", "outputs", "seed", "version",
+                              "config_digest"]
+    assert manifest["subcommand"] == argv[0]
+    assert list(manifest["inputs"].items()) == list(inputs.items())
+    assert list(manifest["outputs"].items()) == list(outputs.items())
+    assert manifest["seed"] == (0 if command == "mpc" else None)
+    assert manifest["version"] == fracdyn.__version__
+
+
+@pytest.mark.parametrize("command", ["estimate", "mpc"])
+def test_a_failing_run_writes_no_summary_or_manifest(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _manifest_inputs()
+    argv, _, outputs = _MANIFEST_RUNS[command]
+    bad = ("--v", "-1") if command == "estimate" else ("--steps", "-1")
+    assert run_cli(*argv, *bad) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+    first = next(iter(outputs.values()))
+    assert not [path for path in (*outputs.values(), first + ".manifest.json")
+                if os.path.exists(path)]
+
+
 def test_simulate_from_a_file_without_inputs_exits_2(tmp_path, capsys, scalar_model_file):
     drive = str(tmp_path / "free.csv")
     write_trajectory(drive, Trajectory(states=np.zeros((4, 1))))

@@ -42,6 +42,12 @@ and ``_array``), the CLI's options under their config keys.  ``cli.py`` raises
 none of the readers' messages and casts no value to float itself: it holds no
 reader of its own.  Every matrix and time series is judged by the shape it
 declares to ``_array``, so no module but ``fraccore`` raises a shape message.
+
+The CLI has one driver.  ``cli.main`` reads a run's options and writes its
+summary and manifest; it is the one caller of ``write_manifest``, and no
+``cmd_*`` subcommand calls ``_options``, ``write_manifest``, ``atomic_write``
+or ``canonical_json``.  Every JSON file is written by ``fileio.write_json``,
+the only place an ``atomic_write`` takes a ``canonical_json`` text.
 """
 
 import ast
@@ -537,3 +543,81 @@ def test_the_shape_check_sees_the_shape_message_of_fraccore():
 def test_only_fraccore_raises_a_shape_message(path):
     lines = shape_raises(path.read_text())
     assert lines == [], f"{path.name} judges a shape at lines {lines}; declare it to _array"
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def main(args):\n    write_manifest(out, 'x', {}, {}, None, {})", {"main"}),
+    ("def cmd_a(config):\n    def inner():\n        fileio.write_manifest(out)", {"cmd_a.inner"}),
+    ("def main(args):\n    write_json(out, {})", set()),
+])
+def test_the_manifest_check_reads_each_form_of_a_call(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert callers(path, "write_manifest") == found
+
+
+def test_only_the_cli_driver_writes_a_manifest():
+    found = {path.name: names for path in MODULES if (names := callers(path, "write_manifest"))}
+    assert found == {"cli.py": {"main"}}, f"manifests written in {found}"
+
+
+#: What a subcommand leaves to ``cli.main``: reading the options and writing the manifest
+#: and JSON files.
+RUN_CALLS = frozenset({"_options", "write_manifest", "atomic_write", "canonical_json"})
+
+
+def subcommand_run_calls(path: Path) -> set:
+    """(scope, name) of each call of a ``RUN_CALLS`` name inside a ``cmd_*`` function."""
+    return {(scope, name) for name in RUN_CALLS for scope in callers(path, name)
+            if scope.startswith("cmd_")}
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("def cmd_a(args):\n    config = _options(args)", True),
+    ("def cmd_a(config):\n    fileio.atomic_write(out, text)", True),
+    ("def cmd_a(config):\n    def emit():\n        return canonical_json(x)", True),
+    ("def cmd_a(config):\n    write_manifest(out, 'a', {}, {}, None, config)", True),
+    ("def cmd_a(config):\n    write_json(out, report)", False),
+    ("def main(args):\n    config = _options(args)", False),
+])
+def test_the_subcommand_check_reads_each_form_of_a_run_call(tmp_path, source, hit):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert bool(subcommand_run_calls(path)) == hit
+
+
+def test_no_subcommand_reads_options_or_writes_a_manifest_or_json():
+    calls = subcommand_run_calls(PACKAGE / "cli.py")
+    assert not calls, f"subcommands call {sorted(calls)}; leave them to cli.main"
+
+
+def _called_name(node) -> str | None:
+    """The name a call calls, ``f`` of ``f(...)`` or ``<x>.f(...)``; None for another node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def json_writes(source: str) -> list:
+    """Line numbers of the ``atomic_write`` calls whose arguments hold a ``canonical_json`` call."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if _called_name(node) == "atomic_write"
+            and any(_called_name(inner) == "canonical_json"
+                    for arg in node.args for inner in ast.walk(arg))]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ('atomic_write(path, canonical_json(report) + "\\n")', True),
+    ("fileio.atomic_write(path, canonical_json(report))", True),
+    ("atomic_write(path, chunks())", False),
+    ("write_json(path, report)", False),
+])
+def test_the_json_check_reads_each_form_of_a_json_write(source, hit):
+    assert bool(json_writes(source)) == hit
+
+
+def test_only_write_json_writes_canonical_json():
+    found = {path.name: enclosing_definitions(path, lines) for path in MODULES
+             if (lines := json_writes(path.read_text()))}
+    assert found == {"fileio.py": {"write_json"}}, f"JSON written by atomic_write in {found}"
