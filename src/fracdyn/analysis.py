@@ -83,11 +83,12 @@ def commensurate_stability(A, alpha: float) -> StabilityReport:
 
 
 def augmented_spectral_radius(model: FosModel, p: int) -> float:
-    """Spectral radius of the depth-p lift; a heuristic for non-commensurate runs.
+    """Spectral radius of the depth-p lift: a heuristic for the truncated predictor.
 
-    No exact sector test exists for mixed orders, so callers report this value
-    labeled as a heuristic: values below 1 indicate the truncated system
-    contracts.
+    A value below 1 means the depth-p truncation (the MPC's predictor)
+    contracts, not that the full-memory model does.  Mixed orders do admit an
+    exact discrete-time test, a winding-number count of the model's discrete
+    symbol on the unit circle (ROADMAP item 1).
     """
     aug = augment_p(model, p)
     try:

@@ -121,18 +121,15 @@ def cmd_simulate(config: dict) -> tuple:
     sigma = _get(config, "sigma", _real, 1.0)
     dt = _get(config, "dt", _real, 1.0)
     out = _path(config, "out")
-    if isinstance(model, MultiTermNetwork):
-        w = gaussian_noise(seed, K, model.p, sigma) if seed is not None else None
-        traj = simulate_network(model, x0, u=u, w=w, K=K, dt=dt)
-    else:
-        traj = simulate_fos(model, x0, u=u, w=seed, K=K, dt=dt, noise_sigma=sigma)
-    write_trajectory(out, traj)
+    w = None if seed is None else gaussian_noise(seed, K, model.p, sigma)
+    run = simulate_network if isinstance(model, MultiTermNetwork) else simulate_fos
+    write_trajectory(out, run(model, x0, u=u, w=w, K=K, dt=dt))
     inputs = {key: config[key] for key in ("model", "input") if key in config}
     return inputs, {"trajectory": out}, seed, None
 
 
 def cmd_analyze(config: dict) -> tuple:
-    what, out = config["what"], _path(config, "out")
+    what, out, seed = config["what"], _path(config, "out"), _get(config, "seed", _count)
     if what == "bode":
         start = _get(config, "omega_start", _real, 1e-2, lo=0.0)
         stop = _get(config, "omega_stop", _real, 1e2, lo=start)
@@ -147,7 +144,7 @@ def cmd_analyze(config: dict) -> tuple:
             raise DomainError("bode needs either --fopid or --num/--den terms")
         write_bode(out, resp)
         print("note: fractional powers of j*omega evaluated on the principal branch")
-        return {}, {"report": out}, config.get("seed"), None
+        return {}, {"report": out}, seed, None
     model = _model(config)
     if what == "stability":
         alpha = _get(config, "alpha", _real)
@@ -158,7 +155,7 @@ def cmd_analyze(config: dict) -> tuple:
                 "test": "commensurate-sector",
                 "alpha": a,
                 "eigenvalues": [[ev.real, ev.imag] for ev in rep.eigenvalues],
-                "margins_rad": list(rep.margins),
+                "margins_rad": rep.margins,
                 "verdict": rep.verdict,
             }
         else:
@@ -178,19 +175,19 @@ def cmd_analyze(config: dict) -> tuple:
         report = {
             "horizon": K,
             "controllability": {
-                "matrix": [list(r) for r in ctrb.matrix],
+                "matrix": ctrb.matrix,
                 "rank": ctrb.rank,
                 "controllable": ctrb.full_rank,
                 "smallest_retained_singular_value": ctrb.smallest_retained,
             },
             "observability": {
-                "gramian": [list(r) for r in obsv.gramian],
+                "gramian": obsv.gramian,
                 "rank": obsv.rank,
                 "observable": obsv.full_rank,
             },
         }
     write_json(out, report)
-    return {"model": config["model"]}, {"report": out}, config.get("seed"), None
+    return {"model": config["model"]}, {"report": out}, seed, None
 
 
 def _terms(config: dict, key: str) -> np.ndarray:
@@ -203,6 +200,7 @@ def _terms(config: dict, key: str) -> np.ndarray:
 
 def cmd_identify(config: dict) -> tuple:
     traj = read_trajectory(_path(config, "trajectory"))
+    seed = _get(config, "seed", _count)
     p = _get(config, "depth", _count, 50)
     epsilon = _get(config, "epsilon", _real, 1e-3)
     window = _get(config, "window", _array, shape=(2,))
@@ -216,13 +214,13 @@ def cmd_identify(config: dict) -> tuple:
                 ([i + 1, result.alpha_hat[i], int(result.iterations[i]), result.mse[i],
                   result.flag_string(i)] for i in range(n)))
     return ({"trajectory": config["trajectory"]}, {"model": out_model, "diagnostics": out_diag},
-            config.get("seed"), None)
+            seed, None)
 
 
 def cmd_estimate(config: dict) -> tuple:
     net = _model(config, MultiTermNetwork)
     traj = read_trajectory(_path(config, "trajectory"))
-    v = _get(config, "v", _count, 2)
+    v, seed = _get(config, "v", _count, 2), _get(config, "seed", _count)
     out = _path(config, "out")
     weights = EstimatorConfig(*(_get(config, key, _array, default) for key, default in
                                 (("Q", 1.0), ("R", 1.0), ("P0", 1.0), ("xhat0", 0.0))))
@@ -234,7 +232,7 @@ def cmd_estimate(config: dict) -> tuple:
     summary = {"v": v, "steps": N, "terminal_error": run.terminal_error,
                "sup_error": run.sup_error}
     return ({"model": config["model"], "trajectory": config["trajectory"]}, {"estimates": out},
-            config.get("seed"), summary)
+            seed, summary)
 
 
 def cmd_mpc(config: dict) -> tuple:
@@ -258,8 +256,9 @@ def cmd_mpc(config: dict) -> tuple:
     seed = _get(config, "seed", _count, 0)
     sigma = _get(config, "sigma", _real, 1.0)
     x0 = _get(config, "x0", _array, shape=(plant.n,))
-    result = run_closed_loop(plant, problem, K, seed, x0=x0, noise_sigma=sigma)
-    baseline = uncontrolled_baseline(plant, K, seed, x0=x0, noise_sigma=sigma)
+    w = gaussian_noise(seed, K, plant.p, sigma)  # one draw for the run and its baseline
+    result = run_closed_loop(plant, problem, K, w, x0=x0)
+    baseline = uncontrolled_baseline(plant, K, w, x0=x0)
 
     n, m = plant.n, plant.m
     cost_at = dict(zip(result.solve_steps, result.cycle_costs))

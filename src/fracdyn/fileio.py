@@ -126,29 +126,25 @@ def write_json(path: str, obj) -> None:
     atomic_write(path, canonical_json(obj) + "\n")
 
 
-def _matrix_list(M: np.ndarray) -> list:
-    return [list(row) for row in np.atleast_2d(M)]
-
-
 def model_to_dict(model) -> dict:
     if isinstance(model, FosModel):
         return {
             "n": model.n,
             "m": model.m,
-            "alpha": list(model.alpha),
-            "A": _matrix_list(model.A),
-            "B": _matrix_list(model.B),
-            "Bw": _matrix_list(model.Bw),
+            "alpha": model.alpha,
+            "A": model.A,
+            "B": model.B,
+            "Bw": model.Bw,
         }
     if isinstance(model, MultiTermNetwork):
         def terms(pairs):
-            return [{"exponent": e, "matrix": _matrix_list(M)} for e, M in pairs]
+            return [{"exponent": e, "matrix": M} for e, M in pairs]
 
         return {
             "state_terms": terms(model.state_terms),
             "input_terms": terms(model.input_terms),
             "disturbance_terms": terms(model.disturbance_terms),
-            "C": model.C.tolist() if model.C.ndim == 3 else _matrix_list(model.C),
+            "C": model.C,
         }
     raise DimensionError(f"cannot serialize object of type {type(model).__name__}")
 

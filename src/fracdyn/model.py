@@ -345,34 +345,27 @@ def network_series(net: MultiTermNetwork, J: int) -> NetworkSeries:
     c_j^{a_i}, and likewise (without the sign) for the other two stacks.
     """
     J = _count(J, "series length J")
-    n, m, p = net.n, net.m, net.p
-    terms = net.state_terms + net.input_terms + net.disturbance_terms
-    rows = iter(build_weight_table([a for a, _ in terms], J))  # taken in turn by each stack
+    n = net.n
+    groups = (net.state_terms, net.input_terms, net.disturbance_terms)
+    table = build_weight_table([a for group in groups for a, _ in group], J)
+    lead = sum(mat for _, mat in net.state_terms)  # checked at construction; c_0 = 1
 
-    def hat_stack(group, cols):
-        out = np.zeros((J + 1, n, cols))
-        for (_, mat), w in zip(group, rows):
-            out += w[:, None, None] * mat[None, :, :]
-        return out
-
-    Ahat = hat_stack(net.state_terms, n)
-    Bhat = hat_stack(net.input_terms, m)
-    Ghat = hat_stack(net.disturbance_terms, p)
-
-    lead = Ahat[0]  # the sum of the state-term matrices, checked at construction
-
-    def lead_solve(stack: np.ndarray, cols: int) -> np.ndarray:
+    def lead_solve(stack: np.ndarray) -> np.ndarray:
         # lead^{-1} @ stack[j] for every lag, via one solve on [stack[0]|stack[1]|..]
-        flat = stack.transpose(1, 0, 2).reshape(n, -1)
-        out = np.linalg.solve(lead, flat)
-        return out.reshape(n, stack.shape[0], cols).transpose(1, 0, 2)
+        flat = np.linalg.solve(lead, stack.transpose(1, 0, 2).reshape(n, -1))
+        return flat.reshape(n, *stack.shape[::2]).transpose(1, 0, 2)
 
-    Ac = np.zeros_like(Ahat)
-    if J >= 1:
-        Ac[1:] = -lead_solve(Ahat[1:], n)
-    Bc = lead_solve(Bhat, m) if m else Bhat
-    Gc = lead_solve(Ghat, p) if p else Ghat
-    return NetworkSeries(A=_freeze(Ac), B=_freeze(Bc), G=_freeze(Gc))
+    stacks, first = [], 0
+    for group, width in zip(groups, (n, net.m, net.p)):
+        # each group's terms summed left to right from zero, one row of the table each
+        mats = np.reshape([mat for _, mat in group], (len(group), 1, n, width))
+        rows = table[first : first + len(group), :, None, None]
+        stacks.append(np.sum(rows * mats, axis=0, initial=0.0))
+        first += len(group)
+    A = np.zeros((J + 1, n, n))
+    A[1:] = -lead_solve(stacks[0][1:])  # lag 0 stays out of the solve and +0.0
+    return NetworkSeries(A=_freeze(A), B=_freeze(lead_solve(stacks[1])),
+                         G=_freeze(lead_solve(stacks[2])))
 
 
 def augment_v(net: MultiTermNetwork, v: int) -> AugmentedModel:

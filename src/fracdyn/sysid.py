@@ -91,7 +91,9 @@ def ols_error_bound(
         raise DomainError("need 1 <= k <= K")
     A = _square(Atil, "Atil")
     d = A.shape[0]
-    rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if d else 0.0
+    if not d:
+        raise DomainError("Atil must not be empty; W_k of an empty lift has no eigenvalue")
+    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     if rho > 1.0 + 1e-9:
         raise DomainError(f"Atil has spectral radius {rho:.6g}, beyond marginal stability")
     Wk = finite_time_gramian(A, k)
@@ -101,8 +103,8 @@ def ols_error_bound(
     WK = finite_time_gramian(A, K)
     logdet = float(np.linalg.slogdet(WK)[1] - np.linalg.slogdet(Wk)[1])
     logdet = max(logdet, 0.0)
-    inner = d * math.log(d / delta) + logdet if d else 0.0
-    value = C / math.sqrt(K * lam_min) * math.sqrt(max(inner, 0.0))
+    inner = d * math.log(d / delta) + logdet
+    value = C / math.sqrt(K * lam_min) * math.sqrt(inner)
     side_rhs = c * inner
     if not (math.isfinite(value) and math.isfinite(side_rhs)):
         raise NonFiniteError(f"bound overflows at C={C:g}, c={c:g}")

@@ -794,6 +794,9 @@ def test_estimate_and_mpc_reject_a_bad_weight_with_one_message(tmp_path, capsys,
     ("identify", "window", [0, True]),
     ("estimate", "xhat0", [True, False]),
     ("estimate", "Q", [[1.0, False], [0.0, 1.0]]),
+    # a seed is a count on every subcommand, also where no noise is drawn
+    ("analyze bode", "seed", "abc"),
+    ("identify", "seed", None),
 ])
 def test_null_or_short_config_value_exits_2(tmp_path, capsys, scalar_model_file,
                                             short_trajectory_file, command, key, value):
@@ -805,6 +808,19 @@ def test_null_or_short_config_value_exits_2(tmp_path, capsys, scalar_model_file,
     err = capsys.readouterr().err
     assert f"{key} must" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze bode", "analyze stability",
+                                     "analyze gramians", "identify", "estimate", "mpc"])
+def test_a_seed_given_in_the_config_reaches_the_manifest(tmp_path, scalar_model_file,
+                                                         short_trajectory_file, command):
+    path, config, argv, out = _small_run(tmp_path, scalar_model_file, short_trajectory_file,
+                                         command)
+    config["seed"] = 7.0  # a whole float is a count
+    path.write_text(json.dumps(config))
+    assert run_cli(*argv) == 0
+    with open(str(out) + ".manifest.json") as fh:
+        assert json.load(fh)["seed"] == 7
 
 
 def _small_run(tmp_path, scalar_model_file, short_trajectory_file, command) -> tuple:
@@ -1053,7 +1069,7 @@ def test_model_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, network, fo
                                        B=[[1.0], [0.5]], Bw=np.eye(2)))
         model.update(fos)
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(model))
+    path.write_text(json.dumps(model, default=np.ndarray.tolist))
     assert run_cli("simulate", "--model", str(path), "--steps", "5", "--seed", "1",
                    "--sigma", "0.1", "--out", str(tmp_path / "t.csv")) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

@@ -2,18 +2,19 @@
 
 Each oracle below is a per-lag or per-row Python loop that fracdyn used to
 evaluate a Grunwald-Letnikov memory sum with.  Paths that keep the rounding
-order of their loop must agree bitwise: the weight table, and the first
-``NEAR_BLOCK`` steps of the single-term simulator, the transition matrices and
-the network stepper.  The convolutions sum in a different order, so later
-steps of the steppers and the identification sums must agree to 1e-12
-relative to the running maximum magnitude of the series they sum.  On
-networks that grow by many orders of magnitude the float64 direct sum is
-itself that far off, so there the reference is a long double sum.  A long
-identification sum by FFT rounds relative to its largest sum, which is the
-bound it is held to on a series that grows a millionfold.
+order of their loop must agree bitwise: the weight table, the reduced network
+series, and the first ``NEAR_BLOCK`` steps of the single-term simulator, the
+transition matrices and the network stepper.  The convolutions sum in a
+different order, so later steps of the steppers and the identification sums
+must agree to 1e-12 relative to the running maximum magnitude of the series
+they sum.  On networks that grow by many orders of magnitude the float64
+direct sum is itself that far off, so there the reference is a long double
+sum.  A long identification sum by FFT rounds relative to its largest sum,
+which is the bound it is held to on a series that grows a millionfold.
 """
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,33 @@ def loop_transition_matrices(model, K):
             acc = acc - np.einsum("nt,tnm->nm", w_cols, G[: k - 1])
         G[k] = acc
     return G
+
+
+def loop_network_series(net, J):
+    """Each group's terms added one at a time into a zero stack, then one solve per stack.
+
+    A stack without columns is not solved, and lag 0 of the state stack is
+    left zero.
+    """
+    def stack(terms, cols):
+        out = np.zeros((J + 1, net.n, cols))
+        for exponent, mat in terms:
+            out += build_weight_table([exponent], J)[0][:, None, None] * mat[None, :, :]
+        return out
+
+    Ahat, Bhat, Ghat = (stack(net.state_terms, net.n), stack(net.input_terms, net.m),
+                        stack(net.disturbance_terms, net.p))
+
+    def lead_solve(hat, cols):
+        flat = np.linalg.solve(Ahat[0], hat.transpose(1, 0, 2).reshape(net.n, -1))
+        return flat.reshape(net.n, hat.shape[0], cols).transpose(1, 0, 2)
+
+    A = np.zeros_like(Ahat)
+    if J >= 1:
+        A[1:] = -lead_solve(Ahat[1:], net.n)
+    B = lead_solve(Bhat, net.m) if net.m else Bhat
+    G = lead_solve(Ghat, net.p) if net.p else Ghat
+    return A, B, G
 
 
 def loop_simulate_network(net, x0, u, w, K):
@@ -211,6 +239,47 @@ def test_weight_table_matches_the_lag_loop_bitwise():
         J = int(rng.integers(0, 3001))
         assert np.array_equal(build_weight_table(orders, J),
                               loop_weight_table(orders, J))
+
+
+def _random_network(rng, m, p):
+    n = int(rng.integers(1, 5))
+
+    def terms(count, cols):
+        return [(float(rng.uniform(0.05, 1.95)), rng.normal(size=(n, cols)))
+                for _ in range(count if cols else 0)]
+
+    state = terms(int(rng.integers(1, 4)), n)
+    state[0] = (state[0][0], state[0][1] + 4.0 * np.eye(n))  # keeps the lead well conditioned
+    dist = terms(int(rng.integers(1, 4)), p)
+    if p <= n and rng.random() < 0.5:  # zero entries, whose products carry a sign
+        dist = [(0.7, np.eye(n)[:, :p])]
+    return MultiTermNetwork(state, terms(int(rng.integers(1, 4)), m), dist)
+
+
+def assert_series_bitwise(net, J):
+    series = network_series(net, J)
+    for actual, expected in zip(series, loop_network_series(net, J)):
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 40, 800])
+@pytest.mark.parametrize("m,p", [(0, 0), (0, 2), (3, 0), (1, 1), (2, 3)])
+def test_network_series_matches_the_term_loop_bitwise(m, p, J):
+    rng = np.random.default_rng(100 * m + 10 * p + J)
+    for _ in range(4):
+        assert_series_bitwise(_random_network(rng, m, p), J)
+
+
+@pytest.mark.parametrize("J", [40, 800])
+def test_network_series_matches_the_term_loop_bitwise_on_the_benchmark_network(
+        monkeypatch, tmp_path, J):
+    # the long-memory network at seed 5; its simulate job runs 800 steps, its estimate v = 40
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    net = workloads.prepare("long-memory", 5, str(tmp_path)).truth["network"]
+    assert_series_bitwise(net, J)
 
 
 @pytest.mark.parametrize("alpha", ORDERS)

@@ -15,7 +15,7 @@ from fracdyn import (
     simulate_fos,
     simulate_network,
 )
-from fracdyn.fileio import canonical_json, model_from_dict, model_to_dict
+from fracdyn.fileio import canonical_json, model_from_dict, model_to_dict, read_model, write_model
 from fracdyn.fraccore import build_weight_table
 
 
@@ -302,3 +302,18 @@ def test_model_serialization_round_trip_is_byte_identical():
     t1 = canonical_json(model_to_dict(net))
     net2 = model_from_dict(__import__("json").loads(t1))
     assert canonical_json(model_to_dict(net2)) == t1
+
+
+@pytest.mark.parametrize("model,field,shape", [
+    (FosModel(alpha=[0.5, 1.2], A=[[0.2, -0.1], [1 / 3, 0.7]]), "B", (2, 0)),
+    (MultiTermNetwork(state_terms=((0.6, np.eye(2)),), disturbance_terms=((0.7, [[1.0], [0.5]]),),
+                      C=np.arange(12.0).reshape(3, 2, 2) / 7.0), "C", (3, 2, 2)),
+], ids=["empty-B", "C-schedule"])
+def test_a_model_file_round_trip_keeps_every_shape_and_byte(tmp_path, model, field, shape):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    write_model(str(first), model)
+    again = read_model(str(first))
+    write_model(str(second), again)
+    assert second.read_bytes() == first.read_bytes()
+    assert getattr(again, field).shape == shape
+    assert getattr(again, field).tobytes() == getattr(model, field).tobytes()

@@ -90,6 +90,8 @@ def test_ols_error_bound_domain_checks():
         ols_error_bound(np.zeros((1, 1)), 10, 1, 0.0)
     with pytest.raises(DomainError):
         ols_error_bound(np.zeros((1, 1)), 10, 20, 0.1)  # k > K
+    with pytest.raises(DomainError, match="^Atil must not be empty"):
+        ols_error_bound(np.zeros((0, 0)), 3, 1, 0.1)  # W_k has no smallest eigenvalue
 
 
 def scalar_fixture():
