@@ -118,7 +118,7 @@ def cmd_simulate(config: dict) -> tuple:
         if u is None:
             raise DomainError("input trajectory file carries no inputs (u1, u2, ...)")
     seed = _get(config, "seed", _count)
-    sigma = _get(config, "sigma", _real, 1.0)
+    sigma = _get(config, "sigma", _real, 1.0, lo=0.0, ends="[)")  # as gaussian_noise reads it
     dt = _get(config, "dt", _real, 1.0)
     out = _path(config, "out")
     w = None if seed is None else gaussian_noise(seed, K, model.p, sigma)

@@ -284,8 +284,9 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
     per channel, or by one :func:`block_convolve` once rows x lags exceeds
     ``FFT_SUM_RATIO`` times size x log2(size) of the transform.  The transform
     rounds relative to the largest sum of the rows, not to each row's own
-    scale; one that comes out non-finite (a series near the float64 maximum)
-    is redone directly, so overflow shows as it does in the direct sum.
+    scale; a channel whose sums come out non-finite is redone directly, alone,
+    so column i of an (n, J+1) call has the bits of the one-channel call
+    ``history_sum(x[:, i], weights[i], start, stop)`` on either route.
     """
     x, w = _array(x, "x"), _array(weights, "weights")
     start, stop = _count(start, "start", least=-np.inf), _count(stop, "stop", least=-np.inf)
@@ -304,17 +305,16 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
     seg = seg.reshape(seg.shape[0], rows.shape[0])
     shape = (stop - start,) + x.shape[1:]
     size = 1 << (seg.shape[0] - 1).bit_length()
+    out, direct = np.empty((stop - start, rows.shape[0])), np.ones(rows.shape[0], dtype=bool)
     if (stop - start) * lags > FFT_SUM_RATIO * size * (size.bit_length() - 1):
         # the circular wrap lands on the lags-1 leading rows only, which are dropped
         with np.errstate(over="ignore", invalid="ignore"):
             out = block_convolve(kernel_spectrum(rows.T, 0, lags, size), seg, size)
         out = out[lags - 1 : seg.shape[0]]
-        if np.isfinite(out).all():
-            return out.reshape(shape)
-    out = np.empty((stop - start, rows.shape[0]))
+        direct = ~np.isfinite(out).all(axis=0)
     if stop > start:  # np.convolve swaps its operands when the series is shorter
-        for i, w_i in enumerate(rows):
-            out[:, i] = np.convolve(seg[:, i], w_i, "valid")
+        for i in np.flatnonzero(direct):
+            out[:, i] = np.convolve(seg[:, i], rows[i], "valid")
     return out.reshape(shape)
 
 

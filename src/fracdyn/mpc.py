@@ -411,7 +411,7 @@ def run_closed_loop(
     solutions, solve_steps = [], []
     k = 0
     while k < K:
-        sol = solve_horizon(problem, plant, sim.states, condensed=condensed)
+        sol = solve_horizon(problem, plant, sim.states[-problem.p :], condensed=condensed)
         solutions.append(sol)
         solve_steps.append(k)
         take = min(problem.M, K - k)

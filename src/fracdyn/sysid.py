@@ -46,16 +46,20 @@ def bisection_bound(epsilon: float) -> int:
 
 
 def finite_time_gramian(Atil, t: int) -> np.ndarray:
-    """W_t = sum_{j=0..t-1} A^j (A^j)^T; W_1 is the identity, and an overflow raises."""
+    """W_t = sum_{j=0..t-1} A^j (A^j)^T; W_1 is the identity, and an overflow raises.
+
+    Doubles over the binary digits of t, W_{a+b} = W_a + A^a W_b (A^a)^T: O(log t) products.
+    """
     t = _count(t, "gramian horizon t", least=1)
     A = _square(Atil, "Atil")
-    d = A.shape[0]
-    W = np.eye(d)
-    M = np.eye(d)
+    W, M = np.zeros_like(A), np.eye(A.shape[0])  # W_a and A^a, a the digits of t read so far
+    Wb, Ab = np.eye(A.shape[0]), A  # W_b and A^b, b the place of the next digit
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below instead
-        for _ in range(1, t):
-            M = A @ M
-            W += M @ M.T
+        for k in range(t.bit_length()):
+            if k:
+                Wb, Ab = Wb + Ab @ Wb @ Ab.T, Ab @ Ab
+            if t >> k & 1:
+                W, M = W + M @ Wb @ M.T, M @ Ab
     if not np.isfinite(W).all():
         raise NonFiniteError(f"the gramian of Atil overflows by horizon t={t}")
     return 0.5 * (W + W.T)
@@ -137,24 +141,24 @@ def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) ->
 
     Channel i regresses its full-memory difference z[k] = D^a x[k+1] on the
     window states by minimum-norm least squares; its prediction from the
-    fitted row keeps memory lags 1..p.  Each channel is summed, solved and
-    averaged on its own column, so a channel's figures do not depend on the
-    other channels.  An all-zero window has no least-squares information and
-    raises SingularError.
+    fitted row keeps memory lags 1..p.  One :func:`history_sum` call sums all
+    targets and one all prediction tails, keeping each column to its channel;
+    the loop solves and averages each channel on its own column, so a channel's
+    figures do not depend on the other channels.  An all-zero window has no
+    least-squares information and raises SingularError.
     """
     ks, Xw, _ = win
     if not Xw.any():
         raise SingularError("regressor Gram matrix is zero; no spatial information")
     first, last, n = int(ks[0]), int(ks[-1]), x.shape[1]
     w = build_weight_table(orders, last + 1)
-    rows, Z, mse = np.empty((n, n)), np.empty((ks.size, n)), np.empty(n)
+    Z = history_sum(x, w, first + 1, last + 2)
+    tails = None if p is None else history_sum(x, w[:, 1 : p + 1], first, last + 1)
+    rows, mse = np.empty((n, n)), np.empty(n)
     for i in range(n):
-        z = history_sum(x[:, i], w[i], first + 1, last + 2)
-        rows[i] = np.linalg.lstsq(Xw, z, rcond=None)[0]
-        Z[:, i] = z
+        rows[i] = np.linalg.lstsq(Xw, Z[:, i], rcond=None)[0]
         if p is not None:
-            pred = Xw @ rows[i] - history_sum(x[:, i], w[i, 1 : p + 1], first, last + 1)
-            mse[i] = np.mean((pred - x[ks + 1, i]) ** 2)
+            mse[i] = np.mean((Xw @ rows[i] - tails[:, i] - x[ks + 1, i]) ** 2)
     return rows, Z, mse
 
 

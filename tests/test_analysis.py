@@ -311,6 +311,19 @@ def test_state_space_sizes_agree_with_A(A, B, C, D, message):
         FractionalTransferFunction.state_space(A, B, C, D, 0.5)
 
 
+def test_state_space_at_zero_with_a_negative_order_is_a_domain_error():
+    tf = FractionalTransferFunction.state_space([[0.0]], [[1.0]], [[1.0]], [[0.0]], -0.5)
+    with pytest.raises(DomainError, match="^evaluation at s = 0 with a negative exponent$"):
+        tf_eval(tf, 0.0)
+
+
+def test_state_space_at_a_pole_is_a_domain_error():
+    # s^0.5 = 1 = A at s = 1, so s^alpha I - A is singular
+    tf = FractionalTransferFunction.state_space([[1.0]], [[1.0]], [[1.0]], [[0.0]], 0.5)
+    with pytest.raises(DomainError, match=r"^transfer function has a pole at s = \(1\+0j\)$"):
+        tf_eval(tf, 1.0)
+
+
 def test_state_space_d_takes_its_shape_from_c_and_b():
     # q = 1 output and m = 2 inputs: a 1-D D is the row that fits
     tf = FractionalTransferFunction.state_space(-np.eye(2), np.eye(2), [1.0, 1.0], [0.25, 0.5],

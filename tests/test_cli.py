@@ -567,6 +567,26 @@ def test_simulate_non_finite_option_exits_2_naming_it(tmp_path, capsys, scalar_m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [(), ("--seed", "1")])
+def test_simulate_negative_sigma_exits_2_with_or_without_a_seed(tmp_path, capsys,
+                                                               scalar_model_file, seed):
+    out = tmp_path / "s.csv"
+    assert run_cli("simulate", "--model", scalar_model_file, "--steps", "3", "--sigma", "-1",
+                   *seed, "--out", str(out)) == 2
+    assert "sigma must lie in [0, inf), got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+    assert not pathlib.Path(str(out) + ".manifest.json").exists()
+
+
+def test_a_config_file_holding_a_list_exits_2(tmp_path, capsys, scalar_model_file):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps([scalar_model_file, 3]))
+    out = tmp_path / "s.csv"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_identify_overflowing_trajectory_exits_3_naming_the_channel(tmp_path, capsys):
     states = 0.1 * np.random.default_rng(5).standard_normal(61)
     states[30] = 1e300

@@ -108,6 +108,12 @@ def test_batch_zero_cost_on_consistent_data():
     np.testing.assert_allclose(xhat[:, 0], [z[0] for z in Z], atol=1e-10)
 
 
+def test_batch_without_a_measurement_is_a_dimension_error():
+    cfg = EstimatorConfig(Q=[[1.0]], R=[[1.0]], P0=[[1.0]], xhat0=[0.0])
+    with pytest.raises(DimensionError, match="^need at least one measurement$"):
+        me_batch(unit_lift(), cfg, None, np.zeros((0, 1)))
+
+
 def test_batch_matches_hand_example():
     aug = unit_lift()
     cfg = EstimatorConfig(Q=[[1.0]], R=[[1.0]], P0=[[1.0]], xhat0=[0.0])

@@ -57,6 +57,11 @@ def test_partial_sum_identity(alpha):
         assert total == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
+def test_a_table_of_two_dimensional_orders_is_a_domain_error():
+    with pytest.raises(DomainError, match="^alphas must be a vector$"):
+        build_weight_table([[0.5, 0.2]], 3)
+
+
 def test_table_invariants():
     t = build_weight_table([0.5], 2)
     np.testing.assert_allclose(t, [[1.0, -0.5, -0.125]], atol=0.0)

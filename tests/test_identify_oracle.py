@@ -107,10 +107,13 @@ def test_a_non_finite_score_names_the_first_channel_not_the_first_failure(monkey
     real = bisection_oracle.history_sum
 
     def poisoned(x, weights, start, stop):
-        out = real(x, weights, start, stop)
-        predicting = weights.shape[-1] == 50  # a prediction sums p = 50 lags
-        if predicting and (np.array_equal(x, traj.states[:, 1]) or weights[0] == 0.0):
-            return out * np.inf
+        # the oracle sums one channel per call, the fit every channel in one call
+        out = np.array(real(x, weights, start, stop))
+        if weights.shape[-1] == 50:  # a prediction sums p = 50 lags
+            xs, ws, sums = (a.reshape(len(a), -1) for a in (x, weights.T, out))
+            for i in range(xs.shape[1]):
+                if np.array_equal(xs[:, i], traj.states[:, 1]) or ws[0, i] == 0.0:
+                    sums[:, i] *= np.inf
         return out
 
     monkeypatch.setattr(bisection_oracle, "history_sum", poisoned)

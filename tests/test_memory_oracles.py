@@ -798,6 +798,39 @@ def test_history_sum_whose_transform_overflows_is_summed_directly(monkeypatch):
     assert np.array_equal(got, np.convolve(np.concatenate([np.zeros(999), x]), w, "valid"))
 
 
+#: (rows [start, stop), lags, transform calls) of each route; the FFT one with one
+#: channel whose transform overflows.
+CHANNEL_ROUTES = {"direct": (100, 250, 50, 0), "fft": (1000, 3000, 2000, 1),
+                  "overflow": (1000, 3000, 2000, 1)}
+
+
+@pytest.mark.parametrize("route", sorted(CHANNEL_ROUTES))
+@pytest.mark.parametrize("seed", range(12))
+def test_each_channel_of_a_history_sum_has_the_bits_of_its_one_channel_call(
+        monkeypatch, route, seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    start, stop, lags, transforms = CHANNEL_ROUTES[route]
+    x = 0.1 * rng.normal(size=(3000, n))
+    w = build_weight_table(rng.uniform(-0.9, 1.4, n), lags - 1).copy()
+    hot = int(rng.integers(n))
+    if route == "overflow":
+        # order -1 sums every lag with weight 1: the transform of the 1e306 state
+        # overflows, its direct sums do not
+        x[2500, hot] = 1e306
+        w[hot] = 1.0
+    calls = _counting_block_convolve(monkeypatch)
+    got = history_sum(x, w, start, stop)
+    assert len(calls) == transforms
+    assert np.isfinite(got).all()
+    for i in range(n):
+        assert got[:, i].tobytes() == history_sum(x[:, i], w[i], start, stop).tobytes(), i
+    if route == "overflow":
+        want = np.convolve(np.concatenate([np.zeros(lags - 1 - start), x[:stop, hot]]), w[hot],
+                           "valid")
+        assert np.array_equal(got[:, hot], want)
+
+
 def test_history_sum_by_fft_rounds_relative_to_the_whole_segment():
     # the transform spreads the rounding of the largest sums over every row:
     # on a series growing a millionfold the first rows are off by 1.3e-12 of

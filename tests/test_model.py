@@ -134,6 +134,15 @@ def test_non_numeric_or_nested_fields_are_dimension_errors():
         FosModel(alpha=[0.5], A=[[0.2]], B=[[[1.0]]])
 
 
+@pytest.mark.parametrize("fields", [{"alpha": [0.5]}, {"A": [[0.2]]}, {"n": 1}])
+def test_a_model_file_without_alpha_or_a_is_a_dimension_error(tmp_path, fields):
+    path = tmp_path / "m.json"
+    path.write_text(canonical_json(fields))
+    with pytest.raises(DimensionError,
+                       match="^model file lacks the required 'alpha' and 'A' fields$"):
+        read_model(str(path))
+
+
 def test_augment_p_rejects_bad_depth():
     m = FosModel(alpha=[0.5], A=[[0.2]])
     with pytest.raises(DomainError, match="^augmentation depth p must be >= 1$"):

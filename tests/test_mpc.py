@@ -12,6 +12,7 @@ from fracdyn import (
     NotSPD,
     augment_p,
     condense,
+    mpc,
     run_closed_loop,
     simulate_augmented,
     solve_horizon,
@@ -182,6 +183,24 @@ def test_receding_horizon_bookkeeping():
         assert np.array_equal(res.applied[start : start + take], sol.u[:take])
         k = start + take
     assert k == K
+
+
+def test_each_closed_loop_solve_reads_only_the_last_p_states(monkeypatch):
+    # the lift reads p rows, so a solve handed the whole run would check O(k) rows
+    histories = []
+    real = mpc.solve_horizon
+
+    def spy(problem, model, history, condensed=None):
+        histories.append(np.array(history))
+        return real(problem, model, history, condensed=condensed)
+
+    monkeypatch.setattr(mpc, "solve_horizon", spy)
+    prob = MpcProblem(p=3, P=6, M=2, Q=[[1.0]], R=[[1.0]], u_lo=-1.0, u_hi=1.0)
+    res = run_closed_loop(scalar_model(), prob, 12, noise=9, x0=[1.0], noise_sigma=0.2)
+    assert len(histories) == len(res.solve_steps) == 6
+    for history, k in zip(histories, res.solve_steps):
+        assert len(history) == min(k + 1, prob.p)
+        assert np.array_equal(history, res.trajectory.states[k + 1 - len(history) : k + 1])
 
 
 def test_baseline_consumes_identical_noise():

@@ -12,7 +12,10 @@ only place there that sums a step, checks it and raises ``NonFiniteError``.
 Identification scores orders through one fit, ``sysid._fit``, the only place
 in ``sysid`` that tabulates weights or sums a history; ``ols_spatial`` runs the
 same fit.  Its rows come from one minimum-norm ``np.linalg.lstsq`` call, at
-any rank of the window, with no second (ridge) solver beside it.
+any rank of the window, with no second (ridge) solver beside it.  It sums
+every channel's targets in one ``history_sum`` call and its prediction tails
+in another, outside its channel loop: ``history_sum`` keeps channels
+independent, so a per-channel call buys nothing.
 
 Every lift is built by ``model._companion``, the only place in the package
 that constructs an ``AugmentedModel``, so the layout it declares (dense and
@@ -155,6 +158,47 @@ def test_identify_tabulates_once_per_lockstep_score(monkeypatch):
     res = sysid.identify(Trajectory(states=states), 20, 1e-2, (0, 100))
     assert len(calls) == 3 + sysid.bisection_bound(1e-2) == 3 + int(res.iterations.max())
     assert all(len(orders) == 3 for orders in calls)
+
+
+def loop_calls(source: str, function: str, name: str) -> tuple:
+    """Line numbers of the calls of ``name`` in ``function``: (inside a loop, outside any)."""
+    tree = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    inside = {node.lineno for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+              for node in ast.walk(loop) if _called_name(node) == name}
+    every = {node.lineno for node in ast.walk(tree) if _called_name(node) == name}
+    return sorted(inside), sorted(every - inside)
+
+
+@pytest.mark.parametrize("source,inside,outside", [
+    ("def f(x):\n    z = g(x)\n    for i in x:\n        h(z[i])", [], [2]),
+    ("def f(x):\n    for i in x:\n        z = g(x[i])", [3], []),
+    ("def f(x):\n    while x:\n        if x:\n            x = sysid.g(x)", [4], []),
+])
+def test_the_loop_check_reads_each_form_of_a_call(source, inside, outside):
+    assert loop_calls(source, "f", "g") == (inside, outside)
+
+
+def test_the_fit_sums_every_channel_outside_its_channel_loop():
+    # history_sum keeps channels independent, so one call sums every channel
+    inside, outside = loop_calls((PACKAGE / "sysid.py").read_text(), "_fit", "history_sum")
+    assert not inside, f"_fit sums a history inside a loop at lines {inside}"
+    assert len(outside) == 2  # the targets and the prediction tails
+
+
+def test_each_fit_makes_at_most_two_history_sums(monkeypatch):
+    sums, fits = [], []
+    real_sum, real_fit = sysid.history_sum, sysid._fit
+    monkeypatch.setattr(sysid, "history_sum",
+                        lambda *args: sums.append(np.shape(args[1])) or real_sum(*args))
+    monkeypatch.setattr(sysid, "_fit", lambda *args: fits.append(args) or real_fit(*args))
+    traj = Trajectory(states=np.random.default_rng(0).standard_normal((120, 3)).cumsum(axis=0))
+    sysid.identify(traj, 20, 1e-2, (0, 100))
+    assert len(sums) == 2 * len(fits) == 2 * (3 + sysid.bisection_bound(1e-2))
+    assert set(sums) == {(3, 101), (3, 20)}  # every channel's targets, then its tails
+    del sums[:]
+    sysid.ols_spatial(traj, [0.5] * 3, (0, 100))
+    assert sums == [(3, 101)]
 
 
 #: numpy.linalg functions that solve or invert a linear system.

@@ -47,6 +47,50 @@ def test_finite_time_gramian_examples():
         finite_time_gramian(np.eye(2), 0)
 
 
+def loop_gramian(A, t):
+    """W_t = sum_{j<t} A^j (A^j)^T, one product per lag."""
+    W = M = np.eye(A.shape[0])
+    for _ in range(1, t):
+        M = A @ M
+        W = W + M @ M.T
+    return 0.5 * (W + W.T)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_finite_time_gramian_by_doubling_matches_the_lag_loop(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    A = rng.standard_normal((d, d))
+    A *= rng.uniform(0.2, 1.0) / np.abs(np.linalg.eigvals(A)).max()
+    for t in (1, 2, 3, 4, 7, 8, 9, 64, 100, 257, int(rng.integers(1, 600))):
+        want = loop_gramian(A, t)
+        got = finite_time_gramian(A, t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (d, t)
+        assert np.array_equal(got, got.T)
+
+
+def test_finite_time_gramian_of_a_lift_and_a_rotation_match_the_lag_loop():
+    model = FosModel(alpha=[0.6, 0.9], A=[[-0.2, 0.05], [0.1, -0.3]])
+    theta = 0.3
+    rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    for A, t in ((augment_p(model, 6).Atil, 500), (rotation, 333)):
+        want = loop_gramian(A, t)
+        assert np.abs(finite_time_gramian(A, t) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("A, t", [([[2.0]], 600), ([[1e200]], 2),
+                                  ([[0.5, 1e160], [0.0, 0.5]], 3)])
+def test_an_overflowing_gramian_raises(A, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not np.isfinite(loop_gramian(np.array(A), t)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError,
+                           match=f"^the gramian of Atil overflows by horizon t={t}$"):
+            finite_time_gramian(A, t)
+
+
 def test_ols_error_bound_closed_form():
     res = ols_error_bound(np.zeros((1, 1)), 100, 1, 0.1)
     assert res.value == pytest.approx(0.1 * math.sqrt(math.log(10.0)), rel=1e-12)
@@ -207,7 +251,7 @@ def test_rank_deficient_rows_do_not_depend_on_the_target_layout(monkeypatch):
 
     def strided(x, weights, start, stop):
         out = real(x, weights, start, stop)
-        wide = np.zeros((out.size, 3))
+        wide = np.zeros((out.shape[0], 3) + out.shape[1:])
         wide[:, 1] = out
         return wide[:, 1]
 
