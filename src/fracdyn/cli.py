@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 One subcommand per pipeline stage: ``simulate``, ``analyze``, ``identify``,
-``estimate``, ``mpc``.  Every option can also come from a JSON config file;
-flags always win over config values.  An absent key takes its default; a
-present one is judged under its own name by the library's argument readers
-(``fraccore``), so ``null`` or a bad value exits 2 naming the key.
+``estimate``, ``mpc``.  A subcommand imports its own stage's module when it
+runs, so a cold job compiles no other stage.  Every option can also come from
+a JSON config file; flags always win over config values.  An absent key takes
+its default; a present one is judged under its own name by the library's
+argument readers (``fraccore``), so ``null`` or a bad value exits 2 naming
+the key.
 
 ``main`` owns a run.  It reads the options once; a subcommand, a function of
 them, writes its primary outputs (atomically) and returns the manifest's
@@ -22,18 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    FractionalTransferFunction,
-    FrequencyResponse,
-    augmented_spectral_radius,
-    commensurate_stability,
-    controllability_gramian,
-    fopid_response,
-    observability_matrices,
-    tf_eval,
-)
 from .errors import DomainError, FracdynError, NonFiniteError
-from .estimate import EstimatorConfig, run_estimator
 from .fileio import (
     read_model,
     read_trajectory,
@@ -46,9 +37,7 @@ from .fileio import (
 )
 from .fraccore import _array, _count, _real
 from .model import FosModel, MultiTermNetwork
-from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
 from .simulate import gaussian_noise, simulate_fos, simulate_network
-from .sysid import identify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -119,7 +108,7 @@ def cmd_simulate(config: dict) -> tuple:
             raise DomainError("input trajectory file carries no inputs (u1, u2, ...)")
     seed = _get(config, "seed", _count)
     sigma = _get(config, "sigma", _real, 1.0, lo=0.0, ends="[)")  # as gaussian_noise reads it
-    dt = _get(config, "dt", _real, 1.0)
+    dt = _get(config, "dt", _real, 1.0, lo=0.0)  # as Trajectory reads it
     out = _path(config, "out")
     w = None if seed is None else gaussian_noise(seed, K, model.p, sigma)
     run = simulate_network if isinstance(model, MultiTermNetwork) else simulate_fos
@@ -129,6 +118,11 @@ def cmd_simulate(config: dict) -> tuple:
 
 
 def cmd_analyze(config: dict) -> tuple:
+    from .analysis import (FractionalTransferFunction, FrequencyResponse,
+                           augmented_spectral_radius, commensurate_stability,
+                           controllability_gramian, fopid_response, observability_matrices,
+                           tf_eval)
+
     what, out, seed = config["what"], _path(config, "out"), _get(config, "seed", _count)
     if what == "bode":
         start = _get(config, "omega_start", _real, 1e-2, lo=0.0)
@@ -199,6 +193,8 @@ def _terms(config: dict, key: str) -> np.ndarray:
 
 
 def cmd_identify(config: dict) -> tuple:
+    from .sysid import identify
+
     traj = read_trajectory(_path(config, "trajectory"))
     seed = _get(config, "seed", _count)
     p = _get(config, "depth", _count, 50)
@@ -218,6 +214,8 @@ def cmd_identify(config: dict) -> tuple:
 
 
 def cmd_estimate(config: dict) -> tuple:
+    from .estimate import EstimatorConfig, run_estimator
+
     net = _model(config, MultiTermNetwork)
     traj = read_trajectory(_path(config, "trajectory"))
     v, seed = _get(config, "v", _count, 2), _get(config, "seed", _count)
@@ -236,6 +234,8 @@ def cmd_estimate(config: dict) -> tuple:
 
 
 def cmd_mpc(config: dict) -> tuple:
+    from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
+
     plant = _model(config)
     out = _path(config, "out")
     bounds = _get(config, "bounds", _array, shape=(2,), finite=False)

@@ -42,7 +42,7 @@ class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
 
     ``states`` has K+1 rows; ``inputs`` and ``noises`` have K rows (the sample
     applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt``, a
-    finite number, is metadata only: row k corresponds to time k*dt.  A named
+    positive number, is metadata only: row k corresponds to time k*dt.  A named
     tuple, checked and converted to float arrays on construction
     (``_replace`` skips that).
 
@@ -60,7 +60,7 @@ class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
         K = states.shape[0] - 1
         rest = [None if val is None else _array(val, name, (rows, None)) for name, val, rows in
                 (("inputs", inputs, K), ("outputs", outputs, K + 1), ("noises", noises, K))]
-        return super().__new__(cls, states, *rest, _real(dt, "dt"))
+        return super().__new__(cls, states, *rest, _real(dt, "dt", lo=0.0))
 
     @property
     def K(self) -> int:

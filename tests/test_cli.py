@@ -80,6 +80,27 @@ def test_trajectory_round_trip(tmp_path, scalar_model_file):
     assert pathlib.Path(out).read_text() == pathlib.Path(back).read_text()
 
 
+@pytest.mark.parametrize("dt", ["0", "-1"])
+def test_simulate_non_positive_dt_exits_2_naming_it(tmp_path, capsys, scalar_model_file, dt):
+    # a time column of 0,0,0 or -0,-1,-2 would read back as dt = 1
+    out = tmp_path / "s.csv"
+    assert run_cli("simulate", "--model", scalar_model_file, "--steps", "3", "--dt", dt,
+                   "--out", str(out)) == 2
+    assert "dt must lie in (0, inf)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 2.5, 7 / 3, 1e5])
+def test_trajectory_round_trip_keeps_the_bytes_at_any_positive_dt(tmp_path, dt):
+    model = FosModel(alpha=[0.5], A=[[-0.2]], B=[[1.0]])
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_trajectory(str(first), simulate_fos(model, [1.0], u=[[0.1]] * 6, K=6, dt=dt))
+    back = read_trajectory(str(first))
+    assert back.dt == dt
+    write_trajectory(str(second), back)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_missing_model_file_exits_2(tmp_path):
     out = str(tmp_path / "x.csv")
     assert run_cli("simulate", "--model", str(tmp_path / "nope.json"),

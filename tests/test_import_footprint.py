@@ -9,6 +9,10 @@ Cold start is paid the same way.  ``import fracdyn`` loads neither numpy nor
 a submodule, and a name taken from it loads only its module's imports.
 Neither the CLI nor ``fileio`` loads ``dataclasses`` or ``hashlib`` (which
 only a manifest's digest needs) at import.
+
+A cold ``python -m fracdyn`` job loads, of the stage modules ``analysis``,
+``sysid``, ``estimate`` and ``mpc``, only the one its subcommand runs, and a
+failure after that deferred import still exits 2 with one stderr line.
 """
 
 import fnmatch
@@ -21,6 +25,19 @@ from pathlib import Path
 import pytest
 
 import fracdyn
+from fracdyn import FosModel, MultiTermNetwork, simulate_fos, simulate_network
+from fracdyn.fileio import write_model, write_trajectory
+
+#: The modules of the stages that only one subcommand runs.
+STAGES = ("fracdyn.analysis", "fracdyn.estimate", "fracdyn.mpc", "fracdyn.sysid")
+
+
+def _env() -> dict:
+    """This environment with the tested fracdyn first on PYTHONPATH."""
+    src = str(Path(fracdyn.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
 
 SCRIPT = r"""
 import json, os, sys
@@ -94,10 +111,7 @@ with open(path("stages.json"), "w") as fh:
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
     work = tmp_path_factory.mktemp("footprint")
-    src = str(Path(fracdyn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(work)], env=env,
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(work)], env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads((work / "stages.json").read_text())
@@ -113,9 +127,8 @@ def test_scipy_free_stage_loads_no_scipy(stages, stage):
 #: (statement run in a fresh interpreter, modules that must not be loaded after it)
 COLD_STARTS = [
     ("import fracdyn", ["numpy", "fracdyn.*"]),
-    ("from fracdyn import simulate_fos",
-     ["fracdyn.sysid", "fracdyn.estimate", "fracdyn.mpc", "fracdyn.analysis"]),
-    ("import fracdyn.cli", ["dataclasses"]),
+    ("from fracdyn import simulate_fos", list(STAGES)),
+    ("import fracdyn.cli", ["dataclasses", *STAGES]),
     ("import fracdyn.fileio", ["hashlib"]),
 ]
 
@@ -123,10 +136,7 @@ COLD_STARTS = [
 @pytest.mark.parametrize("statement,absent", COLD_STARTS, ids=[s for s, _ in COLD_STARTS])
 def test_a_cold_import_loads_only_what_it_uses(statement, absent):
     script = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
-    src = str(Path(fracdyn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = set(json.loads(done.stdout))
@@ -135,3 +145,94 @@ def test_a_cold_import_loads_only_what_it_uses(statement, absent):
     found = sorted(name for name in loaded - {"fracdyn.errors"}
                    if any(fnmatch.fnmatchcase(name, pattern) for pattern in absent))
     assert found == []
+
+
+def cold_cli(cwd, *argv) -> tuple:
+    """Run ``python -m fracdyn *argv`` in ``cwd``: exit code, stderr lines, stage modules loaded.
+
+    ``-X importtime`` writes a line to stderr for each module as it is first
+    imported; the other stderr lines are the CLI's own.
+    """
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "fracdyn", *argv],
+                          env=_env(), cwd=cwd, capture_output=True, text=True, timeout=120)
+    lines = done.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
+                if line.startswith("import time:")}
+    own = [line for line in lines if not line.startswith("import time:")]
+    return done.returncode, own, sorted(imported.intersection(STAGES))
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory holding a mixed-order model, a network, their runs and two scenarios."""
+    work = tmp_path_factory.mktemp("cold_cli")
+    fos = FosModel(alpha=[0.5, 0.7], A=[[-0.2, 0.1], [0.0, -0.3]], B=[[1.0], [0.5]])
+    net = MultiTermNetwork(state_terms=[(0.6, [[1.0, 0.0], [0.0, 1.0]])],
+                           input_terms=[(0.5, [[1.0], [1.0]])],
+                           disturbance_terms=[(0.7, [[1.0, 0.0], [0.0, 1.0]])],
+                           C=[[1.0, 0.0], [0.0, 1.0]])
+    write_model(str(work / "fos.json"), fos)
+    write_model(str(work / "net.json"), net)
+    write_trajectory(str(work / "traj.csv"),
+                     simulate_fos(fos, [1.0, -0.5], K=40, w=3, noise_sigma=0.01))
+    write_trajectory(str(work / "net.csv"),
+                     simulate_network(net, [1.0, -0.5], K=20, w=2))
+    scenario = {"model": "fos.json", "p": 4, "horizon": 5, "control_horizon": 2, "Q": 1.0,
+                "R": 0.1, "u_lo": -0.2, "u_hi": 0.2, "K": 8, "seed": 4, "sigma": 0.1,
+                "x0": [1.0, -0.5]}
+    (work / "scenario.json").write_text(json.dumps(scenario))
+    (work / "lost.json").write_text(json.dumps(dict(scenario, model="missing.json")))
+    return work
+
+
+#: (subcommand, its arguments, expected exit code, stage modules it loads)
+FOOTPRINTS = [
+    ("simulate", ["simulate", "--model", "fos.json", "--x0", "1,-0.5", "--steps", "5",
+                  "--out", "sim.csv"], 0, []),
+    ("network simulate", ["simulate", "--model", "net.json", "--steps", "5",
+                          "--out", "netsim.csv"], 0, []),
+    ("identify", ["identify", "--trajectory", "traj.csv", "--depth", "10", "--epsilon", "1e-2",
+                  "--out-model", "ident.json", "--out-diag", "diag.csv"], 0, ["fracdyn.sysid"]),
+    ("analyze stability", ["analyze", "stability", "--model", "fos.json",
+                           "--out", "stab.json"], 0, ["fracdyn.analysis"]),
+    ("analyze gramians", ["analyze", "gramians", "--model", "fos.json", "--horizon", "3",
+                          "--out", "gram.json"], 0, ["fracdyn.analysis"]),
+    ("analyze bode", ["analyze", "bode", "--fopid", "1,1,0,0.5,1", "--omega-points", "3",
+                      "--out", "bode.csv"], 0, ["fracdyn.analysis"]),
+    ("estimate", ["estimate", "--model", "net.json", "--trajectory", "net.csv", "--v", "2",
+                  "--out", "est.csv"], 0, ["fracdyn.estimate"]),
+    ("mpc", ["mpc", "scenario.json", "--out", "run.csv"], 0, ["fracdyn.mpc"]),
+    ("--version", ["--version"], 0, []),
+    ("usage error", ["simulate", "--steps", "x", "--out", "bad.csv"], 2, []),
+]
+
+
+@pytest.mark.parametrize("argv,code,stages", [case[1:] for case in FOOTPRINTS],
+                         ids=[case[0] for case in FOOTPRINTS])
+def test_a_cold_subcommand_loads_only_its_own_stage(cli_files, argv, code, stages):
+    returned, own, loaded = cold_cli(cli_files, *argv)
+    assert returned == code, own
+    assert loaded == stages
+
+
+#: (subcommand, arguments that fail after its stage module is imported, that module)
+LATE_FAILURES = [
+    ("identify", ["identify", "--trajectory", "missing.csv", "--out-model", "m.json",
+                  "--out-diag", "m.csv"], "fracdyn.sysid"),
+    ("estimate", ["estimate", "--model", "fos.json", "--trajectory", "net.csv",
+                  "--out", "e.csv"], "fracdyn.estimate"),
+    ("mpc", ["mpc", "lost.json", "--out", "r.csv"], "fracdyn.mpc"),
+    ("analyze", ["analyze", "stability", "--model", "fos.json", "--horizon", "0",
+                 "--out", "h.json"], "fracdyn.analysis"),
+]
+
+
+@pytest.mark.parametrize("command,argv,stage", LATE_FAILURES,
+                         ids=[case[0] for case in LATE_FAILURES])
+def test_a_cold_failure_after_the_stage_import_exits_2_with_one_line(cli_files, command, argv,
+                                                                     stage):
+    returned, own, loaded = cold_cli(cli_files, *argv)
+    assert returned == 2
+    assert len(own) == 1 and own[0].startswith(f"fracdyn {command}: "), own
+    assert loaded == [stage]
+    assert not (cli_files / argv[-1]).exists()

@@ -155,7 +155,7 @@ SPEC = {
                         ("states", "inputs", "outputs", "noises", "dt"),
                         accepts={"states": {"vector"}, "inputs": MATRIX | {"None"},
                                  "outputs": {"vector", "None"}, "noises": MATRIX | {"None"},
-                                 "dt": NUMBERS},
+                                 "dt": NUMBERS - {"-1", "0"}},
                         raises={("states", bad): (fracdyn.DimensionError, "a number is one "
                                                   "sample, so K = 0; the error names inputs, "
                                                   "which holds one") for bad in NUMBERS},
@@ -172,7 +172,8 @@ SPEC = {
                                                      K=4, dt=1.0, noise_sigma=1.0),
                           ("x0", "u", "w", "K", "dt", "noise_sigma"),
                           accepts={"x0": NUMBERS, "u": {"None"}, "w": {"0", "None"},
-                                   "K": {"0"}, "dt": NUMBERS, "noise_sigma": {"0", "2.5"}},
+                                   "K": {"0"}, "dt": NUMBERS - {"-1", "0"},
+                                   "noise_sigma": {"0", "2.5"}},
                           names={"w": r"\b(w|seed)\b", "noise_sigma": "sigma"},
                           series={"u": _column(0.1, 0.2, 0.3, 0.4),
                                   "w": _column(0.0, 0.1, -0.1, 0.2)}),
@@ -180,7 +181,7 @@ SPEC = {
                                                              w=None, K=4, dt=1.0),
                               ("x0", "u", "w", "K", "dt"),
                               accepts={"x0": NUMBERS, "u": {"None"}, "w": {"0", "None"},
-                                       "K": {"0"}, "dt": NUMBERS},
+                                       "K": {"0"}, "dt": NUMBERS - {"-1", "0"}},
                               names={"w": r"\b(w|seed)\b"},
                               series={"u": _column(0.1, 0.2, 0.3, 0.4),
                                       "w": _column(0.0, 0.1, -0.1, 0.2)}),
