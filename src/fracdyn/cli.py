@@ -14,11 +14,13 @@ inputs, outputs and seed and its summary dict or None.  ``main`` writes the
 summary to ``<first output>.summary.json``, listed last in the outputs, then
 the manifest beside the first output, and returns the exit code: 0 success,
 2 parse/validation failure, 3 numerical failure or memory exhausted.  A run
-that fails writes no summary and no manifest.
+that fails writes no summary and no manifest.  A cold job ends by ``entry``,
+which skips interpreter teardown once ``main`` has closed every output.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -367,5 +369,24 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def entry() -> int:
+    """``main()``, then ``os._exit`` after a flush: a cold job's exit, without teardown.
+
+    The code goes to ``sys.exit`` instead where teardown does work: after a failed
+    flush, or when a tracer, profiler or ``sys.monitoring`` tool watches the run.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # None, closed or a broken pipe
+        return code
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    if sys.gettrace() is None and sys.getprofile() is None and not (
+            monitoring and any(map(monitoring.get_tool, range(6)))):
+        os._exit(code)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

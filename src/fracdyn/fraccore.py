@@ -180,15 +180,17 @@ def block_convolve(spectrum: np.ndarray, block: np.ndarray, size: int) -> np.nda
     """Rows i of sum_l kernel[i - l] . block[l], lags modulo ``size``, by FFT.
 
     ``spectrum`` is the kernel's :func:`kernel_spectrum`; ``block`` is (b, c, ...),
-    as :class:`MemoryTail`'s states.
+    as :class:`MemoryTail`'s states.  A spectrum that only the call holds is
+    freed before the inverse transform.
     """
     shape = block.shape
     if spectrum.ndim == 2:  # a diagonal kernel scales each channel
         x = np.fft.rfft(block, n=size, axis=0)
-        x = x * spectrum.reshape(spectrum.shape + (1,) * (block.ndim - 2))
+        x *= spectrum.reshape(spectrum.shape + (1,) * (block.ndim - 2))
     else:  # one matrix product per frequency, as a batched matmul (einsum is far slower)
         x = spectrum @ np.fft.rfft(block.reshape(shape[0], shape[1], -1), n=size, axis=0)
-    return np.fft.irfft(x, n=size, axis=0).reshape((size, spectrum.shape[1]) + shape[2:])
+    del spectrum
+    return np.fft.irfft(x, n=size, axis=0).reshape((size, x.shape[1]) + shape[2:])
 
 
 class MemoryTail:
@@ -228,11 +230,13 @@ class MemoryTail:
         self._spectra = {}
         self._next_block = NEAR_BLOCK
 
-    def _convolve(self, block: np.ndarray, first: int, stop: int, size: int) -> np.ndarray:
+    def _convolve(self, block: np.ndarray, first: int, stop: int, size: int,
+                  again: bool = True) -> np.ndarray:
+        """The block convolved with kernel lags [first, stop); keeps the spectrum if ``again``."""
         key = (first, stop, size)
         if key not in self._spectra:
             self._spectra[key] = kernel_spectrum(self._kernel, first, stop, size)
-        return block_convolve(self._spectra[key], block, size)
+        return block_convolve(self._spectra[key] if again else self._spectra.pop(key), block, size)
 
     def far(self, s: int) -> np.ndarray:
         """Far field of the block of steps from ``s``, a multiple of ``NEAR_BLOCK``.
@@ -244,12 +248,13 @@ class MemoryTail:
         if s == self._next_block:
             b = s & -s
             block = self._states[s - b : s]
-            far = self._convolve(block, 1, 2 * b, 2 * b)[b:]
+            again = s + 2 * b < self._far.shape[0]  # the next update of this size
+            far = self._convolve(block, 1, 2 * b, 2 * b, again)[b:]
             if not np.isfinite(far).all() and np.isfinite(block).all():
                 # the transform sums the whole block, so it can overflow before the
                 # states do: redo it on the block scaled by a power of two, exactly
                 e = np.frexp(np.abs(block).max())[1]
-                far = np.ldexp(self._convolve(np.ldexp(block, -e), 1, 2 * b, 2 * b)[b:], e)
+                far = np.ldexp(self._convolve(np.ldexp(block, -e), 1, 2 * b, 2 * b, again)[b:], e)
             self._far[s : s + b] += far[: self._far.shape[0] - s]
             self._next_block = s + NEAR_BLOCK
         return self._far[s : s + NEAR_BLOCK]

@@ -240,23 +240,6 @@ def solve_horizon(
     )
 
 
-def _bordered(inv: np.ndarray, r: np.ndarray, dd: float) -> np.ndarray:
-    """Inverse of [[W_AA, w], [w^T, w_pp]] from inv = W_AA^-1, r = inv @ w, dd = w_pp - w @ r."""
-    q = r.size
-    out = np.empty((q + 1, q + 1))
-    out[:q, :q] = inv + (r / dd)[:, None] * r
-    out[:q, q] = out[q, :q] = -r / dd
-    out[q, q] = 1.0 / dd
-    return out
-
-
-def _without(inv: np.ndarray, j: int) -> np.ndarray:
-    """Inverse of W_AA with row and column j removed, from inv = W_AA^-1 (a rank-1 downdate)."""
-    keep = np.arange(inv.shape[0]) != j
-    col = inv[keep, j]
-    return inv[np.ix_(keep, keep)] - (col / inv[j, j])[:, None] * col
-
-
 def _propose(W: np.ndarray, s: np.ndarray, g: np.ndarray, neq: int) -> list | None:
     """The active list ``_solve_qp`` would end with, from the range-space form of its rules.
 
@@ -264,49 +247,66 @@ def _propose(W: np.ndarray, s: np.ndarray, g: np.ndarray, neq: int) -> list | No
     an active list A with multiplier ``lam_p`` on the row ``p`` being added,
     the multipliers are ``W_AA^-1 (s_A - g_A) - lam_p r`` with
     ``r = W_AA^-1 W_Ap``, and ``G z = s - W_{:,A} lam_A - lam_p W_{:,p}``.
-    The same add and drop rules as ``_solve_qp`` run on these, keeping
-    ``W_AA^-1`` by bordering on an add and a rank-1 downdate on a drop, so a
-    step makes no factorisation.  A row nearly dependent on the active ones
-    takes no full step, as in the QR loop.  Returns the ordered active list,
-    or None where no step is possible (the QR loop then decides whether the
-    rows are infeasible), on non-finite data, or after ``8 + 4 * rows`` steps.
-    Never raises: the list is only a proposal, which ``_solve_qp`` checks.
+    The same add and drop rules as ``_solve_qp`` run on these.  ``W_AA^-1``,
+    ``W_A`` and ``s_A - g_A`` are bordered in place on an add and downdated
+    on a drop, so a step makes no factorisation; a row nearly dependent on
+    the active ones takes no full step, as in the QR loop.  Returns the
+    ordered active list, or None where no step is possible (the QR loop then
+    decides whether the rows are infeasible), on non-finite data, or after
+    ``8 + 4 * rows`` steps.  Never raises: the list is only a proposal,
+    which ``_solve_qp`` checks.
     """
-    active, inv, p, lam_p = np.zeros(0, dtype=np.intp), np.zeros((0, 0)), None, 0.0
+    inv, rows, free_A = map(np.empty, [(g.size + 1, g.size + 1), (g.size + 1, g.size), g.size + 1])
+    active, p, lam_p = [], None, 0.0
+
+    def border(e: int, r: np.ndarray, dd: float) -> None:
+        q = len(active)
+        inv[:q, :q] += (r / dd)[:, None] * r
+        inv[:q, q] = inv[q, :q] = -r / dd
+        inv[q, q], rows[q], free_A[q] = 1.0 / dd, W[e], free[e]
+        active.append(e)
+
     with np.errstate(all="ignore"):
         free, tol = s - g, 1e-13 * (1.0 + np.abs(g))
         for e in range(neq):  # the equalities are active from the start, in order
-            w = W[e][active]
-            r = inv @ w
+            w = rows[: len(active), e].copy()  # W_Ae (W = W^T), contiguous for the dot's rounding
+            r = inv[: w.size, : w.size] @ w
             dd = W[e, e] - w @ r
             if not dd > 1e-12 * W[e, e]:
                 return None
-            inv, active = _bordered(inv, r, dd), np.append(active, e)
+            border(e, r, dd)
         for _ in range(8 + 4 * g.size):
-            lam = inv @ free[active]
+            q = len(active)
+            lam = inv[:q, :q] @ free_A[:q]
             if p is None:
-                viol = free - tol - lam @ W[active]
+                viol = free - tol - lam @ rows[:q]
                 viol[active] = 0.0
                 p = int(viol.argmax()) if viol.size else None
                 if p is None or viol[p] <= 0.0:
-                    return active.tolist()
+                    return active
                 lam_p = 0.0
-            w = W[p][active]
-            r = inv @ w
+            w = rows[:q, p].copy()
+            r = inv[:q, :q] @ w
             dd = W[p, p] - w @ r
             lam -= lam_p * r
             t2 = (free[p] - lam_p * W[p, p] - w @ lam) / dd if dd > 1e-12 * W[p, p] else np.inf
-            pos = (r[neq:] > 0).nonzero()[0] + neq
-            ratios = np.maximum(lam[pos], 0.0) / r[pos]
-            t1 = ratios.min(initial=np.inf)
+            pos, t1 = (r[neq:] > 0).nonzero()[0] + neq, np.inf
+            if pos.size:  # the ratio test, skipped when no multiplier falls
+                ratios = np.maximum(lam[pos], 0.0) / r[pos]
+                t1 = ratios.min()
             if not min(t1, t2) < np.inf:
                 return None
             lam_p += min(t1, t2)
             if t2 <= t1:
-                inv, active, p = _bordered(inv, r, dd), np.append(active, p), None
+                border(p, r, dd)
+                p = None
             else:
                 j = int(pos[ratios.argmin()])
-                inv, active = _without(inv, j), np.delete(active, j)
+                keep = np.delete(np.arange(q), j)
+                col = inv[keep, j]
+                inv[: q - 1, : q - 1] = inv[np.ix_(keep, keep)] - (col / inv[j, j])[:, None] * col
+                rows[j : q - 1], free_A[j : q - 1] = rows[j + 1 : q], free_A[j + 1 : q]
+                del active[j]
     return None
 
 

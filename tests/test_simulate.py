@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -416,3 +417,39 @@ def _stepped_from(x0):
 def test_a_non_finite_initial_state_is_refused_as_an_argument(call, bad):
     with pytest.raises(DomainError, match="^x0 entries must be finite$"):
         _stepped_from([bad, 0.5])[call]()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller holds its call's arguments through the call")
+def test_a_long_run_allocates_about_five_state_arrays_beyond_its_outputs():
+    # K = 16000, n = 4: besides the states, noise and inputs it returns, a run holds the
+    # tail kernel, the far field and the spectra of the smaller far-field blocks (about
+    # one state array each), and at its largest update two transform buffers more: that
+    # update's spectrum, which no later update uses, is freed before its inverse transform
+    import tracemalloc
+
+    model = FosModel(alpha=[0.3, 0.5, 0.7, 0.9], A=-0.05 * np.eye(4), B=np.ones((4, 1)))
+    simulate_fos(model, np.ones(4), w=3, K=300)  # lazy imports and caches come first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = simulate_fos(model, np.ones(4), w=3, K=16000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    outputs = traj.states.nbytes + traj.noises.nbytes + traj.inputs.nbytes
+    assert peak - outputs < 5.5 * traj.states.nbytes, (peak, outputs)
+
+
+def test_the_memory_tail_keeps_a_spectrum_only_for_a_later_update():
+    from fracdyn.fraccore import NEAR_BLOCK, MemoryTail
+
+    tail = MemoryTail(np.ones((1000, 1)), np.ones((1000, 1)))
+    sizes = {}
+    for s in range(NEAR_BLOCK, 1000, NEAR_BLOCK):
+        tail.far(s)
+        sizes[s] = sorted(size for _, _, size in tail._spectra)
+    # a block of b steps at s is next convolved at s + 2b, if that is inside the run
+    assert sizes[512] == [128, 256, 512]
+    assert sizes[960] == []

@@ -50,7 +50,9 @@ The CLI has one driver.  ``cli.main`` reads a run's options and writes its
 summary and manifest; it is the one caller of ``write_manifest``, and no
 ``cmd_*`` subcommand calls ``_options``, ``write_manifest``, ``atomic_write``
 or ``canonical_json``.  Every JSON file is written by ``fileio.write_json``,
-the only place an ``atomic_write`` takes a ``canonical_json`` text.
+the only place an ``atomic_write`` takes a ``canonical_json`` text.  Both
+entry points, ``python -m fracdyn`` and the ``fracdyn`` script, run one
+function, ``cli.entry``, so they exit the same way.
 """
 
 import ast
@@ -665,3 +667,17 @@ def test_only_write_json_writes_canonical_json():
     found = {path.name: enclosing_definitions(path, lines) for path in MODULES
              if (lines := json_writes(path.read_text()))}
     assert found == {"fileio.py": {"write_json"}}, f"JSON written by atomic_write in {found}"
+
+
+def test_both_entry_points_run_cli_entry():
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("not a source checkout")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject.read_text(),
+                        re.M | re.S).group(1)
+    assert re.findall(r'^fracdyn\s*=\s*"(.*)"', scripts, re.M) == ["fracdyn.cli:entry"]
+    tree = ast.parse((PACKAGE / "__main__.py").read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {_called_name(node) for node in ast.walk(tree)} - {None}
+    assert ("cli", "entry") in imported and called == {"exit", "entry"}
