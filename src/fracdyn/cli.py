@@ -138,8 +138,9 @@ def cmd_analyze(config: dict) -> tuple:
             resp = FrequencyResponse(omegas, np.array([tf_eval(tf, 1j * w) for w in omegas]))
         else:
             raise DomainError("bode needs either --fopid or --num/--den terms")
-        write_bode(out, resp)
+        # the note first: a stdout that cannot take it fails the run before any file exists
         print("note: fractional powers of j*omega evaluated on the principal branch")
+        write_bode(out, resp)
         return {}, {"report": out}, seed, None
     model = _model(config)
     if what == "stability":

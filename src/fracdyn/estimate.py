@@ -9,8 +9,10 @@ oracle) are kept independent.  The filter runs in one of two forms:
 :func:`me_filter_step` carries the d x d weight P and accepts per-step
 weights and output maps, while :func:`run_estimator` with constant weights
 propagates only the low-rank increment of the predicted weight and the gain
-(the Chandrasekhar recursion) and never forms P.  Measurements start at
-step 1; an output at step 0 is never consumed.
+(the Chandrasekhar recursion) and never forms P.  This module holds the
+filter algebra only: the lift applies its own matrices by their layout
+(:meth:`AugmentedModel.shift`, :meth:`AugmentedModel.propagate`).
+Measurements start at step 1; an output at step 0 is never consumed.
 """
 
 from collections import namedtuple
@@ -95,23 +97,6 @@ def _factor(S: np.ndarray, step: int) -> np.ndarray:
         raise InnovationSingular(f"innovation matrix of step {step}: {exc}") from exc
 
 
-def _predicted(aug: AugmentedModel, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """A P A^T + G Q G^T assembled from the lift's layout (:class:`AugmentedModel`)."""
-    n, runs = aug.n, aug.copies
-    A_dense = aug.Atil[:n]
-    AP = A_dense @ P
-    M = np.zeros_like(P)
-    M[:n, :n] = AP @ A_dense.T
-    for row, src, size in runs:
-        M[:n, row : row + size] = AP[:, src : src + size]
-        M[row : row + size, :n] = AP[:, src : src + size].T
-        for row2, src2, size2 in runs:
-            M[row : row + size, row2 : row2 + size2] = P[src : src + size, src2 : src2 + size2]
-    G = aug.Gtil[:n]
-    M[:n, :n] += G @ Q @ G.T
-    return M
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate raises instead
 def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     """Advance the filter by one step with input u[k] and measurement y[k+1].
@@ -122,11 +107,10 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     zero output map the step reduces to pure open-loop prediction.  ``C``
     overrides the lift's output row for this step (time-varying maps).
 
-    M is assembled from the lift's layout (:class:`AugmentedModel`): copy
-    runs of A move blocks of P, only the top n rows of A are multiplied, and
-    Q enters the top n rows of G.  The update P = M - K (C M) reads only the
-    nonzero columns of C.  A step costs O(r d^2) for r = n + q rows on a lift
-    of dimension d, not the O(d^3) of dense products.
+    The lift assembles M from its own layout (:meth:`AugmentedModel.propagate`),
+    and the update P = M - K (C M) reads only the nonzero columns of C.  A step
+    costs O(r d^2) for r = n + q rows on a lift of dimension d, not the O(d^3)
+    of dense products.
     A non-finite estimate raises NonFiniteError naming step k+1, not a warning.
     """
     aug, cfg = state.aug, state.config
@@ -137,7 +121,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     Qk = _weight_block(cfg.Q, k, aug.Gtil.shape[1], "Q")
     Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
     xpred = aug.Atil @ state.xhat + aug.Btil @ u
-    M = _predicted(aug, state.P, Qk)
+    M = aug.propagate(state.P, Qk)
     cols = np.flatnonzero(C.any(axis=0))
     C = C[:, cols]
     CM = C @ M[cols]
@@ -231,35 +215,21 @@ def _increment(aug: AugmentedModel, P0: np.ndarray, Q: np.ndarray, R: np.ndarray
     predicted weight of step k+1, so M_0 comes from P0 and M_1 from one
     Riccati step.  L_0 holds the eigenvectors of the increment whose
     eigenvalues, the diagonal of W_0, exceed :data:`INCREMENT_RTOL` of the
-    largest magnitude.  None when the increment is not finite, or when its
-    rank alpha exceeds half the lift's dimension d.
-    A low-rank step costs O(d alpha (alpha + r)) against the O(r d^2) of
-    :func:`me_filter_step`; measured at d = 400 to 1600, it took 0.3-0.4 times
-    as long at alpha near d/2 and 1.0-1.3 times as long at alpha near d.
+    largest magnitude.  None when the increment is not finite, so that the
+    :func:`me_filter_step` loop names the step whose estimate fails.
     """
     C = aug.Ctil
-    M0 = _predicted(aug, P0, Q)
+    M0 = aug.propagate(P0, Q)
     N0 = M0 @ C.T
     S0 = C @ N0 + R
     F = _factor(S0, 1)
     P1 = M0 - N0 @ np.linalg.solve(F.T, np.linalg.solve(F, N0.T))
-    delta = _predicted(aug, 0.5 * (P1 + P1.T), Q) - M0
+    delta = aug.propagate(0.5 * (P1 + P1.T), Q) - M0
     if not np.all(np.isfinite(delta)):
         return None
     lam, V = np.linalg.eigh(0.5 * (delta + delta.T))
     keep = np.abs(lam) > INCREMENT_RTOL * np.abs(lam).max(initial=0.0)
-    if 2 * keep.sum() > aug.dim:
-        return None
     return F, N0, S0, V[:, keep], np.diag(lam[keep])
-
-
-def _shift(aug: AugmentedModel, X: np.ndarray) -> np.ndarray:
-    """``Atil @ X`` from the lift's layout: the top n rows multiply, copy runs move slices."""
-    out = np.zeros_like(X)
-    out[: aug.n] = aug.Atil[: aug.n] @ X
-    for row, src, size in aug.copies:
-        out[row : row + size] = X[src : src + size]
-    return out
 
 
 def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
@@ -275,7 +245,7 @@ def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
     F, Nk, S, L, W = start
     N = est.shape[0] - 1
     for k in range(N):
-        xpred = _shift(aug, xhat) + aug.Btil @ u[k]
+        xpred = aug.shift(xhat) + aug.Btil @ u[k]
         gain = np.linalg.solve(F.T, np.linalg.solve(F, Nk.T)).T
         xhat = xpred + gain @ (y[k + 1] - C @ xpred)
         est[k + 1] = _checked(xhat, k + 1)
@@ -285,7 +255,7 @@ def _low_rank_filter(aug: AugmentedModel, xhat, start, u, y, est) -> None:
         EW = E @ W
         Nk = Nk + L @ EW.T
         S = S + EW @ E.T
-        L = _shift(aug, L - gain @ E)
+        L = aug.shift(L - gain @ E)
         F = _factor(S, k + 2)
         Z = np.linalg.solve(F, EW)
         W = W - Z.T @ Z
@@ -311,14 +281,16 @@ def run_estimator(
     per-step error norms of the base-state estimate are reported along with
     terminal and sup errors.
 
-    Two routes give the same estimates to rounding.  When Q, R and P0 are not
-    per-step schedules and the network's C is not scheduled, the filter
-    propagates only the low-rank increment of the predicted weight and the
-    gain (:func:`_low_rank_filter`), and forms no P: that takes
-    O(d alpha (alpha + r)) per step for a first increment of rank alpha.  Any
-    schedule, or an increment of rank above d/2 (a dense P0, say), keeps the
-    :func:`me_filter_step` loop.  An estimate that is not finite raises
-    NonFiniteError naming its step, without a numpy warning, on both routes.
+    Two routes give the same estimates to rounding.  With no per-step
+    schedule of Q, R, P0 or the network's C, the filter propagates only the
+    low-rank increment of the predicted weight and the gain
+    (:func:`_low_rank_filter`) and forms no P: O(d alpha (alpha + r)) per step
+    for a first increment of rank alpha.  A schedule, or an increment that is
+    not finite or of rank above d/2, keeps the :func:`me_filter_step` loop,
+    O(r d^2) per step: at rank d - 1 and d = 400 it took 0.7-0.9 times as
+    long, and a lift of d = 6 or 9 at rank 5 keeps the bytes of its outputs.
+    An estimate that is not finite raises NonFiniteError naming its step,
+    without a numpy warning, on both routes.
     """
     if traj.outputs is None:
         raise DimensionError("trajectory carries no outputs to filter on")
@@ -338,7 +310,7 @@ def run_estimator(
         if not scheduled and max(config.Q.ndim, config.R.ndim, config.P0.ndim) < 3:
             start = _increment(aug, state.P, _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q"),
                                _weight_block(config.R, 1, aug.q, "R"))
-        if start is not None:
+        if start is not None and 2 * start[3].shape[1] <= aug.dim:
             _low_rank_filter(aug, state.xhat, start, u, y, est)
         else:
             for k in range(N):

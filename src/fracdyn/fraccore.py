@@ -323,15 +323,6 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
     return out.reshape(shape)
 
 
-def lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:
-    """Matrix of a causal block convolution: block (i, j) is ``blocks[i - j]``, zero for i < j."""
-    P, r, c = blocks.shape
-    i, j = np.tril_indices(P)
-    out = np.zeros((P, r, P, c))
-    out[i, :, j, :] = blocks[i - j]
-    return out.reshape(P * r, P * c)
-
-
 def frac_difference(series, alphas, k: int, table: np.ndarray | None = None):
     """Causal fractional difference of a multichannel series at step ``k``.
 

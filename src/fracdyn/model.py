@@ -212,10 +212,10 @@ class MultiTermNetwork(namedtuple("MultiTermNetwork",
     def q(self) -> int:
         return self.C.shape[-2]
 
-    def output_map(self, k: int) -> np.ndarray:
-        """Output matrix at step k (schedules index by step, clamped at the end)."""
+    def output_map(self, k) -> np.ndarray:
+        """Output map at step k or at an index array of steps; schedules clamp at their end."""
         if self.C.ndim == 3:
-            return self.C[min(k, self.C.shape[0] - 1)]
+            return self.C[np.minimum(k, self.C.shape[0] - 1)]
         return self.C
 
 
@@ -226,12 +226,14 @@ class AugmentedModel(namedtuple("AugmentedModel", "kind depth Atil Btil Gtil Cti
     or "v-approx" (last ``depth`` states plus last ``depth`` inputs, truncated
     tail entering through ``Gtil``).  ``Ctil`` reads the newest state block.
 
-    The filter reads the layout that :func:`_companion` builds, not the
-    matrices: the top ``n`` rows of ``Atil`` and ``Gtil`` are the only dense
-    and noise rows, and below them ``Atil`` holds the identity runs of
-    :attr:`copies` and zero rows (the ``m`` fresh-input rows of a v-lift,
-    filled through ``Btil``).  Any other nonzero below row ``n``, or a shape
-    that does not fit ``depth``, ``n``, ``m`` and ``q``, raises DimensionError.
+    The lift is the one reader of the layout that :func:`_companion` builds:
+    the top ``n`` rows of ``Atil`` and ``Gtil`` are the only dense and noise
+    rows, and below them ``Atil`` holds the identity runs of :attr:`copies`
+    and zero rows (the ``m`` fresh-input rows of a v-lift, filled through
+    ``Btil``).  :meth:`shift` and :meth:`propagate` apply ``Atil`` by that
+    layout, multiplying only its dense rows, for the filter.  Any other
+    nonzero below row ``n``, or a shape that does not fit ``depth``, ``n``,
+    ``m`` and ``q``, raises DimensionError.
     """
 
     __slots__ = ()
@@ -263,6 +265,30 @@ class AugmentedModel(namedtuple("AugmentedModel", "kind depth Atil Btil Gtil Cti
         if self.dim > p * n:
             runs += ((p * n + m, p * n, (p - 1) * m),)
         return runs
+
+    def shift(self, X: np.ndarray) -> np.ndarray:
+        """``Atil @ X`` from the layout: the top n rows multiply, copy runs move slices."""
+        out = np.zeros_like(X)
+        out[: self.n] = self.Atil[: self.n] @ X
+        for row, src, size in self.copies:
+            out[row : row + size] = X[src : src + size]
+        return out
+
+    def propagate(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """``Atil P Atil^T + Gtil Q Gtil^T`` from the layout, O(n d^2) for n dense rows."""
+        n, runs = self.n, self.copies
+        A_dense = self.Atil[:n]
+        AP = A_dense @ P
+        M = np.zeros_like(P)
+        M[:n, :n] = AP @ A_dense.T
+        for row, src, size in runs:
+            M[:n, row : row + size] = AP[:, src : src + size]
+            M[row : row + size, :n] = AP[:, src : src + size].T
+            for row2, src2, size2 in runs:
+                M[row : row + size, row2 : row2 + size2] = P[src : src + size, src2 : src2 + size2]
+        G = self.Gtil[:n]
+        M[:n, :n] += G @ Q @ G.T
+        return M
 
     def lift(self, x0) -> np.ndarray:
         """Embed an initial state into the lift by the rule of :func:`_as_prior`."""

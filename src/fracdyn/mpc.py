@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
-from .fraccore import _array, _count, lower_block_toeplitz
+from .fraccore import _array, _count
 from .model import FosModel, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
 
@@ -131,6 +131,15 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(P * r, P * c)
 
 
+def _lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """Matrix of a causal block convolution: block (i, j) is ``blocks[i - j]``, zero for i < j."""
+    P, r, c = blocks.shape
+    i, j = np.tril_indices(P)
+    out = np.zeros((P, r, P, c))
+    out[i, :, j, :] = blocks[i - j]
+    return out.reshape(P * r, P * c)
+
+
 def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     """Condense the depth-p lift of ``model`` over the horizon of ``problem``, once.
 
@@ -145,7 +154,7 @@ def condense(problem: MpcProblem, model: FosModel) -> CondensedProblem:
     for _ in range(P):
         powers.append(aug.Atil @ powers[-1])
     # block (r, c) of S is E A^(r-c) B
-    S = lower_block_toeplitz(np.stack([(pw @ aug.Btil)[:n] for pw in powers[:P]]))
+    S = _lower_block_toeplitz(np.stack([(pw @ aug.Btil)[:n] for pw in powers[:P]]))
 
     Qbar = _block_diag(np.stack([_weight_block(problem.Q, k, n, "Q") for k in range(P)]))
     Rbar = _block_diag(np.stack([_weight_block(problem.R, k, m, "R") for k in range(P)]))

@@ -214,8 +214,7 @@ def simulate_network(
     _advance(X, lambda k: [tail(k) for tail in [state] + drives],
              lambda s, b: sum((tail.block(s, b) for tail in drives), state.far(s)[:b]),
              partial(_transitions, series.A[1:]))
-    C = net.C if net.C.ndim == 3 else net.C[None]
-    outputs = (C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] @ X[:, :, None])[:, :, 0]
+    outputs = (net.output_map(np.arange(K + 1)) @ X[:, :, None])[:, :, 0]
     return Trajectory(states=X, inputs=uu, outputs=outputs, noises=ww, dt=dt)
 
 

@@ -7,10 +7,12 @@ from fracdyn import (
     BranchWarning,
     DimensionError,
     DomainError,
+    EigenFailure,
     FosModel,
     FractionalTransferFunction,
     NotControllable,
     NotObservable,
+    SingularError,
     augmented_spectral_radius,
     build_weight_table,
     commensurate_stability,
@@ -59,6 +61,19 @@ def test_stability_alpha_one_equals_half_plane_test():
 def test_stability_domain():
     with pytest.raises(DomainError):
         commensurate_stability([[1.0]], 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: commensurate_stability([[-1.0]], 0.5),
+    lambda: augmented_spectral_radius(FosModel(alpha=[0.5], A=[[-0.5]]), 3),
+], ids=["sector test", "lift radius"])
+def test_an_eigensolver_failure_raises_eigen_failure(monkeypatch, call):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(EigenFailure, match="^Eigenvalues did not converge$"):
+        call()
 
 
 def test_augmented_spectral_radius_alpha_one():
@@ -183,6 +198,9 @@ def test_observability_examples():
     rep0 = observability_matrices(m, np.zeros((1, 2)), 3)
     assert rep0.rank == 0
 
+    empty = observability_matrices(m, np.zeros((0, 2)), 3)  # no output rows at all
+    assert empty.obsv.shape == (0, 2) and empty.rank == 0
+
     C = np.array([[1.0, 0.0]])
     rep2 = observability_matrices(m, C, 4)
     G = transition_matrices(m, 4)
@@ -279,6 +297,13 @@ def test_not_observable():
     m = n2_fixture()
     with pytest.raises(NotObservable):
         reconstruct_initial_state(m, None, np.zeros((1, 2)), None, np.zeros((4, 1)), 4)
+
+
+def test_reconstruction_raises_when_the_gramian_underflows_to_singular():
+    # O_K = 1e-200 G has full rank, but its Gramian, near 1e-400, underflows to zero
+    with pytest.raises(SingularError, match="^observability Gramian is singular at K=3: "):
+        reconstruct_initial_state(n2_fixture(), None, 1e-200 * np.eye(2), None,
+                                  np.zeros((3, 2)), 3)
 
 
 def test_tf_eval_rational():

@@ -257,6 +257,24 @@ def test_analyze_bode_fopid(tmp_path):
         np.degrees(np.angle(1.7071067811865475 - 0.7071067811865476j)), rel=1e-9)
 
 
+def test_analyze_bode_on_a_broken_stdout_fails_before_writing(tmp_path):
+    # unbuffered, the note's print meets the closed pipe at once: exit 2 and no file
+    src = str(pathlib.Path(fracdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fracdyn", "analyze", "bode", "--fopid",
+                               "1,1,0,0.5,1", "--omega-points", "3", "--out", "b.csv"],
+                              env=env, cwd=tmp_path, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "fracdyn analyze: [Errno 32] Broken pipe\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_network_model_file(tmp_path):
     net = MultiTermNetwork(
         state_terms=((0.5, [[1.0, 0.0], [0.1, 1.0]]),),

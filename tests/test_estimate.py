@@ -6,6 +6,7 @@ import pytest
 from fracdyn import (
     DimensionError,
     EstimatorConfig,
+    InnovationSingular,
     MultiTermNetwork,
     NonFiniteError,
     NotSPD,
@@ -66,6 +67,20 @@ def test_zero_output_map_is_open_loop():
     st = me_filter_step(me_filter_init(aug, cfg), None, [123.0])
     assert np.abs(st.gain).max() == 0.0
     np.testing.assert_allclose(st.xhat, aug.Atil @ cfg.xhat0, atol=1e-15)
+
+
+def test_a_failed_innovation_factor_raises_innovation_singular(monkeypatch):
+    net = MultiTermNetwork(state_terms=((0.8, [[1.0]]),), disturbance_terms=((1.0, [[1.0]]),))
+    aug = augment_v(net, 2)
+    state = me_filter_init(aug, EstimatorConfig.from_scalars(aug, q=1.0, r=1.0, p0=1.0))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(InnovationSingular,
+                       match="^innovation matrix of step 1: Matrix is not positive definite$"):
+        me_filter_step(state, None, [0.0])
 
 
 def test_joseph_and_short_covariance_forms_agree():

@@ -299,6 +299,30 @@ def test_only_constant_weights_take_the_low_rank_route(filter_calls, kind):
     assert filter_calls == ([] if kind == "constant" else list(range(K)))
 
 
+@pytest.mark.parametrize("v", [10, 40], ids=["d40", "d160"])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_the_low_rank_recursion_matches_the_step_loop_at_full_rank(seed, v):
+    # a dense prior gives a first increment of rank d - 1, which run_estimator sends to
+    # the loop; the recursion run from it directly still keeps to the loop
+    rng = np.random.default_rng(seed)
+    K = 100
+    aug = augment_v(_network(rng, 3, 1, 2), v)
+    d = aug.dim
+    L = rng.normal(size=(d, d))
+    cfg = EstimatorConfig(Q=1.0, R=0.01, P0=L @ L.T / d + np.eye(d), xhat0=rng.normal(size=d))
+    traj = Trajectory(states=np.zeros((K + 1, 3)), inputs=rng.normal(size=(K, 1)),
+                      outputs=rng.normal(size=(K + 1, 2)))
+    state = me_filter_init(aug, cfg)
+    start = estimate._increment(aug, state.P, np.eye(3), 0.01 * np.eye(2))
+    assert start[3].shape[1] == d - 1
+    est = np.zeros((K + 1, d))
+    est[0] = state.xhat
+    estimate._low_rank_filter(aug, state.xhat, start, traj.inputs, traj.outputs, est)
+    ref = _loop_estimates(aug, cfg, traj)
+    scale = np.maximum.accumulate(np.abs(ref).max(axis=1))
+    assert np.all(np.abs(est - ref).max(axis=1) <= ROUTE_RTOL * scale)
+
+
 @pytest.mark.parametrize("R", [0.01, "schedule"])
 def test_both_routes_name_the_step_where_the_estimate_overflows(filter_calls, R):
     rng = np.random.default_rng(12)

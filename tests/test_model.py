@@ -326,3 +326,9 @@ def test_a_model_file_round_trip_keeps_every_shape_and_byte(tmp_path, model, fie
     assert second.read_bytes() == first.read_bytes()
     assert getattr(again, field).shape == shape
     assert getattr(again, field).tobytes() == getattr(model, field).tobytes()
+
+
+def test_write_model_refuses_an_object_that_is_no_model(tmp_path):
+    with pytest.raises(DimensionError, match="^cannot serialize object of type object$"):
+        write_model(str(tmp_path / "m.json"), object())
+    assert list(tmp_path.iterdir()) == []

@@ -170,6 +170,25 @@ def test_overflowing_lift_raises_without_a_numpy_warning():
             simulate_augmented(aug, [1e300], K=50)
 
 
+def test_an_overflowing_transition_block_keeps_the_step_loop():
+    # G_k overflows within the first block, so every block is stepped; x0 = 0 stays put
+    traj = simulate_fos(FosModel([0.5], [[1e200]]), [0.0], K=200)
+    assert traj.states.shape == (201, 1) and not traj.states.any()
+
+
+@pytest.mark.parametrize("steps", [None, 301, 7], ids=["constant", "full schedule", "clamped"])
+def test_network_outputs_are_each_step_s_map_times_its_state(steps):
+    rng = np.random.default_rng(41)
+    K = 300
+    C = rng.normal(size=(2, 3) if steps is None else (steps, 2, 3))
+    net = MultiTermNetwork(state_terms=((0.7, np.eye(3)), (0.3, 0.1 * rng.normal(size=(3, 3)))),
+                           disturbance_terms=((0.6, np.eye(3)),), C=C)
+    traj = simulate_network(net, rng.normal(size=3), w=0.1 * rng.normal(size=(K, 3)), K=K)
+    maps = C[np.minimum(np.arange(K + 1), C.shape[0] - 1)] if C.ndim == 3 else np.stack(
+        [C] * (K + 1))
+    assert traj.outputs.tobytes() == (maps @ traj.states[:, :, None])[:, :, 0].tobytes()
+
+
 def test_truncation_monotone_in_depth_on_positive_family():
     for seed in range(8):
         rng = np.random.default_rng(4000 + seed)

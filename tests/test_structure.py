@@ -18,8 +18,10 @@ in another, outside its channel loop: ``history_sum`` keeps channels
 independent, so a per-channel call buys nothing.
 
 Every lift is built by ``model._companion``, the only place in the package
-that constructs an ``AugmentedModel``, so the layout it declares (dense and
-noise rows on top, identity runs below) is the one the filter reads.
+that constructs an ``AugmentedModel``, and only ``model.py`` reads the layout
+it declares (dense and noise rows on top, identity runs below): no other
+source reads ``.copies`` or subscripts ``Atil`` or ``Gtil``.  The filter
+applies a lift through its ``shift`` and ``propagate``.
 
 The public namespace of ``fracdyn`` is pinned: each name is declared once,
 in its module's ``__all__`` (``errors`` exports every class it defines), and
@@ -235,6 +237,43 @@ def test_only_the_companion_builder_constructs_a_lift():
     assert found == {"model.py": {"_companion"}}, f"lifts constructed in {found}"
 
 
+def layout_reads(source: str) -> list:
+    """Line numbers where ``source`` reads ``<x>.copies`` or subscripts ``Atil`` or ``Gtil``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "copies":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript):
+            value = node.value
+            name = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", None)
+            if name in ("Atil", "Gtil"):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("out[:n] = aug.Atil[:n] @ X", True), ("G = self.Gtil[:n]", True), ("Atil[n:].any()", True),
+    ("for run in aug.copies:\n    pass", True), ("runs = self.copies", True),
+    ("x = aug.Atil @ xhat", False), ("width = aug.Gtil.shape[1]", False),
+    ("y = aug.Btil[:n]", False), ("runs = copies(aug)", False),
+])
+def test_the_layout_check_reads_each_form_of_a_layout_read(source, hit):
+    assert bool(layout_reads(source)) == hit
+
+
+def test_the_layout_check_sees_the_layout_reads_of_the_lift():
+    path = PACKAGE / "model.py"
+    # the builder writes the layout and the lift reads it
+    assert enclosing_definitions(path, layout_reads(path.read_text())) == {
+        "_companion", "AugmentedModel"}
+
+
+def test_only_the_lift_reads_its_layout():
+    found = {path.name: lines for path in MODULES
+             if path.name != "model.py" and (lines := layout_reads(path.read_text()))}
+    assert not found, f"the companion layout is read at {found}; go through AugmentedModel"
+
+
 #: The 75 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
 PUBLIC = """
     AugmentedModel BranchWarning ClosedLoopResult CondensedProblem DimensionError DomainError
@@ -264,6 +303,14 @@ def test_the_lazy_namespace_maps_each_name_to_the_module_that_declares_it():
     assert fracdyn._HOME == declared
     assert all(getattr(fracdyn, name).__module__ == f"fracdyn.{module}"
                for name, module in declared.items())
+
+
+def test_the_package_loads_a_module_on_its_first_read(monkeypatch):
+    import fracdyn.mpc as mpc
+
+    monkeypatch.delattr(fracdyn, "mpc")  # as before any import of it: the package loads it
+    assert fracdyn.mpc is mpc
+    assert set(dir(fracdyn)) >= set(fracdyn.__all__)
 
 
 def dataclass_imports(path: Path) -> list:
