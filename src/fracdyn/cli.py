@@ -267,7 +267,7 @@ def cmd_mpc(config: dict) -> tuple:
     cost_at = dict(zip(result.solve_steps, result.cycle_costs))
     traj = result.trajectory
     with np.errstate(over="ignore"):  # an energy that is not finite raises instead
-        energy_controlled = float(np.sum(traj.states**2))
+        energy_controlled = result.energy
         energy_baseline = float(np.sum(baseline.states**2))
     if not np.isfinite([energy_controlled, energy_baseline]).all():
         raise NonFiniteError("state energy is not finite")

@@ -107,7 +107,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     zero output map the step reduces to pure open-loop prediction.  ``C``
     overrides the lift's output row for this step (time-varying maps).
 
-    The lift assembles M from its own layout (:meth:`AugmentedModel.propagate`),
+    The lift predicts and assembles M by its own layout (``shift``, ``propagate``),
     and the update P = M - K (C M) reads only the nonzero columns of C.  A step
     costs O(r d^2) for r = n + q rows on a lift of dimension d, not the O(d^3)
     of dense products.
@@ -120,7 +120,7 @@ def me_filter_step(state: EstimatorState, u, y, C=None) -> EstimatorState:
     C = aug.Ctil if C is None else _array(C, "C", aug.Ctil.shape, finite=False)
     Qk = _weight_block(cfg.Q, k, aug.Gtil.shape[1], "Q")
     Rk1 = _weight_block(cfg.R, k + 1, aug.q, "R")
-    xpred = aug.Atil @ state.xhat + aug.Btil @ u
+    xpred = aug.shift(state.xhat) + aug.Btil @ u
     M = aug.propagate(state.P, Qk)
     cols = np.flatnonzero(C.any(axis=0))
     C = C[:, cols]
@@ -285,10 +285,10 @@ def run_estimator(
     schedule of Q, R, P0 or the network's C, the filter propagates only the
     low-rank increment of the predicted weight and the gain
     (:func:`_low_rank_filter`) and forms no P: O(d alpha (alpha + r)) per step
-    for a first increment of rank alpha.  A schedule, or an increment that is
-    not finite or of rank above d/2, keeps the :func:`me_filter_step` loop,
-    O(r d^2) per step: at rank d - 1 and d = 400 it took 0.7-0.9 times as
-    long, and a lift of d = 6 or 9 at rank 5 keeps the bytes of its outputs.
+    for a first increment of rank alpha.  A dense P0 makes alpha near d, and
+    a step then costs O(d^3): at d = 400 and rank 399 the recursion took
+    1.1-1.4 times as long as the loop.  A schedule, or an increment that is
+    not finite, keeps the :func:`me_filter_step` loop, O(r d^2) per step.
     An estimate that is not finite raises NonFiniteError naming its step,
     without a numpy warning, on both routes.
     """
@@ -310,7 +310,7 @@ def run_estimator(
         if not scheduled and max(config.Q.ndim, config.R.ndim, config.P0.ndim) < 3:
             start = _increment(aug, state.P, _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q"),
                                _weight_block(config.R, 1, aug.q, "R"))
-        if start is not None and 2 * start[3].shape[1] <= aug.dim:
+        if start is not None:
             _low_rank_filter(aug, state.xhat, start, u, y, est)
         else:
             for k in range(N):

@@ -1162,6 +1162,11 @@ _PINNED_RUNS = {
     "estimate": ({"v": 2, "Q": 1.0, "R": 0.05, "P0": 1.0, "xhat0": [1.0, -0.5]},
                  ("estimate", "--model", "net.json", "--trajectory", "meas.csv", "--v", "3",
                   "--out", "est.csv"), ("est.csv", "est.csv.summary.json")),
+    # a per-step R schedule keeps the me_filter_step loop
+    "estimate-loop": ({"v": 2, "Q": 1.0, "R": np.tile(0.05 * np.eye(2), (41, 1, 1)).tolist(),
+                       "P0": 1.0, "xhat0": [1.0, -0.5]},
+                      ("estimate", "--model", "net.json", "--trajectory", "meas.csv", "--v", "3",
+                       "--out", "est.csv"), ("est.csv", "est.csv.summary.json")),
     "mpc": ({"model": "model.json", "p": 3, "horizon": 4, "control_horizon": 2, "Q": 1.0,
              "R": 0.1, "u_lo": -0.5, "u_hi": 0.5, "K": 10, "seed": 2, "sigma": 0.1,
              "x0": [1.0, 0.0], "out": "cfg.csv"},
@@ -1191,14 +1196,19 @@ def _pinned_run(command: str) -> tuple:
 
 
 #: Taken from the code before the options merge was derived from the parser.
-#: The estimate output hash was re-taken when the filter step began to
-#: assemble M from the lift's rows: every value of est.csv agreed with the
-#: dense step's to 4.4e-14 relative, and its config digest is unchanged.
+#: The estimate output hash was re-taken when run_estimator stopped sending a
+#: first increment of rank above d/2 to the me_filter_step loop: this d = 9,
+#: rank 5 run now takes the low-rank recursion, and its est.csv agrees with the
+#: loop's to 1.1e-16 of its largest estimate (2.8e-15 relative per entry), with
+#: summary and config digest unchanged.  "estimate-loop" pins the loop, whose
+#: step predicts through the lift's shift.
 _PINNED = {
     "analyze": ("631c6b13ceca67fa2770a53bb3d193937483d3213897ad898420d06df1ddd5ad",
                 "1788bd9d154fcf11fea8231262c8053feaa76c88388632c106ce1335d854e0a3"),
     "estimate": ("3d1c28e0f219406832aebbe2c94a2538e467ae724b7854b5e5dc48e544464d66",
-                 "1ed5998860650e0d2720cab74609544f1ba82c5babd4320d9ec37072a2a927bf"),
+                 "a217517d957b636f2173e86fdd3e29ac0af98442554cf7d7755607112e184476"),
+    "estimate-loop": ("454b22a8ed7ebbfe517ebcd458a8ee90911c0e9e4488b95d21b89e2e0c2df25f",
+                      "a7e9c7d5ae79defccd1aae2b412c08a4d68c4ae6aeacb80056b0fa9b9dea3649"),
     "identify": ("03cfc1f3ee326c49407dd4296e4906e000de0c16822c075889a572675d769224",
                  "b71c7022b8a94c9ee03c7b836362cc560ee74160e885fc3ae8c362071bdfaf6a"),
     "mpc": ("93a480ada58b8aadd51ea37fa45227258f80e5890481c1e6fbe0742aa0f2c42b",

@@ -11,7 +11,8 @@ increment of the predicted weight (the Chandrasekhar recursion).  Its
 estimates must agree with the ``me_filter_step`` loop to 1e-10 of the running
 maximum of the loop's estimates over 800 steps, and with ``me_batch`` within
 the tolerance of ``tests/test_estimate.py``.  A spy on ``me_filter_step``
-tells which route ran.
+tells which route ran: only a per-step schedule keeps the loop, whatever the
+rank of the first increment.
 """
 
 import importlib.util
@@ -296,14 +297,14 @@ def test_only_constant_weights_take_the_low_rank_route(filter_calls, kind):
     traj = Trajectory(states=np.zeros((K + 1, 3)), inputs=rng.normal(size=(K, 1)),
                       outputs=rng.normal(size=(K + 1, 2)))
     run_estimator(net, v, EstimatorConfig(xhat0=0.0, **weights), traj)
-    assert filter_calls == ([] if kind == "constant" else list(range(K)))
+    assert filter_calls == ([] if kind in ("constant", "dense P0") else list(range(K)))
 
 
 @pytest.mark.parametrize("v", [10, 40], ids=["d40", "d160"])
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_the_low_rank_recursion_matches_the_step_loop_at_full_rank(seed, v):
-    # a dense prior gives a first increment of rank d - 1, which run_estimator sends to
-    # the loop; the recursion run from it directly still keeps to the loop
+    # a dense prior gives a first increment of rank d - 1; the recursion run from it
+    # directly still keeps to the loop
     rng = np.random.default_rng(seed)
     K = 100
     aug = augment_v(_network(rng, 3, 1, 2), v)
@@ -321,6 +322,20 @@ def test_the_low_rank_recursion_matches_the_step_loop_at_full_rank(seed, v):
     ref = _loop_estimates(aug, cfg, traj)
     scale = np.maximum.accumulate(np.abs(ref).max(axis=1))
     assert np.all(np.abs(est - ref).max(axis=1) <= ROUTE_RTOL * scale)
+
+
+@pytest.mark.parametrize("v", [10, 40], ids=["d40", "d160"])
+def test_a_dense_prior_takes_the_low_rank_route(filter_calls, v):
+    # without a schedule, an increment of rank d - 1 runs the recursion, not the loop
+    rng = np.random.default_rng(24)
+    K = 100
+    net = _network(rng, 3, 1, 2)
+    d = augment_v(net, v).dim
+    L = rng.normal(size=(d, d))
+    cfg = EstimatorConfig(Q=1.0, R=0.01, P0=L @ L.T / d + np.eye(d), xhat0=rng.normal(size=d))
+    traj = Trajectory(states=np.zeros((K + 1, 3)), inputs=rng.normal(size=(K, 1)),
+                      outputs=rng.normal(size=(K + 1, 2)))
+    assert _route_gap(net, v, cfg, traj, filter_calls) <= ROUTE_RTOL
 
 
 @pytest.mark.parametrize("R", [0.01, "schedule"])

@@ -162,6 +162,52 @@ def test_companion_square_two_ways():
     np.testing.assert_allclose(dense, shifted, atol=1e-12)
 
 
+def _lift(kind):
+    """A p-lift, or a v-lift of a two-node network with no input or with two inputs."""
+    rng = np.random.default_rng(8)
+    if kind == "p-lift":
+        return augment_p(FosModel(alpha=[0.4, 0.8, 1.3], A=0.3 * rng.normal(size=(3, 3)),
+                                  B=rng.normal(size=(3, 1)), Bw=rng.normal(size=(3, 2))), 5)
+    m = 2 if kind == "v-lift with inputs" else 0
+    net = MultiTermNetwork(
+        state_terms=((0.6, np.eye(2)), (0.3, 0.2 * rng.normal(size=(2, 2)))),
+        input_terms=((0.5, rng.normal(size=(2, m))),) if m else (),
+        disturbance_terms=((0.7, rng.normal(size=(2, 2))),), C=rng.normal(size=(1, 2)))
+    return augment_v(net, 4)
+
+
+LIFTS = ["p-lift", "v-lift", "v-lift with inputs"]
+
+
+def assert_rounding_close(actual, expected):
+    assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
+@pytest.mark.parametrize("kind", LIFTS)
+def test_shift_is_the_dense_product_with_exact_copy_rows(kind, cols):
+    aug = _lift(kind)
+    X = np.random.default_rng(9).normal(size=aug.dim if cols is None else (aug.dim, cols))
+    out, dense, n = aug.shift(X), aug.Atil @ X, aug.n
+    assert out.shape == X.shape
+    np.testing.assert_array_equal(out[n:], dense[n:])
+    assert_rounding_close(out[:n], dense[:n])
+
+
+@pytest.mark.parametrize("kind", LIFTS)
+def test_propagate_is_the_dense_predicted_weight_with_exact_copy_blocks(kind):
+    aug = _lift(kind)
+    rng = np.random.default_rng(10)
+    d, r, n = aug.dim, aug.Gtil.shape[1], aug.n
+    L, W = rng.normal(size=(d, d)), rng.normal(size=(r, r))
+    P, Q = L @ L.T + d * np.eye(d), W @ W.T + r * np.eye(r)
+    M = aug.propagate(P, Q)
+    dense = aug.Atil @ P @ aug.Atil.T + aug.Gtil @ Q @ aug.Gtil.T
+    np.testing.assert_array_equal(M[n:, n:], dense[n:, n:])
+    assert_rounding_close(M[:n], dense[:n])
+    assert_rounding_close(M[:, :n], dense[:, :n])
+
+
 def test_network_validation():
     with pytest.raises(DomainError):
         MultiTermNetwork(state_terms=((0.5, [[1.0]]), (-0.2, [[1.0]])))

@@ -21,7 +21,8 @@ Every lift is built by ``model._companion``, the only place in the package
 that constructs an ``AugmentedModel``, and only ``model.py`` reads the layout
 it declares (dense and noise rows on top, identity runs below): no other
 source reads ``.copies`` or subscripts ``Atil`` or ``Gtil``.  The filter
-applies a lift through its ``shift`` and ``propagate``.
+applies a lift through its ``shift`` and ``propagate`` on both routes, so in
+``estimate`` only ``me_batch``, the dense oracle, reads ``Atil``.
 
 The public namespace of ``fracdyn`` is pinned: each name is declared once,
 in its module's ``__all__`` (``errors`` exports every class it defines), and
@@ -272,6 +273,30 @@ def test_only_the_lift_reads_its_layout():
     found = {path.name: lines for path in MODULES
              if path.name != "model.py" and (lines := layout_reads(path.read_text()))}
     assert not found, f"the companion layout is read at {found}; go through AugmentedModel"
+
+
+def atil_reads(source: str) -> list:
+    """Line numbers where ``source`` reads ``<x>.Atil``, as an attribute or through ``getattr``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "Atil"
+            or _called_name(node) == "getattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "Atil"]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ("x = aug.Atil @ xhat", True), ("A, G, C = aug.Atil, aug.Gtil, aug.Ctil", True),
+    ("top = state.aug.Atil[:n]", True), ('A = getattr(aug, "Atil")', True),
+    ("x = aug.shift(xhat)", False), ("M = aug.propagate(P, Q)", False),
+    ("width = aug.Gtil.shape[1]", False), ("Atil = build(n)", False),
+])
+def test_the_dense_lift_check_reads_each_form_of_a_read(source, hit):
+    assert bool(atil_reads(source)) == hit
+
+
+def test_inside_estimate_only_the_batch_oracle_reads_the_dense_lift():
+    # both filter routes predict through shift; me_batch builds the dense oracle
+    path = PACKAGE / "estimate.py"
+    assert enclosing_definitions(path, atil_reads(path.read_text())) == {"me_batch"}
 
 
 #: The 75 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
