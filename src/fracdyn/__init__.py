@@ -27,9 +27,9 @@ _NAMES = {
         InfeasibleStateConstraints InnovationSingular NonFiniteError NotControllable
         NotObservable NotSPD SingularError""".split(),
     "fraccore": "gl_weight_recursive build_weight_table history_sum frac_difference".split(),
-    "model": """FosModel MultiTermNetwork AugmentedModel NetworkSeries aj_series augment_p
-        network_series augment_v""".split(),
-    "simulate": """Trajectory FosSimulator simulate_fos simulate_network simulate_augmented
+    "model": """FosModel MultiTermNetwork Trajectory AugmentedModel NetworkSeries aj_series
+        augment_p network_series augment_v""".split(),
+    "simulate": """FosSimulator simulate_fos simulate_network simulate_augmented
         transition_matrices gaussian_noise""".split(),
     "analysis": """StabilityReport GramianReport ObservabilityReport FractionalTransferFunction
         FrequencyResponse commensurate_stability augmented_spectral_radius

@@ -182,7 +182,6 @@ class ObservabilityReport(NamedTuple):
         return self.rank == self.gramian.shape[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a Gramian that is not finite raises instead
 def observability_matrices(model: FosModel, C=None, K: int = 1) -> ObservabilityReport:
     """Observability stack O_K and Gramian W_o = O_K^T O_K at horizon K.
 
@@ -190,7 +189,13 @@ def observability_matrices(model: FosModel, C=None, K: int = 1) -> Observability
     """
     K = _count(K, "horizon K", least=1)
     C = np.eye(model.n) if C is None else _array(C, "C", (None, model.n))
-    obsv = (C @ transition_matrices(model, K)[:K]).reshape(K * C.shape[0], model.n)
+    return _observability(C, transition_matrices(model, K), K)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a Gramian that is not finite raises instead
+def _observability(C: np.ndarray, G: np.ndarray, K: int) -> ObservabilityReport:
+    """The observability report at horizon K from the transition matrices G_0..G_K."""
+    obsv = (C @ G[:K]).reshape(K * C.shape[0], G.shape[1])
     Wo = obsv.T @ obsv
     if not np.isfinite(Wo).all():
         raise NonFiniteError(f"observability Gramian is not finite at K={K}: C G_k overflows")

@@ -1,8 +1,11 @@
 """Batch command-line front end.
 
 One subcommand per pipeline stage: ``simulate``, ``analyze``, ``identify``,
-``estimate``, ``mpc``.  A subcommand imports its own stage's module when it
-runs, so a cold job compiles no other stage.  Every option can also come from
+``estimate``, ``mpc``.  At module level the CLI imports only ``errors``,
+``fileio``, ``fraccore`` and ``model`` of the package; a subcommand imports
+its own stage's module when it runs, so a cold job compiles no other stage,
+and ``simulate`` comes only with ``simulate``, ``mpc`` and (through
+``analysis``) ``analyze``.  Every option can also come from
 a JSON config file; flags always win over config values.  An absent key takes
 its default; a present one is judged under its own name by the library's
 argument readers (``fraccore``), so ``null`` or a bad value exits 2 naming
@@ -39,7 +42,6 @@ from .fileio import (
 )
 from .fraccore import _array, _count, _real
 from .model import FosModel, MultiTermNetwork
-from .simulate import gaussian_noise, simulate_fos, simulate_network
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -100,6 +102,8 @@ def _model(config: dict, kind=FosModel):
 
 
 def cmd_simulate(config: dict) -> tuple:
+    from .simulate import gaussian_noise, simulate_fos, simulate_network
+
     model = read_model(_path(config, "model"))
     K = _get(config, "steps", _count, 0)
     x0 = _get(config, "x0", _array, np.zeros(model.n), shape=(model.n,))
@@ -120,10 +124,9 @@ def cmd_simulate(config: dict) -> tuple:
 
 
 def cmd_analyze(config: dict) -> tuple:
-    from .analysis import (FractionalTransferFunction, FrequencyResponse,
-                           augmented_spectral_radius, commensurate_stability,
-                           controllability_gramian, fopid_response, observability_matrices,
-                           tf_eval)
+    from .analysis import (FractionalTransferFunction, FrequencyResponse, _controllability,
+                           _observability, augmented_spectral_radius, commensurate_stability,
+                           fopid_response, tf_eval)
 
     what, out, seed = config["what"], _path(config, "out"), _get(config, "seed", _count)
     if what == "bode":
@@ -167,8 +170,10 @@ def cmd_analyze(config: dict) -> tuple:
             }
     else:
         K = _get(config, "horizon", _count, max(1, model.n))
-        ctrb = controllability_gramian(model, None, K)
-        obsv = observability_matrices(model, None, K)
+        # controllability_gramian(model, None, K) and observability_matrices(model, None, K),
+        # from one table of transition matrices
+        ctrb, G = _controllability(model, model.B, K)
+        obsv = _observability(np.eye(model.n), G, K)
         report = {
             "horizon": K,
             "controllability": {
@@ -238,6 +243,7 @@ def cmd_estimate(config: dict) -> tuple:
 
 def cmd_mpc(config: dict) -> tuple:
     from .mpc import MpcProblem, run_closed_loop, uncontrolled_baseline
+    from .simulate import gaussian_noise
 
     plant = _model(config)
     out = _path(config, "out")

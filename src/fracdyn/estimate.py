@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DimensionError, InnovationSingular, NonFiniteError
 from .fraccore import _array
 from .model import (
-    AugmentedModel, MultiTermNetwork, _as_prior, _as_weight, _weight_block, augment_v)
-from .simulate import Trajectory
+    AugmentedModel, MultiTermNetwork, Trajectory, _as_prior, _as_weight, _weight_block,
+    augment_v)
 
 __all__ = [
     "EstimatorConfig",

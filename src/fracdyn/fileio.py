@@ -12,8 +12,8 @@ last), seed, the package version, and the digest of its effective
 configuration.
 
 CSV outputs are streamed to the temp file in blocks of rows, and the
-trajectory reader parses one line at a time, so their working memory does not
-grow with the number of steps K.  A written file gets the mode that
+trajectory reader parses ``_BLOCK_ROWS`` lines at a time, each line once, so
+their working memory does not grow with the number of steps K.  A written file gets the mode that
 ``open(path, "w")`` would leave: a replaced file keeps its mode, and a new one
 gets 0o666 less the process umask.
 """
@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionError
-from .model import FosModel, MultiTermNetwork
-from .simulate import Trajectory
+from .model import FosModel, MultiTermNetwork, Trajectory
 
 __all__ = [
     "fmt_float",
@@ -212,7 +211,7 @@ def write_table(path: str, header: list, rows) -> None:
 def write_trajectory(path: str, traj: Trajectory) -> None:
     """CSV with header t,x1..xn[,u1..um][,y1..yq]; the last input row is blank.
 
-    Cells are ``fmt_float``'s text: one ``%.17g`` format per row writes it.
+    Cells are ``fmt_float``'s text: one ``%`` format of a block of rows writes them.
     """
     n, K = traj.n, traj.K
     m = traj.inputs.shape[1] if traj.inputs is not None else 0
@@ -233,7 +232,7 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
                 blocks.append(traj.inputs[lo:hi])
             if q:
                 blocks.append(traj.outputs[lo:hi])
-            yield "".join([row % tuple(r) for r in np.hstack(blocks).tolist()])
+            yield row * (hi - lo) % tuple(np.hstack(blocks).ravel().tolist())
         yield last_row % (K * traj.dt, *traj.states[K], *(traj.outputs[K] if q else ()))
 
     atomic_write(path, chunks())
@@ -246,35 +245,31 @@ def _cell_or_zero(cell: str) -> float:
 def read_trajectory(path: str) -> Trajectory:
     """Parse a trajectory CSV; missing u/y blocks and blank input cells are tolerated.
 
-    Rows of blank cells are skipped, and a blank input cell reads 0.  The csv
-    module splits the rows and numpy converts the numbers, so a quoted cell
-    may hold a comma but not a line break.  Both read the file one line at a
-    time.
+    Rows of blank cells are skipped, a blank input cell reads 0, and the time
+    column is read from the first two rows only, for ``dt``.  numpy parses the
+    body ``_BLOCK_ROWS`` lines at a time.  A block it cannot take exactly is
+    halved until each line it cannot take stands alone: a line with a quote
+    character, a blank cell, too few fields, or a number that only ``float``
+    reads (``1_000``).  The csv module splits such a line and ``float``
+    converts its cells, so a quoted cell may hold a comma but not a line break.
     """
     with open(path, "r") as fh:
-        line = ""
-
-        def lines():  # the csv reader's input; ``line`` keeps its latest line for numpy
-            nonlocal line
-            for line in fh:
-                yield line
-
-        reader = csv.reader(lines())
-        header = next(reader, None)
-        if header is None:
+        head = fh.readline()
+        if not head:
             raise DimensionError(f"{path}: empty trajectory file")
-        first = []
+        header = next(csv.reader([head]))
+        width = len(header)
 
-        def body():
+        def rows(lines, first: int):
+            """(line number, cells) of each row that is not blank; ``lines`` start at ``first``."""
+            reader = csv.reader(lines)
             for row in reader:
                 if not "".join(row).strip():
                     continue
-                if len(row) < len(header):
-                    raise DimensionError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                         f"the header has {len(header)}")
-                if len(first) < 2:
-                    first.append(row)
-                yield line
+                if len(row) < width:
+                    raise DimensionError(f"{path}: line {first + reader.line_num - 1} has "
+                                         f"{len(row)} fields, the header has {width}")
+                yield first + reader.line_num - 1, row
 
         cols = {name: idx for idx, name in enumerate(header)}
         x_idx = [cols[h] for h in header if h.startswith("x")]
@@ -282,16 +277,48 @@ def read_trajectory(path: str) -> Trajectory:
         y_idx = [cols[h] for h in header if h.startswith("y")]
         lacks = ("the time column" if "t" not in cols else
                  "state columns" if not x_idx else None)
-        rows = body()
         if lacks:
-            for _ in rows:  # a short row is reported before the header
+            for _ in rows(fh, 2):  # a short row is reported before the header
                 pass
             raise DimensionError(f"{path}: trajectory header lacks {lacks}")
         used = sorted({*x_idx, *u_idx, *y_idx})
-        head = next(rows, None)  # numpy warns on a file without rows
-        data = np.zeros((0, len(used))) if head is None else np.loadtxt(
-            itertools.chain([head], rows), delimiter=",", usecols=used, ndmin=2, comments=None,
-            quotechar='"', converters=dict.fromkeys(u_idx, _cell_or_zero))
+        convert = [_cell_or_zero if i in u_idx else float for i in used]
+        # numpy refuses a line that lacks a used column, so only fields past the
+        # last used one need counting
+        counted = used[-1] < width - 1
+        parts, times = [], []  # arrays of parsed rows; (line, t cell) of the first two rows
+
+        def parse(lines: list, first: int) -> None:
+            text = "".join(lines)
+            if text.isspace():  # blank lines hold no row (and numpy warns on them)
+                return
+            if '"' not in text and not (
+                    counted and min(map(str.count, lines, itertools.repeat(","))) < width - 1):
+                try:
+                    parts.append(np.loadtxt(lines, delimiter=",", usecols=used, ndmin=2,
+                                            comments=None))
+                except ValueError:
+                    pass
+                else:
+                    for line_no, row in itertools.islice(rows(lines, first), 2 - len(times)):
+                        times.append((line_no, row[cols["t"]]))
+                    return
+            if len(lines) > 1:
+                half = len(lines) // 2
+                parse(lines[:half], first)
+                parse(lines[half:], first + half)
+                return
+            for line_no, row in rows(lines, first):
+                parts.append(np.array([[f(row[i]) for f, i in zip(convert, used)]]))
+                if len(times) < 2:
+                    times.append((line_no, row[cols["t"]]))
+
+        line_no = 2
+        while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+            parse(block, line_no)
+            line_no += len(block)
+    data = np.concatenate(parts) if parts else np.zeros((0, len(used)))
+    del parts  # the blocks go before the columns are taken out of ``data``
     T = len(data)
     # take, not fancy indexing, which would return column-major blocks
     states = data.take(np.searchsorted(used, x_idx), axis=1)
@@ -299,9 +326,16 @@ def read_trajectory(path: str) -> Trajectory:
     inputs = data[: T - 1].take(np.searchsorted(used, u_idx), axis=1) if u_idx and T > 1 else None
     dt = 1.0
     if T >= 2:
-        t0, t1 = (float(row[cols["t"]]) for row in first)
+        t0, t1 = (_time(path, line, cell) for line, cell in times)
         dt = t1 - t0 if t1 > t0 else 1.0
     return Trajectory(states=states, inputs=inputs, outputs=outputs, dt=dt)
+
+
+def _time(path: str, line: int, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DimensionError(f"{path}: line {line}, column t: {cell!r} is not a number") from None
 
 
 def write_bode(path: str, freq_response) -> None:

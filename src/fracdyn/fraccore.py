@@ -9,9 +9,10 @@ recursions, whose history is produced step by step, read it from a
 :class:`MemoryTail`, which convolves a diagonal kernel (a single-term model's
 GL tail) or a matrix kernel (a network's series) with the history in
 O(K log^2 K) over K steps.  The identification sums, over series known in
-advance, go through :func:`history_sum`, directly when they are short.  Each
-FFT convolution, in the tail, in the simulators' block solves and in a long
-:func:`history_sum`, is one :func:`block_convolve`.  All sequences are
+advance, go through :func:`history_sums`, directly when they are short; it
+transforms a series once for all the weights it sums.  Each FFT convolution,
+in the tail, in the simulators' block solves and in a long history sum, is
+one :func:`block_convolve`.  All sequences are
 causal: samples at negative indices are zero.  A weight table is the plain
 read-only (orders, lags 0..J) array that :func:`build_weight_table` returns.
 
@@ -170,22 +171,28 @@ def build_weight_table(alphas, J: int) -> np.ndarray:
 
 
 def kernel_spectrum(kernel: np.ndarray, first: int, stop: int, size: int) -> np.ndarray:
-    """rfft over ``size`` points of a (diagonal or matrix) kernel's lags [first, stop)."""
+    """rfft over ``size`` points of a (diagonal or matrix) kernel's lags [first, stop).
+
+    Of a time-major block's rows [0, b) it is the transform :func:`block_convolve` takes.
+    """
     h = np.zeros((size,) + kernel.shape[1:])
     h[first : min(stop, kernel.shape[0])] = kernel[first:stop]
     return np.fft.rfft(h, axis=0)
 
 
-def block_convolve(spectrum: np.ndarray, block: np.ndarray, size: int) -> np.ndarray:
+def block_convolve(spectrum: np.ndarray, block: np.ndarray, size: int,
+                   transform: np.ndarray | None = None) -> np.ndarray:
     """Rows i of sum_l kernel[i - l] . block[l], lags modulo ``size``, by FFT.
 
     ``spectrum`` is the kernel's :func:`kernel_spectrum`; ``block`` is (b, c, ...),
-    as :class:`MemoryTail`'s states.  A spectrum that only the call holds is
-    freed before the inverse transform.
+    as :class:`MemoryTail`'s states.  A caller that convolves one block with
+    many diagonal kernels passes the block's own rfft over ``size`` points as
+    ``transform``, which is copied, not changed.  A spectrum that only the call
+    holds is freed before the inverse transform.
     """
     shape = block.shape
     if spectrum.ndim == 2:  # a diagonal kernel scales each channel
-        x = np.fft.rfft(block, n=size, axis=0)
+        x = np.fft.rfft(block, n=size, axis=0) if transform is None else transform.copy()
         x *= spectrum.reshape(spectrum.shape + (1,) * (block.ndim - 2))
     else:  # one matrix product per frequency, as a batched matmul (einsum is far slower)
         x = spectrum @ np.fft.rfft(block.reshape(shape[0], shape[1], -1), n=size, axis=0)
@@ -284,43 +291,63 @@ def history_sum(x, weights, start: int, stop: int) -> np.ndarray:
     ``x`` is a time-major series of shape (T,) or (T, n) with samples before
     time 0 taken as zero; ``weights`` has shape (J+1,), or (n, J+1) with one
     row per channel.  A sum that starts at lag s > 0 is the same sum at time
-    t - s over ``weights[s:]``.  No rows-by-lags matrix is formed: the rows'
-    common history is convolved with each channel's weights, by ``np.convolve``
-    per channel, or by one :func:`block_convolve` once rows x lags exceeds
-    ``FFT_SUM_RATIO`` times size x log2(size) of the transform.  The transform
-    rounds relative to the largest sum of the rows, not to each row's own
-    scale; a channel whose sums come out non-finite is redone directly, alone,
-    so column i of an (n, J+1) call has the bits of the one-channel call
-    ``history_sum(x[:, i], weights[i], start, stop)`` on either route.
+    t - s over ``weights[s:]``.  It is :func:`history_sums` for one weights.
     """
     x, w = _array(x, "x"), _array(weights, "weights")
+    return history_sums(x, w.shape[-1] if w.ndim else 0, start, stop)(w)
+
+
+def history_sums(x, lags: int, start: int, stop: int):
+    """The function ``weights -> history_sum(x, weights, start, stop)``, weights of ``lags`` lags.
+
+    No rows-by-lags matrix is formed: the rows' common history is convolved
+    with each channel's weights, by ``np.convolve`` per channel, or by one
+    :func:`block_convolve` once rows x lags exceeds ``FFT_SUM_RATIO`` times
+    size x log2(size) of the transform.  The history is transformed once, by
+    the first call that goes by FFT; every later call reuses that transform,
+    so scoring many weights over one series costs one kernel transform and one
+    inverse each.  The transform rounds relative to the largest sum of the
+    rows, not to each row's own scale; a channel whose sums come out
+    non-finite is redone directly, alone, so column i of an (n, J+1) call has
+    the bits of the one-channel call ``history_sum(x[:, i], weights[i], start,
+    stop)`` on either route.
+    """
+    x = _array(x, "x")
     start, stop = _count(start, "start", least=-np.inf), _count(stop, "stop", least=-np.inf)
     if x.ndim not in (1, 2):
         raise DimensionError(f"x must be a (T,) or (T, n) series, got shape {x.shape}")
     if not 0 <= start <= stop <= x.shape[0]:
         raise IndexError(f"rows [{start}, {stop}) outside series of length {x.shape[0]}")
-    if w.ndim == 0 or w.shape[-1] == 0 or w.shape[:-1] != x.shape[1:]:
-        raise DomainError(f"weights of shape {w.shape} do not fit a series of shape {x.shape}")
-    lags = w.shape[-1]
     first = start - (lags - 1)
     seg = x[max(first, 0) : stop]
     if first < 0:
         seg = np.concatenate([np.zeros((-first,) + x.shape[1:]), seg])
-    rows = w.reshape(-1, lags)
-    seg = seg.reshape(seg.shape[0], rows.shape[0])
-    shape = (stop - start,) + x.shape[1:]
+    seg = seg.reshape(seg.shape[0], math.prod(x.shape[1:]))
     size = 1 << (seg.shape[0] - 1).bit_length()
-    out, direct = np.empty((stop - start, rows.shape[0])), np.ones(rows.shape[0], dtype=bool)
-    if (stop - start) * lags > FFT_SUM_RATIO * size * (size.bit_length() - 1):
-        # the circular wrap lands on the lags-1 leading rows only, which are dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = block_convolve(kernel_spectrum(rows.T, 0, lags, size), seg, size)
-        out = out[lags - 1 : seg.shape[0]]
-        direct = ~np.isfinite(out).all(axis=0)
-    if stop > start:  # np.convolve swaps its operands when the series is shorter
-        for i in np.flatnonzero(direct):
-            out[:, i] = np.convolve(seg[:, i], rows[i], "valid")
-    return out.reshape(shape)
+    by_fft = (stop - start) * lags > FFT_SUM_RATIO * size * (size.bit_length() - 1)
+    transform = None
+
+    def sums(weights) -> np.ndarray:
+        nonlocal transform
+        w = _array(weights, "weights")
+        if w.ndim == 0 or w.shape[-1] != lags or not lags or w.shape[:-1] != x.shape[1:]:
+            raise DomainError(f"weights of shape {w.shape} do not fit a series of shape {x.shape}")
+        rows = w.reshape(-1, lags)
+        out, direct = np.empty((stop - start, rows.shape[0])), np.ones(rows.shape[0], dtype=bool)
+        if by_fft:
+            # the circular wrap lands on the lags-1 leading rows only, which are dropped
+            with np.errstate(over="ignore", invalid="ignore"):
+                if transform is None:  # the same bits as block_convolve's own transform
+                    transform = kernel_spectrum(seg, 0, seg.shape[0], size)
+                out = block_convolve(kernel_spectrum(rows.T, 0, lags, size), seg, size, transform)
+            out = out[lags - 1 : seg.shape[0]]
+            direct = ~np.isfinite(out).all(axis=0)
+        if stop > start:  # np.convolve swaps its operands when the series is shorter
+            for i in np.flatnonzero(direct):
+                out[:, i] = np.convolve(seg[:, i], rows[i], "valid")
+        return out.reshape((stop - start,) + x.shape[1:])
+
+    return sums
 
 
 def frac_difference(series, alphas, k: int, table: np.ndarray | None = None):

@@ -12,6 +12,9 @@ finite-memory LTI lifts (:class:`AugmentedModel`) from one block-companion
 builder: the depth-p lift of the single-term system over its last ``p``
 states, and the depth-v truncation of a network that also stacks the last
 ``v`` inputs and routes the truncated tail through a disturbance column.
+:class:`Trajectory` is the record of a run or a measurement that every stage
+reads and the simulators write; it lives here, not in ``simulate``, so that a
+stage that only reads trajectories does not load the simulators.
 
 Every record of the package is a named tuple: it unpacks and indexes, cannot
 be assigned to, and ``==`` on its array fields raises as numpy's ``==`` does.
@@ -30,6 +33,7 @@ from .fraccore import _array, _count, _real, _square, build_weight_table
 __all__ = [
     "FosModel",
     "MultiTermNetwork",
+    "Trajectory",
     "AugmentedModel",
     "NetworkSeries",
     "aj_series",
@@ -217,6 +221,40 @@ class MultiTermNetwork(namedtuple("MultiTermNetwork",
         if self.C.ndim == 3:
             return self.C[np.minimum(k, self.C.shape[0] - 1)]
         return self.C
+
+
+class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
+    """Time-indexed record of a simulated or measured run.
+
+    ``states`` has K+1 rows; ``inputs`` and ``noises`` have K rows (the sample
+    applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt``, a
+    positive number, is metadata only: row k corresponds to time k*dt.  A named
+    tuple, checked and converted to float arrays on construction
+    (``_replace`` skips that).
+
+    Each series is time-major, one row a sample, and is read by the one shape
+    rule of the package (``fraccore._array``): another shape raises
+    DimensionError, "inputs must have shape (3, *), got (2, 1)".  A 1-D
+    series is one channel, a column, here as at every entry that takes a
+    series, unless its declared rows are one, where it is that one sample.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, states, inputs=None, outputs=None, noises=None, dt=1.0):
+        states = _array(states, "states", (None, None), series=True)
+        K = states.shape[0] - 1
+        rest = [None if val is None else _array(val, name, (rows, None)) for name, val, rows in
+                (("inputs", inputs, K), ("outputs", outputs, K + 1), ("noises", noises, K))]
+        return super().__new__(cls, states, *rest, _real(dt, "dt", lo=0.0))
+
+    @property
+    def K(self) -> int:
+        return self.states.shape[0] - 1
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[1]
 
 
 class AugmentedModel(namedtuple("AugmentedModel", "kind depth Atil Btil Gtil Ctil n m q")):

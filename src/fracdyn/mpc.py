@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
 from .fraccore import _array, _count
-from .model import FosModel, _as_weight, _weight_block, augment_p
-from .simulate import FosSimulator, Trajectory, _resolve_noise, simulate_fos
+from .model import FosModel, Trajectory, _as_weight, _weight_block, augment_p
+from .simulate import FosSimulator, _resolve_noise, simulate_fos
 
 __all__ = [
     "MpcProblem",

@@ -11,7 +11,6 @@ step is summed and checked by the one store step, :func:`_store`.
 Everything is deterministic given (model, x0, inputs, noise-or-seed).
 """
 
-from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -20,10 +19,9 @@ from .errors import DimensionError, DomainError, NonFiniteError
 from .fraccore import (
     NEAR_BLOCK, MemoryTail, _array, _count, _real, block_convolve, build_weight_table,
     kernel_spectrum)
-from .model import AugmentedModel, FosModel, MultiTermNetwork, network_series
+from .model import AugmentedModel, FosModel, MultiTermNetwork, Trajectory, network_series
 
 __all__ = [
-    "Trajectory",
     "FosSimulator",
     "simulate_fos",
     "simulate_network",
@@ -35,40 +33,6 @@ __all__ = [
 #: Largest entry of the transition matrices G_1..G_NEAR_BLOCK that an open-loop
 #: run solves a block with (G_0 = I); a faster-growing model keeps the loop.
 _MAX_GROWTH = 1e3
-
-
-class Trajectory(namedtuple("Trajectory", "states inputs outputs noises dt")):
-    """Time-indexed record of a simulated or measured run.
-
-    ``states`` has K+1 rows; ``inputs`` and ``noises`` have K rows (the sample
-    applied between steps k and k+1); ``outputs`` has K+1 rows.  ``dt``, a
-    positive number, is metadata only: row k corresponds to time k*dt.  A named
-    tuple, checked and converted to float arrays on construction
-    (``_replace`` skips that).
-
-    Each series is time-major, one row a sample, and is read by the one shape
-    rule of the package (``fraccore._array``): another shape raises
-    DimensionError, "inputs must have shape (3, *), got (2, 1)".  A 1-D
-    series is one channel, a column, here as at every entry that takes a
-    series, unless its declared rows are one, where it is that one sample.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, states, inputs=None, outputs=None, noises=None, dt=1.0):
-        states = _array(states, "states", (None, None), series=True)
-        K = states.shape[0] - 1
-        rest = [None if val is None else _array(val, name, (rows, None)) for name, val, rows in
-                (("inputs", inputs, K), ("outputs", outputs, K + 1), ("noises", noises, K))]
-        return super().__new__(cls, states, *rest, _real(dt, "dt", lo=0.0))
-
-    @property
-    def K(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
 
 
 def _resolve_inputs(u, steps: int, dim: int, name: str = "u") -> np.ndarray:

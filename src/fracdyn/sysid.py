@@ -21,8 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, SingularError
-from .fraccore import _array, _count, _real, _square, build_weight_table, history_sum
-from .simulate import Trajectory
+from .fraccore import (
+    _array, _count, _real, _square, build_weight_table, history_sum, history_sums)
+from .model import Trajectory
 
 __all__ = [
     "IdentificationResult",
@@ -120,7 +121,13 @@ def ols_error_bound(
 
 
 def _window(traj: Trajectory, window) -> tuple:
-    """Rows and regressors of a window, and whether the regressors are rank-deficient."""
+    """Rows and regressors of a window, whether they are rank-deficient, and its target sums.
+
+    The target sums are :func:`history_sums` over the whole history up to the
+    window's last row, so every fit of the window shares one transform of it.
+    """
+    if window is None and traj.K < 1:
+        raise DomainError("trajectory has no steps to identify from")
     K = traj.K
     try:
         offset, length = (0, min(100, K)) if window is None else window
@@ -133,7 +140,9 @@ def _window(traj: Trajectory, window) -> tuple:
         )
     ks = np.arange(offset, offset + length)
     Xw = traj.states[ks]
-    return ks, Xw, bool(np.linalg.matrix_rank(Xw) < Xw.shape[1])
+    stop = offset + length + 1  # targets sum at t = k + 1 for every step k, over lags 0..t
+    return (ks, Xw, bool(np.linalg.matrix_rank(Xw) < Xw.shape[1]),
+            history_sums(traj.states, stop, offset + 1, stop))
 
 
 def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) -> tuple:
@@ -141,18 +150,18 @@ def _fit(x: np.ndarray, win: tuple, orders: np.ndarray, p: int | None = None) ->
 
     Channel i regresses its full-memory difference z[k] = D^a x[k+1] on the
     window states by minimum-norm least squares; its prediction from the
-    fitted row keeps memory lags 1..p.  One :func:`history_sum` call sums all
-    targets and one all prediction tails, keeping each column to its channel;
-    the loop solves and averages each channel on its own column, so a channel's
-    figures do not depend on the other channels.  An all-zero window has no
-    least-squares information and raises SingularError.
+    fitted row keeps memory lags 1..p.  The window's target sums give all
+    targets and one :func:`history_sum` call all prediction tails, each column
+    kept to its channel; the loop solves and averages each channel on its own
+    column, so a channel's figures do not depend on the other channels.  An
+    all-zero window has no least-squares information and raises SingularError.
     """
-    ks, Xw, _ = win
+    ks, Xw, _, targets = win
     if not Xw.any():
         raise SingularError("regressor Gram matrix is zero; no spatial information")
     first, last, n = int(ks[0]), int(ks[-1]), x.shape[1]
     w = build_weight_table(orders, last + 1)
-    Z = history_sum(x, w, first + 1, last + 2)
+    Z = targets(w)
     tails = None if p is None else history_sum(x, w[:, 1 : p + 1], first, last + 1)
     rows, mse = np.empty((n, n)), np.empty(n)
     for i in range(n):
@@ -188,7 +197,7 @@ def ols_spatial(traj: Trajectory, alphas, window=None) -> OlsResult:
     that are not finite (targets that overflow) raise NonFiniteError.
     """
     orders = _array(alphas, "alphas", (traj.n,))
-    _, Xw, ridge = win = _window(traj, window)
+    _, Xw, ridge, _ = win = _window(traj, window)
     A_hat, Z, _ = _fit(traj.states, win, orders)
     if not np.isfinite(A_hat).all():
         raise NonFiniteError("spatial rows are not finite")
@@ -235,7 +244,7 @@ def identify(traj: Trajectory, p: int, epsilon: float, window=None) -> Identific
     p = _count(p, "memory depth p", least=1)
     x = traj.states
     n = x.shape[1]
-    ks, _, ridge = win = _window(traj, window)
+    ks, _, ridge, _ = win = _window(traj, window)
     if ks.size < 10 * (n + 1):
         raise DomainError(f"window length {ks.size} is below the 10*(n+1) = {10 * (n + 1)} floor")
     live = np.ptp(x, axis=0) > 0.0

@@ -166,6 +166,24 @@ def test_analyze_stability_and_gramians(tmp_path, scalar_model_file):
     assert rep2["observability"]["observable"] is True
 
 
+def test_analyze_gramians_builds_one_transition_table(tmp_path, monkeypatch, scalar_model_file):
+    import fracdyn.analysis as analysis
+
+    tables, real = [], analysis.transition_matrices
+    monkeypatch.setattr(analysis, "transition_matrices",
+                        lambda model, K: tables.append(K) or real(model, K))
+    out = tmp_path / "gram.json"
+    assert run_cli("analyze", "gramians", "--model", scalar_model_file, "--horizon", "300",
+                   "--out", str(out)) == 0
+    assert tables == [300]  # both reports read one table of G_0..G_300
+    model = read_model(scalar_model_file)
+    rep = json.loads(out.read_text())
+    ctrb = analysis.controllability_gramian(model, None, 300)
+    obsv = analysis.observability_matrices(model, None, 300)
+    assert rep["controllability"]["matrix"] == ctrb.matrix.tolist()
+    assert rep["observability"]["gramian"] == obsv.gramian.tolist()
+
+
 def test_analyze_noncommensurate_heuristic(tmp_path):
     path = str(tmp_path / "mixed.json")
     write_model(path, FosModel(alpha=[0.5, 0.9], A=[[0.1, 0.0], [0.0, 0.1]]))
@@ -744,6 +762,18 @@ def test_estimate_on_a_header_only_trajectory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "fracdyn estimate: trajectory has no measurement after step 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["", "0,1.5\n"], ids=["header only", "one row"])
+def test_identify_on_a_trajectory_without_steps_exits_2_saying_so(tmp_path, capsys, rows):
+    traj = tmp_path / "short.csv"
+    traj.write_text("t,x1\n" + rows)
+    out_model, out_diag = tmp_path / "id.json", tmp_path / "diag.csv"
+    assert run_cli("identify", "--trajectory", str(traj), "--out-model", str(out_model),
+                   "--out-diag", str(out_diag)) == 2
+    err = capsys.readouterr().err
+    assert err == "fracdyn identify: trajectory has no steps to identify from\n"
+    assert not out_model.exists() and not out_diag.exists()
 
 
 def test_estimate_on_a_trajectory_short_of_an_output_exits_2(tmp_path, capsys):

@@ -2,11 +2,15 @@
 
 ``loop_write_trajectory`` formats every cell through ``fmt_float`` and the csv
 module, and ``loop_read_trajectory`` converts every cell with ``float``.  The
-library formats a row per ``%.17g`` string and parses the numeric block with
-numpy; it must write the same bytes and read the same arrays.  The writer
-formats ``_BLOCK_ROWS`` rows at a time, so the oracles also run with the last
-row on either side of a block boundary, and with blank rows, quoted commas and
-faults past the first block.
+library formats a block of rows with one ``%`` string and parses blocks of
+lines with numpy, leaving to the csv module and ``float`` only the lines numpy
+cannot take exactly; it must write the same bytes and read the same arrays,
+and raise the same messages.  Both go ``_BLOCK_ROWS`` rows or lines at a time,
+so the oracles also run with the last row on either side of a block boundary,
+with blank rows, quoted commas and faults past the first block, and with
+irregular lines planted on both sides of every block boundary of a long file.
+A time cell that the first two rows need for ``dt`` and that is blank or not a
+number raises DimensionError naming its line, in both.
 """
 
 import csv
@@ -50,7 +54,7 @@ def loop_read_trajectory(path):
             header = next(reader)
         except StopIteration:
             raise DimensionError(f"{path}: empty trajectory file") from None
-        rows = []
+        rows, lines = [], []
         for r in reader:
             if not any(cell.strip() for cell in r):
                 continue
@@ -58,6 +62,7 @@ def loop_read_trajectory(path):
                 raise DimensionError(f"{path}: line {reader.line_num} has {len(r)} fields, "
                                      f"the header has {len(header)}")
             rows.append(r)
+            lines.append(reader.line_num)
     cols = {name: idx for idx, name in enumerate(header)}
     if "t" not in cols:
         raise DimensionError(f"{path}: trajectory header lacks the time column")
@@ -77,9 +82,16 @@ def loop_read_trajectory(path):
         inputs = np.array(vals) if vals else None
     dt = 1.0
     if T >= 2:
-        t0, t1 = float(rows[0][cols["t"]]), float(rows[1][cols["t"]])
+        t0, t1 = (loop_time(path, line, r[cols["t"]]) for line, r in zip(lines, rows[:2]))
         dt = t1 - t0 if t1 > t0 else 1.0
     return Trajectory(states=states, inputs=inputs, outputs=outputs, dt=dt)
+
+
+def loop_time(path, line, cell):
+    try:
+        return float(cell)
+    except ValueError:
+        raise DimensionError(f"{path}: line {line}, column t: {cell!r} is not a number") from None
 
 
 def assert_same_trajectory(a, b):
@@ -142,6 +154,9 @@ def test_reader_contracts_match_the_cell_loop(tmp_path, text):
     "",
     "x1\n1\n",
     "t,u1\n0,1\n",
+    # a time cell of the first two rows that is blank or not a number
+    "t,x1\n,1.5\n,2.5\n",
+    "t,x1\nabc,1.5\n1,2.5\n",
 ])
 def test_reader_errors_match_the_cell_loop(tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -184,3 +199,61 @@ def test_reader_names_the_true_line_past_the_first_block(tmp_path, short):
         read_trajectory(str(path))
     assert str(fast.value) == str(slow.value)
     assert f"line {1 + PAST + 3 + 1} has " in str(fast.value)
+
+
+
+def _line(cells, order, end="\n"):
+    return ",".join(cells[i] for i in order) + end
+
+
+#: Irregular lines planted near the block boundaries.  Each takes the cells of a
+#: regular row of a t,x1,x2,u1,y1,note file and the file's column order.  Split at
+#: every comma, the quoted note puts numbers where the columns after it belong, and
+#: the row short of its note still holds every used column.
+PLANTS = {
+    "quoted comma": lambda c, o: _line(c[:5] + ['"a,1,2,3,b"'], o),
+    "blank cells": lambda c, o: _line([""] * 6, o),
+    "blank line": lambda c, o: "\n",
+    "blank input": lambda c, o: _line(c[:3] + [""] + c[4:], o),
+    "crlf": lambda c, o: _line(c, o, "\r\n"),
+    "whitespace input": lambda c, o: _line(c[:3] + ["  "] + c[4:], o),
+    "whitespace note": lambda c, o: _line(c[:5] + [" \t"], o),
+    "short row": lambda c, o: _line(c, o[:3]),
+    "short of the note": lambda c, o: _line(c, o[:-1]),
+}
+
+#: Column orders of the fuzzed files: the note last (past every used column) or inside.
+LAYOUTS = {"note last": [0, 1, 2, 3, 4, 5], "note inside": [0, 1, 5, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("seed", range(8))
+def test_reader_matches_the_cell_loop_around_every_block_boundary(tmp_path, seed, layout):
+    rng = np.random.default_rng(seed)
+    order = LAYOUTS[layout]
+    rows = 3 * B + int(rng.integers(1, 40))
+    values = rng.normal(size=(rows, 4)) * 10.0 ** rng.integers(-300, 301, size=(rows, 4))
+    cells = [[fmt_float(0.5 * k), *map(fmt_float, values[k]), f"n{k}"] for k in range(rows)]
+    lines = [_line(row, order) for row in cells]
+    kinds = sorted(PLANTS)
+    if seed % 2:  # without a short row the file reads
+        kinds.remove("short row")
+        kinds.remove("short of the note")
+    for boundary in range(B, rows, B):  # the body line that starts a block, and its neighbours
+        for k in rng.choice(np.arange(boundary - 4, boundary + 4), size=4, replace=False):
+            lines[k] = PLANTS[kinds[rng.integers(len(kinds))]](cells[k], order)
+    path = tmp_path / "fuzz.csv"
+    header = _line(["t", "x1", "x2", "u1", "y1", "note"], order)
+    path.write_bytes((header + "".join(lines)).encode())
+    try:
+        slow = loop_read_trajectory(str(path))
+    except DimensionError as exc:
+        with pytest.raises(DimensionError) as fast:
+            read_trajectory(str(path))
+        assert str(fast.value) == str(exc)
+        return
+    fast = read_trajectory(str(path))
+    for name in ("states", "inputs", "outputs"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert fast.dt == slow.dt

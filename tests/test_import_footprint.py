@@ -12,7 +12,10 @@ only a manifest's digest needs) at import.
 
 A cold ``python -m fracdyn`` job loads, of the stage modules ``analysis``,
 ``sysid``, ``estimate`` and ``mpc``, only the one its subcommand runs, and a
-failure after that deferred import still exits 2 with one stderr line.
+failure after that deferred import still exits 2 with one stderr line.  It
+loads ``simulate`` only when it steps a model: ``simulate``, ``mpc`` and
+``analyze`` (whose ``analysis`` runs the simulator), never ``identify`` or
+``estimate``.
 """
 
 import fnmatch
@@ -30,6 +33,9 @@ from fracdyn.fileio import write_model, write_trajectory
 
 #: The modules of the stages that only one subcommand runs.
 STAGES = ("fracdyn.analysis", "fracdyn.estimate", "fracdyn.mpc", "fracdyn.sysid")
+
+#: The modules a cold subcommand is checked for: the stages and the simulator.
+TRACKED = (*STAGES, "fracdyn.simulate")
 
 
 def _env() -> dict:
@@ -148,7 +154,7 @@ def test_a_cold_import_loads_only_what_it_uses(statement, absent):
 
 
 def cold_cli(cwd, *argv) -> tuple:
-    """Run ``python -m fracdyn *argv`` in ``cwd``: exit code, stderr lines, stage modules loaded.
+    """Run ``python -m fracdyn *argv`` in ``cwd``: exit code, stderr lines, ``TRACKED`` loaded.
 
     ``-X importtime`` writes a line to stderr for each module as it is first
     imported; the other stderr lines are the CLI's own.
@@ -159,7 +165,7 @@ def cold_cli(cwd, *argv) -> tuple:
     imported = {line.rsplit("|", 1)[1].strip() for line in lines
                 if line.startswith("import time:")}
     own = [line for line in lines if not line.startswith("import time:")]
-    return done.returncode, own, sorted(imported.intersection(STAGES))
+    return done.returncode, own, sorted(imported.intersection(TRACKED))
 
 
 @pytest.fixture(scope="module")
@@ -185,23 +191,23 @@ def cli_files(tmp_path_factory):
     return work
 
 
-#: (subcommand, its arguments, expected exit code, stage modules it loads)
+#: (subcommand, its arguments, expected exit code, ``TRACKED`` modules it loads)
 FOOTPRINTS = [
     ("simulate", ["simulate", "--model", "fos.json", "--x0", "1,-0.5", "--steps", "5",
-                  "--out", "sim.csv"], 0, []),
+                  "--out", "sim.csv"], 0, ["fracdyn.simulate"]),
     ("network simulate", ["simulate", "--model", "net.json", "--steps", "5",
-                          "--out", "netsim.csv"], 0, []),
+                          "--out", "netsim.csv"], 0, ["fracdyn.simulate"]),
     ("identify", ["identify", "--trajectory", "traj.csv", "--depth", "10", "--epsilon", "1e-2",
                   "--out-model", "ident.json", "--out-diag", "diag.csv"], 0, ["fracdyn.sysid"]),
     ("analyze stability", ["analyze", "stability", "--model", "fos.json",
-                           "--out", "stab.json"], 0, ["fracdyn.analysis"]),
+                           "--out", "stab.json"], 0, ["fracdyn.analysis", "fracdyn.simulate"]),
     ("analyze gramians", ["analyze", "gramians", "--model", "fos.json", "--horizon", "3",
-                          "--out", "gram.json"], 0, ["fracdyn.analysis"]),
+                          "--out", "gram.json"], 0, ["fracdyn.analysis", "fracdyn.simulate"]),
     ("analyze bode", ["analyze", "bode", "--fopid", "1,1,0,0.5,1", "--omega-points", "3",
-                      "--out", "bode.csv"], 0, ["fracdyn.analysis"]),
+                      "--out", "bode.csv"], 0, ["fracdyn.analysis", "fracdyn.simulate"]),
     ("estimate", ["estimate", "--model", "net.json", "--trajectory", "net.csv", "--v", "2",
                   "--out", "est.csv"], 0, ["fracdyn.estimate"]),
-    ("mpc", ["mpc", "scenario.json", "--out", "run.csv"], 0, ["fracdyn.mpc"]),
+    ("mpc", ["mpc", "scenario.json", "--out", "run.csv"], 0, ["fracdyn.mpc", "fracdyn.simulate"]),
     ("--version", ["--version"], 0, []),
     ("usage error", ["simulate", "--steps", "x", "--out", "bad.csv"], 2, []),
 ]
@@ -215,24 +221,24 @@ def test_a_cold_subcommand_loads_only_its_own_stage(cli_files, argv, code, stage
     assert loaded == stages
 
 
-#: (subcommand, arguments that fail after its stage module is imported, that module)
+#: (subcommand, arguments that fail after its stage module is imported, ``TRACKED`` loaded)
 LATE_FAILURES = [
     ("identify", ["identify", "--trajectory", "missing.csv", "--out-model", "m.json",
-                  "--out-diag", "m.csv"], "fracdyn.sysid"),
+                  "--out-diag", "m.csv"], ["fracdyn.sysid"]),
     ("estimate", ["estimate", "--model", "fos.json", "--trajectory", "net.csv",
-                  "--out", "e.csv"], "fracdyn.estimate"),
-    ("mpc", ["mpc", "lost.json", "--out", "r.csv"], "fracdyn.mpc"),
+                  "--out", "e.csv"], ["fracdyn.estimate"]),
+    ("mpc", ["mpc", "lost.json", "--out", "r.csv"], ["fracdyn.mpc", "fracdyn.simulate"]),
     ("analyze", ["analyze", "stability", "--model", "fos.json", "--horizon", "0",
-                 "--out", "h.json"], "fracdyn.analysis"),
+                 "--out", "h.json"], ["fracdyn.analysis", "fracdyn.simulate"]),
 ]
 
 
-@pytest.mark.parametrize("command,argv,stage", LATE_FAILURES,
+@pytest.mark.parametrize("command,argv,stages", LATE_FAILURES,
                          ids=[case[0] for case in LATE_FAILURES])
 def test_a_cold_failure_after_the_stage_import_exits_2_with_one_line(cli_files, command, argv,
-                                                                     stage):
+                                                                     stages):
     returned, own, loaded = cold_cli(cli_files, *argv)
     assert returned == 2
     assert len(own) == 1 and own[0].startswith(f"fracdyn {command}: "), own
-    assert loaded == [stage]
+    assert loaded == stages
     assert not (cli_files / argv[-1]).exists()

@@ -13,9 +13,11 @@ Identification scores orders through one fit, ``sysid._fit``, the only place
 in ``sysid`` that tabulates weights or sums a history; ``ols_spatial`` runs the
 same fit.  Its rows come from one minimum-norm ``np.linalg.lstsq`` call, at
 any rank of the window, with no second (ridge) solver beside it.  It sums
-every channel's targets in one ``history_sum`` call and its prediction tails
-in another, outside its channel loop: ``history_sum`` keeps channels
-independent, so a per-channel call buys nothing.
+every channel's targets in one call of the window's ``history_sums`` and its
+prediction tails in one ``history_sum`` call, outside its channel loop: the
+sums keep channels independent, so a per-channel call buys nothing.  A window
+builds its ``history_sums`` once (in ``sysid._window``), so every fit of it
+shares one transform of the history.
 
 Every lift is built by ``model._companion``, the only place in the package
 that constructs an ``AugmentedModel``, and only ``model.py`` reads the layout
@@ -185,25 +187,39 @@ def test_the_loop_check_reads_each_form_of_a_call(source, inside, outside):
 
 
 def test_the_fit_sums_every_channel_outside_its_channel_loop():
-    # history_sum keeps channels independent, so one call sums every channel
-    inside, outside = loop_calls((PACKAGE / "sysid.py").read_text(), "_fit", "history_sum")
-    assert not inside, f"_fit sums a history inside a loop at lines {inside}"
-    assert len(outside) == 2  # the targets and the prediction tails
+    # the sums keep channels independent, so one call sums every channel
+    source = (PACKAGE / "sysid.py").read_text()
+    for name in ("targets", "history_sum"):  # the window's target sums, the prediction tails
+        inside, outside = loop_calls(source, "_fit", name)
+        assert not inside, f"_fit calls {name} inside a loop at lines {inside}"
+        assert len(outside) == 1, name
+
+
+def test_only_a_window_builds_target_sums():
+    assert callers(PACKAGE / "sysid.py", "history_sums") == {"_window"}
 
 
 def test_each_fit_makes_at_most_two_history_sums(monkeypatch):
-    sums, fits = [], []
-    real_sum, real_fit = sysid.history_sum, sysid._fit
+    sums, fits, windows = [], [], []
+    real_sum, real_sums, real_fit = sysid.history_sum, sysid.history_sums, sysid._fit
+
+    def counted_sums(x, lags, start, stop):
+        windows.append((lags, start, stop))
+        targets = real_sums(x, lags, start, stop)
+        return lambda weights: sums.append(np.shape(weights)) or targets(weights)
+
     monkeypatch.setattr(sysid, "history_sum",
                         lambda *args: sums.append(np.shape(args[1])) or real_sum(*args))
+    monkeypatch.setattr(sysid, "history_sums", counted_sums)
     monkeypatch.setattr(sysid, "_fit", lambda *args: fits.append(args) or real_fit(*args))
     traj = Trajectory(states=np.random.default_rng(0).standard_normal((120, 3)).cumsum(axis=0))
     sysid.identify(traj, 20, 1e-2, (0, 100))
     assert len(sums) == 2 * len(fits) == 2 * (3 + sysid.bisection_bound(1e-2))
     assert set(sums) == {(3, 101), (3, 20)}  # every channel's targets, then its tails
-    del sums[:]
+    assert windows == [(101, 1, 101)]  # one target sums for every fit of the window
+    del sums[:], windows[:]
     sysid.ols_spatial(traj, [0.5] * 3, (0, 100))
-    assert sums == [(3, 101)]
+    assert sums == [(3, 101)] and windows == [(101, 1, 101)]
 
 
 #: numpy.linalg functions that solve or invert a linear system.

@@ -247,15 +247,20 @@ def test_rank_deficient_rows_do_not_depend_on_the_target_layout(monkeypatch):
     # the same targets summed into a strided column must give the same bits
     contiguous = [ols_spatial(traj, [0.5] * Xw.shape[1], window).A_hat
                   for traj, window, Xw in rank_deficient_cases()]
-    real = sysid.history_sum
+    real = sysid.history_sums
 
-    def strided(x, weights, start, stop):
-        out = real(x, weights, start, stop)
-        wide = np.zeros((out.shape[0], 3) + out.shape[1:])
-        wide[:, 1] = out
-        return wide[:, 1]
+    def strided(x, lags, start, stop):
+        targets = real(x, lags, start, stop)
 
-    monkeypatch.setattr(sysid, "history_sum", strided)
+        def sums(weights):
+            out = targets(weights)
+            wide = np.zeros((out.shape[0], 3) + out.shape[1:])
+            wide[:, 1] = out
+            return wide[:, 1]
+
+        return sums
+
+    monkeypatch.setattr(sysid, "history_sums", strided)
     for (traj, window, Xw), rows in zip(rank_deficient_cases(), contiguous):
         assert ols_spatial(traj, [0.5] * Xw.shape[1], window).A_hat.tobytes() == rows.tobytes()
 
@@ -377,3 +382,40 @@ def test_identified_blocks_bounded_by_lift_norm():
 
     for blk in aj_series(est, 11):
         assert np.linalg.norm(blk, 2) <= lift_norm + 1e-12
+
+
+def test_identify_transforms_the_window_history_once(monkeypatch):
+    # long-memory size: K = 16000, four channels, window (8000, 2000), depth 200; the
+    # targets sum the whole history by FFT, the depth-200 prediction tails directly
+    model = FosModel(alpha=[0.3, 0.5, 0.7, 0.9], A=-0.2 * np.eye(4) + 0.02, Bw=np.eye(4))
+    traj = simulate_fos(model, np.ones(4), w=5, K=16000, noise_sigma=0.1)
+    transforms, inverses, fits = [], [], []
+    rfft, irfft, fit = np.fft.rfft, np.fft.irfft, sysid._fit
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: transforms.append(1)
+                        or rfft(a, *args, **kw))
+    monkeypatch.setattr(np.fft, "irfft", lambda a, *args, **kw: inverses.append(1)
+                        or irfft(a, *args, **kw))
+    monkeypatch.setattr(sysid, "_fit", lambda *args: fits.append(1) or fit(*args))
+    identify(traj, 200, 1e-3, (8000, 2000))
+    assert len(fits) == 3 + bisection_bound(1e-3)
+    # one weights spectrum and one inverse per fit, one transform of the history per window
+    assert len(transforms) == len(fits) + 1 and len(inverses) == len(fits)
+
+
+@pytest.mark.parametrize("orders,window,p", [
+    ([0.5], (0, 120), 160),
+    ([0.3, 1.4], (20, 120), 12),
+])
+def test_the_bisection_takes_the_same_path_when_every_sum_is_a_row_loop(monkeypatch, orders,
+                                                                       window, p):
+    from test_memory_oracles import _noisy_trajectory, loop_history_sum
+
+    traj = _noisy_trajectory(orders, 160, 9)
+    fast = identify(traj, p, 1e-3, window)
+    monkeypatch.setattr(sysid, "history_sum", loop_history_sum)
+    monkeypatch.setattr(sysid, "history_sums", lambda x, lags, start, stop: (
+        lambda weights: loop_history_sum(x, weights, start, stop)))
+    slow = identify(traj, p, 1e-3, window)
+    assert np.array_equal(fast.alpha_hat, slow.alpha_hat)
+    assert np.array_equal(fast.iterations, slow.iterations)
+    assert fast.flags == slow.flags
