@@ -26,7 +26,7 @@ _NAMES = {
     "errors": """BranchWarning DimensionError DomainError EigenFailure FracdynError
         InfeasibleStateConstraints InnovationSingular NonFiniteError NotControllable
         NotObservable NotSPD SingularError""".split(),
-    "fraccore": "gl_weight_recursive build_weight_table history_sum frac_difference".split(),
+    "fraccore": "build_weight_table history_sum frac_difference".split(),
     "model": """FosModel MultiTermNetwork Trajectory AugmentedModel NetworkSeries aj_series
         augment_p network_series augment_v""".split(),
     "simulate": """FosSimulator simulate_fos simulate_network simulate_augmented

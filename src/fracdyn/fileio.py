@@ -12,8 +12,9 @@ last), seed, the package version, and the digest of its effective
 configuration.
 
 CSV outputs are streamed to the temp file in blocks of rows, and the
-trajectory reader parses ``_BLOCK_ROWS`` lines at a time, each line once, so
-their working memory does not grow with the number of steps K.  A written file gets the mode that
+trajectory reader takes ``_BLOCK_ROWS`` lines at a time, numpy over all of a
+block but its last line, so their working memory does not grow with the
+number of steps K.  A written file gets the mode that
 ``open(path, "w")`` would leave: a replaced file keeps its mode, and a new one
 gets 0o666 less the process umask.
 """
@@ -238,20 +239,22 @@ def write_trajectory(path: str, traj: Trajectory) -> None:
     atomic_write(path, chunks())
 
 
-def _cell_or_zero(cell: str) -> float:
-    return float(cell) if cell.strip() else 0.0
-
-
 def read_trajectory(path: str) -> Trajectory:
     """Parse a trajectory CSV; missing u/y blocks and blank input cells are tolerated.
 
-    Rows of blank cells are skipped, a blank input cell reads 0, and the time
-    column is read from the first two rows only, for ``dt``.  numpy parses the
-    body ``_BLOCK_ROWS`` lines at a time.  A block it cannot take exactly is
-    halved until each line it cannot take stands alone: a line with a quote
-    character, a blank cell, too few fields, or a number that only ``float``
-    reads (``1_000``).  The csv module splits such a line and ``float``
-    converts its cells, so a quoted cell may hold a comma but not a line break.
+    Rows of blank cells are skipped, a blank input cell reads 0, extra fields
+    are ignored, and the time column is read from the first two rows only,
+    for ``dt``.  The body is read ``_BLOCK_ROWS`` lines at a time.  numpy
+    parses every column of a block's lines but the last, and the block is
+    kept only if it has the header's width.  The cell loop reads a block
+    numpy refuses and each block's last line (where the writer leaves its
+    blank input cells): the csv module splits a line, so a quoted cell may
+    hold a comma but not a line break, and ``float`` converts its used
+    cells.  numpy refuses every line the cell loop would read otherwise: a
+    quote, a blank cell, a short or long row, a number only ``float`` reads
+    (``1_000``), or a cell that is not a number, so a file with a text column
+    is read by the cell loop alone.  The first short row or unreadable used
+    cell, in file order, raises DimensionError naming its line.
     """
     with open(path, "r") as fh:
         head = fh.readline()
@@ -259,83 +262,61 @@ def read_trajectory(path: str) -> Trajectory:
             raise DimensionError(f"{path}: empty trajectory file")
         header = next(csv.reader([head]))
         width = len(header)
-
-        def rows(lines, first: int):
-            """(line number, cells) of each row that is not blank; ``lines`` start at ``first``."""
-            reader = csv.reader(lines)
-            for row in reader:
-                if not "".join(row).strip():
-                    continue
-                if len(row) < width:
-                    raise DimensionError(f"{path}: line {first + reader.line_num - 1} has "
-                                         f"{len(row)} fields, the header has {width}")
-                yield first + reader.line_num - 1, row
-
         cols = {name: idx for idx, name in enumerate(header)}
         x_idx = [cols[h] for h in header if h.startswith("x")]
         u_idx = [cols[h] for h in header if h.startswith("u")]
         y_idx = [cols[h] for h in header if h.startswith("y")]
-        lacks = ("the time column" if "t" not in cols else
-                 "state columns" if not x_idx else None)
-        if lacks:
-            for _ in rows(fh, 2):  # a short row is reported before the header
-                pass
-            raise DimensionError(f"{path}: trajectory header lacks {lacks}")
         used = sorted({*x_idx, *u_idx, *y_idx})
-        convert = [_cell_or_zero if i in u_idx else float for i in used]
-        # numpy refuses a line that lacks a used column, so only fields past the
-        # last used one need counting
-        counted = used[-1] < width - 1
-        parts, times = [], []  # arrays of parsed rows; (line, t cell) of the first two rows
-
-        def parse(lines: list, first: int) -> None:
-            text = "".join(lines)
-            if text.isspace():  # blank lines hold no row (and numpy warns on them)
-                return
-            if '"' not in text and not (
-                    counted and min(map(str.count, lines, itertools.repeat(","))) < width - 1):
-                try:
-                    parts.append(np.loadtxt(lines, delimiter=",", usecols=used, ndmin=2,
-                                            comments=None))
-                except ValueError:
-                    pass
-                else:
-                    for line_no, row in itertools.islice(rows(lines, first), 2 - len(times)):
-                        times.append((line_no, row[cols["t"]]))
-                    return
-            if len(lines) > 1:
-                half = len(lines) // 2
-                parse(lines[:half], first)
-                parse(lines[half:], first + half)
-                return
-            for line_no, row in rows(lines, first):
-                parts.append(np.array([[f(row[i]) for f, i in zip(convert, used)]]))
-                if len(times) < 2:
-                    times.append((line_no, row[cols["t"]]))
-
+        timed = sorted({*used, cols["t"]}) if "t" in cols else used  # read in the first two rows
+        parts, T = [np.zeros((0, width))], 0  # blocks of parsed rows, every column; their rows
         line_no = 2
         while block := list(itertools.islice(fh, _BLOCK_ROWS)):
-            parse(block, line_no)
+            loose, first = block, line_no  # the cell loop's lines, and the first one's number
             line_no += len(block)
-    data = np.concatenate(parts) if parts else np.zeros((0, len(used)))
+            try:  # numpy warns on a body of blank lines
+                parsed = (np.loadtxt(block[:-1], delimiter=",", ndmin=2, comments=None)
+                          if any(map(str.strip, block[:-1])) else None)
+            except ValueError:
+                parsed = None
+            if parsed is not None and parsed.shape[1] == width:
+                parts.append(parsed)
+                T += len(parsed)
+                loose, first = block[-1:], line_no - 1
+            reader, rows = csv.reader(loose), []
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                line = first + reader.line_num - 1
+                if len(row) < width:
+                    raise DimensionError(
+                        f"{path}: line {line} has {len(row)} fields, the header has {width}")
+                values = [0.0] * width
+                for i in timed if T + len(rows) < 2 else used:
+                    if i in u_idx and not row[i].strip():
+                        continue
+                    try:
+                        values[i] = float(row[i])
+                    except ValueError:
+                        raise DimensionError(f"{path}: line {line}, column {header[i]}: "
+                                             f"{row[i]!r} is not a number") from None
+                rows.append(values)
+            if rows:
+                parts.append(np.array(rows))
+                T += len(rows)
+    lacks = "the time column" if "t" not in cols else "state columns" if not x_idx else None
+    if lacks:
+        raise DimensionError(f"{path}: trajectory header lacks {lacks}")
+    data = np.concatenate(parts)
     del parts  # the blocks go before the columns are taken out of ``data``
-    T = len(data)
     # take, not fancy indexing, which would return column-major blocks
-    states = data.take(np.searchsorted(used, x_idx), axis=1)
-    outputs = data.take(np.searchsorted(used, y_idx), axis=1) if y_idx else None
-    inputs = data[: T - 1].take(np.searchsorted(used, u_idx), axis=1) if u_idx and T > 1 else None
+    states = data.take(x_idx, axis=1)
+    outputs = data.take(y_idx, axis=1) if y_idx else None
+    inputs = data[: T - 1].take(u_idx, axis=1) if u_idx and T > 1 else None
     dt = 1.0
     if T >= 2:
-        t0, t1 = (_time(path, line, cell) for line, cell in times)
+        t0, t1 = data[:2, cols["t"]].tolist()
         dt = t1 - t0 if t1 > t0 else 1.0
     return Trajectory(states=states, inputs=inputs, outputs=outputs, dt=dt)
-
-
-def _time(path: str, line: int, cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DimensionError(f"{path}: line {line}, column t: {cell!r} is not a number") from None
 
 
 def write_bode(path: str, freq_response) -> None:

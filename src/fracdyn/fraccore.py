@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 __all__ = [
-    "gl_weight_recursive",
     "build_weight_table",
     "history_sum",
     "frac_difference",
@@ -131,18 +130,6 @@ def _square(value, name: str) -> np.ndarray:
     """``value`` as a finite square matrix by the rule of :func:`_array`; its rows set the size."""
     m = _array(value, name, (None, None))
     return _array(m, name, m.shape[:1] * 2)
-
-
-def gl_weight_recursive(alpha: float, j: int) -> float:
-    """Weight c_j at order alpha via the product recurrence.
-
-    c_0 = 1 and c_j = c_{j-1} * (j - 1 - alpha) / j, which matches
-    (-1)^j * binom(alpha, j) without any Gamma evaluation.  Total over
-    finite real alpha; integer orders truncate exactly (c_j = 0 for
-    j > alpha when alpha is a non-negative integer).
-    """
-    j = _count(j, "lag index j")
-    return float(build_weight_table([_real(alpha, "alpha")], j)[0, j])
 
 
 def build_weight_table(alphas, J: int) -> np.ndarray:

@@ -26,7 +26,7 @@ def gl_weight_gamma(alpha: float, j: int) -> float:
     """Weight c_j at order alpha via log-Gamma: Gamma(j-a)/(Gamma(-a)Gamma(j+1)).
 
     Raises GammaPole when -alpha is a non-positive integer (Gamma pole);
-    ``fracdyn.gl_weight_recursive`` is total there.  Agrees with the
+    ``fracdyn.build_weight_table`` is total there.  Agrees with the
     recursive path to 1e-12 relative for alpha in (0,2)\\{1}, j <= 200.
     """
     if j < 0:

@@ -6,7 +6,6 @@ from fracdyn import (
     DomainError,
     build_weight_table,
     frac_difference,
-    gl_weight_recursive,
 )
 from fracdyn.fraccore import MemoryTail, _array, _square
 from gl_oracle import GammaPole, gl_weight_gamma
@@ -14,15 +13,20 @@ from gl_oracle import GammaPole, gl_weight_gamma
 ALPHA_GRID = [round(0.1 * k, 1) for k in range(1, 20) if k != 10]
 
 
+def weight(alpha, j):
+    """The lag-j weight at order alpha, from a one-order table of horizon j."""
+    return float(build_weight_table([alpha], j)[0, j])
+
+
 def test_recursive_trivials():
-    assert gl_weight_recursive(0.5, 0) == 1.0
-    assert gl_weight_recursive(1.0, 2) == 0.0  # integer order truncates
-    assert gl_weight_recursive(0.5, 2) == -0.125
+    assert weight(0.5, 0) == 1.0
+    assert weight(1.0, 2) == 0.0  # integer order truncates
+    assert weight(0.5, 2) == -0.125
 
 
 def test_recursive_first_weight_is_minus_alpha():
     for a in ALPHA_GRID:
-        assert gl_weight_recursive(a, 1) == pytest.approx(-a, abs=0.0)
+        assert weight(a, 1) == pytest.approx(-a, abs=0.0)
 
 
 def test_gamma_trivials():
@@ -35,14 +39,14 @@ def test_gamma_pole_raises_and_recursive_covers():
     for a in (0.0, 1.0, 2.0):
         with pytest.raises(GammaPole):
             gl_weight_gamma(a, 3)
-        # recursive path is total where the Gamma path has poles
-        gl_weight_recursive(a, 3)
+        # the table is total where the Gamma path has poles
+        weight(a, 3)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_cross_formula_agreement(alpha):
     for j in range(0, 201):
-        r = gl_weight_recursive(alpha, j)
+        r = weight(alpha, j)
         g = gl_weight_gamma(alpha, j)
         assert abs(g - r) <= 1e-12 * max(1.0, abs(r))
 
@@ -52,8 +56,8 @@ def test_partial_sum_identity(alpha):
     # sum_{j<=J} c_j^alpha equals c_J^{alpha-1}
     total = 0.0
     for J in range(0, 101):
-        total += gl_weight_recursive(alpha, J)
-        ref = gl_weight_recursive(alpha - 1.0, J)
+        total += weight(alpha, J)
+        ref = weight(alpha - 1.0, J)
         assert total == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
@@ -83,7 +87,7 @@ def test_table_matches_pointwise():
     t = build_weight_table(ALPHA_GRID, 60)
     for i, a in enumerate(ALPHA_GRID):
         for j in range(61):
-            assert t[i, j] == pytest.approx(gl_weight_recursive(a, j), abs=0.0)
+            assert t[i, j] == pytest.approx(weight(a, j), abs=0.0)
 
 
 def test_frac_difference_examples():

@@ -30,7 +30,6 @@ from fracdyn import (
     deadbeat_input,
     frac_difference,
     gaussian_noise,
-    gl_weight_recursive,
     history_sum,
     identify,
     network_series,
@@ -285,7 +284,7 @@ def test_network_series_matches_the_term_loop_bitwise_on_the_benchmark_network(
 @pytest.mark.parametrize("alpha", ORDERS)
 def test_scalar_weight_matches_the_lag_loop_bitwise(alpha):
     for j in (0, 1, 2, 7, 200, 1000):
-        assert gl_weight_recursive(alpha, j) == loop_scalar_weight(alpha, j)
+        assert build_weight_table([alpha], j)[0, j] == loop_scalar_weight(alpha, j)
 
 
 @pytest.mark.parametrize("seed", range(6))

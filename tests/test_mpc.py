@@ -9,6 +9,7 @@ from fracdyn import (
     FosModel,
     InfeasibleStateConstraints,
     MpcProblem,
+    NonFiniteError,
     NotSPD,
     augment_p,
     condense,
@@ -291,3 +292,25 @@ def test_pinned_input_under_far_violated_soft_rows():
         sol = solve_horizon(prob, plant, 5.0 * rng.standard_normal((3, 3)))
         assert np.all(sol.u[:, 1] == 0.2)
         assert sol.kkt_residual <= 1e-8 * (1.0 + abs(sol.cost) + sol.penalty_cost)
+
+
+def test_a_cost_that_overflows_after_the_solve_raises():
+    # the free cost Q f^2 is finite at f = 0.7 * 1.5e154, but b^T U, about -2 Q f^2, is not
+    prob = MpcProblem(p=2, P=1, M=1, Q=1.0, R=1e-9)
+    with pytest.raises(NonFiniteError, match="^horizon cost is not finite from this history$"):
+        solve_horizon(prob, scalar_model(), [[1.5e154]])
+    assert np.isfinite(solve_horizon(prob, scalar_model(), [[1.2e154]]).cost)
+
+
+def test_a_proposal_that_cycles_on_a_repeated_soft_row_stops_at_its_step_budget(monkeypatch):
+    # the two copies of the last step's soft row take turns in the proposed active list.  Soft
+    # rows always admit a solution, nothing is pinned and the data are finite, so None here
+    # is the step budget; the QR loop then solves from the start, to its usual residual
+    prob = MpcProblem(p=2, P=3, M=3, Q=1.0, R=0.72, u_lo=-1.0, u_hi=1.0,
+                      state_H=[[1.0], [1.0]], state_h=[0.0, 0.0])
+    model = FosModel(alpha=[0.5], A=[[0.09]], B=[[1.0]])
+    proposals, propose = [], mpc._propose
+    monkeypatch.setattr(mpc, "_propose", lambda *args: proposals.append(propose(*args)))
+    sol = solve_horizon(prob, model, [[0.6]])
+    assert proposals == [None]
+    assert sol.kkt_residual <= 1e-10 * (1.0 + abs(sol.cost) + sol.penalty_cost)

@@ -111,10 +111,6 @@ def _step(u, w):
 
 
 SPEC = {
-    "gl_weight_recursive": Entry(fracdyn.gl_weight_recursive, dict(alpha=0.5, j=3),
-                                 ("alpha", "j"),
-                                 accepts={"alpha": NUMBERS - {"1e308"}, "j": {"0"}},
-                                 names={"alpha": r"\balphas?\b"}),
     "build_weight_table": Entry(fracdyn.build_weight_table, dict(alphas=[0.5], J=3),
                                 ("alphas", "J"),
                                 accepts={"alphas": MATRIX - {"1e308"}, "J": {"0"}}),

@@ -22,7 +22,6 @@ from fracdyn import (
     finite_time_gramian,
     frac_difference,
     gaussian_noise,
-    gl_weight_recursive,
     identify,
     network_series,
     ols_error_bound,
@@ -297,7 +296,6 @@ def _count_calls(count):
         "run_closed_loop": lambda: run_closed_loop(model, problem, count, 0).applied,
         "uncontrolled_baseline": lambda: uncontrolled_baseline(model, count, 0).states,
         "build_weight_table": lambda: build_weight_table([0.5], count),
-        "gl_weight_recursive": lambda: gl_weight_recursive(0.5, count),
         "aj_series": lambda: np.array(aj_series(model, count)),
         "network_series": lambda: network_series(net, count).A,
         "augment_p": lambda: augment_p(model, count).Atil,
@@ -351,7 +349,6 @@ FLOORS = {
     "run_closed_loop": "step count K must be >= 1",
     "uncontrolled_baseline": "step count K must be >= 1",
     "build_weight_table": "horizon J must be non-negative",
-    "gl_weight_recursive": "lag index j must be non-negative",
     "aj_series": "series length J must be non-negative",
     "network_series": "series length J must be non-negative",
     "augment_p": "augmentation depth p must be >= 1",

@@ -315,7 +315,7 @@ def test_inside_estimate_only_the_batch_oracle_reads_the_dense_lift():
     assert enclosing_definitions(path, atil_reads(path.read_text())) == {"me_batch"}
 
 
-#: The 75 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
+#: The 74 public attributes of ``fracdyn``: its eight modules and their ``__all__`` names.
 PUBLIC = """
     AugmentedModel BranchWarning ClosedLoopResult CondensedProblem DimensionError DomainError
     EigenFailure EstimationRun EstimatorConfig EstimatorState FosModel FosSimulator
@@ -326,7 +326,7 @@ PUBLIC = """
     aj_series analysis augment_p augment_v augmented_spectral_radius bisection_bound
     build_weight_table commensurate_stability condense controllability_gramian deadbeat_input
     errors estimate finite_time_gramian fopid_response frac_difference fraccore gaussian_noise
-    gl_weight_recursive history_sum identify me_batch me_filter_init me_filter_step model mpc
+    history_sum identify me_batch me_filter_init me_filter_step model mpc
     network_series observability_matrices ols_error_bound ols_spatial reconstruct_initial_state
     run_closed_loop run_estimator simulate simulate_augmented simulate_fos simulate_network
     solve_horizon sysid tf_eval transition_matrices uncontrolled_baseline

@@ -138,6 +138,16 @@ def test_ols_error_bound_domain_checks():
         ols_error_bound(np.zeros((0, 0)), 3, 1, 0.1)  # W_k has no smallest eigenvalue
 
 
+def test_a_gramian_that_rounds_to_singular_is_a_domain_error():
+    # A is nilpotent, so W_2 = I + A A^T has eigenvalues 1 and 1 + 2^63; but 1 + 2^61 rounds
+    # to 2^61, and the computed W_2 is 2^61 times a matrix of ones, singular
+    c = 2.0**30
+    A = [[c, -c], [c, -c]]
+    assert np.array_equal(finite_time_gramian(A, 2), np.full((2, 2), 2.0**61))
+    with pytest.raises(DomainError, match="^W_k is singular; bound undefined$"):
+        ols_error_bound(A, 10, 2, 0.1)
+
+
 def scalar_fixture():
     return FosModel(alpha=[0.5], A=[[0.2]], Bw=[[1.0]])
 
