@@ -20,8 +20,9 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-#: The public names of each submodule, as its ``__all__`` declares them
-#: (``errors``: every class it defines).
+#: The one declaration of the public names of each submodule: a stage module's
+#: ``__all__`` is its row, read from here, so a name maps to its module without
+#: importing it (``errors``: every class it defines).
 _NAMES = {
     "errors": """BranchWarning DimensionError DomainError EigenFailure FracdynError
         InfeasibleStateConstraints InnovationSingular NonFiniteError NotControllable

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _NAMES
 from .errors import (
     BranchWarning, DomainError, EigenFailure, NonFiniteError, NotControllable, NotObservable,
     SingularError)
@@ -23,21 +24,7 @@ from .fraccore import _array, _count, _real, _square
 from .model import FosModel, augment_p
 from .simulate import simulate_fos, transition_matrices
 
-__all__ = [
-    "StabilityReport",
-    "GramianReport",
-    "ObservabilityReport",
-    "FractionalTransferFunction",
-    "FrequencyResponse",
-    "commensurate_stability",
-    "augmented_spectral_radius",
-    "controllability_gramian",
-    "deadbeat_input",
-    "observability_matrices",
-    "reconstruct_initial_state",
-    "tf_eval",
-    "fopid_response",
-]
+__all__ = _NAMES["analysis"]
 
 #: Margin (radians) below which an eigenvalue is called marginal, not decided.
 MARGINAL_TOL = 1e-9

@@ -7,7 +7,7 @@ No stochastic noise model is assumed.  The recursive filter and a dense
 batch least-squares solve of the same objective (:func:`me_batch`, its
 oracle) are kept independent.  The filter runs in one of two forms:
 :func:`me_filter_step` carries the d x d weight P and accepts per-step
-weights and output maps, while :func:`run_estimator` with constant weights
+weights and output maps, while :func:`run_estimator` with constant Q, R and C
 propagates only the low-rank increment of the predicted weight and the gain
 (the Chandrasekhar recursion) and never forms P.  This module holds the
 filter algebra only: the lift applies its own matrices by their layout
@@ -20,21 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _NAMES
 from .errors import DimensionError, InnovationSingular, NonFiniteError
 from .fraccore import _array
 from .model import (
     AugmentedModel, MultiTermNetwork, Trajectory, _as_prior, _as_weight, _weight_block,
     augment_v)
 
-__all__ = [
-    "EstimatorConfig",
-    "EstimatorState",
-    "EstimationRun",
-    "me_filter_init",
-    "me_filter_step",
-    "me_batch",
-    "run_estimator",
-]
+__all__ = _NAMES["estimate"]
 
 
 class EstimatorConfig(namedtuple("EstimatorConfig", "Q R P0 xhat0")):
@@ -282,13 +275,14 @@ def run_estimator(
     terminal and sup errors.
 
     Two routes give the same estimates to rounding.  With no per-step
-    schedule of Q, R, P0 or the network's C, the filter propagates only the
+    schedule of Q, R or the network's C, the filter propagates only the
     low-rank increment of the predicted weight and the gain
     (:func:`_low_rank_filter`) and forms no P: O(d alpha (alpha + r)) per step
-    for a first increment of rank alpha.  A dense P0 makes alpha near d, and
-    a step then costs O(d^3): at d = 400 and rank 399 the recursion took
-    1.1-1.4 times as long as the loop.  A schedule, or an increment that is
-    not finite, keeps the :func:`me_filter_step` loop, O(r d^2) per step.
+    for a first increment of rank alpha.  A P0 schedule takes this route too:
+    only its block 0 is read.  A dense P0 makes alpha near d, and a step then
+    costs O(d^3): at d = 400 and rank 399 the recursion took 1.1-1.4 times as
+    long as the loop.  A schedule of Q, R or C, or an increment that is not
+    finite, keeps the :func:`me_filter_step` loop, O(r d^2) per step.
     An estimate that is not finite raises NonFiniteError naming its step,
     without a numpy warning, on both routes.
     """
@@ -307,7 +301,7 @@ def run_estimator(
     est[0] = state.xhat
     with np.errstate(over="ignore", invalid="ignore"):  # _checked raises instead
         start = None
-        if not scheduled and max(config.Q.ndim, config.R.ndim, config.P0.ndim) < 3:
+        if not scheduled and max(config.Q.ndim, config.R.ndim) < 3:
             start = _increment(aug, state.P, _weight_block(config.Q, 0, aug.Gtil.shape[1], "Q"),
                                _weight_block(config.R, 1, aug.q, "R"))
         if start is not None:

@@ -27,13 +27,10 @@ import math
 
 import numpy as np
 
+from . import _NAMES
 from .errors import DimensionError, DomainError
 
-__all__ = [
-    "build_weight_table",
-    "history_sum",
-    "frac_difference",
-]
+__all__ = _NAMES["fraccore"]
 
 #: Steps per near-field block of :class:`MemoryTail`; far-field blocks are this
 #: size times a power of two.

@@ -27,20 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _NAMES
 from .errors import DimensionError, NotSPD, SingularError
 from .fraccore import _array, _count, _real, _square, build_weight_table
 
-__all__ = [
-    "FosModel",
-    "MultiTermNetwork",
-    "Trajectory",
-    "AugmentedModel",
-    "NetworkSeries",
-    "aj_series",
-    "augment_p",
-    "network_series",
-    "augment_v",
-]
+__all__ = _NAMES["model"]
 
 def _as_weight(value, name: str, semidefinite: bool = False) -> np.ndarray:
     """A quadratic weight with its blocks symmetrised.

@@ -20,21 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _NAMES
 from .errors import DimensionError, DomainError, InfeasibleStateConstraints, NonFiniteError
 from .fraccore import _array, _count
 from .model import FosModel, Trajectory, _as_weight, _weight_block, augment_p
 from .simulate import FosSimulator, _resolve_noise, simulate_fos
 
-__all__ = [
-    "MpcProblem",
-    "MpcSolution",
-    "ClosedLoopResult",
-    "CondensedProblem",
-    "condense",
-    "solve_horizon",
-    "run_closed_loop",
-    "uncontrolled_baseline",
-]
+__all__ = _NAMES["mpc"]
 
 #: Quadratic penalty weight of soft linear state constraints.
 SOFT_PENALTY = 1e6

@@ -15,20 +15,14 @@ from functools import partial
 
 import numpy as np
 
+from . import _NAMES
 from .errors import DimensionError, DomainError, NonFiniteError
 from .fraccore import (
     NEAR_BLOCK, MemoryTail, _array, _count, _real, block_convolve, build_weight_table,
     kernel_spectrum)
 from .model import AugmentedModel, FosModel, MultiTermNetwork, Trajectory, network_series
 
-__all__ = [
-    "FosSimulator",
-    "simulate_fos",
-    "simulate_network",
-    "simulate_augmented",
-    "transition_matrices",
-    "gaussian_noise",
-]
+__all__ = _NAMES["simulate"]
 
 #: Largest entry of the transition matrices G_1..G_NEAR_BLOCK that an open-loop
 #: run solves a block with (G_0 = I); a faster-growing model keeps the loop.

@@ -20,21 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _NAMES
 from .errors import DomainError, NonFiniteError, SingularError
 from .fraccore import (
     _array, _count, _real, _square, build_weight_table, history_sum, history_sums)
 from .model import Trajectory
 
-__all__ = [
-    "IdentificationResult",
-    "OlsResult",
-    "OlsBound",
-    "identify",
-    "ols_spatial",
-    "bisection_bound",
-    "finite_time_gramian",
-    "ols_error_bound",
-]
+__all__ = _NAMES["sysid"]
 
 #: Endpoint-MSE relative spread below which a channel is flagged low-confidence.
 FLAT_SPREAD = 0.01
@@ -103,8 +95,8 @@ def ols_error_bound(
         raise DomainError(f"Atil has spectral radius {rho:.6g}, beyond marginal stability")
     Wk = finite_time_gramian(A, k)
     lam_min = float(np.min(np.linalg.eigvalsh(Wk)))
-    if lam_min <= 0.0:
-        raise DomainError("W_k is singular; bound undefined")
+    if lam_min <= 0.0:  # W_k >= I exactly: only rounding can lose its identity term
+        raise SingularError("W_k is singular to working precision: rounding lost its identity term")
     WK = finite_time_gramian(A, K)
     logdet = float(np.linalg.slogdet(WK)[1] - np.linalg.slogdet(Wk)[1])
     logdet = max(logdet, 0.0)

@@ -11,8 +11,8 @@ increment of the predicted weight (the Chandrasekhar recursion).  Its
 estimates must agree with the ``me_filter_step`` loop to 1e-10 of the running
 maximum of the loop's estimates over 800 steps, and with ``me_batch`` within
 the tolerance of ``tests/test_estimate.py``.  A spy on ``me_filter_step``
-tells which route ran: only a per-step schedule keeps the loop, whatever the
-rank of the first increment.
+tells which route ran: only a per-step schedule of Q, R or C keeps the loop,
+whatever the rank of the first increment.
 """
 
 import importlib.util
@@ -298,6 +298,24 @@ def test_only_constant_weights_take_the_low_rank_route(filter_calls, kind):
                       outputs=rng.normal(size=(K + 1, 2)))
     run_estimator(net, v, EstimatorConfig(xhat0=0.0, **weights), traj)
     assert filter_calls == ([] if kind in ("constant", "dense P0") else list(range(K)))
+
+
+def test_a_prior_schedule_runs_as_its_block_0(filter_calls):
+    # P0 weights step 0 only, so the blocks after it are never read: the run is the
+    # low-rank run of the constant prior, bit for bit
+    rng = np.random.default_rng(13)
+    K, v = 40, 10
+    net = _network(rng, 3, 1, 2)
+    d = augment_v(net, v).dim
+    L = rng.normal(size=(d, d))
+    P0 = L @ L.T / d + np.eye(d)
+    schedule = np.concatenate([P0[None], np.tile(5.0 * np.eye(d), (K, 1, 1))])
+    traj = Trajectory(states=np.zeros((K + 1, 3)), inputs=rng.normal(size=(K, 1)),
+                      outputs=rng.normal(size=(K + 1, 2)))
+    constant, scheduled = (run_estimator(net, v, EstimatorConfig(Q=1.0, R=0.01, P0=P, xhat0=0.0),
+                                         traj) for P in (P0, schedule))
+    assert filter_calls == []
+    assert scheduled.estimates.tobytes() == constant.estimates.tobytes()
 
 
 @pytest.mark.parametrize("v", [10, 40], ids=["d40", "d160"])

@@ -797,6 +797,19 @@ def test_history_sum_whose_transform_overflows_is_summed_directly(monkeypatch):
     assert np.array_equal(got, np.convolve(np.concatenate([np.zeros(999), x]), w, "valid"))
 
 
+def _convolved_channels(monkeypatch, w):
+    """The channels, told by their rows of ``w``, that ``np.convolve`` sums, in call order."""
+    channels = []
+    convolve = np.convolve
+
+    def spy(a, v, mode):
+        channels.extend(i for i in range(w.shape[0]) if np.array_equal(v, w[i]))
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    return channels
+
+
 #: (rows [start, stop), lags, transform calls) of each route; the FFT one with one
 #: channel whose transform overflows.
 CHANNEL_ROUTES = {"direct": (100, 250, 50, 0), "fft": (1000, 3000, 2000, 1),
@@ -819,8 +832,11 @@ def test_each_channel_of_a_history_sum_has_the_bits_of_its_one_channel_call(
         x[2500, hot] = 1e306
         w[hot] = 1.0
     calls = _counting_block_convolve(monkeypatch)
+    summed = _convolved_channels(monkeypatch, w)
     got = history_sum(x, w, start, stop)
     assert len(calls) == transforms
+    # np.convolve sums a channel again after the transform only if its sums are not finite
+    assert summed == {"direct": list(range(n)), "fft": [], "overflow": [hot]}[route]
     assert np.isfinite(got).all()
     for i in range(n):
         assert got[:, i].tobytes() == history_sum(x[:, i], w[i], start, stop).tobytes(), i

@@ -175,6 +175,56 @@ def test_an_overflowing_transition_block_keeps_the_step_loop():
     assert traj.states.shape == (201, 1) and not traj.states.any()
 
 
+@pytest.fixture
+def stored(monkeypatch):
+    """The steps k that the one store step of ``simulate`` sums, in call order."""
+    import fracdyn.simulate as simulate
+
+    steps = []
+    store = simulate._store
+
+    def counted(X, k, parts):
+        steps.append(k)
+        return store(X, k, parts)
+
+    monkeypatch.setattr(simulate, "_store", counted)
+    return steps
+
+
+#: Open-loop runs of 1000 steps: of a model with no channel of integer order, and of one
+#: with an integer-order channel, which is stepped throughout.
+OPEN_LOOP = {
+    "simulate_fos": lambda: simulate_fos(
+        FosModel([0.5, 0.8], [[-0.3, 0.1], [0.0, -0.2]], B=[[1.0], [0.5]]), [1.0, -1.0],
+        u=np.ones((1000, 1)), K=1000),
+    "transition_matrices": lambda: transition_matrices(
+        FosModel([0.5, 0.8], [[-0.3, 0.1], [0.0, -0.2]]), 1000),
+    "simulate_network": lambda: simulate_network(
+        MultiTermNetwork(state_terms=[(0.6, np.eye(2))], input_terms=[(0.5, [[1.0], [0.0]])]),
+        [1.0, -1.0], u=np.ones((1000, 1)), K=1000),
+    "integer order": lambda: simulate_fos(
+        FosModel([1.0, 0.8], [[-0.3, 0.1], [0.0, -0.2]]), [1.0, -1.0], K=1000),
+}
+
+
+@pytest.mark.parametrize("run", sorted(OPEN_LOOP))
+def test_an_open_loop_run_stores_only_its_first_block_step_by_step(stored, run):
+    # the first NEAR_BLOCK steps, then the NEAR_BLOCK steps of the transition matrices
+    # that solve each later block at once; an integer-order channel keeps the loop
+    from fracdyn.fraccore import NEAR_BLOCK
+
+    OPEN_LOOP[run]()
+    block = list(range(NEAR_BLOCK))
+    assert stored == (list(range(1000)) if run == "integer order" else block + block)
+
+
+def test_the_stepper_returns_the_row_it_stores(stored):
+    sim = FosSimulator(scalar_fixture(), [1.0], 5)
+    rows = [sim.step(u=[0.5]) for _ in range(5)]
+    assert stored == list(range(5))
+    assert np.array_equal(np.array(rows, dtype=float), sim.states[1:])
+
+
 @pytest.mark.parametrize("steps", [None, 301, 7], ids=["constant", "full schedule", "clamped"])
 def test_network_outputs_are_each_step_s_map_times_its_state(steps):
     rng = np.random.default_rng(41)

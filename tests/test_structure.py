@@ -27,10 +27,11 @@ applies a lift through its ``shift`` and ``propagate`` on both routes, so in
 ``estimate`` only ``me_batch``, the dense oracle, reads ``Atil``.
 
 The public namespace of ``fracdyn`` is pinned: each name is declared once,
-in its module's ``__all__`` (``errors`` exports every class it defines), and
-the package's map from name to module, which loads the module on first use,
-agrees with those declarations.  No module imports ``dataclasses``: records
-are named tuples, which write and compile no methods at import.
+in the package's table ``fracdyn._NAMES``, whose row is its stage module's
+``__all__`` (``errors`` exports every class it defines), and every name in a
+row is defined by that module, which the package loads on first use.  No
+module imports ``dataclasses``: records are named tuples, which write and
+compile no methods at import.
 
 The MPC solver factors by QR in one place, ``mpc._solve_qp``, which alone
 returns the solution and alone proves hard state rows infeasible; the active
@@ -334,16 +335,16 @@ PUBLIC = """
 
 
 def test_the_lazy_namespace_maps_each_name_to_the_module_that_declares_it():
-    declared = {}
-    for module in fracdyn._NAMES:
+    for module, row in fracdyn._NAMES.items():
         mod = getattr(fracdyn, module)
-        names = getattr(mod, "__all__", None) or [  # errors: every class it defines
-            name for name, obj in vars(mod).items()
-            if isinstance(obj, type) and obj.__module__ == mod.__name__]
-        declared.update(dict.fromkeys(names, module))
-    assert fracdyn._HOME == declared
-    assert all(getattr(fracdyn, name).__module__ == f"fracdyn.{module}"
-               for name, module in declared.items())
+        if module == "errors":  # every class it defines, and no __all__
+            assert sorted(row) == sorted(name for name, obj in vars(mod).items()
+                                         if isinstance(obj, type) and obj.__module__ == mod.__name__)
+        else:  # the row itself, not a second list of the same names
+            assert mod.__all__ is row, module
+        for name in row:
+            assert getattr(mod, name).__module__ == mod.__name__, name
+            assert getattr(fracdyn, name) is getattr(mod, name), name
 
 
 def test_the_package_loads_a_module_on_its_first_read(monkeypatch):

@@ -103,6 +103,21 @@ def test_ols_error_bound_closed_form():
     assert res3.value == 0.0
 
 
+@pytest.mark.parametrize("C, c", [(1.0, 1.0), (2.5, 0.3)], ids=["defaults", "other"])
+def test_ols_error_bound_of_a_scalar_lift_is_its_closed_form(C, c):
+    # d = 1 and W_t = (1 - a^2t) / (1 - a^2), so lambda_min = W_k and logdet = log(W_K / W_k)
+    a, K, k, delta = 0.9, 50, 5, 0.1
+    W = {t: (1.0 - a ** (2 * t)) / (1.0 - a * a) for t in (K, k)}
+    inner = math.log(1.0 / delta) + math.log(W[K] / W[k])
+    constants = {} if (C, c) == (1.0, 1.0) else {"C": C, "c": c}
+    res = ols_error_bound([[a]], K, k, delta, **constants)
+    assert res.lambda_min == pytest.approx(W[k], rel=1e-12)
+    assert res.logdet == pytest.approx(math.log(W[K] / W[k]), rel=1e-12)
+    assert res.value == pytest.approx(C / math.sqrt(K * W[k]) * math.sqrt(inner), rel=1e-12)
+    assert res.side_rhs == pytest.approx(c * inner, rel=1e-12)
+    assert res.side_lhs == K / k and res.side_ok == (K / k >= c * inner)
+
+
 def test_ols_error_bound_reports_side_condition():
     A = np.array([[0.9, 0.1], [0.0, 0.8]])
     res = ols_error_bound(A, 400, 4, 0.05)
@@ -138,13 +153,15 @@ def test_ols_error_bound_domain_checks():
         ols_error_bound(np.zeros((0, 0)), 3, 1, 0.1)  # W_k has no smallest eigenvalue
 
 
-def test_a_gramian_that_rounds_to_singular_is_a_domain_error():
+def test_a_gramian_that_rounds_to_singular_is_a_singular_error():
     # A is nilpotent, so W_2 = I + A A^T has eigenvalues 1 and 1 + 2^63; but 1 + 2^61 rounds
-    # to 2^61, and the computed W_2 is 2^61 times a matrix of ones, singular
+    # to 2^61, and the computed W_2 is 2^61 times a matrix of ones, singular: a numerical
+    # failure, not an argument outside the bound's domain
     c = 2.0**30
     A = [[c, -c], [c, -c]]
     assert np.array_equal(finite_time_gramian(A, 2), np.full((2, 2), 2.0**61))
-    with pytest.raises(DomainError, match="^W_k is singular; bound undefined$"):
+    with pytest.raises(SingularError, match="^W_k is singular to working precision: "
+                                            "rounding lost its identity term$"):
         ols_error_bound(A, 10, 2, 0.1)
 
 
