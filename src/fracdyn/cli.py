@@ -5,11 +5,11 @@ One subcommand per pipeline stage: ``simulate``, ``analyze``, ``identify``,
 ``fileio``, ``fraccore`` and ``model`` of the package; a subcommand imports
 its own stage's module when it runs, so a cold job compiles no other stage,
 and ``simulate`` comes only with ``simulate``, ``mpc`` and (through
-``analysis``) ``analyze``.  Every option can also come from
-a JSON config file; flags always win over config values.  An absent key takes
-its default; a present one is judged under its own name by the library's
-argument readers (``fraccore``), so ``null`` or a bad value exits 2 naming
-the key.
+``analysis``) ``analyze``.  Every option, file names too, can also come from
+a JSON config file; flags win over config values.  Argparse only names them:
+``_path`` judges a file name and the argument readers of ``fraccore`` every
+other value, under its key and from a flag or the file alike.  An absent value
+takes its default; ``null``, a bad value or no file name exits 2 naming the key.
 
 ``main`` owns a run.  It reads the options once; a subcommand, a function of
 them, writes its primary outputs (atomically) and returns the manifest's
@@ -73,16 +73,14 @@ def _path(config: dict, key: str) -> str:
 
 
 def _json_count(value):
-    """A whole float such as 4.0, as JSON may write a count, as that int; else ``value``."""
+    """A whole float such as 4.0, a count from JSON or a flag, as that int; else ``value``."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _get(config: dict, key: str, reader, default=None, **rules):
-    """``reader(config[key], key, **rules)``: ``key`` judged by the library's reader.
+    """``reader(config.get(key, default), key, **rules)``, or None if both are absent.
 
-    An absent key reads ``default``, or None when that is None.  The config
-    format adds two rules: a comma-separated string is a vector, and a whole
-    float is a count (4.0 reads as 4, 3.9 exits 2).
+    A comma-separated string is a vector, and a whole float a count (4.0 reads as 4, 3.9 exits 2).
     """
     if key not in config and default is None:
         return None
@@ -293,6 +291,12 @@ def cmd_mpc(config: dict) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def number(text: str):  # a count flag: int() of its text, exact, else float(); _get judges it
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+
     parser = argparse.ArgumentParser(
         prog="fracdyn", description="Batch toolkit for discrete-time fractional-order systems")
     parser.add_argument("--version", action="version", version=__version__)
@@ -301,54 +305,54 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate a model file to a trajectory CSV")
     sim.add_argument("--model", help="model JSON file")
     sim.add_argument("--x0", help="comma-separated initial state")
-    sim.add_argument("--steps", type=int, help="number of steps K")
-    sim.add_argument("--seed", type=int, help="noise seed (omit for noise-free)")
+    sim.add_argument("--steps", type=number, help="number of steps K")
+    sim.add_argument("--seed", type=number, help="noise seed (omit for noise-free)")
     sim.add_argument("--sigma", type=float, help="noise scale for seeded runs")
     sim.add_argument("--dt", type=float, help="sample period metadata")
     sim.add_argument("--input", help="trajectory CSV whose u columns drive the run")
     sim.add_argument("--config", help="JSON config (flags win)")
-    sim.add_argument("--out", required=True)
+    sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="stability, gramians, or bode CSV")
     ana.add_argument("what", choices=["stability", "gramians", "bode"])
     ana.add_argument("--model")
     ana.add_argument("--alpha", type=float, help="override commensurate order")
-    ana.add_argument("--horizon", type=int, help="gramian horizon / heuristic depth")
+    ana.add_argument("--horizon", type=number, help="gramian horizon / heuristic depth")
     ana.add_argument("--fopid", help="kp,ki,kd,lambda,mu")
     ana.add_argument("--num", help="numerator terms coef:exp,...")
     ana.add_argument("--den", help="denominator terms coef:exp,...")
     ana.add_argument("--omega-start", dest="omega_start", type=float)
     ana.add_argument("--omega-stop", dest="omega_stop", type=float)
-    ana.add_argument("--omega-points", dest="omega_points", type=int)
+    ana.add_argument("--omega-points", dest="omega_points", type=number)
     ana.add_argument("--config")
-    ana.add_argument("--out", required=True)
+    ana.add_argument("--out")
     ana.set_defaults(func=cmd_analyze)
 
     idf = sub.add_parser("identify", help="fit orders and coupling from a trajectory")
-    idf.add_argument("--trajectory", required=True)
-    idf.add_argument("--depth", type=int, help="prediction memory depth p")
+    idf.add_argument("--trajectory")
+    idf.add_argument("--depth", type=number, help="prediction memory depth p")
     idf.add_argument("--epsilon", type=float, help="bisection tolerance")
     idf.add_argument("--window", help="offset,length")
     idf.add_argument("--config")
-    idf.add_argument("--out-model", dest="out_model", required=True)
-    idf.add_argument("--out-diag", dest="out_diag", required=True)
+    idf.add_argument("--out-model", dest="out_model")
+    idf.add_argument("--out-diag", dest="out_diag")
     idf.set_defaults(func=cmd_identify)
 
     est = sub.add_parser("estimate", help="minimum-energy estimates from measured outputs")
-    est.add_argument("--model", required=True, help="multi-term network JSON")
-    est.add_argument("--trajectory", required=True, help="CSV with y columns")
-    est.add_argument("--v", type=int, help="truncation depth")
+    est.add_argument("--model", help="multi-term network JSON")
+    est.add_argument("--trajectory", help="CSV with y columns")
+    est.add_argument("--v", type=number, help="truncation depth")
     est.add_argument("--config", help="JSON with Q,R,P0,xhat0")
-    est.add_argument("--out", required=True)
+    est.add_argument("--out")
     est.set_defaults(func=cmd_estimate)
 
     mpc = sub.add_parser("mpc", help="closed-loop receding-horizon run from a scenario")
     mpc.add_argument("config", metavar="scenario", help="scenario JSON")
-    mpc.add_argument("--steps", dest="K", type=int)
-    mpc.add_argument("--seed", type=int)
-    mpc.add_argument("--horizon", type=int)
-    mpc.add_argument("--control-horizon", dest="control_horizon", type=int)
+    mpc.add_argument("--steps", dest="K", type=number)
+    mpc.add_argument("--seed", type=number)
+    mpc.add_argument("--horizon", type=number)
+    mpc.add_argument("--control-horizon", dest="control_horizon", type=number)
     mpc.add_argument("--bounds", help="lo,hi")
     mpc.add_argument("--out")
     mpc.set_defaults(func=cmd_mpc)

@@ -156,12 +156,11 @@ def model_from_dict(data: dict):
     if "state_terms" in data:
         def terms(key):
             items = [] if data.get(key) is None else data[key]
-            if not (isinstance(items, list) and all(
-                    isinstance(item, dict) and {"exponent", "matrix"} <= item.keys()
-                    and not isinstance(item["exponent"], bool) for item in items)):
+            if not isinstance(items, list) or not all(
+                    isinstance(t, dict) and {"exponent", "matrix"} <= t.keys() for t in items):
                 raise DimensionError(
                     f"{key} must be a list of objects with a numeric 'exponent' and a 'matrix'")
-            return tuple((item["exponent"], item["matrix"]) for item in items)
+            return tuple((t["exponent"], t["matrix"]) for t in items)
 
         return MultiTermNetwork(
             state_terms=terms("state_terms"),

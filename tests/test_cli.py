@@ -976,6 +976,124 @@ def test_whole_float_value_of_an_integer_option_is_accepted(tmp_path, scalar_mod
     assert len(out.read_text().splitlines()) == 1 + 5
 
 
+def _written(monkeypatch, directory, *argv) -> dict:
+    """{file name: bytes} of what a successful run of ``argv`` writes in a fresh ``directory``."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    assert run_cli(*argv) == 0
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_a_whole_float_count_flag_runs_as_its_int(tmp_path, monkeypatch, scalar_model_file):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"steps": 4.0}))
+    sim = ("simulate", "--model", scalar_model_file, "--seed", "3", "--out", "t.csv")
+    runs = [_written(monkeypatch, tmp_path / name, *sim, *extra) for name, extra in
+            (("int", ("--steps", "4")), ("float", ("--steps", "4.0")),
+             ("config", ("--config", str(config))))]
+    assert runs[0] == runs[1] == runs[2]
+    assert sorted(runs[0]) == ["t.csv", "t.csv.manifest.json"]
+    assert len(runs[0]["t.csv"].splitlines()) == 1 + 5
+
+
+def test_a_count_flag_in_exponent_form_runs_as_its_int(tmp_path, monkeypatch, scalar_model_file):
+    gramians = ("analyze", "gramians", "--model", scalar_model_file, "--out", "g.json")
+    assert (_written(monkeypatch, tmp_path / "int", *gramians, "--horizon", "10")
+            == _written(monkeypatch, tmp_path / "exp", *gramians, "--horizon", "1e1"))
+    assert json.loads((tmp_path / "exp" / "g.json").read_text())["horizon"] == 10
+
+
+#: Count flags by their config key; the ``--steps`` of ``mpc`` sets its K.
+_COUNT_FLAGS = {"steps": "--steps", "seed": "--seed", "horizon": "--horizon",
+                "omega_points": "--omega-points", "depth": "--depth", "v": "--v",
+                "control_horizon": "--control-horizon", "K": "--steps"}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "steps", 3.9),
+    ("simulate", "seed", 1.5),
+    ("analyze gramians", "horizon", 2.5),
+    ("analyze bode", "omega_points", 3.5),
+    ("identify", "depth", 10.5),
+    ("estimate", "v", 2.5),
+    ("mpc", "horizon", 4.5),
+    ("mpc", "control_horizon", 1.5),
+    ("mpc", "K", 2.7),
+])
+def test_a_fractional_count_flag_exits_2_as_its_config_value_does(
+        tmp_path, capsys, scalar_model_file, short_trajectory_file, command, key, value):
+    path, config, argv, out = _small_run(tmp_path, scalar_model_file, short_trajectory_file,
+                                         command)
+    path.write_text(json.dumps({**config, key: value}))
+    assert run_cli(*argv) == 2
+    from_config = capsys.readouterr().err
+    assert f"{key} must be a whole number, got {value!r}" in from_config
+    path.write_text(json.dumps(config))
+    assert run_cli(*argv, _COUNT_FLAGS[key], str(value)) == 2
+    assert capsys.readouterr().err == from_config
+    assert not out.exists()
+
+
+#: (subcommand, config key) of every file option that ``_path`` alone requires.
+_FILE_OPTIONS = [("simulate", "out"), ("analyze", "out"), ("identify", "trajectory"),
+                 ("identify", "out_model"), ("identify", "out_diag"), ("estimate", "model"),
+                 ("estimate", "trajectory"), ("estimate", "out")]
+
+
+def _file_run(tmp_path, scalar_model_file, short_trajectory_file, command) -> tuple:
+    """(leading argv, {config key: file}) of a short run; its outputs are relative names."""
+    if command == "identify":
+        return (["identify", "--depth", "10", "--epsilon", "1e-2"],
+                {"trajectory": short_trajectory_file, "out_model": "m.json", "out_diag": "d.csv"})
+    if command == "estimate":
+        net_path, traj_path = _write_network_files(tmp_path, 30)
+        return ["estimate"], {"model": net_path, "trajectory": traj_path, "out": "e.csv"}
+    if command == "analyze":
+        return ["analyze", "gramians"], {"model": scalar_model_file, "out": "g.json"}
+    return ["simulate", "--steps", "5"], {"model": scalar_model_file, "out": "t.csv"}
+
+
+def _flags(files: dict) -> list:
+    return [arg for key, name in files.items() for arg in ("--" + key.replace("_", "-"), name)]
+
+
+@pytest.mark.parametrize("command, key", _FILE_OPTIONS)
+def test_a_file_option_from_the_config_alone_runs_as_its_flag(
+        tmp_path, monkeypatch, scalar_model_file, short_trajectory_file, command, key):
+    head, files = _file_run(tmp_path, scalar_model_file, short_trajectory_file, command)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: files[key]}))
+    rest = _flags({k: name for k, name in files.items() if k != key})
+    flags = _written(monkeypatch, tmp_path / "flags", *head, *_flags(files))
+    from_config = _written(monkeypatch, tmp_path / "config", *head, *rest, "--config", str(config))
+    assert from_config == flags
+    assert any(name.endswith(".manifest.json") for name in flags)
+
+
+@pytest.mark.parametrize("command, key", _FILE_OPTIONS)
+def test_a_file_option_in_neither_flags_nor_config_exits_2_naming_it(
+        tmp_path, monkeypatch, capsys, scalar_model_file, short_trajectory_file, command, key):
+    head, files = _file_run(tmp_path, scalar_model_file, short_trajectory_file, command)
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    assert run_cli(*head, *_flags({k: name for k, name in files.items() if k != key})) == 2
+    assert f"{key} must name a file, got None" in capsys.readouterr().err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_a_long_seed_flag_draws_exactly_as_its_config_value(tmp_path, monkeypatch,
+                                                            scalar_model_file):
+    seed = 98765432109876543211  # 20 digits, more than a float holds
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": seed}))
+    sim = ("simulate", "--model", scalar_model_file, "--steps", "5", "--out", "t.csv")
+    flag = _written(monkeypatch, tmp_path / "flag", *sim, "--seed", str(seed))
+    assert _written(monkeypatch, tmp_path / "config", *sim, "--config", str(config)) == flag
+    assert json.loads(flag["t.csv.manifest.json"])["seed"] == seed
+    rounded = _written(monkeypatch, tmp_path / "rounded", *sim, "--seed", str(int(float(seed))))
+    assert rounded["t.csv"] != flag["t.csv"]
+
+
 _JUNK = st.one_of(
     st.none(),
     st.sampled_from(["", "x", "1,2", "-1", "nan"]),
@@ -1105,7 +1223,7 @@ def test_trajectory_reader_fuzz_keeps_the_exit_contract(tmp_path, capsys, header
     ({"alpha": [0.5], "A": [[0.2]], "n": True}, "declared n"),
     ({"alpha": [0.5], "A": [[0.2]], "B": [[1.0]], "m": True}, "declared m"),
     ({"alpha": [0.5], "A": [[0.2]], "Bw": [[True]]}, "Bw must be numbers"),
-    ({"state_terms": [{"exponent": True, "matrix": [[1.0]]}]}, "state_terms"),
+    ({"state_terms": [{"exponent": True, "matrix": [[1.0]]}]}, "state term"),
     ({"state_terms": [{"exponent": 0.5, "matrix": [[1.0]]}], "C": [[True]]}, "C must be numbers"),
 ])
 def test_bad_model_file_exits_2_naming_the_field(tmp_path, capsys, model, field):

@@ -49,8 +49,11 @@ count itself, has grown a second rule beside it.
 Every argument is judged by the readers of ``fraccore`` (``_count``, ``_real``
 and ``_array``), the CLI's options under their config keys.  ``cli.py`` raises
 none of the readers' messages and casts no value to float itself: it holds no
-reader of its own.  Every matrix and time series is judged by the shape it
-declares to ``_array``, so no module but ``fraccore`` raises a shape message.
+reader of its own.  Its parser only names the options: no ``add_argument``
+call passes ``required=True`` or ``type=int``, so ``cli._path`` alone requires
+a file and ``cli._get`` alone judges a count, from a flag or a config file
+alike.  Every matrix and time series is judged by the shape it declares to
+``_array``, so no module but ``fraccore`` raises a shape message.
 
 The CLI has one driver.  ``cli.main`` reads a run's options and writes its
 summary and manifest; it is the one caller of ``write_manifest``, and no
@@ -642,6 +645,33 @@ def test_the_cli_holds_no_reader_of_its_own():
     # every option is judged by a reader of fraccore under its config key
     lines = reader_uses((PACKAGE / "cli.py").read_text())
     assert lines == [], f"cli.py judges an argument at lines {lines}; use fraccore's readers"
+
+
+def parser_rules(source: str) -> list:
+    """Line numbers of the ``add_argument`` calls that pass ``required=True`` or ``type=int``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if _called_name(node) == "add_argument" and any(
+                (kw.arg, ast.unparse(kw.value)) in {("required", "True"), ("type", "int")}
+                for kw in node.keywords)]
+
+
+@pytest.mark.parametrize("source,hit", [
+    ('sim.add_argument("--out", required=True)', True),
+    ('sim.add_argument("--steps", type=int, help="number of steps K")', True),
+    ('parser.add_argument("--seed", type=int)', True),
+    ('sim.add_argument("--out")', False),
+    ('sim.add_argument("--steps", type=number)', False),
+    ('sim.add_argument("--sigma", type=float)', False),
+    ('sub = parser.add_subparsers(dest="command", required=True)', False),
+])
+def test_the_parser_check_reads_each_form_of_a_rule(source, hit):
+    assert bool(parser_rules(source)) == hit
+
+
+def test_argparse_only_names_the_options():
+    # presence is judged by _path and counts by _get, from a flag or a config file alike
+    lines = parser_rules((PACKAGE / "cli.py").read_text())
+    assert lines == [], f"cli.py judges an option in argparse at lines {lines}"
 
 
 #: Wording of a shape judged by hand; ``fraccore._array`` alone judges a declared shape.
